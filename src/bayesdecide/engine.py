@@ -1,11 +1,17 @@
 """Expected posterior loss and optimal decisions.
 
-``optimize`` dispatches to a closed form whenever the loss family has a
-known optimal predictor (mean, median, mode, quantile, LINEX log-MGF,
-1/E(1/Y), reweighted mean) and otherwise minimizes the expected
-posterior loss numerically: bracket by geometric expansion from the
-posterior median, then golden-section (or derivative bisection when the
-loss is differentiable) to a 1e-10 relative bracket width.
+One registry, keyed by (posterior type, loss family), holds every leaf
+loss whose optimal action has a closed form (mean, median, mode,
+quantile, LINEX log-MGF, 1/E(1/Y)).  On Gaussian and Gamma posteriors an
+entry also gives the expected posterior loss EPL(a) in closed form, so
+``epl`` answers those pairs without quadrature, whichever caller asks:
+``optimize``, its numeric search, or the BMA mixture.  Everything else
+(compositions, custom weights, PTL, MTC(rho) with rho not in {1, 2},
+functional prediction) integrates the loss against the posterior.
+``optimize`` minimizes the EPL numerically when no closed form applies:
+bracket by geometric expansion from the posterior median, then
+golden-section (or derivative bisection when the loss is differentiable)
+to a 1e-10 relative bracket width.
 
 Also: minimax variants, functional prediction, tail-risk curves and
 their lower envelope, and the 0-1-loss threshold yes/no rule.
@@ -18,9 +24,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.special import digamma, gammainc, gammaincc, ndtr
 
 from .errors import NumericError, ValidationError
-from .losses import LossFunction, LossSpec, compose
+from .losses import EXP_LIMIT, LossFunction, LossSpec, compose
 from .posteriors import GammaPosterior, GaussianPosterior, SamplePosterior
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -90,12 +97,9 @@ def epl(loss, post, a):
             y_bad = float(post.values[bad][0])
             raise NumericError(f"loss is not finite at draw y={y_bad!r} for a={a!r}")
         return float(np.dot(post.weights, lv))
-    spec = lossfn.spec
-    if (isinstance(spec, LossSpec) and spec.family == "SEL"
-            and spec.weight is None):
-        # E((a - Y)^2 | z) = Var(Y | z) + (a - E(Y | z))^2 exactly
-        mean, var = post.moments()
-        return float(var + (a - mean) ** 2)
+    entry = _registry_entry(lossfn.spec, post)
+    if entry is not None and entry.epl is not None:
+        return float(entry.epl(post, lossfn.spec.params, a))
     # a itself is a potential kink of y -> L(a, y) (absolute/pinball losses)
     return post.expect(lambda y: lossfn(a, y), breakpoints=(a,))
 
@@ -206,32 +210,186 @@ def _minimize(f, x0, positive, differentiable):
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# closed forms: optimal actions
+
+
+def _inverse_mean_reciprocal(post, prm):
+    inv_mean = post.expect(lambda y: 1.0 / np.asarray(y, dtype=float))
+    if inv_mean <= 0:
+        raise NumericError("E(1/Y | z) is nonpositive; ratio predictor undefined")
+    return 1.0 / inv_mean
+
+
+def _gamma_ratio_action(post, prm):
+    # 1 / E(1/Y) without quadrature: E(1/Y) = rate / (shape - 1)
+    return (post.shape - 1.0) / post.rate
+
+
+# the optimal action of each loss key, valid on every posterior type:
+# (SolverPath name, action(post, params))
+_ACTIONS = {
+    "SEL": ("posterior_mean", lambda post, prm: post.moments()[0]),
+    "MTC1": ("posterior_median", lambda post, prm: post.quantile(0.5)),
+    "ZERO_ONE": ("posterior_mode", lambda post, prm: post.mode()),
+    "QTL": ("posterior_quantile", lambda post, prm: post.quantile(prm["q"])),
+    "LNX": ("linex_log_mgf",
+            lambda post, prm: (-1.0 / prm["psi"]) * post.log_mgf_neg(prm["psi"])),
+    "GAM": ("inverse_mean_reciprocal", _inverse_mean_reciprocal),
+    "PWD+1": ("inverse_mean_reciprocal", _inverse_mean_reciprocal),
+    "PWD-1": ("posterior_mean", lambda post, prm: post.moments()[0]),
+}
+
+
+# ---------------------------------------------------------------------------
+# closed forms: expected posterior loss EPL(a)
+
+
+def _sel_epl(post, prm, a):
+    # E((a - Y)^2 | z) = Var(Y | z) + (a - E(Y | z))^2
+    mean, var = post.moments()
+    return var + (a - mean) ** 2
+
+
+def _zero_one_epl(post, prm, a):
+    # a single point carries no mass under a continuous posterior
+    return 1.0
+
+
+def _partials(post, a):
+    """(E(a - Y)^+, E(Y - a)^+), each from the special function of its own tail.
+
+    Gaussian: from the standard normal cdf and density at z = (a - m)/sd.
+    Gamma: from P(k, r a) and P(k + 1, r a), as E(Y I(Y < a)) = m P(k + 1, r a).
+    """
+    if isinstance(post, GaussianPosterior):
+        z = (a - post.mean) / post.sd
+        phi = post.sd * post.pdf(float(a))  # standard normal density at z
+        return (post.sd * (z * float(ndtr(z)) + phi),
+                post.sd * (phi - z * float(ndtr(-z))))
+    k, m = post.shape, post.moments()[0]
+    if a <= 0:
+        return 0.0, m - a
+    x = post.rate * a
+    return (a * float(gammainc(k, x)) - m * float(gammainc(k + 1.0, x)),
+            m * float(gammaincc(k + 1.0, x)) - a * float(gammaincc(k, x)))
+
+
+def _abs_epl(post, prm, a):
+    below, above = _partials(post, a)
+    return below + above
+
+
+def _qtl_epl(post, prm, a):
+    # pinball loss: (1 - q) E(a - Y)^+ + q E(Y - a)^+
+    below, above = _partials(post, a)
+    q = prm["q"]
+    return (1.0 - q) * below + q * above
+
+
+def _linex_epl(post, prm, a):
+    """exp(psi a + log E e^{-psi Y}) - psi (a - E Y) - 1."""
+    psi = prm["psi"]
+    u = psi * a + post.log_mgf_neg(psi)
+    if u > EXP_LIMIT:
+        raise NumericError(
+            f"LINEX overflow: log E exp(psi*(a - Y)) = {u} exceeds the "
+            f"representable exponent range"
+        )
+    return math.expm1(u) - psi * (a - post.moments()[0])
+
+
+def _gamma_gam_epl(post, prm, a):
+    # (nu - 1)[a E(1/Y) - 1 - log a + E log Y], E log Y = digamma(k) - log r;
+    # with t = a E(1/Y) both brackets below are nonnegative
+    k, t = post.shape, a * post.rate / (post.shape - 1.0)
+    return (prm["nu"] - 1.0) * ((t - 1.0 - math.log(t))
+                                + (float(digamma(k)) - math.log(k - 1.0)))
+
+
+def _gamma_pwd_plus_epl(post, prm, a):
+    # y phi_1(a/y) = (a - y)^2 / (2y); with b = 1/E(1/Y) = (k - 1)/r the EPL
+    # is ((a - b)^2 / b + E Y - b) / 2 and E Y - b = 1/r
+    b = (post.shape - 1.0) / post.rate
+    return 0.5 * ((a - b) ** 2 / b + 1.0 / post.rate)
+
+
+def _gamma_pwd_minus_epl(post, prm, a):
+    # y phi_-1(a/y) = a - y - y log a + y log y, E(Y log Y) = m (digamma(k + 1)
+    # - log r); with t = a/m both brackets below are nonnegative
+    k, m = post.shape, post.moments()[0]
+    t = a / m
+    return m * ((t - 1.0 - math.log(t)) + (float(digamma(k + 1.0)) - math.log(k)))
+
+
+# ---------------------------------------------------------------------------
+# the registry
+
+
+@dataclass(frozen=True)
+class _ClosedForm:
+    """A leaf loss with a closed-form optimal action on a posterior type.
+
+    ``epl`` gives EPL(a) in closed form, or is None when the EPL is
+    computed generically (a weighted sum over draws, or quadrature).
+    """
+
+    name: str
+    action: Callable
+    epl: Optional[Callable] = None
+
+
+# closed-form EPLs shared by the Gaussian and the Gamma
+_PARAMETRIC_EPLS = {
+    "SEL": _sel_epl,
+    "MTC1": _abs_epl,
+    "ZERO_ONE": _zero_one_epl,
+    "QTL": _qtl_epl,
+    "LNX": _linex_epl,
+}
+
+# generic actions everywhere; on draws the EPL is an exact weighted sum,
+# and GAM / PWD(+-1) on a Gaussian keep quadrature
+_REGISTRY = {
+    (kind, key): _ClosedForm(name, action)
+    for kind in (GaussianPosterior, GammaPosterior, SamplePosterior)
+    for key, (name, action) in _ACTIONS.items()
+}
+_REGISTRY.update({
+    (kind, key): _ClosedForm(*_ACTIONS[key], epl_fn)
+    for kind in (GaussianPosterior, GammaPosterior)
+    for key, epl_fn in _PARAMETRIC_EPLS.items()
+})
+_REGISTRY.update({
+    (GammaPosterior, "GAM"): _ClosedForm(
+        "inverse_mean_reciprocal", _gamma_ratio_action, _gamma_gam_epl),
+    (GammaPosterior, "PWD+1"): _ClosedForm(
+        "inverse_mean_reciprocal", _gamma_ratio_action, _gamma_pwd_plus_epl),
+    (GammaPosterior, "PWD-1"): _ClosedForm(*_ACTIONS["PWD-1"], _gamma_pwd_minus_epl),
+})
+
+
+def _loss_key(spec):
+    """The registry key of a leaf loss spec, or None."""
+    if not isinstance(spec, LossSpec) or spec.family is None:
+        return None
+    fam, prm = spec.family, spec.params
+    if fam == "MTC":
+        return {2.0: "SEL", 1.0: "MTC1"}.get(prm.get("rho"))
+    if fam == "PWD":
+        return {1.0: "PWD+1", -1.0: "PWD-1"}.get(prm.get("lam"))
+    return fam if fam in _ACTIONS else None
+
+
+def _registry_entry(spec, post):
+    key = _loss_key(spec)
+    return None if key is None else _REGISTRY.get((type(post), key))
 
 
 def _closed_form(spec, post):
     """Return (action, name) when the spec has a known optimal predictor."""
-    if spec.family is not None:
-        fam, prm = spec.family, spec.params
-        if fam == "SEL" or (fam == "MTC" and prm.get("rho") == 2.0):
-            return post.moments()[0], "posterior_mean"
-        if fam == "MTC" and prm.get("rho") == 1.0:
-            return post.quantile(0.5), "posterior_median"
-        if fam == "ZERO_ONE":
-            return post.mode(), "posterior_mode"
-        if fam == "QTL":
-            return post.quantile(prm["q"]), "posterior_quantile"
-        if fam == "LNX":
-            psi = prm["psi"]
-            return (-1.0 / psi) * post.log_mgf_neg(psi), "linex_log_mgf"
-        if fam == "GAM" or (fam == "PWD" and prm.get("lam") == 1.0):
-            inv_mean = post.expect(lambda y: 1.0 / np.asarray(y, dtype=float))
-            if inv_mean <= 0:
-                raise NumericError("E(1/Y | z) is nonpositive; ratio predictor undefined")
-            return 1.0 / inv_mean, "inverse_mean_reciprocal"
-        if fam == "PWD" and prm.get("lam") == -1.0:
-            return post.moments()[0], "posterior_mean"
-        return None
+    entry = _registry_entry(spec, post)
+    if entry is not None:
+        return entry.action(post, spec.params), entry.name
     if spec.compose == "weighted":
         base = spec.components[0]
         if base.family == "GAM" and spec.weight.name == "identity":

@@ -31,7 +31,7 @@ from scipy.special import gammaln
 
 from .errors import NumericError, ValidationError
 
-_EXP_LIMIT = 700.0  # beyond this exp() overflows a double
+EXP_LIMIT = 700.0  # beyond this exp() overflows a double
 
 _FAMILIES = {"MTC", "SEL", "ZERO_ONE", "QTL", "LNX", "PTL", "PWD", "GAM"}
 _COMPOSITIONS = {"weighted", "sum", "product", "power", "exp_minus_one"}
@@ -70,7 +70,7 @@ def eval_linex(psi, a, y):
     if psi == 0 or not np.isfinite(psi):
         raise ValidationError(f"psi must be finite and nonzero, got {psi!r}")
     u = psi * (np.asarray(a, dtype=float) - y)
-    if np.max(u, initial=-np.inf) > _EXP_LIMIT:
+    if np.max(u, initial=-np.inf) > EXP_LIMIT:
         raise NumericError(
             f"LINEX overflow: psi*(a - y) = {float(np.max(u))} exceeds the "
             f"representable exponent range"

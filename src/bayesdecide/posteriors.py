@@ -10,22 +10,31 @@ machinery: ``moments``, ``quantile``, ``mode``, ``expect``, ``mgf_neg``
 and ``tail_prob``.  ``SamplePosterior`` additionally supports
 ``reweight`` (multiply the weights by a positive function of y and
 renormalize).
+
+The Gaussian and Gamma densities, distribution functions and quantiles
+are written on ``scipy.special`` (``ndtr``, ``ndtri``, ``gammainc``,
+``gammaincc``, ``gammaincinv``) rather than ``scipy.stats``, whose
+per-call overhead dominated quadrature and whose import dominated CLI
+start-up.  ``pdf`` takes a ``math`` fast path for the scalar floats that
+``scipy.integrate.quad`` passes to an integrand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy import integrate, stats
-from scipy.special import logsumexp
+from scipy import integrate
+from scipy.special import gammainc, gammaincc, gammaincinv, logsumexp, ndtr, ndtri
 
 from .errors import DivergentMgfError, NumericError, ValidationError
 
 # Mass left in each tail when truncating a parametric support for quadrature.
 _QUAD_TAIL = 1e-10
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _check_finite(name, value):
@@ -50,24 +59,26 @@ class GaussianPosterior:
 
     def quantile(self, q):
         _check_q(q)
-        return float(stats.norm.ppf(q, loc=self.mean, scale=self.sd))
+        return float(ndtri(q) * self.sd + self.mean)
 
     def mode(self):
         return self.mean
 
     def pdf(self, y):
-        return stats.norm.pdf(y, loc=self.mean, scale=self.sd)
+        if isinstance(y, float):
+            z = (y - self.mean) / self.sd
+            return math.exp(-0.5 * z * z) * _INV_SQRT_2PI / self.sd
+        z = (np.asarray(y, dtype=float) - self.mean) / self.sd
+        return np.exp(-0.5 * z * z) * _INV_SQRT_2PI / self.sd
 
     def cdf(self, y):
-        return stats.norm.cdf(y, loc=self.mean, scale=self.sd)
+        return ndtr((np.asarray(y, dtype=float) - self.mean) / self.sd)
 
     def tail_prob(self, kappa):
-        return float(stats.norm.sf(kappa, loc=self.mean, scale=self.sd))
+        return float(ndtr(-((kappa - self.mean) / self.sd)))
 
     def support(self):
-        lo = stats.norm.ppf(_QUAD_TAIL, loc=self.mean, scale=self.sd)
-        hi = stats.norm.ppf(1.0 - _QUAD_TAIL, loc=self.mean, scale=self.sd)
-        return float(lo), float(hi)
+        return self.quantile(_QUAD_TAIL), self.quantile(1.0 - _QUAD_TAIL)
 
     def expect(self, h, breakpoints=()):
         return _quad_expect(self, h, breakpoints)
@@ -98,29 +109,40 @@ class GammaPosterior:
         if not (np.isfinite(self.rate) and self.rate > 0):
             raise ValidationError(f"rate must be > 0, got {self.rate!r}")
 
+    @cached_property
+    def _log_norm(self):
+        # log(rate^shape / Gamma(shape)), the log-normaliser of the density
+        return self.shape * math.log(self.rate) - math.lgamma(self.shape)
+
     def moments(self):
         return self.shape / self.rate, self.shape / self.rate ** 2
 
     def quantile(self, q):
         _check_q(q)
-        return float(stats.gamma.ppf(q, a=self.shape, scale=1.0 / self.rate))
+        return float(gammaincinv(self.shape, q) / self.rate)
 
     def mode(self):
         return (self.shape - 1.0) / self.rate
 
     def pdf(self, y):
-        return stats.gamma.pdf(y, a=self.shape, scale=1.0 / self.rate)
+        k, r = self.shape, self.rate
+        if isinstance(y, float):
+            if y <= 0.0 or y == math.inf:
+                return 0.0
+            return math.exp(self._log_norm + (k - 1.0) * math.log(y) - r * y)
+        y = np.asarray(y, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dens = np.exp(self._log_norm + (k - 1.0) * np.log(y) - r * y)
+        return np.where((y <= 0.0) | (y == np.inf), 0.0, dens)
 
     def cdf(self, y):
-        return stats.gamma.cdf(y, a=self.shape, scale=1.0 / self.rate)
+        return gammainc(self.shape, self.rate * np.maximum(y, 0.0))
 
     def tail_prob(self, kappa):
-        return float(stats.gamma.sf(kappa, a=self.shape, scale=1.0 / self.rate))
+        return float(gammaincc(self.shape, self.rate * max(kappa, 0.0)))
 
     def support(self):
-        lo = stats.gamma.ppf(_QUAD_TAIL, a=self.shape, scale=1.0 / self.rate)
-        hi = stats.gamma.ppf(1.0 - _QUAD_TAIL, a=self.shape, scale=1.0 / self.rate)
-        return float(lo), float(hi)
+        return self.quantile(_QUAD_TAIL), self.quantile(1.0 - _QUAD_TAIL)
 
     def expect(self, h, breakpoints=()):
         return _quad_expect(self, h, breakpoints)
@@ -133,7 +155,7 @@ class GammaPosterior:
                 f"E(exp{{-psi*Y}}) diverges for Gamma(rate={self.rate}) with "
                 f"psi={psi}: requires rate + psi > 0"
             )
-        return self.shape * (math.log(self.rate) - math.log(self.rate + psi))
+        return -self.shape * math.log1p(psi / self.rate)
 
     def mgf_neg(self, psi):
         return math.exp(self.log_mgf_neg(psi))
@@ -175,10 +197,6 @@ class SamplePosterior:
 
     def __len__(self):
         return self.values.size
-
-    @property
-    def normalized(self):
-        return True
 
     def moments(self):
         mean = float(np.dot(self.weights, self.values))

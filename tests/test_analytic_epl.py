@@ -1,0 +1,229 @@
+"""Closed-form expected posterior losses against quadrature.
+
+Every (posterior type, loss family) pair whose EPL the engine reports in
+closed form is checked against the adaptive quadrature of the loss over
+the posterior density, and the scipy.special densities behind both are
+checked against scipy.stats.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, stats
+
+from bayesdecide import (DivergentMgfError, GammaPosterior, GaussianPosterior,
+                         LossSpec, NumericError, compose, epl, optimize)
+from bayesdecide import engine, posteriors
+
+REL = 1e-9
+
+
+def _spec(key, q=0.3, psi=0.5, nu=2.0):
+    return {
+        "SEL": LossSpec.sel(),
+        "MTC1": LossSpec.mtc(1),
+        "ZERO_ONE": LossSpec.zero_one(),
+        "QTL": LossSpec.qtl(q),
+        "LNX": LossSpec.linex(psi),
+        "GAM": LossSpec.gam(1.0, nu),
+        "PWD+1": LossSpec.pwd(1),
+        "PWD-1": LossSpec.pwd(-1),
+    }[key]
+
+
+def _quadrature(spec, post, a):
+    lossfn = compose(spec)
+    return post.expect(lambda y: lossfn(a, y), breakpoints=(a,))
+
+
+def _assert_close(got, want):
+    assert abs(got - want) <= REL * abs(want), (got, want)
+
+
+GAUSS_KEYS = ["SEL", "MTC1", "ZERO_ONE", "QTL", "LNX"]
+GAMMA_KEYS = GAUSS_KEYS + ["GAM", "PWD+1", "PWD-1"]
+
+
+@given(key=st.sampled_from(GAUSS_KEYS), mean=st.floats(-5.0, 5.0),
+       sd=st.floats(0.1, 5.0), q=st.floats(0.01, 0.99),
+       psi_sd=st.floats(0.05, 3.0), sign=st.sampled_from([-1.0, 1.0]),
+       t=st.floats(-4.0, 4.0))
+@settings(max_examples=300, deadline=None)
+def test_gaussian_entries_match_quadrature(key, mean, sd, q, psi_sd, sign, t):
+    post = GaussianPosterior(mean, sd)
+    spec = _spec(key, q=q, psi=sign * psi_sd / sd)
+    a = mean + t * sd
+    _assert_close(epl(spec, post, a), _quadrature(spec, post, a))
+
+
+@given(key=st.sampled_from(GAMMA_KEYS), shape=st.floats(2.0, 30.0),
+       rate=st.floats(0.1, 10.0), q=st.floats(0.01, 0.99),
+       psi_mag=st.floats(0.05, 3.0), psi_frac=st.floats(0.05, 0.5),
+       negative=st.booleans(), nu=st.floats(1.1, 5.0), f=st.floats(0.05, 4.0))
+@settings(max_examples=300, deadline=None)
+def test_gamma_entries_match_quadrature(key, shape, rate, q, psi_mag, psi_frac,
+                                        negative, nu, f):
+    post = GammaPosterior(shape, rate)
+    mean, var = post.moments()
+    # psi > -rate keeps E exp(-psi Y) finite; past -rate/2 the quadrature's
+    # far tail nodes can trip the LINEX evaluator's own overflow guard
+    psi = -psi_frac * rate if negative else psi_mag / math.sqrt(var)
+    spec = _spec(key, q=q, psi=psi, nu=nu)
+    a = f * mean
+    _assert_close(epl(spec, post, a), _quadrature(spec, post, a))
+
+
+@pytest.mark.parametrize("key", ["SEL", "MTC1", "QTL", "LNX"])
+@pytest.mark.parametrize("a", [-3.0, 0.0])
+def test_gamma_actions_at_or_below_zero(key, a):
+    post = GammaPosterior(3.0, 1.5)
+    spec = _spec(key, q=0.7)
+    _assert_close(epl(spec, post, a), _quadrature(spec, post, a))
+
+
+@pytest.mark.parametrize("key", ["GAM", "PWD+1", "PWD-1"])
+@pytest.mark.parametrize("shape", [1.1, 1.2, 1.5, 1.9])
+@pytest.mark.parametrize("f", [0.1, 1.0, 3.0])
+def test_ratio_losses_near_shape_one(key, shape, f):
+    # the ratio losses integrate y^(shape - 2) near zero, which quadrature
+    # in y resolves poorly below shape 2; in t = log y the integrand is smooth
+    post = GammaPosterior(shape, 2.0)
+    spec = _spec(key, nu=3.0)
+    lossfn = compose(spec)
+    a = f * post.moments()[0]
+    # below y = a e^-300 the mass left out is about e^(-300 (shape - 1))
+    t_lo = math.log(a) - 300.0
+    t_hi = math.log(post.quantile(1.0 - 1e-15)) + 1.0
+    want, _ = integrate.quad(
+        lambda t: float(lossfn(a, math.exp(t))) * post.pdf(math.exp(t)) * math.exp(t),
+        t_lo, t_hi, points=[math.log(a)], limit=400, epsabs=0.0, epsrel=1e-12)
+    _assert_close(epl(spec, post, a), want)
+
+
+def _analytic_pairs():
+    posts = {GaussianPosterior: GaussianPosterior(0.4, 1.3),
+             GammaPosterior: GammaPosterior(3.5, 2.0)}
+    return [(posts[kind], key) for (kind, key), entry in engine._REGISTRY.items()
+            if entry.epl is not None]
+
+
+def test_every_analytic_pair_is_tested():
+    pairs = {(type(p), k) for p, k in _analytic_pairs()}
+    want = ({(GaussianPosterior, k) for k in GAUSS_KEYS}
+            | {(GammaPosterior, k) for k in GAMMA_KEYS})
+    assert pairs == want
+
+
+@pytest.mark.parametrize("post,key", _analytic_pairs(), ids=str)
+def test_registry_pairs_need_no_quadrature(monkeypatch, post, key):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature called on an analytic pair")
+
+    monkeypatch.setattr(posteriors, "_quad_expect", no_quadrature)
+    spec = _spec(key)
+    d = optimize(spec, post)
+    assert d.method.kind == "closed_form"
+    assert math.isfinite(d.epl)
+    assert epl(spec, post, d.action * 1.1) >= d.epl
+    if key != "ZERO_ONE":  # a flat EPL has no minimum to search for
+        numeric = optimize(spec, post, force_numeric=True)
+        assert numeric.method.kind == "numeric"
+
+
+def test_solver_path_names_unchanged():
+    gauss, gamma = GaussianPosterior(0.4, 1.3), GammaPosterior(3.5, 2.0)
+    names = {key: optimize(_spec(key), gamma).method.name for key in GAMMA_KEYS}
+    assert names == {
+        "SEL": "posterior_mean", "MTC1": "posterior_median",
+        "ZERO_ONE": "posterior_mode", "QTL": "posterior_quantile",
+        "LNX": "linex_log_mgf", "GAM": "inverse_mean_reciprocal",
+        "PWD+1": "inverse_mean_reciprocal", "PWD-1": "posterior_mean",
+    }
+    for key in GAUSS_KEYS:
+        assert optimize(_spec(key), gauss).method.name == names[key]
+
+
+# ---------------------------------------------------------------------------
+# LINEX guards
+
+
+@pytest.mark.parametrize("a", [705.0, 1000.0])
+def test_linex_overflow_raises_numeric_error(a):
+    # log E exp(psi (a - Y)) = a + 1/2 here: past the exponent limit, and
+    # at a = 1000 past the point where math.exp itself overflows
+    with pytest.raises(NumericError, match="LINEX overflow"):
+        epl(LossSpec.linex(1.0), GaussianPosterior(0.0, 1.0), a)
+
+
+def test_linex_divergent_gamma_raises():
+    post = GammaPosterior(3.0, 1.0)
+    with pytest.raises(DivergentMgfError):
+        epl(LossSpec.linex(-1.0), post, 1.0)
+    with pytest.raises(DivergentMgfError):
+        optimize(LossSpec.linex(-2.0), post)
+
+
+def test_linex_near_exponent_limit_returns():
+    # psi * sd = 32: quadrature tail nodes trip the loss overflow guard,
+    # the closed form does not
+    post = GaussianPosterior(0.2, 1.0)
+    d = optimize(LossSpec.linex(32.0), post)
+    assert d.action == pytest.approx(0.2 - 16.0, rel=1e-15)
+    assert d.epl == pytest.approx(512.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# scipy.special densities against scipy.stats
+
+
+GAUSS_Y = [-1e6, -40.0, -8.0, -1.0, 0.0, 0.3, 2.5, 9.0, 40.0, 1e6]
+GAMMA_Y = [-5.0, -1e-300, 0.0, 1e-300, 1e-12, 1e-3, 0.5, 2.0, 10.0, 80.0, 400.0]
+
+
+def _close_arrays(got, want, rtol=1e-11):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("mean,sd", [(0.0, 1.0), (-2.5, 0.3), (7.0, 4.0)])
+def test_gaussian_functions_match_scipy_stats(mean, sd):
+    post = GaussianPosterior(mean, sd)
+    ref = stats.norm(loc=mean, scale=sd)
+    y = np.array(GAUSS_Y)
+    _close_arrays(post.pdf(y), ref.pdf(y))
+    _close_arrays([post.pdf(float(v)) for v in y], ref.pdf(y))
+    assert isinstance(post.pdf(0.5), float)
+    _close_arrays(post.cdf(y), ref.cdf(y))
+    _close_arrays([post.cdf(float(v)) for v in y], ref.cdf(y))
+    _close_arrays([post.tail_prob(float(v)) for v in y], ref.sf(y))
+    qs = [1e-12, 1e-10, 0.03, 0.5, 0.97, 1.0 - 1e-10]
+    _close_arrays([post.quantile(q) for q in qs], ref.ppf(qs))
+    _close_arrays(post.support(), ref.ppf([1e-10, 1.0 - 1e-10]))
+
+
+@pytest.mark.parametrize("shape,rate", [(1.05, 0.3), (3.0, 1.0), (40.0, 7.5)])
+def test_gamma_functions_match_scipy_stats(shape, rate):
+    post = GammaPosterior(shape, rate)
+    ref = stats.gamma(shape, scale=1.0 / rate)
+    y = np.array(GAMMA_Y)
+    _close_arrays(post.pdf(y), ref.pdf(y))
+    _close_arrays([post.pdf(float(v)) for v in y], ref.pdf(y))
+    assert isinstance(post.pdf(0.5), float)
+    _close_arrays(post.cdf(y), ref.cdf(y))
+    _close_arrays([post.cdf(float(v)) for v in y], ref.cdf(y))
+    _close_arrays([post.tail_prob(float(v)) for v in y], ref.sf(y))
+    qs = [1e-12, 1e-10, 0.03, 0.5, 0.97, 1.0 - 1e-10]
+    _close_arrays([post.quantile(q) for q in qs], ref.ppf(qs))
+    _close_arrays(post.support(), ref.ppf([1e-10, 1.0 - 1e-10]))
+
+
+def test_gamma_density_vanishes_off_support():
+    post = GammaPosterior(2.5, 1.0)
+    for y in (-1.0, 0.0, math.inf):
+        assert post.pdf(y) == 0.0
+    np.testing.assert_array_equal(post.pdf(np.array([-1.0, 0.0, np.inf])), 0.0)
+    assert post.cdf(-1.0) == 0.0
+    assert post.tail_prob(-1.0) == 1.0

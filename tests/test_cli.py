@@ -1,9 +1,12 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import bayesdecide
 from bayesdecide.cli import main
 
 Z97 = 1.8807936081512495
@@ -382,3 +385,31 @@ posterior: {kind: gaussian, mean: 0.0, sd: 1.0}
         result = runner.invoke(main, ["predict", "--scenario", scenario])
         assert result.exit_code == 0
         assert "seed    20220901" in result.output
+
+
+def _run_python(args, **kwargs):
+    """Run a fresh interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bayesdecide.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120, **kwargs)
+
+
+class TestProcess:
+    def test_divergent_gamma_linex_exits_3_without_traceback(self, tmp_path):
+        scenario = write(tmp_path, "s.yaml", """
+posterior: {kind: gamma, shape: 3.0, rate: 1.0}
+loss: {family: LNX, params: {psi: -2.0}}
+""")
+        result = _run_python(["-m", "bayesdecide.cli", "predict",
+                              "--scenario", scenario], cwd=str(tmp_path))
+        assert result.returncode == 3, result.stderr
+        assert "Traceback" not in result.stdout + result.stderr
+        assert "numeric failure" in result.stdout + result.stderr
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        result = _run_python(["-c", "import sys, bayesdecide.cli; "
+                                    "print('scipy.stats' in sys.modules)"])
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
