@@ -9,15 +9,11 @@ numerically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
-
-import numpy as np
 
 from . import engine
 from .errors import ValidationError
-from .losses import LossFunction, LossSpec, compose
+from .losses import LossSpec, compose
 from .posteriors import DiscretePosterior
 
 
@@ -96,7 +92,5 @@ def bma_predict_general(ens):
     x0 = sum(pk * m.posterior.quantile(0.5) for pk, m in zip(p, ens.members))
     if positive and x0 <= 0:
         x0 = max(m.posterior.quantile(0.5) for m in ens.members)
-    differentiable = all(lf.differentiable for lf in lossfns)
-    action, iters, bracket, name = engine._minimize(f, x0, positive, differentiable)
-    return engine.OptimalDecision(float(action), f(action),
-                                  engine.SolverPath("numeric", name, iters, bracket))
+    action, path = engine.minimize(f, x0, positive)
+    return engine.OptimalDecision(float(action), f(action), path)

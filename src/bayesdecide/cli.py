@@ -159,9 +159,9 @@ def multivar(scenario_path, out_dir, seed, fmt):
     doc = _load(scenario_path, seed)
     base = doc["_base_dir"]
     block = doc.get("multivar") or {}
-    draws_block = sc._require(block, "draws", "multivar")
-    vp = sc.load_vector_draws(sc._resolve(base, sc._require(draws_block, "path",
-                                                            "multivar.draws")))
+    draws_block = sc.require(block, "draws", "multivar")
+    vp = sc.load_vector_draws(sc.resolve_path(
+        base, sc.require(draws_block, "path", "multivar.draws")))
     if "correlation" in block:
         corr = sc.load_correlation(block["correlation"], base)
     else:
@@ -270,7 +270,7 @@ def risk_curve(scenario_path, out_dir, seed, fmt):
     post = sc.parse_posterior(doc.get("posterior") or {}, base)
     spec = sc.parse_loss(doc.get("loss") or {"family": "SEL"})
     block = doc.get("risk_curve") or {}
-    kappas = sc.parse_grid(sc._require(block, "kappa_grid", "risk_curve"),
+    kappas = sc.parse_grid(sc.require(block, "kappa_grid", "risk_curve"),
                            "kappa_grid")
     if "action" in block:
         action = float(block["action"])
@@ -303,9 +303,9 @@ def design_n(scenario_path, out_dir, seed, fmt):
     block = doc.get("design") or {}
     model = sc.parse_joint_model(block, "design")
     spec = sc.parse_loss(block.get("loss", doc.get("loss", {"family": "SEL"})))
-    tau = float(sc._require(block, "tau", "design"))
+    tau = float(sc.require(block, "tau", "design"))
     cost = sc.parse_cost(block.get("cost"))
-    n_grid = sc.parse_int_grid(sc._require(block, "n_grid", "design"))
+    n_grid = sc.parse_int_grid(sc.require(block, "n_grid", "design"))
     n_mc = int(block.get("n_mc", 1000))
     n_star, curve = design_mod.optimal_sample_size(
         model, spec, tau, cost, n_grid, n_mc, doc["seed"])

@@ -11,13 +11,14 @@ sizes, see identical draws.  Results are bit-reproducible for a fixed
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import engine
 from .errors import NumericError, ValidationError
+from .losses import compose
 from .posteriors import GaussianPosterior, SamplePosterior
 
 
@@ -117,7 +118,7 @@ def expected_joint_loss(model, loss, n, n_mc, seed, max_n=None):
             z = None
         post = model.posterior_builder(z, None)
         decision = engine.optimize(loss, post)
-        value = float(np.asarray(engine._as_lossfn(loss)(decision.action, y)))
+        value = float(np.asarray(compose(loss)(decision.action, y)))
         if not np.isfinite(value):
             raise NumericError(
                 f"non-finite loss in replicate {r} (seed {seed}, n={n})")

@@ -7,15 +7,14 @@ per-eigenspace optima.  Because the total loss is a sum of per-eigenspace
 terms, the reassembled action minimizes the joint expected posterior
 loss.
 
-The eigen-solver is a cyclic Jacobi sweep: deterministic, accurate for
-the small dense symmetric matrices this module targets (N <= 64).
+Eigenpairs come from LAPACK's symmetric solver (``np.linalg.eigh``),
+sorted by decreasing eigenvalue with a fixed sign per eigenvector.
+Dimensions are capped at N <= 64.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -26,37 +25,6 @@ from .posteriors import SamplePosterior
 _MAX_N = 64
 _SYM_TOL = 1e-12
 _PD_TOL = 1e-9
-
-
-def jacobi_eigh(matrix, tol=1e-14, max_sweeps=100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues, eigenvectors-as-columns), unsorted.
-    """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    for _ in range(max_sweeps):
-        off = math.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= tol * n:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-    return np.diag(a).copy(), v
 
 
 @dataclass(frozen=True)
@@ -78,8 +46,7 @@ class CorrelationMatrix:
             raise ValidationError("correlation matrix must be symmetric to 1e-12")
         if np.max(np.abs(np.diag(arr) - 1.0)) > _SYM_TOL:
             raise ValidationError("correlation matrix must have a unit diagonal")
-        vals, _ = jacobi_eigh(arr)
-        smallest = float(vals.min())
+        smallest = float(np.linalg.eigvalsh(arr)[0])
         if smallest <= _PD_TOL:
             raise ValidationError(
                 f"correlation matrix is not positive-definite: smallest "
@@ -106,11 +73,11 @@ class EigenDecomposition:
 def spectral_decompose(corr):
     """Sorted, sign-fixed spectral decomposition of a correlation matrix.
 
-    Eigenpairs are ordered by decreasing eigenvalue (ties keep original
-    index order) and each eigenvector's first entry larger than 1e-12 in
+    Eigenpairs are ordered by decreasing eigenvalue (ties keep eigh
+    order) and each eigenvector's first entry larger than 1e-12 in
     magnitude is made positive.
     """
-    vals, vecs = jacobi_eigh(corr.entries)
+    vals, vecs = np.linalg.eigh(corr.entries)
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
@@ -227,7 +194,7 @@ def estimate_correlation(draws):
         raise ValidationError(f"coordinate {int(zero[0])} has zero variance")
     corr = np.corrcoef(arr, rowvar=False)
     corr = 0.5 * (corr + corr.T)
-    vals, vecs = jacobi_eigh(corr)
+    vals, vecs = np.linalg.eigh(corr)
     if np.any(vals < 1e-10):
         clipped = np.maximum(vals, 1e-10)
         corr = vecs @ np.diag(clipped) @ vecs.T

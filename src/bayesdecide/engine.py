@@ -8,10 +8,9 @@ entry also gives the expected posterior loss EPL(a) in closed form, so
 ``optimize``, its numeric search, or the BMA mixture.  Everything else
 (compositions, custom weights, PTL, MTC(rho) with rho not in {1, 2},
 functional prediction) integrates the loss against the posterior.
-``optimize`` minimizes the EPL numerically when no closed form applies:
-bracket by geometric expansion from the posterior median, then
-golden-section (or derivative bisection when the loss is differentiable)
-to a 1e-10 relative bracket width.
+``optimize`` minimizes the EPL numerically when no closed form applies,
+through ``minimize``: bracket by geometric expansion from the posterior
+median, then golden-section search to a 1e-10 relative bracket width.
 
 Also: minimax variants, functional prediction, tail-risk curves and
 their lower envelope, and the 0-1-loss threshold yes/no rule.
@@ -21,13 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import digamma, gammainc, gammaincc, ndtr
 
 from .errors import NumericError, ValidationError
-from .losses import EXP_LIMIT, LossFunction, LossSpec, compose
+from .losses import EXP_LIMIT, LossSpec, compose
 from .posteriors import GammaPosterior, GaussianPosterior, SamplePosterior
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -70,10 +69,6 @@ class TailRiskCurve:
         return "\n".join(lines) + "\n"
 
 
-def _as_lossfn(loss):
-    return loss if isinstance(loss, LossFunction) else compose(loss)
-
-
 def _check_domain(lossfn, post):
     if lossfn.positive_domain:
         lo, _ = post.support()
@@ -86,7 +81,7 @@ def _check_domain(lossfn, post):
 
 def epl(loss, post, a):
     """Expected posterior loss E(L(a, Y) | z)."""
-    lossfn = _as_lossfn(loss)
+    lossfn = compose(loss)
     _check_domain(lossfn, post)
     if lossfn.positive_domain and a <= 0:
         raise ValidationError(f"loss requires action > 0, got {a!r}")
@@ -109,7 +104,7 @@ def epl(loss, post, a):
 
 
 def _bracket(f, x0, positive):
-    """Expand geometrically from x0 until f increases on both sides."""
+    """Expand geometrically from x0 until f stops decreasing on both sides."""
     f0 = f(x0)
     step = 0.5 * (1.0 + abs(x0))
 
@@ -118,7 +113,7 @@ def _bracket(f, x0, positive):
         for _ in range(_MAX_EXPAND):
             cand = lo / 2.0
             fc = f(cand)
-            if fc > flo:
+            if fc >= flo:
                 lo = cand
                 break
             lo, flo = cand, fc
@@ -129,7 +124,7 @@ def _bracket(f, x0, positive):
         for _ in range(_MAX_EXPAND):
             cand = lo - h
             fc = f(cand)
-            if fc > flo:
+            if fc >= flo:
                 lo = cand
                 break
             lo, flo = cand, fc
@@ -142,7 +137,7 @@ def _bracket(f, x0, positive):
     for _ in range(_MAX_EXPAND):
         cand = hi + h
         fc = f(cand)
-        if fc > fhi:
+        if fc >= fhi:
             hi = cand
             break
         hi, fhi = cand, fc
@@ -157,6 +152,8 @@ def _golden(f, lo, hi):
     x2 = lo + _GOLD * (hi - lo)
     f1, f2 = f(x1), f(x2)
     iterations = 0
+    # no iteration cap: each step keeps 0.618 of the width and the stop
+    # threshold is at least 1e-10, so a finite bracket stops (about 50 steps)
     while hi - lo > _REL_WIDTH * (1.0 + abs(lo) + abs(hi)):
         iterations += 1
         if f1 <= f2:
@@ -167,46 +164,18 @@ def _golden(f, lo, hi):
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLD * (hi - lo)
             f2 = f(x2)
-        if iterations > 400:
-            break
     return 0.5 * (lo + hi), iterations
 
 
-def _derivative_bisect(f, lo, hi):
-    """Bisect on a central-difference derivative of a smooth unimodal f."""
+def minimize(f, x0, positive):
+    """Minimize a scalar f by bracketing from x0, then golden-section search.
 
-    def grad(x):
-        h = 1e-6 * (1.0 + abs(x))
-        return (f(x + h) - f(x - h)) / (2.0 * h)
-
-    glo, ghi = grad(lo), grad(hi)
-    if not (glo < 0 < ghi):
-        # the bracket endpoints came from function increase, not sign change;
-        # fall back to golden section
-        return None
-    iterations = 0
-    while hi - lo > _REL_WIDTH * (1.0 + abs(lo) + abs(hi)):
-        iterations += 1
-        mid = 0.5 * (lo + hi)
-        g = grad(mid)
-        if g < 0:
-            lo = mid
-        else:
-            hi = mid
-        if iterations > 200:
-            break
-    return 0.5 * (lo + hi), iterations
-
-
-def _minimize(f, x0, positive, differentiable):
+    ``positive`` confines the search to a > 0.  Returns the action and the
+    numeric ``SolverPath`` that found it.
+    """
     lo, hi = _bracket(f, x0, positive)
-    if differentiable:
-        out = _derivative_bisect(f, lo, hi)
-        if out is not None:
-            x, iters = out
-            return x, iters, (lo, hi), "derivative_bisection"
     x, iters = _golden(f, lo, hi)
-    return x, iters, (lo, hi), "golden_section"
+    return x, SolverPath("numeric", "golden_section", iters, (lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -409,45 +378,37 @@ def _closed_form(spec, post):
 
 def optimize(loss, post, force_numeric=False):
     """Minimize E(L(a, Y) | z) over actions a."""
-    spec = loss.spec if isinstance(loss, LossFunction) else loss
-    lossfn = _as_lossfn(loss)
+    lossfn = compose(loss)
     _check_domain(lossfn, post)
     if not force_numeric:
-        hit = _closed_form(spec, post)
+        hit = _closed_form(lossfn.spec, post)
         if hit is not None:
             action, name = hit
             return OptimalDecision(float(action), epl(lossfn, post, action),
                                    SolverPath("closed_form", name))
-    x0 = post.quantile(0.5)
     f = lambda a: epl(lossfn, post, a)
-    action, iters, bracket, name = _minimize(
-        f, x0, lossfn.positive_domain, lossfn.differentiable)
-    return OptimalDecision(float(action), f(action),
-                           SolverPath("numeric", name, iters, bracket))
+    action, path = minimize(f, post.quantile(0.5), lossfn.positive_domain)
+    return OptimalDecision(float(action), f(action), path)
 
 
 def optimize_functional(loss, post, g, force_numeric=False):
     """Minimize E(L(a, g(Y)) | z): the optimal decision about g(Y)."""
-    spec = loss.spec if isinstance(loss, LossFunction) else loss
-    lossfn = _as_lossfn(loss)
+    lossfn = compose(loss)
     if isinstance(post, SamplePosterior):
         gv = np.asarray(g(post.values), dtype=float)
         pushed = SamplePosterior(gv, post.weights)
         return optimize(lossfn, pushed, force_numeric=force_numeric)
     # parametric posterior: push through the quadrature
+    spec = lossfn.spec
+    f = lambda a: post.expect(lambda y: lossfn(a, np.asarray(g(y), dtype=float)))
+    x0 = post.expect(lambda y: np.asarray(g(y), dtype=float))
     if not force_numeric and spec.family is not None and (
             spec.family == "SEL"
             or (spec.family == "MTC" and spec.params.get("rho") == 2.0)):
-        action = post.expect(lambda y: np.asarray(g(y), dtype=float))
-        f = lambda a: post.expect(lambda y: lossfn(a, np.asarray(g(y), dtype=float)))
-        return OptimalDecision(float(action), f(action),
+        return OptimalDecision(float(x0), f(x0),
                                SolverPath("closed_form", "pushforward_mean"))
-    f = lambda a: post.expect(lambda y: lossfn(a, np.asarray(g(y), dtype=float)))
-    x0 = post.expect(lambda y: np.asarray(g(y), dtype=float))
-    action, iters, bracket, name = _minimize(
-        f, x0, lossfn.positive_domain, lossfn.differentiable)
-    return OptimalDecision(float(action), f(action),
-                           SolverPath("numeric", name, iters, bracket))
+    action, path = minimize(f, x0, lossfn.positive_domain)
+    return OptimalDecision(float(action), f(action), path)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +426,7 @@ def _check_grid(grid, name):
 
 def minimax(loss, y_grid, a_grid):
     """argmin over a of max over y of L(a, y); ties to the smallest action."""
-    lossfn = _as_lossfn(loss)
+    lossfn = compose(loss)
     y = _check_grid(y_grid, "y_grid")
     a = np.sort(_check_grid(a_grid, "a_grid"))
     worst = np.array([float(np.max(lossfn(ai, y))) for ai in a])
@@ -478,7 +439,7 @@ def minimax_posterior(loss, post, y_grid, a_grid):
     For sample posteriors, p is the normalized mass of the histogram bin
     containing y (zero outside the sampled range).
     """
-    lossfn = _as_lossfn(loss)
+    lossfn = compose(loss)
     y = _check_grid(y_grid, "y_grid")
     a = np.sort(_check_grid(a_grid, "a_grid"))
     p = _posterior_weight_at(post, y)
@@ -504,7 +465,7 @@ def _posterior_weight_at(post, y):
 
 def tail_risk_curve(loss, post, action, kappa_grid):
     """Locus of (kappa, Pr(Y > kappa | z), L(action, kappa))."""
-    lossfn = _as_lossfn(loss)
+    lossfn = compose(loss)
     kappas = _check_grid(kappa_grid, "kappa_grid")
     if np.any(np.diff(kappas) < 0):
         raise ValidationError("kappa_grid must be sorted ascending")
@@ -517,7 +478,7 @@ def tail_risk_curve(loss, post, action, kappa_grid):
 
 def lower_envelope(loss, post, kappa_grid, a_grid):
     """Pointwise minimum over actions of the tail-risk curves."""
-    lossfn = _as_lossfn(loss)
+    lossfn = compose(loss)
     kappas = _check_grid(kappa_grid, "kappa_grid")
     if np.any(np.diff(kappas) < 0):
         raise ValidationError("kappa_grid must be sorted ascending")

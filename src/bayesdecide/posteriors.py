@@ -6,10 +6,10 @@ a pure function of an immutable value, so instances are safe to share
 across threads.
 
 All representations expose the same surface used by the decision
-machinery: ``moments``, ``quantile``, ``mode``, ``expect``, ``mgf_neg``
-and ``tail_prob``.  ``SamplePosterior`` additionally supports
-``reweight`` (multiply the weights by a positive function of y and
-renormalize).
+machinery: ``moments``, ``quantile``, ``mode``, ``expect``,
+``log_mgf_neg`` (log E exp(-psi Y)) and ``tail_prob``.
+``SamplePosterior`` additionally supports ``reweight`` (multiply the
+weights by a positive function of y and renormalize).
 
 The Gaussian and Gamma densities, distribution functions and quantiles
 are written on ``scipy.special`` (``ndtr``, ``ndtri``, ``gammainc``,
@@ -87,9 +87,6 @@ class GaussianPosterior:
         _check_psi(psi)
         return -psi * self.mean + 0.5 * psi * psi * self.sd ** 2
 
-    def mgf_neg(self, psi):
-        return math.exp(self.log_mgf_neg(psi))
-
 
 @dataclass(frozen=True)
 class GammaPosterior:
@@ -156,9 +153,6 @@ class GammaPosterior:
                 f"psi={psi}: requires rate + psi > 0"
             )
         return -self.shape * math.log1p(psi / self.rate)
-
-    def mgf_neg(self, psi):
-        return math.exp(self.log_mgf_neg(psi))
 
 
 class SamplePosterior:
@@ -253,9 +247,6 @@ class SamplePosterior:
     def log_mgf_neg(self, psi):
         _check_psi(psi)
         return float(logsumexp(-psi * self.values, b=self.weights))
-
-    def mgf_neg(self, psi):
-        return math.exp(self.log_mgf_neg(psi))
 
     def reweight(self, w):
         """Return the posterior proportional to w(y) * p(y|z)."""

@@ -63,28 +63,28 @@ def load_scenario(path):
     return doc
 
 
-def _require(block, key, where):
+def require(block, key, where):
     if key not in block:
         raise ValidationError(f"{where}: missing required field {key!r}")
     return block[key]
 
 
-def _resolve(base_dir, path):
+def resolve_path(base_dir, path):
     return path if os.path.isabs(path) else os.path.join(base_dir, path)
 
 
 def parse_posterior(block, base_dir="."):
     if not isinstance(block, dict):
         raise ValidationError("posterior block must be a mapping")
-    kind = _require(block, "kind", "posterior")
+    kind = require(block, "kind", "posterior")
     if kind == "gaussian":
-        return GaussianPosterior(float(_require(block, "mean", "posterior")),
-                                 float(_require(block, "sd", "posterior")))
+        return GaussianPosterior(float(require(block, "mean", "posterior")),
+                                 float(require(block, "sd", "posterior")))
     if kind == "gamma":
-        return GammaPosterior(float(_require(block, "shape", "posterior")),
-                              float(_require(block, "rate", "posterior")))
+        return GammaPosterior(float(require(block, "shape", "posterior")),
+                              float(require(block, "rate", "posterior")))
     if kind == "samples":
-        path = _resolve(base_dir, _require(block, "path", "posterior"))
+        path = resolve_path(base_dir, require(block, "path", "posterior"))
         if not os.path.exists(path):
             raise ValidationError(f"posterior sample file does not exist: {path}")
         return load_samples(path)
@@ -92,13 +92,13 @@ def parse_posterior(block, base_dir="."):
 
 
 def parse_weight(block):
-    name = _require(block, "name", "weight")
+    name = require(block, "name", "weight")
     if name == "identity":
         return Weight.identity()
     if name == "power":
-        return Weight.power(float(_require(block, "p", "weight")))
+        return Weight.power(float(require(block, "p", "weight")))
     if name == "exp":
-        return Weight.exp(float(_require(block, "c", "weight")))
+        return Weight.exp(float(require(block, "c", "weight")))
     raise ValidationError(f"weight: unknown name {name!r}")
 
 
@@ -108,36 +108,36 @@ def parse_loss(block):
     if "compose" in block:
         kind = block["compose"]
         if kind in ("sum", "product"):
-            comps = tuple(parse_loss(c) for c in _require(block, "components", "loss"))
+            comps = tuple(parse_loss(c) for c in require(block, "components", "loss"))
             return LossSpec(compose=kind, components=comps)
         if kind == "weighted":
-            base = parse_loss(_require(block, "base", "loss"))
-            weight = parse_weight(_require(block, "weight", "loss"))
+            base = parse_loss(require(block, "base", "loss"))
+            weight = parse_weight(require(block, "weight", "loss"))
             return LossSpec.weighted(weight, base)
         if kind == "power":
-            base = parse_loss(_require(block, "base", "loss"))
-            return LossSpec.power_of(base, float(_require(block, "p", "loss")))
+            base = parse_loss(require(block, "base", "loss"))
+            return LossSpec.power_of(base, float(require(block, "p", "loss")))
         if kind == "exp_minus_one":
-            return LossSpec.exp_minus_one(parse_loss(_require(block, "base", "loss")))
+            return LossSpec.exp_minus_one(parse_loss(require(block, "base", "loss")))
         raise ValidationError(f"loss: unknown composition {kind!r}")
-    family = str(_require(block, "family", "loss")).upper()
+    family = str(require(block, "family", "loss")).upper()
     params = dict(block.get("params", {}))
     if family == "PTL":
         from .losses import GeneralizedGaussian
-        omega = float(_require(params, "omega", "loss.params"))
+        omega = float(require(params, "omega", "loss.params"))
         return LossSpec.potential(GeneralizedGaussian(omega))
     params = {k: float(v) for k, v in params.items()}
     return LossSpec(family=family, params=params)
 
 
 def parse_functional(block):
-    name = _require(block, "name", "functional")
+    name = require(block, "name", "functional")
     if name == "square":
         return lambda y: np.asarray(y, dtype=float) ** 2
     if name == "exp":
         return lambda y: np.exp(np.asarray(y, dtype=float))
     if name == "indicator_above":
-        kappa = float(_require(block, "kappa", "functional"))
+        kappa = float(require(block, "kappa", "functional"))
         return lambda y: (np.asarray(y, dtype=float) > kappa).astype(float)
     if name == "affine":
         slope = float(block.get("slope", 1.0))
@@ -150,9 +150,9 @@ def parse_grid(block, name="grid"):
     if isinstance(block, (list, tuple)):
         return np.asarray([float(v) for v in block])
     if isinstance(block, dict):
-        start = float(_require(block, "start", name))
-        stop = float(_require(block, "stop", name))
-        num = int(_require(block, "num", name))
+        start = float(require(block, "start", name))
+        stop = float(require(block, "stop", name))
+        num = int(require(block, "num", name))
         if num < 1:
             raise ValidationError(f"{name}: num must be >= 1")
         return np.linspace(start, stop, num)
@@ -163,21 +163,21 @@ def parse_int_grid(block, name="n_grid"):
     if isinstance(block, (list, tuple)):
         return [int(v) for v in block]
     if isinstance(block, dict):
-        start = int(_require(block, "start", name))
-        stop = int(_require(block, "stop", name))
+        start = int(require(block, "start", name))
+        stop = int(require(block, "stop", name))
         step = int(block.get("step", 1))
         return list(range(start, stop + 1, step))
     raise ValidationError(f"{name}: expected a list or start/stop mapping")
 
 
 def parse_evidence(block):
-    models = _require(block, "models", "model_choice")
+    models = require(block, "models", "model_choice")
     if not models:
         raise ValidationError("model_choice: need at least one model")
     labels, logliks, priors = [], [], []
     for i, m in enumerate(models):
         labels.append(str(m.get("label", f"M{i + 1}")))
-        logliks.append(float(_require(m, "log_likelihood", "model_choice.models")))
+        logliks.append(float(require(m, "log_likelihood", "model_choice.models")))
         priors.append(m.get("prior"))
     if all(p is None for p in priors):
         prior = None
@@ -193,11 +193,11 @@ def parse_evidence(block):
 
 
 def parse_ensemble(block, base_dir="."):
-    members_block = _require(block, "members", "ensemble")
+    members_block = require(block, "members", "ensemble")
     members = [
         EnsembleMember(
             label=str(m.get("label", f"M{i + 1}")),
-            posterior=parse_posterior(_require(m, "posterior", "ensemble.members"),
+            posterior=parse_posterior(require(m, "posterior", "ensemble.members"),
                                       base_dir),
             loss=parse_loss(m.get("loss", {"family": "SEL"})),
         )
@@ -238,7 +238,7 @@ def load_vector_draws(path):
 def load_correlation(block, base_dir="."):
     if "matrix" in block:
         return CorrelationMatrix(block["matrix"])
-    path = _resolve(base_dir, _require(block, "path", "correlation"))
+    path = resolve_path(base_dir, require(block, "path", "correlation"))
     with open(path) as fh:
         rows = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
     matrix = [[float(v) for v in r.split(",")] for r in rows]
@@ -255,7 +255,7 @@ def parse_cost(block):
 
 
 def parse_joint_model(block, purpose):
-    template = _require(block, "template", purpose)
+    template = require(block, "template", purpose)
     params = dict(block.get("params", {}))
     n_existing = int(block.get("n_existing", 1))
     n_extra = int(block.get("n_extra", 1))

@@ -128,9 +128,16 @@ def test_registry_pairs_need_no_quadrature(monkeypatch, post, key):
     assert d.method.kind == "closed_form"
     assert math.isfinite(d.epl)
     assert epl(spec, post, d.action * 1.1) >= d.epl
-    if key != "ZERO_ONE":  # a flat EPL has no minimum to search for
-        numeric = optimize(spec, post, force_numeric=True)
-        assert numeric.method.kind == "numeric"
+    numeric = optimize(spec, post, force_numeric=True)
+    assert numeric.method.kind == "numeric"
+
+
+def test_flat_zero_one_epl_is_searched_not_reported_unbounded():
+    # on a continuous posterior the 0-1 EPL is 1 at every action
+    d = optimize(LossSpec.zero_one(), GaussianPosterior(0, 1), force_numeric=True)
+    assert d.method.kind == "numeric"
+    assert math.isfinite(d.action)
+    assert d.epl == 1.0
 
 
 def test_solver_path_names_unchanged():

@@ -5,7 +5,6 @@ from bayesdecide import (CorrelationMatrix, LossSpec, ValidationError,
                          VectorPosterior, default_eigen_weights,
                          epl_multivariate, estimate_correlation,
                          optimize_eigen, project, spectral_decompose)
-from bayesdecide.eigen import jacobi_eigh
 
 # spectrum of the 2x2 equicorrelation matrix with rho = 0.6
 RHO = 0.6
@@ -16,27 +15,21 @@ def corr2(rho=RHO):
     return CorrelationMatrix([[1.0, rho], [rho, 1.0]])
 
 
-class TestJacobi:
-    def test_diagonal_matrix(self):
-        vals, vecs = jacobi_eigh(np.diag([3.0, 1.0, 2.0]))
-        assert sorted(vals) == pytest.approx([1.0, 2.0, 3.0])
-        assert np.allclose(np.abs(vecs), np.eye(3))
-
+class TestSpectralDecompose:
     def test_reconstruction(self):
         rng = np.random.default_rng(2)
-        a = rng.normal(size=(8, 8))
-        sym = a + a.T
-        vals, vecs = jacobi_eigh(sym)
-        assert np.allclose(vecs @ np.diag(vals) @ vecs.T, sym, atol=1e-10)
+        draws = rng.multivariate_normal(np.zeros(8), np.eye(8) + 0.3, size=200)
+        corr = estimate_correlation(draws)
+        d = spectral_decompose(corr)
+        vals, vecs = d.eigenvalues, d.eigenvectors
+        assert np.allclose(vecs @ np.diag(vals) @ vecs.T, corr.entries, atol=1e-12)
         assert np.allclose(vecs.T @ vecs, np.eye(8), atol=1e-12)
 
     def test_agrees_with_characteristic_roots(self):
         # 2x2 equicorrelation: roots of (1-l)^2 = rho^2
-        vals, _ = jacobi_eigh(corr2().entries)
-        assert sorted(vals) == pytest.approx(sorted(LAMBDAS_2X2))
+        vals = spectral_decompose(corr2()).eigenvalues
+        assert vals == pytest.approx(LAMBDAS_2X2, rel=1e-14)
 
-
-class TestSpectralDecompose:
     def test_descending_order_and_sign(self):
         d = spectral_decompose(corr2())
         assert d.eigenvalues == pytest.approx(LAMBDAS_2X2)

@@ -1,0 +1,72 @@
+"""No module of the package reaches into another module's private names."""
+
+import ast
+import pathlib
+
+import pytest
+
+import bayesdecide
+
+PKG_DIR = pathlib.Path(bayesdecide.__file__).parent
+MODULES = sorted(p.stem for p in PKG_DIR.glob("*.py") if p.stem != "__init__")
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _module_aliases(tree):
+    """Local names bound to package modules, mapped to the module name."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.level > 0 and not node.module) or node.module == "bayesdecide":
+                for a in node.names:
+                    if a.name in MODULES:
+                        aliases[a.asname or a.name] = a.name
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("bayesdecide.") and a.asname:
+                    aliases[a.asname] = a.name.split(".", 1)[1]
+    return aliases
+
+
+def private_reach_ins(source, own):
+    """(line, text) of every use of another package module's private name."""
+    tree = ast.parse(source)
+    aliases = _module_aliases(tree)
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _is_private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and aliases.get(node.value.id, own) != own):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom):
+            target = (node.module or "").rsplit(".", 1)[-1]
+            from_pkg = node.level > 0 or (node.module or "").startswith("bayesdecide.")
+            if from_pkg and target in MODULES and target != own:
+                found.extend((node.lineno, f"{target}.{a.name}")
+                             for a in node.names if _is_private(a.name))
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_cross_module_private_access(module):
+    source = (PKG_DIR / f"{module}.py").read_text()
+    assert private_reach_ins(source, module) == []
+
+
+@pytest.mark.parametrize("source", [
+    "from . import engine\nengine._minimize(f, 0.0, False)\n",
+    "from . import scenario as sc\nsc._require({}, 'k', 'w')\n",
+    "from .engine import _bracket\n",
+    "import bayesdecide.engine as E\nE._golden(f, 0, 1)\n",
+])
+def test_checker_flags_reach_ins(source):
+    assert private_reach_ins(source, "bma")
+
+
+def test_checker_allows_own_and_public_names():
+    source = ("from . import engine\nengine.minimize(f, 0.0, False)\n"
+              "def _own():\n    pass\n_own()\n")
+    assert private_reach_ins(source, "bma") == []
