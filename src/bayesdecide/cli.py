@@ -50,6 +50,25 @@ def _echo_rows(rows):
         click.echo(f"{str(k):<{width}}  {v}")
 
 
+def _emit(fmt, rows, out_dir, name, header, csv_rows):
+    """Print the result table and/or write the CSV artifact, as ``fmt`` asks."""
+    if fmt in ("table", "both"):
+        _echo_rows(rows)
+    if fmt in ("csv", "both"):
+        _write_csv(out_dir, name, header, csv_rows)
+
+
+def _emit_decision(fmt, decision, seed, out_dir, name):
+    """Emit an ``OptimalDecision``: one table row and one CSV column per field."""
+    rows = [
+        ("action", decision.action),
+        ("epl", decision.epl),
+        ("method", _method_tag(decision)),
+        ("seed", seed),
+    ]
+    _emit(fmt, rows, out_dir, name, [k for k, _ in rows], [[v for _, v in rows]])
+
+
 def _handle_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -110,17 +129,7 @@ def predict(scenario_path, out_dir, seed, fmt):
         decision = engine.optimize_functional(spec, post, g)
     else:
         decision = engine.optimize(spec, post)
-    rows = [
-        ("action", decision.action),
-        ("epl", decision.epl),
-        ("method", _method_tag(decision)),
-        ("seed", doc["seed"]),
-    ]
-    if fmt in ("table", "both"):
-        _echo_rows(rows)
-    if fmt in ("csv", "both"):
-        _write_csv(out_dir, "predict.csv", ["action", "epl", "method", "seed"],
-                   [(decision.action, decision.epl, _method_tag(decision), doc["seed"])])
+    _emit_decision(fmt, decision, doc["seed"], out_dir, "predict.csv")
 
 
 @main.command("compare-models")
@@ -145,11 +154,8 @@ def compare_models(scenario_path, out_dir, seed, fmt):
         csv_rows = [(ev.labels[k], post.probabilities[k], float(epl_vec[k]),
                      ev.labels[choice]) for k in range(ev.m)]
     rows.append(("seed", doc["seed"]))
-    if fmt in ("table", "both"):
-        _echo_rows(rows)
-    if fmt in ("csv", "both"):
-        _write_csv(out_dir, "model_choice.csv",
-                   ["label", "posterior_prob", "epl", "chosen"], csv_rows)
+    _emit(fmt, rows, out_dir, "model_choice.csv",
+          ["label", "posterior_prob", "epl", "chosen"], csv_rows)
 
 
 @main.command()
@@ -181,13 +187,9 @@ def multivar(scenario_path, out_dir, seed, fmt):
         ("method", "closed_form(eigenspace)"),
         ("seed", doc["seed"]),
     ]
-    if fmt in ("table", "both"):
-        _echo_rows(rows)
-    if fmt in ("csv", "both"):
-        _write_csv(out_dir, "multivar.csv",
-                   ["component", "action", "eigenvalue"],
-                   [(i + 1, float(action[i]), float(decomp.eigenvalues[i]))
-                    for i in range(decomp.n)])
+    _emit(fmt, rows, out_dir, "multivar.csv", ["component", "action", "eigenvalue"],
+          [(i + 1, float(action[i]), float(decomp.eigenvalues[i]))
+           for i in range(decomp.n)])
 
 
 @main.command()
@@ -199,18 +201,7 @@ def bma(scenario_path, out_dir, seed, fmt):
     all_sel = all(m.loss.family == "SEL" for m in ens.members)
     decision = (bma_mod.bma_predict_sel(ens) if all_sel
                 else bma_mod.bma_predict_general(ens))
-    rows = [
-        ("action", decision.action),
-        ("epl", decision.epl),
-        ("method", _method_tag(decision)),
-        ("seed", doc["seed"]),
-    ]
-    if fmt in ("table", "both"):
-        _echo_rows(rows)
-    if fmt in ("csv", "both"):
-        _write_csv(out_dir, "bma.csv", ["action", "epl", "method", "seed"],
-                   [(decision.action, decision.epl, _method_tag(decision),
-                     doc["seed"])])
+    _emit_decision(fmt, decision, doc["seed"], out_dir, "bma.csv")
 
 
 @main.command()
@@ -254,11 +245,8 @@ def calibrate(prevention_share, gaussian_multiple, sigma, paper_exact,
     psi = calibrate_linex(target)
     rows += [("psi", psi), ("sigma", sigma),
              ("method", "closed_form(back_of_envelope)")]
-    if fmt in ("table", "both"):
-        _echo_rows(rows)
-    if fmt in ("csv", "both"):
-        _write_csv(out_dir, "calibrate.csv", ["q", "psi", "sigma"],
-                   [("" if q is None else q, psi, sigma)])
+    _emit(fmt, rows, out_dir, "calibrate.csv", ["q", "psi", "sigma"],
+          [("" if q is None else q, psi, sigma)])
 
 
 @main.command("risk-curve")
@@ -282,17 +270,12 @@ def risk_curve(scenario_path, out_dir, seed, fmt):
     curve = engine.tail_risk_curve(spec, post, action, kappas)
     rows = [("action", action), ("method", method), ("seed", doc["seed"]),
             ("points", len(curve.points))]
-    if fmt in ("table", "both"):
-        _echo_rows(rows)
-    if fmt in ("csv", "both"):
-        _write_csv(out_dir, "risk_curve.csv", ["kappa", "tail_prob", "loss"],
-                   [(k, tp, lv) for k, tp, lv in curve.points])
-        if "a_grid" in block:
-            a_grid = sc.parse_grid(block["a_grid"], "a_grid")
-            env = engine.lower_envelope(spec, post, kappas, a_grid)
-            _write_csv(out_dir, "risk_envelope.csv",
-                       ["kappa", "tail_prob", "loss"],
-                       [(k, tp, lv) for k, tp, lv in env.points])
+    header = ["kappa", "tail_prob", "loss"]
+    _emit(fmt, rows, out_dir, "risk_curve.csv", header, curve.points)
+    if fmt in ("csv", "both") and "a_grid" in block:
+        a_grid = sc.parse_grid(block["a_grid"], "a_grid")
+        env = engine.lower_envelope(spec, post, kappas, a_grid)
+        _write_csv(out_dir, "risk_envelope.csv", header, env.points)
 
 
 @main.command("design-n")
@@ -311,11 +294,7 @@ def design_n(scenario_path, out_dir, seed, fmt):
         model, spec, tau, cost, n_grid, n_mc, doc["seed"])
     rows = [("n_star", n_star), ("seed", doc["seed"]), ("n_mc", n_mc),
             ("method", "numeric(monte_carlo_grid)")]
-    if fmt in ("table", "both"):
-        _echo_rows(rows)
-    if fmt in ("csv", "both"):
-        _write_csv(out_dir, "design_n.csv", ["n", "objective", "e_jl", "cost"],
-                   [(n, obj, ejl, c) for n, obj, ejl, c in curve])
+    _emit(fmt, rows, out_dir, "design_n.csv", ["n", "objective", "e_jl", "cost"], curve)
 
 
 @main.command()
@@ -333,11 +312,8 @@ def voi(scenario_path, out_dir, seed, fmt):
                              n_mc, doc["seed"])
     rows = [("voi", est), ("std_err", se), ("n_mc", n_mc),
             ("seed", doc["seed"]), ("method", "numeric(monte_carlo)")]
-    if fmt in ("table", "both"):
-        _echo_rows(rows)
-    if fmt in ("csv", "both"):
-        _write_csv(out_dir, "voi.csv", ["voi", "std_err", "n_mc", "seed"],
-                   [(est, se, n_mc, doc["seed"])])
+    _emit(fmt, rows, out_dir, "voi.csv", ["voi", "std_err", "n_mc", "seed"],
+          [(est, se, n_mc, doc["seed"])])
 
 
 if __name__ == "__main__":

@@ -148,8 +148,8 @@ def optimize_eigen(decomp, post, losses):
 def epl_multivariate(decomp, post, losses, a, weights=None):
     """Joint expected posterior loss: sum of per-eigenspace terms.
 
-    ``weights`` defaults to the eigenvalues, the simplest monotone
-    increasing map of the spectrum.
+    ``weights`` defaults to 1 for every eigenspace; pass
+    ``default_eigen_weights(decomp)`` to weight each term by its eigenvalue.
     """
     a = np.asarray(a, dtype=float)
     if a.shape != (decomp.n,):

@@ -1,16 +1,18 @@
 """Expected posterior loss and optimal decisions.
 
-One registry, keyed by (posterior type, loss family), holds every leaf
-loss whose optimal action has a closed form (mean, median, mode,
-quantile, LINEX log-MGF, 1/E(1/Y)).  On Gaussian and Gamma posteriors an
-entry also gives the expected posterior loss EPL(a) in closed form, so
-``epl`` answers those pairs without quadrature, whichever caller asks:
-``optimize``, its numeric search, or the BMA mixture.  Everything else
-(compositions, custom weights, PTL, MTC(rho) with rho not in {1, 2},
-functional prediction) integrates the loss against the posterior.
-``optimize`` minimizes the EPL numerically when no closed form applies,
-through ``minimize``: bracket by geometric expansion from the posterior
-median, then golden-section search to a 1e-10 relative bracket width.
+Two flat tables hold the closed forms.  ``_ACTIONS`` maps a leaf loss key
+(see ``_loss_key``) to the name and formula of its optimal action (mean,
+median, mode, quantile, LINEX log-MGF, 1/E(1/Y)); each formula is valid on
+every posterior ``optimize`` accepts.  ``_EPLS`` maps (posterior type, loss
+key) to the expected posterior loss EPL(a) in closed form on Gaussian and
+Gamma posteriors, so ``epl`` answers those pairs without quadrature,
+whichever caller asks: ``optimize``, its numeric search, or the BMA
+mixture.  Everything else (compositions, custom weights, PTL, MTC(rho)
+with rho not in {1, 2}, functional prediction) integrates the loss against
+the posterior.  ``optimize`` minimizes the EPL numerically when no closed
+form applies, through ``minimize``: bracket by geometric expansion from
+the posterior median, then golden-section search to a 1e-10 relative
+bracket width.
 
 Also: minimax variants, functional prediction, tail-risk curves and
 their lower envelope, and the 0-1-loss threshold yes/no rule.
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.special import digamma, gammainc, gammaincc, ndtr
@@ -92,9 +94,9 @@ def epl(loss, post, a):
             y_bad = float(post.values[bad][0])
             raise NumericError(f"loss is not finite at draw y={y_bad!r} for a={a!r}")
         return float(np.dot(post.weights, lv))
-    entry = _registry_entry(lossfn.spec, post)
-    if entry is not None and entry.epl is not None:
-        return float(entry.epl(post, lossfn.spec.params, a))
+    closed = _EPLS.get((type(post), _loss_key(lossfn.spec)))
+    if closed is not None:
+        return float(closed(post, lossfn.spec.params, a))
     # a itself is a potential kink of y -> L(a, y) (absolute/pinball losses)
     return post.expect(lambda y: lossfn(a, y), breakpoints=(a,))
 
@@ -104,47 +106,30 @@ def epl(loss, post, a):
 
 
 def _bracket(f, x0, positive):
-    """Expand geometrically from x0 until f stops decreasing on both sides."""
+    """Expand geometrically from x0 until f stops decreasing on both sides.
+
+    The left end halves toward 0 on a positive domain; otherwise each end
+    steps out by step * 2^k.
+    """
     f0 = f(x0)
     step = 0.5 * (1.0 + abs(x0))
-
-    lo, flo = x0, f0
-    if positive:
+    left_failure = ("toward 0: EPL keeps decreasing" if positive
+                    else "(left): EPL appears unbounded below")
+    ends = []
+    for sign, failure in ((-1.0, left_failure),
+                          (1.0, "(right): EPL appears unbounded below")):
+        halve = positive and sign < 0
+        x, fx, h = x0, f0, step
         for _ in range(_MAX_EXPAND):
-            cand = lo / 2.0
+            cand = x / 2.0 if halve else x + sign * h
             fc = f(cand)
-            if fc >= flo:
-                lo = cand
+            if fc >= fx:
                 break
-            lo, flo = cand, fc
+            x, fx, h = cand, fc, 2.0 * h
         else:
-            raise NumericError("bracket expansion failed toward 0: EPL keeps decreasing")
-    else:
-        h = step
-        for _ in range(_MAX_EXPAND):
-            cand = lo - h
-            fc = f(cand)
-            if fc >= flo:
-                lo = cand
-                break
-            lo, flo = cand, fc
-            h *= 2.0
-        else:
-            raise NumericError("bracket expansion failed (left): EPL appears unbounded below")
-
-    hi, fhi = x0, f0
-    h = step
-    for _ in range(_MAX_EXPAND):
-        cand = hi + h
-        fc = f(cand)
-        if fc >= fhi:
-            hi = cand
-            break
-        hi, fhi = cand, fc
-        h *= 2.0
-    else:
-        raise NumericError("bracket expansion failed (right): EPL appears unbounded below")
-    return lo, hi
+            raise NumericError(f"bracket expansion failed {failure}")
+        ends.append(cand)
+    return ends[0], ends[1]
 
 
 def _golden(f, lo, hi):
@@ -183,15 +168,13 @@ def minimize(f, x0, positive):
 
 
 def _inverse_mean_reciprocal(post, prm):
+    """1 / E(1/Y | z): in closed form on a Gamma, E(1/Y) = rate / (shape - 1)."""
+    if isinstance(post, GammaPosterior):
+        return (post.shape - 1.0) / post.rate
     inv_mean = post.expect(lambda y: 1.0 / np.asarray(y, dtype=float))
     if inv_mean <= 0:
         raise NumericError("E(1/Y | z) is nonpositive; ratio predictor undefined")
     return 1.0 / inv_mean
-
-
-def _gamma_ratio_action(post, prm):
-    # 1 / E(1/Y) without quadrature: E(1/Y) = rate / (shape - 1)
-    return (post.shape - 1.0) / post.rate
 
 
 # the optimal action of each loss key, valid on every posterior type:
@@ -270,7 +253,7 @@ def _linex_epl(post, prm, a):
 def _gamma_gam_epl(post, prm, a):
     # (nu - 1)[a E(1/Y) - 1 - log a + E log Y], E log Y = digamma(k) - log r;
     # with t = a E(1/Y) both brackets below are nonnegative
-    k, t = post.shape, a * post.rate / (post.shape - 1.0)
+    k, t = post.shape, a / _inverse_mean_reciprocal(post, prm)
     return (prm["nu"] - 1.0) * ((t - 1.0 - math.log(t))
                                 + (float(digamma(k)) - math.log(k - 1.0)))
 
@@ -278,7 +261,7 @@ def _gamma_gam_epl(post, prm, a):
 def _gamma_pwd_plus_epl(post, prm, a):
     # y phi_1(a/y) = (a - y)^2 / (2y); with b = 1/E(1/Y) = (k - 1)/r the EPL
     # is ((a - b)^2 / b + E Y - b) / 2 and E Y - b = 1/r
-    b = (post.shape - 1.0) / post.rate
+    b = _inverse_mean_reciprocal(post, prm)
     return 0.5 * ((a - b) ** 2 / b + 1.0 / post.rate)
 
 
@@ -290,55 +273,23 @@ def _gamma_pwd_minus_epl(post, prm, a):
     return m * ((t - 1.0 - math.log(t)) + (float(digamma(k + 1.0)) - math.log(k)))
 
 
-# ---------------------------------------------------------------------------
-# the registry
-
-
-@dataclass(frozen=True)
-class _ClosedForm:
-    """A leaf loss with a closed-form optimal action on a posterior type.
-
-    ``epl`` gives EPL(a) in closed form, or is None when the EPL is
-    computed generically (a weighted sum over draws, or quadrature).
-    """
-
-    name: str
-    action: Callable
-    epl: Optional[Callable] = None
-
-
-# closed-form EPLs shared by the Gaussian and the Gamma
-_PARAMETRIC_EPLS = {
-    "SEL": _sel_epl,
-    "MTC1": _abs_epl,
-    "ZERO_ONE": _zero_one_epl,
-    "QTL": _qtl_epl,
-    "LNX": _linex_epl,
+# (posterior type, loss key) -> epl(post, params, a) in closed form; GAM and
+# PWD(+-1) on a Gaussian keep quadrature, and on draws the EPL is an exact
+# weighted sum
+_EPLS = {
+    **{(kind, key): fn
+       for kind in (GaussianPosterior, GammaPosterior)
+       for key, fn in (("SEL", _sel_epl), ("MTC1", _abs_epl),
+                       ("ZERO_ONE", _zero_one_epl), ("QTL", _qtl_epl),
+                       ("LNX", _linex_epl))},
+    (GammaPosterior, "GAM"): _gamma_gam_epl,
+    (GammaPosterior, "PWD+1"): _gamma_pwd_plus_epl,
+    (GammaPosterior, "PWD-1"): _gamma_pwd_minus_epl,
 }
-
-# generic actions everywhere; on draws the EPL is an exact weighted sum,
-# and GAM / PWD(+-1) on a Gaussian keep quadrature
-_REGISTRY = {
-    (kind, key): _ClosedForm(name, action)
-    for kind in (GaussianPosterior, GammaPosterior, SamplePosterior)
-    for key, (name, action) in _ACTIONS.items()
-}
-_REGISTRY.update({
-    (kind, key): _ClosedForm(*_ACTIONS[key], epl_fn)
-    for kind in (GaussianPosterior, GammaPosterior)
-    for key, epl_fn in _PARAMETRIC_EPLS.items()
-})
-_REGISTRY.update({
-    (GammaPosterior, "GAM"): _ClosedForm(
-        "inverse_mean_reciprocal", _gamma_ratio_action, _gamma_gam_epl),
-    (GammaPosterior, "PWD+1"): _ClosedForm(
-        "inverse_mean_reciprocal", _gamma_ratio_action, _gamma_pwd_plus_epl),
-    (GammaPosterior, "PWD-1"): _ClosedForm(*_ACTIONS["PWD-1"], _gamma_pwd_minus_epl),
-})
 
 
 def _loss_key(spec):
-    """The registry key of a leaf loss spec, or None."""
+    """The table key of a leaf loss spec, or None; MTC(2) is SEL."""
     if not isinstance(spec, LossSpec) or spec.family is None:
         return None
     fam, prm = spec.family, spec.params
@@ -349,22 +300,17 @@ def _loss_key(spec):
     return fam if fam in _ACTIONS else None
 
 
-def _registry_entry(spec, post):
-    key = _loss_key(spec)
-    return None if key is None else _REGISTRY.get((type(post), key))
-
-
 def _closed_form(spec, post):
     """Return (action, name) when the spec has a known optimal predictor."""
-    entry = _registry_entry(spec, post)
-    if entry is not None:
-        return entry.action(post, spec.params), entry.name
+    key = _loss_key(spec)
+    if key is not None:
+        name, action = _ACTIONS[key]
+        return action(post, spec.params), name
     if spec.compose == "weighted":
         base = spec.components[0]
         if base.family == "GAM" and spec.weight.name == "identity":
             return post.moments()[0], "posterior_mean"
-        if base.family == "SEL" or (base.family == "MTC"
-                                    and base.params.get("rho") == 2.0):
+        if _loss_key(base) == "SEL":
             w = spec.weight.fn
             if isinstance(post, SamplePosterior):
                 return post.reweight(w).moments()[0], "reweighted_mean"
@@ -399,12 +345,9 @@ def optimize_functional(loss, post, g, force_numeric=False):
         pushed = SamplePosterior(gv, post.weights)
         return optimize(lossfn, pushed, force_numeric=force_numeric)
     # parametric posterior: push through the quadrature
-    spec = lossfn.spec
     f = lambda a: post.expect(lambda y: lossfn(a, np.asarray(g(y), dtype=float)))
     x0 = post.expect(lambda y: np.asarray(g(y), dtype=float))
-    if not force_numeric and spec.family is not None and (
-            spec.family == "SEL"
-            or (spec.family == "MTC" and spec.params.get("rho") == 2.0)):
+    if not force_numeric and _loss_key(lossfn.spec) == "SEL":
         return OptimalDecision(float(x0), f(x0),
                                SolverPath("closed_form", "pushforward_mean"))
     action, path = minimize(f, x0, lossfn.positive_domain)

@@ -33,7 +33,9 @@ from .errors import NumericError, ValidationError
 
 EXP_LIMIT = 700.0  # beyond this exp() overflows a double
 
-_FAMILIES = {"MTC", "SEL", "ZERO_ONE", "QTL", "LNX", "PTL", "PWD", "GAM"}
+# each leaf family and the parameters its spec must carry
+_FAMILIES = {"MTC": ("rho",), "SEL": (), "ZERO_ONE": (), "QTL": ("q",),
+             "LNX": ("psi",), "PTL": (), "PWD": ("lam",), "GAM": ("alpha", "nu")}
 _COMPOSITIONS = {"weighted", "sum", "product", "power", "exp_minus_one"}
 
 # Switch to the analytic limit formulas near the removable singularities
@@ -222,8 +224,14 @@ class LossSpec:
     def __post_init__(self):
         if (self.family is None) == (self.compose is None):
             raise ValidationError("spec must set exactly one of family / compose")
-        if self.family is not None and self.family not in _FAMILIES:
-            raise ValidationError(f"unknown loss family {self.family!r}")
+        if self.family is not None:
+            if self.family not in _FAMILIES:
+                raise ValidationError(f"unknown loss family {self.family!r}")
+            missing = [k for k in _FAMILIES[self.family] if k not in self.params]
+            if missing:
+                raise ValidationError(
+                    f"{self.family} loss is missing parameter "
+                    + ", ".join(repr(k) for k in missing))
         if self.compose is not None:
             if self.compose not in _COMPOSITIONS:
                 raise ValidationError(f"unknown composition {self.compose!r}")
@@ -396,10 +404,9 @@ def _compose_leaf(spec):
         return LossFunction(spec, lambda a, y: eval_pwd(lam, a, y),
                             symmetric=False, differentiable=True,
                             positive_domain=True)
-    if fam == "GAM":
-        alpha, nu = prm["alpha"], prm["nu"]
-        _check_gam_params(alpha, nu)
-        return LossFunction(spec, lambda a, y: eval_gam(alpha, nu, a, y),
-                            symmetric=False, differentiable=True,
-                            positive_domain=True)
-    raise ValidationError(f"unknown loss family {fam!r}")
+    # GAM, the last family LossSpec admits
+    alpha, nu = prm["alpha"], prm["nu"]
+    _check_gam_params(alpha, nu)
+    return LossFunction(spec, lambda a, y: eval_gam(alpha, nu, a, y),
+                        symmetric=False, differentiable=True,
+                        positive_domain=True)

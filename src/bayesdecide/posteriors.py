@@ -315,16 +315,21 @@ def _quad_expect(post, h, breakpoints=()):
 
     The bulk between the 1e-10 and 1-1e-10 quantiles is integrated
     directly and each unbounded tail separately, so integrands with
-    exponential growth (e.g. LINEX) keep their tail mass.  Known kinks
-    of h (e.g. the action of an absolute-displacement loss) are passed
-    as ``breakpoints`` so the subdivision never straddles them.
+    exponential growth (e.g. LINEX) keep their tail mass.  A Gamma's
+    bulk starts at 0 instead: an edge at its lower quantile would cut
+    integrands such as y^(shape - 2) (E(1/Y) with shape < 2) where they
+    are steepest.  Known kinks of h (e.g. the action of an
+    absolute-displacement loss) are passed as ``breakpoints`` so the
+    subdivision never straddles them.
     """
     lo, hi = post.support()
-    full_lo = 0.0 if isinstance(post, GammaPosterior) else -np.inf
-    edges = [full_lo, lo, hi, np.inf]
+    if isinstance(post, GammaPosterior):
+        edges = [0.0, hi, np.inf]
+    else:
+        edges = [-np.inf, lo, hi, np.inf]
     for p in breakpoints:
         p = float(p)
-        if np.isfinite(p) and full_lo < p < np.inf and p not in edges:
+        if np.isfinite(p) and edges[0] < p < np.inf and p not in edges:
             edges.append(p)
     edges.sort()
 

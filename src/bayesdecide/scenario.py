@@ -70,7 +70,11 @@ def require(block, key, where):
 
 
 def resolve_path(base_dir, path):
-    return path if os.path.isabs(path) else os.path.join(base_dir, path)
+    """``path`` relative to ``base_dir`` unless absolute; the file must exist."""
+    full = path if os.path.isabs(path) else os.path.join(base_dir, path)
+    if not os.path.exists(full):
+        raise ValidationError(f"file does not exist: {full}")
+    return full
 
 
 def parse_posterior(block, base_dir="."):
@@ -85,8 +89,6 @@ def parse_posterior(block, base_dir="."):
                               float(require(block, "rate", "posterior")))
     if kind == "samples":
         path = resolve_path(base_dir, require(block, "path", "posterior"))
-        if not os.path.exists(path):
-            raise ValidationError(f"posterior sample file does not exist: {path}")
         return load_samples(path)
     raise ValidationError(f"posterior: unknown kind {kind!r}")
 

@@ -86,6 +86,15 @@ posterior: {kind: gaussian, mean: 0.0, sd: -1.0}
         assert result.exit_code == 2
         assert "error" in result.output
 
+    def test_leaf_missing_parameter_exits_2(self, runner, tmp_path):
+        scenario = write(tmp_path, "s.yaml", """
+posterior: {kind: gaussian, mean: 0.0, sd: 1.0}
+loss: {family: QTL}
+""")
+        result = runner.invoke(main, ["predict", "--scenario", scenario])
+        assert result.exit_code == 2, result.output
+        assert "QTL loss is missing parameter 'q'" in result.output
+
     def test_numeric_failure_exits_3(self, runner, tmp_path):
         # LINEX with psi <= -rate has a divergent expected loss
         scenario = write(tmp_path, "s.yaml", """
@@ -407,6 +416,19 @@ loss: {family: LNX, params: {psi: -2.0}}
         assert result.returncode == 3, result.stderr
         assert "Traceback" not in result.stdout + result.stderr
         assert "numeric failure" in result.stdout + result.stderr
+
+    @pytest.mark.parametrize("block", [
+        "draws: {path: missing.csv}",
+        "draws: {path: draws.csv}\n  correlation: {path: missing.csv}",
+    ])
+    def test_missing_multivar_file_exits_2_without_traceback(self, tmp_path, block):
+        write(tmp_path, "draws.csv", "0.1,0.2\n0.3,0.1\n-0.2,0.4\n")
+        scenario = write(tmp_path, "s.yaml", f"multivar:\n  {block}\n")
+        result = _run_python(["-m", "bayesdecide.cli", "multivar",
+                              "--scenario", scenario], cwd=str(tmp_path))
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stdout + result.stderr
+        assert "missing.csv" in result.stderr
 
     def test_cli_import_leaves_scipy_stats_unloaded(self):
         result = _run_python(["-c", "import sys, bayesdecide.cli; "

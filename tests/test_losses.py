@@ -145,6 +145,14 @@ class TestCompose:
         loss = compose(LossSpec.power_of(LossSpec.mtc(1), 3.0))
         assert loss(3.0, 1.0) == pytest.approx(8.0)
 
+    @pytest.mark.parametrize("family,missing", [
+        ("QTL", "'q'"), ("MTC", "'rho'"), ("LNX", "'psi'"), ("PWD", "'lam'"),
+        ("GAM", "'alpha', 'nu'")])
+    def test_leaf_missing_parameter_rejected(self, family, missing):
+        with pytest.raises(ValidationError, match=f"{family} loss is missing "
+                                                  f"parameter {missing}"):
+            LossSpec(family=family)
+
     def test_empty_composition_rejected(self):
         with pytest.raises(ValidationError):
             LossSpec(compose="sum", components=())

@@ -82,6 +82,14 @@ class TestExpect:
         got = GammaPosterior(3, 1).expect(lambda y: 1.0 / y)
         assert got == pytest.approx(0.5, abs=1e-8)
 
+    @pytest.mark.parametrize("shape", [1.05, 1.2, 1.5, 1.9])
+    @pytest.mark.parametrize("rate", [0.05, 0.3, 10.0])
+    def test_reciprocal_on_gamma_below_shape_two(self, shape, rate):
+        # 1/y times the density grows like y^(shape - 2) at 0: unbounded here
+        got = GammaPosterior(shape, rate).expect(lambda y: 1.0 / y)
+        want = rate / (shape - 1.0)
+        assert abs(got - want) <= 1e-9 * want, (got, want)
+
     def test_gaussian_mgf_oracle(self):
         got = GaussianPosterior(0, 1).expect(lambda y: np.exp(-2.0 * y))
         assert got == pytest.approx(math.e ** 2, rel=1e-8)
