@@ -165,15 +165,15 @@ def multivar(scenario_path, out_dir, seed, fmt):
     doc = _load(scenario_path, seed)
     base = doc["_base_dir"]
     block = doc.get("multivar") or {}
-    draws_block = sc.require(block, "draws", "multivar")
+    draws_block = sc.read(block, "draws", "multivar")
     vp = sc.load_vector_draws(sc.resolve_path(
-        base, sc.require(draws_block, "path", "multivar.draws")))
+        base, sc.read(draws_block, "path", "multivar.draws")))
     if "correlation" in block:
         corr = sc.load_correlation(block["correlation"], base)
     else:
         corr = eigen_mod.estimate_correlation(vp.draws)
     decomp = eigen_mod.spectral_decompose(corr)
-    losses_block = block.get("losses", [{"family": "SEL"}])
+    losses_block = sc.read(block, "losses", "multivar", list, [{"family": "SEL"}])
     if len(losses_block) == 1:
         losses = [sc.parse_loss(losses_block[0])] * decomp.n
     else:
@@ -224,23 +224,25 @@ def calibrate(prevention_share, gaussian_multiple, sigma, paper_exact,
     """Calibrate pinball level q and LINEX psi from a cost asymmetry."""
     if scenario_path is not None:
         block = sc.load_scenario(scenario_path).get("calibrate") or {}
-        prevention_share = block.get("prevention_share", prevention_share)
-        gaussian_multiple = block.get("gaussian_multiple", gaussian_multiple)
-        sigma = float(block.get("sigma", sigma))
-        paper_exact = bool(block.get("paper_exact", paper_exact))
+        prevention_share = sc.read(block, "prevention_share", "calibrate", float,
+                                   prevention_share)
+        gaussian_multiple = sc.read(block, "gaussian_multiple", "calibrate", float,
+                                    gaussian_multiple)
+        sigma = sc.read(block, "sigma", "calibrate", float, sigma)
+        paper_exact = sc.read(block, "paper_exact", "calibrate", bool, paper_exact)
     if prevention_share is None and gaussian_multiple is None:
         raise ValidationError("give --prevention-share or --gaussian-multiple")
     rows = []
     q = None
     if prevention_share is not None:
-        q = calibrate_quantile(float(prevention_share))
+        q = calibrate_quantile(prevention_share)
         rows.append(("q", q))
         target = CalibrationTarget(posterior_sd=sigma,
-                                   tail_mass=float(prevention_share),
+                                   tail_mass=prevention_share,
                                    rounded=paper_exact)
     else:
         target = CalibrationTarget(posterior_sd=sigma,
-                                   gaussian_multiple=float(gaussian_multiple),
+                                   gaussian_multiple=gaussian_multiple,
                                    rounded=paper_exact)
     psi = calibrate_linex(target)
     rows += [("psi", psi), ("sigma", sigma),
@@ -258,10 +260,10 @@ def risk_curve(scenario_path, out_dir, seed, fmt):
     post = sc.parse_posterior(doc.get("posterior") or {}, base)
     spec = sc.parse_loss(doc.get("loss") or {"family": "SEL"})
     block = doc.get("risk_curve") or {}
-    kappas = sc.parse_grid(sc.require(block, "kappa_grid", "risk_curve"),
-                           "kappa_grid")
+    kappas = sc.parse_grid(sc.read(block, "kappa_grid", "risk_curve"),
+                           "risk_curve.kappa_grid")
     if "action" in block:
-        action = float(block["action"])
+        action = sc.read(block, "action", "risk_curve", float)
         method = "fixed_action"
     else:
         decision = engine.optimize(spec, post)
@@ -273,7 +275,7 @@ def risk_curve(scenario_path, out_dir, seed, fmt):
     header = ["kappa", "tail_prob", "loss"]
     _emit(fmt, rows, out_dir, "risk_curve.csv", header, curve.points)
     if fmt in ("csv", "both") and "a_grid" in block:
-        a_grid = sc.parse_grid(block["a_grid"], "a_grid")
+        a_grid = sc.parse_grid(block["a_grid"], "risk_curve.a_grid")
         env = engine.lower_envelope(spec, post, kappas, a_grid)
         _write_csv(out_dir, "risk_envelope.csv", header, env.points)
 
@@ -286,10 +288,10 @@ def design_n(scenario_path, out_dir, seed, fmt):
     block = doc.get("design") or {}
     model = sc.parse_joint_model(block, "design")
     spec = sc.parse_loss(block.get("loss", doc.get("loss", {"family": "SEL"})))
-    tau = float(sc.require(block, "tau", "design"))
+    tau = sc.read(block, "tau", "design", float)
     cost = sc.parse_cost(block.get("cost"))
-    n_grid = sc.parse_int_grid(sc.require(block, "n_grid", "design"))
-    n_mc = int(block.get("n_mc", 1000))
+    n_grid = sc.parse_int_grid(sc.read(block, "n_grid", "design"), "design.n_grid")
+    n_mc = sc.read(block, "n_mc", "design", int, 1000)
     n_star, curve = design_mod.optimal_sample_size(
         model, spec, tau, cost, n_grid, n_mc, doc["seed"])
     rows = [("n_star", n_star), ("seed", doc["seed"]), ("n_mc", n_mc),
@@ -304,10 +306,10 @@ def voi(scenario_path, out_dir, seed, fmt):
     doc = _load(scenario_path, seed)
     block = doc.get("voi") or {}
     model = sc.parse_joint_model(block, "voi")
-    value_name = block.get("value", "neg_posterior_variance")
+    value_name = sc.read(block, "value", "voi", default="neg_posterior_variance")
     if value_name != "neg_posterior_variance":
         raise ValidationError(f"voi: unknown value function {value_name!r}")
-    n_mc = int(block.get("n_mc", 1000))
+    n_mc = sc.read(block, "n_mc", "voi", int, 1000)
     est, se = design_mod.voi(model, design_mod.neg_posterior_variance,
                              n_mc, doc["seed"])
     rows = [("voi", est), ("std_err", se), ("n_mc", n_mc),

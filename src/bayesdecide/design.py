@@ -6,10 +6,18 @@ every replicate draws its randomness from a stream seeded by
 (seed, replicate index), so the two VOI arms, and all candidate sample
 sizes, see identical draws.  Results are bit-reproducible for a fixed
 (seed, grid, replicate budget).
+
+Sample-size design makes one pass over the replicates: each replicate
+seeds its streams and draws the largest sample once, and every candidate
+n builds its posterior from the first n of those draws.  The
+beta-bernoulli template memoises its posterior cloud on the sufficient
+statistic (successes, trials), which alone seeds it, so replicates that
+reach the same statistic share one immutable cloud.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -30,7 +38,8 @@ class JointModel:
     y, n) -> array`` draws n observations given Y = y; ``posterior_builder
     (z, z_extra) -> Posterior`` turns simulated data into a posterior
     (z may be None when n = 0; z_extra is None without an extra arm).
-    ``extra_data_sampler`` supplies the VOI extra-data arm.
+    ``extra_data_sampler`` supplies the VOI extra-data arm.  Sample-size
+    design passes z as a read-only view of draws shared by every n.
     """
 
     prior_sampler: Callable
@@ -73,6 +82,10 @@ def _replicate_rng(seed, replicate, purpose):
 # purposes are numbered so every (replicate, purpose) pair maps to one stream
 _PRIOR, _DATA, _EXTRA, _POSTERIOR = 0, 1, 2, 3
 
+# draws held by one beta-bernoulli cloud memo: three float arrays per cloud,
+# about 3 MB in all, or 32 clouds of the default 4,000 draws
+_MEMO_DRAWS = 1 << 17
+
 
 def voi(model, value_fn, n_mc, seed):
     """Monte Carlo value of information of the extra-data arm.
@@ -99,38 +112,54 @@ def voi(model, value_fn, n_mc, seed):
     return est, se
 
 
-def expected_joint_loss(model, loss, n, n_mc, seed, max_n=None):
-    """Monte Carlo E_JL of the EPL-optimal rule at sample size n.
+def _joint_losses(model, loss, ns, n_mc, seed, max_n):
+    """Realised losses of the EPL-optimal rule: a (len(ns), n_mc) array.
 
-    ``max_n`` lets callers share data draws across candidate sizes:
-    each replicate draws max_n observations once and uses the first n.
+    Each replicate seeds its prior and data streams once and draws max_n
+    observations once; the row of sample size n uses the first n.
     """
-    if max_n is None:
-        max_n = n
-    losses = np.empty(n_mc)
+    if n_mc < 1:
+        raise ValidationError(f"n_mc must be >= 1, got {n_mc}")
+    if max_n < max(ns):
+        raise ValidationError(f"max_n must be >= n, got max_n={max_n} for n={max(ns)}")
+    lossfn = compose(loss)
+    losses = np.empty((len(ns), n_mc))
     for r in range(n_mc):
         y = model.prior_sampler(_replicate_rng(seed, r, _PRIOR))
         if max_n > 0:
+            # a read-only view: every sample size shares these draws
             draws = np.asarray(
-                model.data_sampler(_replicate_rng(seed, r, _DATA), y, max_n))
-            z = draws[:n] if n > 0 else None
-        else:
-            z = None
-        post = model.posterior_builder(z, None)
-        decision = engine.optimize(loss, post)
-        value = float(np.asarray(compose(loss)(decision.action, y)))
-        if not np.isfinite(value):
-            raise NumericError(
-                f"non-finite loss in replicate {r} (seed {seed}, n={n})")
-        losses[r] = value
-    return float(losses.mean())
+                model.data_sampler(_replicate_rng(seed, r, _DATA), y, max_n)).view()
+            draws.flags.writeable = False
+        for i, n in enumerate(ns):
+            post = model.posterior_builder(draws[:n] if n > 0 else None, None)
+            action = engine.optimize(lossfn, post).action
+            value = float(np.asarray(lossfn(action, y)))
+            if not np.isfinite(value):
+                raise NumericError(
+                    f"non-finite loss in replicate {r} (seed {seed}, n={n})")
+            losses[i, r] = value
+    return losses
+
+
+def expected_joint_loss(model, loss, n, n_mc, seed, max_n=None):
+    """Monte Carlo E_JL of the EPL-optimal rule at sample size n.
+
+    Each replicate draws ``max_n`` observations (default n, and at least
+    n) and uses the first n, so calls with one ``max_n`` and seed see
+    the same data at every n: this is the single-n case of the pass
+    that ``optimal_sample_size`` makes over its whole grid.
+    """
+    max_n = n if max_n is None else max_n
+    return float(_joint_losses(model, loss, [n], n_mc, seed, max_n)[0].mean())
 
 
 def optimal_sample_size(model, loss, tau, cost, n_grid, n_mc, seed):
     """n* = argmin over the grid of tau * E_JL(n) + c(n); ties to smallest n.
 
     Returns (n_star, curve) where curve is a list of
-    (n, objective, e_jl, cost) rows.
+    (n, objective, e_jl, cost) rows.  Every row equals
+    ``expected_joint_loss(..., max_n=max(n_grid))`` bit for bit.
     """
     ns = sorted(set(int(n) for n in n_grid))
     if not ns:
@@ -139,10 +168,10 @@ def optimal_sample_size(model, loss, tau, cost, n_grid, n_mc, seed):
         raise ValidationError("sample sizes must be >= 0")
     if not tau > 0:
         raise ValidationError(f"tau must be > 0, got {tau!r}")
-    max_n = max(ns)
+    losses = _joint_losses(model, loss, ns, n_mc, seed, max(ns))
     curve = []
-    for n in ns:
-        ejl = expected_joint_loss(model, loss, n, n_mc, seed, max_n=max_n)
+    for n, row in zip(ns, losses):
+        ejl = float(row.mean())
         c = cost(n)
         curve.append((n, tau * ejl + c, ejl, c))
     best = min(curve, key=lambda row: (row[1], row[0]))
@@ -200,9 +229,14 @@ def beta_bernoulli(a, b, n_existing=1, n_extra=1, posterior_draws=4000):
 
     The conjugate Beta posterior is represented as a seeded sample cloud
     (``posterior_draws`` draws) so the generic loss machinery applies.
+    The cloud is seeded by the sufficient statistic (successes, trials)
+    alone, so it is memoised on that pair: the most recently used clouds
+    are kept, up to about 131,000 draws in all (32 default-size clouds).
     """
     if not (a > 0 and b > 0):
         raise ValidationError("Beta parameters must be > 0")
+    if posterior_draws < 1:
+        raise ValidationError(f"posterior_draws must be >= 1, got {posterior_draws}")
 
     def prior_sampler(rng):
         return rng.beta(a, b)
@@ -213,17 +247,21 @@ def beta_bernoulli(a, b, n_existing=1, n_extra=1, posterior_draws=4000):
     def extra_data_sampler(rng, y, n):
         return (rng.random(n) < y).astype(float)
 
+    @functools.lru_cache(maxsize=max(1, _MEMO_DRAWS // posterior_draws))
+    def cloud(succ, tot):
+        # deterministic cloud: seed from the sufficient statistics
+        rng = np.random.default_rng(
+            np.random.SeedSequence((int(succ * 2), int(tot), 12345)))
+        return SamplePosterior(rng.beta(a + succ, b + tot - succ,
+                                        size=posterior_draws))
+
     def posterior_builder(z, z_extra=None):
         succ, tot = 0.0, 0
         for arm in (z, z_extra):
             if arm is not None and len(arm) > 0:
                 succ += float(np.sum(arm))
                 tot += len(arm)
-        # deterministic cloud: seed from the sufficient statistics
-        rng = np.random.default_rng(
-            np.random.SeedSequence((int(succ * 2), int(tot), 12345)))
-        return SamplePosterior(rng.beta(a + succ, b + tot - succ,
-                                        size=posterior_draws))
+        return cloud(succ, tot)
 
     return JointModel(prior_sampler, data_sampler, posterior_builder,
                       extra_data_sampler, n_existing, n_extra)

@@ -155,11 +155,25 @@ class GammaPosterior:
         return -self.shape * math.log1p(psi / self.rate)
 
 
+def _stable_sort(values):
+    """``values`` in the order of a stable argsort, without the argsort.
+
+    A plain sort can only differ from it in the order of -0.0 and 0.0,
+    which compare equal, so the run of zeros is put back in input order.
+    """
+    out = np.sort(values)
+    lo, hi = np.searchsorted(out, 0.0, "left"), np.searchsorted(out, 0.0, "right")
+    if hi - lo > 1:
+        out[lo:hi] = values[values == 0.0]
+    return out
+
+
 class SamplePosterior:
     """Weighted posterior draws.
 
-    Draws are stored sorted by value with normalized weights.  A single
-    draw (degenerate posterior) is legal everywhere; its variance is 0.
+    Draws are stored sorted by value with normalized weights, in read-only
+    arrays.  A single draw (degenerate posterior) is legal everywhere; its
+    variance is 0.
     """
 
     __slots__ = ("values", "weights", "_cumw")
@@ -171,6 +185,7 @@ class SamplePosterior:
         if not np.all(np.isfinite(values)):
             raise ValidationError("draw values must be finite")
         if weights is None:
+            values = _stable_sort(values)
             weights = np.ones_like(values)
         else:
             weights = np.asarray(weights, dtype=float)
@@ -178,13 +193,14 @@ class SamplePosterior:
                 raise ValidationError("weights must match values in shape")
             if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
                 raise ValidationError("all weights must be finite and > 0")
-        order = np.argsort(values, kind="stable")
-        values = values[order]
-        weights = weights[order]
+            order = np.argsort(values, kind="stable")
+            values = values[order]
+            weights = weights[order]
         weights = weights / weights.sum()
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_cumw", np.cumsum(weights))
+        cumw = np.cumsum(weights)
+        for name, arr in (("values", values), ("weights", weights), ("_cumw", cumw)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("SamplePosterior is immutable")

@@ -63,10 +63,43 @@ def load_scenario(path):
     return doc
 
 
-def require(block, key, where):
+_REQUIRED = object()
+_KIND_NAMES = {float: "a number", int: "an integer", bool: "true or false",
+               dict: "a mapping", list: "a list"}
+# kinds taken only as they are, never converted from another type
+_STRICT = {bool: bool, dict: dict, list: (list, tuple)}
+
+
+def _as(value, kind, where):
+    """``value`` as ``kind``; ``[kind]`` is a list whose items are each ``kind``."""
+    if isinstance(kind, list):
+        items = _as(value, list, where)
+        return [_as(v, kind[0], f"{where}[{i}]") for i, v in enumerate(items)]
+    if kind in _STRICT:
+        if isinstance(value, _STRICT[kind]):
+            return kind(value)
+    else:
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"{where}: expected {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def read(block, key, where, kind=None, default=_REQUIRED):
+    """``block[key]`` read as ``kind`` (as is when None), or ``default`` when absent.
+
+    ``kind`` is float, int, bool, dict, list, or ``[kind]`` for a list of
+    items of that kind.  Any misfit raises ValidationError naming the field by
+    its path, ``where.key``; without ``default`` the field is required.
+    """
+    if not isinstance(block, dict):
+        raise ValidationError(f"{where}: expected a mapping, got {block!r}")
     if key not in block:
-        raise ValidationError(f"{where}: missing required field {key!r}")
-    return block[key]
+        if default is _REQUIRED:
+            raise ValidationError(f"{where}: missing required field {key!r}")
+        return default
+    return block[key] if kind is None else _as(block[key], kind, f"{where}.{key}")
 
 
 def resolve_path(base_dir, path):
@@ -78,83 +111,79 @@ def resolve_path(base_dir, path):
 
 
 def parse_posterior(block, base_dir="."):
-    if not isinstance(block, dict):
-        raise ValidationError("posterior block must be a mapping")
-    kind = require(block, "kind", "posterior")
+    kind = read(block, "kind", "posterior")
     if kind == "gaussian":
-        return GaussianPosterior(float(require(block, "mean", "posterior")),
-                                 float(require(block, "sd", "posterior")))
+        return GaussianPosterior(read(block, "mean", "posterior", float),
+                                 read(block, "sd", "posterior", float))
     if kind == "gamma":
-        return GammaPosterior(float(require(block, "shape", "posterior")),
-                              float(require(block, "rate", "posterior")))
+        return GammaPosterior(read(block, "shape", "posterior", float),
+                              read(block, "rate", "posterior", float))
     if kind == "samples":
-        path = resolve_path(base_dir, require(block, "path", "posterior"))
+        path = resolve_path(base_dir, read(block, "path", "posterior"))
         return load_samples(path)
     raise ValidationError(f"posterior: unknown kind {kind!r}")
 
 
 def parse_weight(block):
-    name = require(block, "name", "weight")
+    name = read(block, "name", "weight")
     if name == "identity":
         return Weight.identity()
     if name == "power":
-        return Weight.power(float(require(block, "p", "weight")))
+        return Weight.power(read(block, "p", "weight", float))
     if name == "exp":
-        return Weight.exp(float(require(block, "c", "weight")))
+        return Weight.exp(read(block, "c", "weight", float))
     raise ValidationError(f"weight: unknown name {name!r}")
 
 
 def parse_loss(block):
-    if not isinstance(block, dict):
-        raise ValidationError("loss block must be a mapping")
-    if "compose" in block:
-        kind = block["compose"]
+    kind = read(block, "compose", "loss", default=None)
+    if kind is not None:
         if kind in ("sum", "product"):
-            comps = tuple(parse_loss(c) for c in require(block, "components", "loss"))
+            comps = tuple(parse_loss(c) for c in read(block, "components", "loss", list))
             return LossSpec(compose=kind, components=comps)
         if kind == "weighted":
-            base = parse_loss(require(block, "base", "loss"))
-            weight = parse_weight(require(block, "weight", "loss"))
+            base = parse_loss(read(block, "base", "loss"))
+            weight = parse_weight(read(block, "weight", "loss"))
             return LossSpec.weighted(weight, base)
         if kind == "power":
-            base = parse_loss(require(block, "base", "loss"))
-            return LossSpec.power_of(base, float(require(block, "p", "loss")))
+            base = parse_loss(read(block, "base", "loss"))
+            return LossSpec.power_of(base, read(block, "p", "loss", float))
         if kind == "exp_minus_one":
-            return LossSpec.exp_minus_one(parse_loss(require(block, "base", "loss")))
+            return LossSpec.exp_minus_one(parse_loss(read(block, "base", "loss")))
         raise ValidationError(f"loss: unknown composition {kind!r}")
-    family = str(require(block, "family", "loss")).upper()
-    params = dict(block.get("params", {}))
+    family = str(read(block, "family", "loss")).upper()
+    params = read(block, "params", "loss", dict, {})
     if family == "PTL":
         from .losses import GeneralizedGaussian
-        omega = float(require(params, "omega", "loss.params"))
+        omega = read(params, "omega", "loss.params", float)
         return LossSpec.potential(GeneralizedGaussian(omega))
-    params = {k: float(v) for k, v in params.items()}
+    params = {k: read(params, k, "loss.params", float) for k in params}
     return LossSpec(family=family, params=params)
 
 
 def parse_functional(block):
-    name = require(block, "name", "functional")
+    name = read(block, "name", "functional")
     if name == "square":
         return lambda y: np.asarray(y, dtype=float) ** 2
     if name == "exp":
         return lambda y: np.exp(np.asarray(y, dtype=float))
     if name == "indicator_above":
-        kappa = float(require(block, "kappa", "functional"))
+        kappa = read(block, "kappa", "functional", float)
         return lambda y: (np.asarray(y, dtype=float) > kappa).astype(float)
     if name == "affine":
-        slope = float(block.get("slope", 1.0))
-        intercept = float(block.get("intercept", 0.0))
+        slope = read(block, "slope", "functional", float, 1.0)
+        intercept = read(block, "intercept", "functional", float, 0.0)
         return lambda y: slope * np.asarray(y, dtype=float) + intercept
     raise ValidationError(f"functional: unknown name {name!r}")
 
 
 def parse_grid(block, name="grid"):
     if isinstance(block, (list, tuple)):
-        return np.asarray([float(v) for v in block])
+        return np.asarray(_as(block, [float], name))
     if isinstance(block, dict):
-        start = float(require(block, "start", name))
-        stop = float(require(block, "stop", name))
-        num = int(require(block, "num", name))
+        start = read(block, "start", name, float)
+        stop = read(block, "stop", name, float)
+        num = read(block, "num", name, int)
         if num < 1:
             raise ValidationError(f"{name}: num must be >= 1")
         return np.linspace(start, stop, num)
@@ -163,50 +192,50 @@ def parse_grid(block, name="grid"):
 
 def parse_int_grid(block, name="n_grid"):
     if isinstance(block, (list, tuple)):
-        return [int(v) for v in block]
+        return _as(block, [int], name)
     if isinstance(block, dict):
-        start = int(require(block, "start", name))
-        stop = int(require(block, "stop", name))
-        step = int(block.get("step", 1))
+        start = read(block, "start", name, int)
+        stop = read(block, "stop", name, int)
+        step = read(block, "step", name, int, 1)
         return list(range(start, stop + 1, step))
     raise ValidationError(f"{name}: expected a list or start/stop mapping")
 
 
 def parse_evidence(block):
-    models = require(block, "models", "model_choice")
+    models = read(block, "models", "model_choice", list)
     if not models:
         raise ValidationError("model_choice: need at least one model")
     labels, logliks, priors = [], [], []
     for i, m in enumerate(models):
-        labels.append(str(m.get("label", f"M{i + 1}")))
-        logliks.append(float(require(m, "log_likelihood", "model_choice.models")))
-        priors.append(m.get("prior"))
+        where = f"model_choice.models[{i}]"
+        labels.append(str(read(m, "label", where, default=f"M{i + 1}")))
+        logliks.append(read(m, "log_likelihood", where, float))
+        priors.append(read(m, "prior", where, float, None))
     if all(p is None for p in priors):
         prior = None
     elif any(p is None for p in priors):
         raise ValidationError("model_choice: give a prior for every model or none")
     else:
-        prior = [float(p) for p in priors]
+        prior = priors
     ev = ModelEvidence(log_likelihoods=logliks, prior=prior, labels=labels)
-    table = None
-    if "decision_table" in block:
-        table = DecisionTable(block["decision_table"])
-    return ev, table
+    table = read(block, "decision_table", "model_choice", [[float]], None)
+    return ev, (None if table is None else DecisionTable(table))
 
 
 def parse_ensemble(block, base_dir="."):
-    members_block = require(block, "members", "ensemble")
+    members_block = read(block, "members", "ensemble", list)
     members = [
         EnsembleMember(
-            label=str(m.get("label", f"M{i + 1}")),
-            posterior=parse_posterior(require(m, "posterior", "ensemble.members"),
+            label=str(read(m, "label", f"ensemble.members[{i}]", default=f"M{i + 1}")),
+            posterior=parse_posterior(read(m, "posterior", f"ensemble.members[{i}]"),
                                       base_dir),
-            loss=parse_loss(m.get("loss", {"family": "SEL"})),
+            loss=parse_loss(read(m, "loss", f"ensemble.members[{i}]",
+                                 default={"family": "SEL"})),
         )
         for i, m in enumerate(members_block)
     ]
     if "probabilities" in block:
-        probs = [float(p) for p in block["probabilities"]]
+        probs = read(block, "probabilities", "ensemble", [float])
     elif "models" in block:
         from .model_choice import posterior_models
         ev, _ = parse_evidence(block)
@@ -229,7 +258,11 @@ def load_vector_draws(path):
     except ValueError:
         header = [h.strip() for h in first]
         rows = rows[1:]
-    data = np.array([[float(v) for v in r.split(",")] for r in rows])
+    cells = [_as(r.split(","), [float], f"{path} data row {i + 1}")
+             for i, r in enumerate(rows)]
+    if len({len(c) for c in cells}) > 1:
+        raise ValidationError(f"{path}: data rows differ in length")
+    data = np.array(cells)
     weights = None
     if header is not None and header[-1].lower() == "weight":
         weights = data[:, -1]
@@ -238,41 +271,45 @@ def load_vector_draws(path):
 
 
 def load_correlation(block, base_dir="."):
-    if "matrix" in block:
-        return CorrelationMatrix(block["matrix"])
-    path = resolve_path(base_dir, require(block, "path", "correlation"))
+    matrix = read(block, "matrix", "correlation", [[float]], None)
+    if matrix is not None:
+        return CorrelationMatrix(matrix)
+    path = resolve_path(base_dir, read(block, "path", "correlation"))
     with open(path) as fh:
         rows = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
-    matrix = [[float(v) for v in r.split(",")] for r in rows]
-    return CorrelationMatrix(matrix)
+    return CorrelationMatrix([_as(r.split(","), [float], f"{path} data row {i + 1}")
+                              for i, r in enumerate(rows)])
 
 
 def parse_cost(block):
     if block is None:
         return CostFunction()
-    if "table" in block:
-        return CostFunction(table={int(k): float(v) for k, v in block["table"].items()})
-    return CostFunction(c0=float(block.get("c0", 0.0)),
-                        per_unit=float(block.get("per_unit", 0.0)))
+    table = read(block, "table", "design.cost", dict, None)
+    if table is not None:
+        return CostFunction(table={_as(k, int, f"design.cost.table key {k!r}"):
+                                   read(table, k, "design.cost.table", float)
+                                   for k in table})
+    return CostFunction(c0=read(block, "c0", "design.cost", float, 0.0),
+                        per_unit=read(block, "per_unit", "design.cost", float, 0.0))
 
 
 def parse_joint_model(block, purpose):
-    template = require(block, "template", purpose)
-    params = dict(block.get("params", {}))
-    n_existing = int(block.get("n_existing", 1))
-    n_extra = int(block.get("n_extra", 1))
+    template = read(block, "template", purpose)
+    params = read(block, "params", purpose, dict, {})
+    where = f"{purpose}.params"
+    n_existing = read(block, "n_existing", purpose, int, 1)
+    n_extra = read(block, "n_extra", purpose, int, 1)
     if template == "gaussian-known-variance":
         return gaussian_known_variance(
-            prior_mean=float(params.get("prior_mean", 0.0)),
-            prior_sd=float(params.get("prior_sd", 1.0)),
-            noise_sd=float(params.get("noise_sd", 1.0)),
+            prior_mean=read(params, "prior_mean", where, float, 0.0),
+            prior_sd=read(params, "prior_sd", where, float, 1.0),
+            noise_sd=read(params, "noise_sd", where, float, 1.0),
             n_existing=n_existing, n_extra=n_extra,
-            extra_noise_sd=(float(params["extra_noise_sd"])
-                            if "extra_noise_sd" in params else None),
+            extra_noise_sd=read(params, "extra_noise_sd", where, float, None),
         )
     if template == "beta-bernoulli":
         return beta_bernoulli(
-            a=float(params.get("a", 1.0)), b=float(params.get("b", 1.0)),
+            a=read(params, "a", where, float, 1.0), b=read(params, "b", where, float, 1.0),
             n_existing=n_existing, n_extra=n_extra,
         )
     raise ValidationError(f"{purpose}: unknown template {template!r}")

@@ -396,6 +396,47 @@ posterior: {kind: gaussian, mean: 0.0, sd: 1.0}
         assert "seed    20220901" in result.output
 
 
+GAUSS = "posterior: {kind: gaussian, mean: 0.0, sd: 1.0}\n"
+GKV = "template: gaussian-known-variance"
+
+
+class TestMalformedFields:
+    """A field of the wrong type exits 2 and names the field, never a traceback."""
+
+    @pytest.mark.parametrize("verb, text, field", [
+        ("predict", "posterior: {kind: gaussian, mean: abc, sd: 1.0}", "posterior.mean"),
+        ("design-n", f"design: {{{GKV}, params: [1], tau: 1.0, n_grid: [0, 1]}}",
+         "design.params"),
+        ("voi", f"voi: {{{GKV}, n_mc: abc}}", "voi.n_mc"),
+        ("design-n", f"design: {{{GKV}, tau: 1.0, n_grid: [0, 1], n_mc: abc}}",
+         "design.n_mc"),
+        ("risk-curve", GAUSS + "risk_curve: {kappa_grid: [a, 1]}",
+         "risk_curve.kappa_grid[0]"),
+        ("risk-curve", GAUSS + "risk_curve: {kappa_grid: [0, 1], action: x}",
+         "risk_curve.action"),
+        ("bma", "ensemble: {members: [{posterior: {kind: gaussian, mean: 0, sd: 1}}], "
+                "probabilities: 5}", "ensemble.probabilities"),
+        ("compare-models", "model_choice: {models: [{log_likelihood: x}]}",
+         "model_choice.models[0].log_likelihood"),
+        ("calibrate", "calibrate: {prevention_share: 0.03, paper_exact: 'false'}",
+         "calibrate.paper_exact"),
+    ], ids=["posterior-mean", "design-params", "voi-n_mc", "design-n_mc",
+            "kappa_grid", "action", "probabilities", "log_likelihood", "paper_exact"])
+    def test_exits_2_naming_the_field(self, runner, tmp_path, verb, text, field):
+        scenario = write(tmp_path, "s.yaml", text + "\n")
+        result = runner.invoke(main, [verb, "--scenario", scenario])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert field in result.output
+
+    def test_design_without_replicates_exits_2(self, runner, tmp_path):
+        scenario = write(tmp_path, "s.yaml",
+                         f"design: {{{GKV}, tau: 1.0, n_grid: [0, 1], n_mc: 0}}\n")
+        result = runner.invoke(main, ["design-n", "--scenario", scenario])
+        assert result.exit_code == 2, result.output
+        assert "n_mc must be >= 1" in result.output
+
+
 def _run_python(args, **kwargs):
     """Run a fresh interpreter that imports this checkout's package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(bayesdecide.__file__)))

@@ -1,10 +1,13 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from bayesdecide import (CostFunction, JointModel, LossSpec, ValidationError,
-                         beta_bernoulli, expected_joint_loss,
-                         gaussian_known_variance, neg_posterior_variance,
-                         optimal_sample_size, voi)
+from bayesdecide import (CostFunction, GammaPosterior, JointModel, LossSpec,
+                         ValidationError, beta_bernoulli, design,
+                         expected_joint_loss, gaussian_known_variance,
+                         neg_posterior_variance, optimal_sample_size, voi)
 
 SEED = 20220901
 
@@ -190,3 +193,193 @@ class TestTemplates:
             gaussian_known_variance(0.0, 0.0, 1.0)
         with pytest.raises(ValidationError):
             beta_bernoulli(0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# one pass over replicates: pinned streams, shared draws and call counts
+
+COST = CostFunction(c0=0.1, per_unit=0.02)
+
+
+def _gkv():
+    return gaussian_known_variance(0.5, 2.0, 1.5, n_existing=2, n_extra=3)
+
+
+def _bb():
+    return beta_bernoulli(2.0, 3.0, n_existing=2, n_extra=3)
+
+
+def _poisson_gamma():
+    """A custom pair: Poisson counts, conjugate Gamma(3, 2) prior on the rate."""
+    def build(z, z_extra=None):
+        arms = [arm for arm in (z, z_extra) if arm is not None]
+        return GammaPosterior(3.0 + sum(float(np.sum(arm)) for arm in arms),
+                              2.0 + sum(len(arm) for arm in arms))
+    return JointModel(
+        prior_sampler=lambda rng: rng.gamma(3.0, 0.5),
+        data_sampler=lambda rng, y, n: rng.poisson(y, size=n).astype(float),
+        posterior_builder=build,
+        extra_data_sampler=lambda rng, y, n: rng.poisson(y, size=n).astype(float),
+        n_existing=2, n_extra=2)
+
+
+def _median_error(post, truth):
+    """VOI value function read off the sorted cloud, with no BLAS reduction."""
+    return -abs(post.quantile(0.5) - truth)
+
+
+# (case, seed) -> result, recorded before the per-n loop became one pass.  The
+# losses and value functions use arithmetic, sqrt and order statistics only,
+# so the pins do not depend on the last bits of exp, special functions or a
+# BLAS dot product, which vary with the library build and the CPU.
+PINNED = {
+    ("gkv-n", 5): (8, [
+        (0, 27.722283765654392, 2.762228376565439, 0.1),
+        (1, 14.408457378858298, 1.42884573788583, 0.12000000000000001),
+        (3, 5.863618282821747, 0.5703618282821747, 0.16),
+        (8, 2.5869115774679594, 0.2326911577467959, 0.26)]),
+    ("gkv-n", 20220901): (8, [
+        (0, 38.36377700421973, 3.826377700421973, 0.1),
+        (1, 16.728882642443306, 1.6608882642443303, 0.12000000000000001),
+        (3, 6.157583270572356, 0.5997583270572356, 0.16),
+        (8, 1.8270987790521958, 0.15670987790521956, 0.26)]),
+    ("bb-n", 5): (5, [
+        (0, 0.7122175313878747, 0.06122175313878747, 0.1),
+        (2, 0.7169643219810149, 0.057696432198101485, 0.14),
+        (5, 0.6875425832224583, 0.04875425832224583, 0.2)]),
+    ("bb-n", 20220901): (2, [
+        (0, 0.6773301500179338, 0.057733015001793384, 0.1),
+        (2, 0.6172639839967637, 0.04772639839967638, 0.14),
+        (5, 0.6531207782320563, 0.045312077823205635, 0.2)]),
+    ("custom-n", 5): (4, [
+        (0, 3.9664529088959344, 0.7732905817791869, 0.1),
+        (1, 3.033908205582016, 0.5827816411164032, 0.12000000000000001),
+        (4, 1.0820604460712928, 0.18041208921425858, 0.18)]),
+    ("custom-n", 20220901): (1, [
+        (0, 2.5255606735158818, 0.4851121347031763, 0.1),
+        (1, 1.510466962394332, 0.2780933924788664, 0.12000000000000001),
+        (4, 1.5417383057298961, 0.27234766114597925, 0.18)]),
+    ("gkv-voi", 5): (0.4735543984653331, 2.54702629954375e-17),
+    ("gkv-voi", 20220901): (0.4735543984653331, 2.54702629954375e-17),
+    ("bb-voi", 5): (0.03137336890684604, 0.02396843916888675),
+    ("bb-voi", 20220901): (-0.01460839958685288, 0.01432332569484849),
+    ("custom-voi", 5): (0.11342592592592592, 0.02023432724671303),
+    ("custom-voi", 20220901): (0.13541666666666666, 0.011951954220523416),
+    ("gkv-ejl", 5): [1.4501886483597553, 0.7579936798773877, 0.30452769219373343],
+    ("gkv-ejl", 20220901): [1.504247461373336, 0.6482412376849805, 0.42970873783341396],
+    ("bb-ejl", 5): [0.028491340190281576, 0.02036508410777215],
+    ("bb-ejl", 20220901): [0.02789753403968008, 0.011968079545222407],
+}
+
+RUNS = {
+    "gkv-n": lambda seed: optimal_sample_size(
+        _gkv(), LossSpec.sel(), 10.0, COST, [0, 1, 3, 8], 30, seed),
+    "bb-n": lambda seed: optimal_sample_size(
+        _bb(), LossSpec.qtl(0.7), 10.0, COST, [0, 2, 5], 20, seed),
+    "custom-n": lambda seed: optimal_sample_size(
+        _poisson_gamma(), LossSpec.sel(), 5.0, COST, [0, 1, 4], 12, seed),
+    "gkv-voi": lambda seed: voi(_gkv(), neg_posterior_variance, 20, seed),
+    "bb-voi": lambda seed: voi(_bb(), _median_error, 20, seed),
+    "custom-voi": lambda seed: voi(_poisson_gamma(), neg_posterior_variance, 12, seed),
+    "gkv-ejl": lambda seed: [expected_joint_loss(_gkv(), LossSpec.mtc(1.0), n, 15, seed,
+                                                 max_n=6) for n in (0, 2, 6)],
+    "bb-ejl": lambda seed: [expected_joint_loss(_bb(), LossSpec.sel(), n, 15, seed)
+                            for n in (0, 4)],
+}
+
+
+class TestPinnedStreams:
+    @pytest.mark.parametrize("case, seed", sorted(PINNED))
+    def test_repr_identical_to_recorded(self, case, seed):
+        assert repr(RUNS[case](seed)) == repr(PINNED[case, seed])
+
+
+def _counting(model):
+    """The model with its prior and data samplers counting their calls."""
+    calls = Counter()
+
+    def count(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+    counted = dataclasses.replace(
+        model, prior_sampler=count("prior", model.prior_sampler),
+        data_sampler=count("data", model.data_sampler))
+    return counted, calls
+
+
+class TestOnePass:
+    GRID = [0, 1, 3, 7]
+
+    @pytest.mark.parametrize("make, loss", [(_gkv, LossSpec.sel()),
+                                            (_bb, LossSpec.qtl(0.7)),
+                                            (_poisson_gamma, LossSpec.mtc(1.0))])
+    def test_rows_equal_expected_joint_loss_bit_for_bit(self, make, loss):
+        _, curve = optimal_sample_size(make(), loss, 3.0, COST, self.GRID, 25, 9)
+        for n, _, ejl, _ in curve:
+            assert ejl == expected_joint_loss(make(), loss, n, 25, 9, max_n=7)
+
+    @pytest.mark.parametrize("make", [_gkv, _bb])
+    def test_samplers_run_once_per_replicate(self, make):
+        model, calls = _counting(make())
+        optimal_sample_size(model, LossSpec.sel(), 1.0, COST, self.GRID, 17, 3)
+        assert calls == {"prior": 17, "data": 17}
+
+    def test_no_data_draw_when_every_n_is_zero(self):
+        model, calls = _counting(_gkv())
+        optimal_sample_size(model, LossSpec.sel(), 1.0, COST, [0], 5, 3)
+        assert calls == {"prior": 5}
+
+    def test_draws_are_shared_read_only(self):
+        base = _gkv()
+        seen = []
+
+        def build(z, z_extra=None):
+            if z is not None:
+                seen.append(z.flags.writeable)
+            return base.posterior_builder(z, z_extra)
+        model = dataclasses.replace(base, posterior_builder=build)
+        optimal_sample_size(model, LossSpec.sel(), 1.0, COST, [0, 2, 4], 6, 1)
+        assert seen and not any(seen)
+
+    def test_beta_cloud_drawn_once_per_sufficient_statistic(self, monkeypatch):
+        real, built = design.SamplePosterior, []
+
+        def counting(draws):
+            built.append(len(draws))
+            return real(draws)
+        monkeypatch.setattr(design, "SamplePosterior", counting)
+        base = _bb()
+        keys = set()
+
+        def build(z, z_extra=None):
+            arms = [arm for arm in (z, z_extra) if arm is not None]
+            keys.add((sum(float(np.sum(arm)) for arm in arms),
+                      sum(len(arm) for arm in arms)))
+            return base.posterior_builder(z, z_extra)
+        model = dataclasses.replace(base, posterior_builder=build)
+        optimal_sample_size(model, LossSpec.qtl(0.7), 1.0, COST, [0, 2, 5], 40, 4)
+        voi(model, neg_posterior_variance, 40, 4)
+        assert len(built) == len(keys)
+        assert len(keys) < 40
+
+
+class TestReplicateBudget:
+    @pytest.mark.parametrize("n_mc", [0, -1])
+    def test_expected_joint_loss_needs_a_replicate(self, n_mc):
+        with pytest.raises(ValidationError, match="n_mc"):
+            expected_joint_loss(_gkv(), LossSpec.sel(), 2, n_mc, 1)
+
+    @pytest.mark.parametrize("n_mc", [0, -1])
+    def test_optimal_sample_size_needs_a_replicate(self, n_mc):
+        with pytest.raises(ValidationError, match="n_mc"):
+            optimal_sample_size(_gkv(), LossSpec.sel(), 1.0, COST, [0, 2], n_mc, 1)
+
+    def test_max_n_below_n_rejected(self):
+        with pytest.raises(ValidationError, match="max_n"):
+            expected_joint_loss(_gkv(), LossSpec.sel(), 5, 10, 1, max_n=3)
+
+    def test_beta_needs_posterior_draws(self):
+        with pytest.raises(ValidationError, match="posterior_draws"):
+            beta_bernoulli(1.0, 1.0, posterior_draws=0)

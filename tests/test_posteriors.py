@@ -175,6 +175,48 @@ class TestValidation:
         assert abs(post.weights.sum() - 1.0) < 1e-12
 
 
+def _signed_ties(seed, n=300):
+    """Draws with many ties and zeros of random sign."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-3, 4, size=n).astype(float)
+    return np.where(x == 0.0, rng.choice([0.0, -0.0], size=n), x)
+
+
+class TestSampleStorage:
+    @pytest.mark.parametrize("weights", [None, [1.0, 2.0, 3.0]])
+    @pytest.mark.parametrize("attr", ["values", "weights", "_cumw"])
+    def test_arrays_are_read_only(self, attr, weights):
+        post = SamplePosterior([3.0, 1.0, 2.0], weights)
+        with pytest.raises(ValueError):
+            getattr(post, attr)[0] = 99.0
+
+    def test_input_array_is_copied_not_frozen(self):
+        draws = np.array([2.0, 1.0])
+        post = SamplePosterior(draws)
+        draws[0] = 5.0
+        assert post.values.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, 1.0, -0.0, 0.0],
+        [-0.0, 0.0],
+        [0.0, -0.0],
+        [0.0],
+        [2.0, 1.0, 2.0, 1.0, 3.0, 1.0],
+        [-1.0, -0.0, -2.0, 0.0, 0.0, -0.0, 5.0, -1.0],
+        _signed_ties(1),
+        _signed_ties(2),
+    ], ids=lambda v: f"n{len(v)}")
+    def test_unweighted_sort_matches_stable_argsort(self, values):
+        values = np.asarray(values, dtype=float)
+        order = np.argsort(values, kind="stable")
+        weights = np.ones_like(values)[order]
+        weights = weights / weights.sum()
+        post = SamplePosterior(values)
+        assert post.values.tobytes() == values[order].tobytes()
+        assert post.weights.tobytes() == weights.tobytes()
+        assert post._cumw.tobytes() == np.cumsum(weights).tobytes()
+
+
 class TestSampleFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "draws.txt"
