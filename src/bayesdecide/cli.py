@@ -18,7 +18,6 @@ import os
 import sys
 
 import click
-import numpy as np
 
 from . import bma as bma_mod
 from . import design as design_mod
@@ -28,7 +27,6 @@ from . import model_choice as mc_mod
 from . import scenario as sc
 from .calibrate import CalibrationTarget, calibrate_linex, calibrate_quantile
 from .errors import NumericError, ValidationError
-from .losses import compose
 
 
 def _write_csv(out_dir, name, header, rows):
@@ -167,7 +165,7 @@ def multivar(scenario_path, out_dir, seed, fmt):
     block = doc.get("multivar") or {}
     draws_block = sc.read(block, "draws", "multivar")
     vp = sc.load_vector_draws(sc.resolve_path(
-        base, sc.read(draws_block, "path", "multivar.draws")))
+        base, sc.read(draws_block, "path", "multivar.draws", str)))
     if "correlation" in block:
         corr = sc.load_correlation(block["correlation"], base)
     else:

@@ -49,6 +49,10 @@ class JointModel:
     n_existing: int = 1
     n_extra: int = 1
 
+    def __post_init__(self):
+        if self.n_existing < 0 or self.n_extra < 0:
+            raise ValidationError("n_existing and n_extra must be >= 0")
+
 
 @dataclass(frozen=True)
 class CostFunction:
@@ -190,10 +194,11 @@ def gaussian_known_variance(prior_mean, prior_sd, noise_sd,
     GaussianPosterior.  ``extra_noise_sd=0`` models a perfect-information
     extra arm (the posterior collapses onto the extra-arm mean).
     """
-    if not (prior_sd > 0 and noise_sd > 0):
-        raise ValidationError("prior_sd and noise_sd must be > 0")
-    if extra_noise_sd is None:
-        extra_noise_sd = noise_sd
+    extra_noise_sd = noise_sd if extra_noise_sd is None else extra_noise_sd
+    if not all(s > 0 and 0 < s * s < math.inf
+               for s in (prior_sd, noise_sd, extra_noise_sd or 1.0)):
+        raise ValidationError("prior_sd, noise_sd and extra_noise_sd must be > 0 "
+                              "with a finite nonzero square (extra_noise_sd may be 0)")
 
     def prior_sampler(rng):
         return rng.normal(prior_mean, prior_sd)
@@ -244,9 +249,6 @@ def beta_bernoulli(a, b, n_existing=1, n_extra=1, posterior_draws=4000):
     def data_sampler(rng, y, n):
         return (rng.random(n) < y).astype(float)
 
-    def extra_data_sampler(rng, y, n):
-        return (rng.random(n) < y).astype(float)
-
     @functools.lru_cache(maxsize=max(1, _MEMO_DRAWS // posterior_draws))
     def cloud(succ, tot):
         # deterministic cloud: seed from the sufficient statistics
@@ -263,8 +265,9 @@ def beta_bernoulli(a, b, n_existing=1, n_extra=1, posterior_draws=4000):
                 tot += len(arm)
         return cloud(succ, tot)
 
+    # both arms draw Bernoulli data; they differ only by their seeded stream
     return JointModel(prior_sampler, data_sampler, posterior_builder,
-                      extra_data_sampler, n_existing, n_extra)
+                      data_sampler, n_existing, n_extra)
 
 
 def neg_posterior_variance(post, truth):

@@ -96,7 +96,7 @@ class VectorPosterior:
 
     def __init__(self, draws, weights=None, site=None):
         arr = np.asarray(draws, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] == 0:
+        if arr.ndim != 2 or arr.size == 0:
             raise ValidationError("draws must be a nonempty (n, N) array")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("draws must be finite")
@@ -192,7 +192,7 @@ def estimate_correlation(draws):
     zero = np.nonzero(sd == 0)[0]
     if zero.size:
         raise ValidationError(f"coordinate {int(zero[0])} has zero variance")
-    corr = np.corrcoef(arr, rowvar=False)
+    corr = np.atleast_2d(np.corrcoef(arr, rowvar=False))  # 0-d when N = 1
     corr = 0.5 * (corr + corr.T)
     vals, vecs = np.linalg.eigh(corr)
     if np.any(vals < 1e-10):

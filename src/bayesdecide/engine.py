@@ -7,15 +7,16 @@ every posterior ``optimize`` accepts.  ``_EPLS`` maps (posterior type, loss
 key) to the expected posterior loss EPL(a) in closed form on Gaussian and
 Gamma posteriors, so ``epl`` answers those pairs without quadrature,
 whichever caller asks: ``optimize``, its numeric search, or the BMA
-mixture.  Everything else (compositions, custom weights, PTL, MTC(rho)
-with rho not in {1, 2}, functional prediction) integrates the loss against
-the posterior.  ``optimize`` minimizes the EPL numerically when no closed
-form applies, through ``minimize``: bracket by geometric expansion from
-the posterior median, then golden-section search to a 1e-10 relative
+mixture.  Every other EPL (all on draws, compositions, PTL, MTC(rho) with
+rho not in {1, 2}) is ``post.expect`` of the loss: a weighted sum on draws,
+quadrature otherwise.  ``optimize`` minimizes the EPL numerically when no
+closed form applies, through ``minimize``: bracket by geometric expansion
+from the posterior median, then golden-section search to a 1e-10 relative
 bracket width.
 
-Also: minimax variants, functional prediction, tail-risk curves and
-their lower envelope, and the 0-1-loss threshold yes/no rule.
+Also: minimax, plain or posterior-weighted (one search serves both),
+functional prediction, the lower envelope of tail-risk curves over actions
+(one action's curve is its one-action envelope) and the 0-1 threshold rule.
 """
 
 from __future__ import annotations
@@ -87,13 +88,6 @@ def epl(loss, post, a):
     _check_domain(lossfn, post)
     if lossfn.positive_domain and a <= 0:
         raise ValidationError(f"loss requires action > 0, got {a!r}")
-    if isinstance(post, SamplePosterior):
-        lv = np.asarray(lossfn(a, post.values), dtype=float)
-        bad = ~np.isfinite(lv)
-        if np.any(bad):
-            y_bad = float(post.values[bad][0])
-            raise NumericError(f"loss is not finite at draw y={y_bad!r} for a={a!r}")
-        return float(np.dot(post.weights, lv))
     closed = _EPLS.get((type(post), _loss_key(lossfn.spec)))
     if closed is not None:
         return float(closed(post, lossfn.spec.params, a))
@@ -273,9 +267,8 @@ def _gamma_pwd_minus_epl(post, prm, a):
     return m * ((t - 1.0 - math.log(t)) + (float(digamma(k + 1.0)) - math.log(k)))
 
 
-# (posterior type, loss key) -> epl(post, params, a) in closed form; GAM and
-# PWD(+-1) on a Gaussian keep quadrature, and on draws the EPL is an exact
-# weighted sum
+# (posterior type, loss key) -> epl(post, params, a) in closed form; every
+# other pair (GAM and PWD(+-1) on a Gaussian, all on draws) uses post.expect
 _EPLS = {
     **{(kind, key): fn
        for kind in (GaussianPosterior, GammaPosterior)
@@ -312,8 +305,6 @@ def _closed_form(spec, post):
             return post.moments()[0], "posterior_mean"
         if _loss_key(base) == "SEL":
             w = spec.weight.fn
-            if isinstance(post, SamplePosterior):
-                return post.reweight(w).moments()[0], "reweighted_mean"
             num = post.expect(lambda y: w(np.asarray(y, dtype=float)) * y)
             den = post.expect(lambda y: w(np.asarray(y, dtype=float)))
             if den <= 0:
@@ -367,13 +358,19 @@ def _check_grid(grid, name):
     return g
 
 
-def minimax(loss, y_grid, a_grid):
-    """argmin over a of max over y of L(a, y); ties to the smallest action."""
+def _minimax(loss, y_grid, a_grid, weight):
+    """argmin over a of max over y of L(a, y) * weight(y); ties to the smallest a."""
     lossfn = compose(loss)
     y = _check_grid(y_grid, "y_grid")
     a = np.sort(_check_grid(a_grid, "a_grid"))
-    worst = np.array([float(np.max(lossfn(ai, y))) for ai in a])
+    p = weight(y)
+    worst = np.array([float(np.max(lossfn(ai, y) * p)) for ai in a])
     return float(a[int(np.argmin(worst))])
+
+
+def minimax(loss, y_grid, a_grid):
+    """argmin over a of max over y of L(a, y); ties to the smallest action."""
+    return _minimax(loss, y_grid, a_grid, lambda y: 1.0)
 
 
 def minimax_posterior(loss, post, y_grid, a_grid):
@@ -382,12 +379,7 @@ def minimax_posterior(loss, post, y_grid, a_grid):
     For sample posteriors, p is the normalized mass of the histogram bin
     containing y (zero outside the sampled range).
     """
-    lossfn = compose(loss)
-    y = _check_grid(y_grid, "y_grid")
-    a = np.sort(_check_grid(a_grid, "a_grid"))
-    p = _posterior_weight_at(post, y)
-    worst = np.array([float(np.max(lossfn(ai, y) * p)) for ai in a])
-    return float(a[int(np.argmin(worst))])
+    return _minimax(loss, y_grid, a_grid, lambda y: _posterior_weight_at(post, y))
 
 
 def _posterior_weight_at(post, y):
@@ -400,23 +392,13 @@ def _posterior_weight_at(post, y):
         hist, edges = np.histogram(post.values, bins=nbins, range=(lo, hi),
                                    weights=post.weights)
         idx = np.clip(np.searchsorted(edges, y, side="right") - 1, 0, nbins - 1)
-        mass = hist[idx]
-        mass = np.where((np.asarray(y) < lo) | (np.asarray(y) > hi), 0.0, mass)
-        return mass
+        return np.where((np.asarray(y) < lo) | (np.asarray(y) > hi), 0.0, hist[idx])
     return post.pdf(y)
 
 
 def tail_risk_curve(loss, post, action, kappa_grid):
     """Locus of (kappa, Pr(Y > kappa | z), L(action, kappa))."""
-    lossfn = compose(loss)
-    kappas = _check_grid(kappa_grid, "kappa_grid")
-    if np.any(np.diff(kappas) < 0):
-        raise ValidationError("kappa_grid must be sorted ascending")
-    pts = tuple(
-        (float(k), post.tail_prob(k), float(lossfn(action, k)))
-        for k in kappas
-    )
-    return TailRiskCurve(pts)
+    return lower_envelope(loss, post, kappa_grid, _check_grid([action], "action"))
 
 
 def lower_envelope(loss, post, kappa_grid, a_grid):
@@ -426,11 +408,10 @@ def lower_envelope(loss, post, kappa_grid, a_grid):
     if np.any(np.diff(kappas) < 0):
         raise ValidationError("kappa_grid must be sorted ascending")
     a = _check_grid(a_grid, "a_grid")
-    pts = tuple(
-        (float(k), post.tail_prob(k), float(np.min(lossfn(a, float(k)))))
-        for k in kappas
-    )
-    return TailRiskCurve(pts)
+    # one loss evaluation on the whole actions x kappas grid
+    lv = np.asarray(lossfn(a[:, None], kappas[None, :]), dtype=float).min(axis=0)
+    return TailRiskCurve(tuple((float(k), post.tail_prob(k), float(v))
+                               for k, v in zip(kappas, lv)))
 
 
 def threshold_rule(post, kappa):

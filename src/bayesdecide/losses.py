@@ -13,8 +13,7 @@ Families
 - ``GAM(alpha,nu)`` (nu - 1)[(a/y) - 1 - log(a/y)], ratio-based, a, y > 0
 
 Compositions: weighted(w), sum, product, power(p), exp_minus_one.
-A composed loss is marked differentiable only when every part is, and
-symmetric only when symmetry is provable by construction.
+A composed loss is marked differentiable only when every part is.
 
 Evaluators are vectorized over y so expected-loss sums over large sample
 clouds stay cheap.
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import gammaln
@@ -304,7 +303,6 @@ class LossFunction:
 
     spec: LossSpec
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    symmetric: bool
     differentiable: bool
     positive_domain: bool
 
@@ -329,8 +327,7 @@ def compose(spec):
                 raise ValidationError("loss weight function must be finite and > 0")
             return wy * _b(a, y)
 
-        return LossFunction(spec, ev, symmetric=False,
-                            differentiable=base.differentiable,
+        return LossFunction(spec, ev, differentiable=base.differentiable,
                             positive_domain=base.positive_domain)
     if spec.compose == "sum":
         def ev(a, y, _parts=parts):
@@ -350,63 +347,55 @@ def compose(spec):
         def ev(a, y, _b=parts[0]):
             return np.expm1(_b(a, y))
 
-    symmetric = all(p.symmetric for p in parts)
     differentiable = all(p.differentiable for p in parts)
     if spec.compose == "power" and spec.params["p"] < 1:
         # (L)^p with p < 1 has an unbounded derivative where L = 0
         differentiable = False
     positive_domain = any(p.positive_domain for p in parts)
-    return LossFunction(spec, ev, symmetric, differentiable, positive_domain)
+    return LossFunction(spec, ev, differentiable, positive_domain)
 
 
 def _compose_leaf(spec):
     fam, prm = spec.family, spec.params
     if fam == "SEL":
         return LossFunction(spec, lambda a, y: eval_mtc(2.0, a, y),
-                            symmetric=True, differentiable=True, positive_domain=False)
+                            differentiable=True, positive_domain=False)
     if fam == "MTC":
         rho = prm["rho"]
         if not (np.isfinite(rho) and rho > 0):
             raise ValidationError(f"rho must be > 0, got {rho!r}")
         return LossFunction(spec, lambda a, y: eval_mtc(rho, a, y),
-                            symmetric=True, differentiable=rho > 1,
-                            positive_domain=False)
+                            differentiable=rho > 1, positive_domain=False)
     if fam == "ZERO_ONE":
-        return LossFunction(spec, eval_zero_one, symmetric=True,
-                            differentiable=False, positive_domain=False)
+        return LossFunction(spec, eval_zero_one, differentiable=False,
+                            positive_domain=False)
     if fam == "QTL":
         q = prm["q"]
         if not (np.isfinite(q) and 0.0 < q < 1.0):
             raise ValidationError(f"q must lie in (0, 1), got {q!r}")
         return LossFunction(spec, lambda a, y: eval_qtl(q, a, y),
-                            symmetric=q == 0.5, differentiable=False,
-                            positive_domain=False)
+                            differentiable=False, positive_domain=False)
     if fam == "LNX":
         psi = prm["psi"]
         if psi == 0 or not np.isfinite(psi):
             raise ValidationError(f"psi must be finite and nonzero, got {psi!r}")
         return LossFunction(spec, lambda a, y: eval_linex(psi, a, y),
-                            symmetric=False, differentiable=True,
-                            positive_domain=False)
+                            differentiable=True, positive_domain=False)
     if fam == "PTL":
         density = spec.density
         if density is None:
             raise ValidationError("PTL spec requires a density")
-        symmetric = isinstance(density, GeneralizedGaussian)
-        differentiable = symmetric and density.omega > 1
+        differentiable = isinstance(density, GeneralizedGaussian) and density.omega > 1
         return LossFunction(spec, lambda a, y: eval_potential(density, a, y),
-                            symmetric=symmetric, differentiable=differentiable,
-                            positive_domain=False)
+                            differentiable=differentiable, positive_domain=False)
     if fam == "PWD":
         lam = prm["lam"]
         if not np.isfinite(lam):
             raise ValidationError(f"lambda must be finite, got {lam!r}")
         return LossFunction(spec, lambda a, y: eval_pwd(lam, a, y),
-                            symmetric=False, differentiable=True,
-                            positive_domain=True)
+                            differentiable=True, positive_domain=True)
     # GAM, the last family LossSpec admits
     alpha, nu = prm["alpha"], prm["nu"]
     _check_gam_params(alpha, nu)
     return LossFunction(spec, lambda a, y: eval_gam(alpha, nu, a, y),
-                        symmetric=False, differentiable=True,
-                        positive_domain=True)
+                        differentiable=True, positive_domain=True)

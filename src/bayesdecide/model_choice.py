@@ -13,8 +13,7 @@ so marginal likelihoods that underflow a double still normalize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence, Union
+from typing import Union
 
 import numpy as np
 from scipy import integrate
@@ -252,8 +252,7 @@ class SamplePosterior:
         return float(self.values[0]), float(self.values[-1])
 
     def expect(self, h, breakpoints=()):
-        with np.errstate(all="ignore"):
-            hv = np.asarray(h(self.values), dtype=float)
+        hv = np.asarray(h(self.values), dtype=float)
         bad = ~np.isfinite(hv)
         if np.any(bad):
             y_bad = float(self.values[bad][0])
@@ -369,26 +368,23 @@ def load_samples(path):
     """Read a sample file: one draw per line, ``value`` or ``value,weight``.
 
     Lines starting with ``#`` are comments; blank lines are skipped.
-    Missing weights default to 1.
+    Missing weights default to 1; a file without weights is an unweighted cloud.
     """
-    values, weights = [], []
-    with open(path) as fh:
+    values, weights, weighted = [], [], False
+    with open(path, errors="replace") as fh:  # bad bytes make a bad line
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = [p.strip() for p in line.split(",")]
             try:
-                if len(parts) == 1:
-                    values.append(float(parts[0]))
-                    weights.append(1.0)
-                elif len(parts) == 2:
-                    values.append(float(parts[0]))
-                    weights.append(float(parts[1]))
-                else:
+                if len(parts) > 2:
                     raise ValueError("too many fields")
+                values.append(float(parts[0]))
+                weights.append(float(parts[1]) if len(parts) == 2 else 1.0)
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: bad sample line {line!r} ({exc})")
+            weighted |= len(parts) == 2
     if not values:
         raise ValidationError(f"{path}: no draws found")
-    return SamplePosterior(values, weights)
+    return SamplePosterior(values, weights if weighted else None)

@@ -21,13 +21,14 @@ names mirror the library's types.  Blocks:
 ``calibrate``      prevention_share | gaussian_multiple | tail_mass, sigma,
                    paper_exact
 ``seed``           unsigned integer, defaults to DEFAULT_SEED
+
+Integer fields take whole numbers only (never true/false), and every
+matrix, inline or read from a file, must be rectangular.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
-
 import numpy as np
 import yaml
 
@@ -37,8 +38,7 @@ from .eigen import CorrelationMatrix, VectorPosterior
 from .errors import ValidationError
 from .losses import LossSpec, Weight
 from .model_choice import DecisionTable, ModelEvidence
-from .posteriors import (GammaPosterior, GaussianPosterior, SamplePosterior,
-                         load_samples)
+from .posteriors import GammaPosterior, GaussianPosterior, load_samples
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 20220901
@@ -46,7 +46,7 @@ DEFAULT_SEED = 20220901
 
 def load_scenario(path):
     try:
-        with open(path) as fh:
+        with open(path, errors="replace") as fh:  # bad bytes fail as bad YAML
             doc = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ValidationError(f"{path}: not valid YAML: {exc}")
@@ -57,7 +57,7 @@ def load_scenario(path):
         raise ValidationError(
             f"{path}: unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
     doc.setdefault("seed", DEFAULT_SEED)
-    if not isinstance(doc["seed"], int) or doc["seed"] < 0:
+    if type(doc["seed"]) is not int or doc["seed"] < 0:  # true is not a seed
         raise ValidationError(f"{path}: seed must be an unsigned integer")
     doc["_base_dir"] = os.path.dirname(os.path.abspath(path))
     return doc
@@ -65,23 +65,32 @@ def load_scenario(path):
 
 _REQUIRED = object()
 _KIND_NAMES = {float: "a number", int: "an integer", bool: "true or false",
-               dict: "a mapping", list: "a list"}
+               dict: "a mapping", list: "a list", str: "a string"}
 # kinds taken only as they are, never converted from another type
-_STRICT = {bool: bool, dict: dict, list: (list, tuple)}
+_STRICT = {bool: bool, dict: dict, list: (list, tuple), str: str}
 
 
 def _as(value, kind, where):
-    """``value`` as ``kind``; ``[kind]`` is a list whose items are each ``kind``."""
+    """``value`` as ``kind``: ``[kind]`` is a list of ``kind`` items, ``[[kind]]``
+    a rectangular matrix; an int must be a whole number."""
     if isinstance(kind, list):
         items = _as(value, list, where)
-        return [_as(v, kind[0], f"{where}[{i}]") for i, v in enumerate(items)]
+        out = [_as(v, kind[0], f"{where}[{i}]") for i, v in enumerate(items)]
+        for i, row in enumerate(out if isinstance(kind[0], list) else ()):
+            if len(row) != len(out[0]):
+                raise ValidationError(f"{where}[{i}]: expected {len(out[0])} entries "
+                                      f"like the first row, got {len(row)}")
+        return out
     if kind in _STRICT:
-        if isinstance(value, _STRICT[kind]):
-            return kind(value)
+        ok = isinstance(value, _STRICT[kind])
     else:
+        # an int must be whole: int() would read true as 1 and 2.7 as 2
+        ok = kind is not int or not (isinstance(value, bool) or (
+            isinstance(value, float) and not value.is_integer()))
+    if ok:
         try:
             return kind(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
     raise ValidationError(f"{where}: expected {_KIND_NAMES[kind]}, got {value!r}")
 
@@ -89,7 +98,7 @@ def _as(value, kind, where):
 def read(block, key, where, kind=None, default=_REQUIRED):
     """``block[key]`` read as ``kind`` (as is when None), or ``default`` when absent.
 
-    ``kind`` is float, int, bool, dict, list, or ``[kind]`` for a list of
+    ``kind`` is float, int, bool, dict, list, str, or ``[kind]`` for a list of
     items of that kind.  Any misfit raises ValidationError naming the field by
     its path, ``where.key``; without ``default`` the field is required.
     """
@@ -105,7 +114,7 @@ def read(block, key, where, kind=None, default=_REQUIRED):
 def resolve_path(base_dir, path):
     """``path`` relative to ``base_dir`` unless absolute; the file must exist."""
     full = path if os.path.isabs(path) else os.path.join(base_dir, path)
-    if not os.path.exists(full):
+    if not os.path.isfile(full):
         raise ValidationError(f"file does not exist: {full}")
     return full
 
@@ -119,7 +128,7 @@ def parse_posterior(block, base_dir="."):
         return GammaPosterior(read(block, "shape", "posterior", float),
                               read(block, "rate", "posterior", float))
     if kind == "samples":
-        path = resolve_path(base_dir, read(block, "path", "posterior"))
+        path = resolve_path(base_dir, read(block, "path", "posterior", str))
         return load_samples(path)
     raise ValidationError(f"posterior: unknown kind {kind!r}")
 
@@ -245,40 +254,35 @@ def parse_ensemble(block, base_dir="."):
     return ModelEnsemble(members, probs)
 
 
+def _data_rows(path):
+    """The comma-split rows of a data file, without blank and ``#`` comment lines."""
+    with open(path, errors="replace") as fh:  # bad bytes fail as bad cells
+        lines = [line.strip() for line in fh]
+    return [line.split(",") for line in lines if line and not line.startswith("#")]
+
+
 def load_vector_draws(path):
     """CSV of N value columns plus an optional trailing ``weight`` column."""
-    with open(path) as fh:
-        rows = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
+    rows = _data_rows(path)
+    header = None
+    try:
+        [float(v) for row in rows[:1] for v in row]
+    except ValueError:
+        header = [h.strip().lower() for h in rows.pop(0)]
     if not rows:
         raise ValidationError(f"{path}: no draws found")
-    header = None
-    first = rows[0].split(",")
-    try:
-        [float(v) for v in first]
-    except ValueError:
-        header = [h.strip() for h in first]
-        rows = rows[1:]
-    cells = [_as(r.split(","), [float], f"{path} data row {i + 1}")
-             for i, r in enumerate(rows)]
-    if len({len(c) for c in cells}) > 1:
-        raise ValidationError(f"{path}: data rows differ in length")
-    data = np.array(cells)
-    weights = None
-    if header is not None and header[-1].lower() == "weight":
-        weights = data[:, -1]
-        data = data[:, :-1]
-    return VectorPosterior(data, weights)
+    data = np.array(_as(rows, [[float]], f"{path} data rows"))
+    if header and header[-1] == "weight":
+        return VectorPosterior(data[:, :-1], data[:, -1])
+    return VectorPosterior(data)
 
 
 def load_correlation(block, base_dir="."):
     matrix = read(block, "matrix", "correlation", [[float]], None)
-    if matrix is not None:
-        return CorrelationMatrix(matrix)
-    path = resolve_path(base_dir, read(block, "path", "correlation"))
-    with open(path) as fh:
-        rows = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
-    return CorrelationMatrix([_as(r.split(","), [float], f"{path} data row {i + 1}")
-                              for i, r in enumerate(rows)])
+    if matrix is None:
+        path = resolve_path(base_dir, read(block, "path", "correlation", str))
+        matrix = _as(_data_rows(path), [[float]], f"{path} data rows")
+    return CorrelationMatrix(matrix)
 
 
 def parse_cost(block):

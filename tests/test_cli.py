@@ -437,6 +437,73 @@ class TestMalformedFields:
         assert "n_mc must be >= 1" in result.output
 
 
+DRAWS_CSV = "y0,y1\n0.1,0.2\n0.3,0.1\n-0.2,0.4\n0.5,-0.1\n"
+MULTIVAR = "multivar: {draws: {path: draws.csv}, correlation: %s}"
+
+
+class TestMalformedInputs:
+    """Ragged matrices, non-whole integers and bad files exit 2 without a traceback."""
+
+    @pytest.mark.parametrize("verb, text, files, message", [
+        ("compare-models", "model_choice: {models: [{log_likelihood: -1}, "
+                           "{log_likelihood: -2}], decision_table: [[0, 1], [1]]}", {},
+         "model_choice.decision_table[1]"),
+        ("multivar", MULTIVAR % "{matrix: [[1, 0.5], [0.5]]}", {}, "correlation.matrix[1]"),
+        ("multivar", MULTIVAR % "{path: corr.csv}", {"corr.csv": "1,0.5\n0.5\n"},
+         "corr.csv data rows[1]"),
+        ("voi", f"voi: {{{GKV}, n_mc: 2.7}}", {}, "voi.n_mc"),
+        ("voi", f"voi: {{{GKV}, n_mc: true}}", {}, "voi.n_mc"),
+        ("design-n", f"design: {{{GKV}, tau: 1.0, n_grid: [1.5]}}", {}, "design.n_grid[0]"),
+        ("design-n", f"design: {{{GKV}, tau: 1.0, n_grid: [1], cost: {{table: {{1.5: 1}}}}}}",
+         {}, "design.cost.table key"),
+        ("voi", f"voi: {{{GKV}, n_existing: -2}}", {}, "n_existing"),
+        ("voi", f"voi: {{{GKV}, params: {{prior_sd: .inf}}}}", {}, "prior_sd"),
+        ("predict", "seed: true\n" + GAUSS, {}, "seed"),
+        ("predict", "posterior: {kind: samples, path: 5}", {}, "posterior.path"),
+        ("predict", "posterior: {kind: samples, path: .}", {}, "file"),
+        ("predict", "posterior: {kind: samples, path: bin.txt}", {"bin.txt": b"\xff\xfe\x01"},
+         "bad sample line"),
+        ("multivar", "multivar: {draws: {path: head.csv}}", {"head.csv": "y0,weight\n"},
+         "no draws found"),
+        ("risk-curve", GAUSS + "risk_curve: {kappa_grid: [0, 1], action: .nan}", {},
+         "action must be finite"),
+    ], ids=["decision_table", "matrix", "correlation-file", "n_mc-fraction", "n_mc-bool",
+            "n_grid-fraction", "cost-key-fraction", "n_existing-negative", "prior_sd-inf",
+            "seed-bool", "path-number", "path-directory", "binary-draws", "header-only",
+            "action-nan"])
+    def test_exits_2(self, runner, tmp_path, verb, text, files, message):
+        write(tmp_path, "draws.csv", DRAWS_CSV)
+        for name, content in files.items():
+            path = tmp_path / name
+            path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content)
+        scenario = write(tmp_path, "s.yaml", text + "\n")
+        result = runner.invoke(main, [verb, "--scenario", scenario])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert "Traceback" not in result.output
+        assert message in result.output
+
+    def test_whole_float_is_an_integer(self, runner, tmp_path):
+        scenario = write(tmp_path, "s.yaml", f"voi: {{{GKV}, n_mc: 3.0}}\n")
+        result = runner.invoke(main, ["voi", "--scenario", scenario])
+        assert result.exit_code == 0, result.output
+        assert "n_mc     3\n" in result.output
+
+    def test_indented_comments_are_skipped(self, runner, tmp_path):
+        corr = "1,0.5\n0.5,1\n"
+        write(tmp_path, "draws.csv", DRAWS_CSV)
+        write(tmp_path, "corr.csv", corr)
+        write(tmp_path, "draws_c.csv", "  # a comment\n" + DRAWS_CSV + "\t# another\n")
+        write(tmp_path, "corr_c.csv", "   # a comment\n" + corr)
+        outputs = []
+        for draws, corr_file in (("draws.csv", "corr.csv"), ("draws_c.csv", "corr_c.csv")):
+            scenario = write(tmp_path, "s.yaml", "multivar: {draws: {path: %s}, "
+                             "correlation: {path: %s}}\n" % (draws, corr_file))
+            result = runner.invoke(main, ["multivar", "--scenario", scenario])
+            assert result.exit_code == 0, result.output
+            outputs.append(result.output)
+        assert outputs[0] == outputs[1]
+
+
 def _run_python(args, **kwargs):
     """Run a fresh interpreter that imports this checkout's package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(bayesdecide.__file__)))

@@ -201,3 +201,7 @@ class TestEstimateCorrelation:
         x = rng.normal(size=100)
         with pytest.raises(ValidationError):
             estimate_correlation(np.column_stack([x, x]))
+
+    def test_single_coordinate(self):
+        draws = np.random.default_rng(2).normal(size=(50, 1))
+        assert estimate_correlation(draws).entries.tolist() == [[1.0]]

@@ -8,6 +8,7 @@ from bayesdecide import (GammaPosterior, GaussianPosterior, LossSpec,
                          Weight, compose, epl, lower_envelope, minimax,
                          minimax_posterior, optimize, optimize_functional,
                          tail_risk_curve, threshold_rule)
+from bayesdecide.losses import CustomPotentialDensity
 
 Z97 = 1.8807936081512495
 
@@ -125,7 +126,7 @@ class TestNumericAgreement:
         post = SamplePosterior([0.0, 1.0])
         bad = compose(LossSpec.sel())
         evil = type(bad)(bad.spec, lambda a, y: np.asarray(-a + 0 * y, dtype=float),
-                         True, True, False)
+                         True, False)
         with pytest.raises(NumericError):
             optimize(evil, post, force_numeric=True)
 
@@ -277,3 +278,43 @@ class TestThresholdRule:
 
     def test_far_above(self):
         assert threshold_rule(GaussianPosterior(0, 1), 2.0) == "no"
+
+
+class TestOneHomePins:
+    """The draw EPL, weighted SEL and risk curves each have a single code path."""
+
+    CLOUD = SamplePosterior(np.random.default_rng(8).lognormal(0.3, 0.5, 500),
+                            np.random.default_rng(9).uniform(0.5, 1.5, 500))
+
+    @pytest.mark.parametrize("spec", [LossSpec.sel(), LossSpec.mtc(0.5), LossSpec.qtl(0.8),
+                                      LossSpec.linex(0.7), LossSpec.pwd(0.5),
+                                      LossSpec.sum_of(LossSpec.qtl(0.3), LossSpec.linex(-1))])
+    def test_epl_on_draws_is_the_weighted_sum(self, spec):
+        post, lossfn = self.CLOUD, compose(spec)
+        for a in (0.4, 1.3, 3.0):
+            assert epl(spec, post, a) == float(np.dot(post.weights, lossfn(a, post.values)))
+
+    def test_weighted_sel_on_draws_matches_reweight(self):
+        w = Weight.power(0.5)
+        d = optimize(LossSpec.weighted(w, LossSpec.sel()), self.CLOUD)
+        assert d.method.name == "reweighted_mean"
+        expected = self.CLOUD.reweight(w.fn).moments()[0]
+        assert d.action == pytest.approx(expected, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("spec", [
+        LossSpec.qtl(0.9), LossSpec.linex(1.2),
+        LossSpec.weighted(Weight.exp(0.3), LossSpec.qtl(0.2)),
+        # a user pdf sees the 2-d (actions x kappas) grid
+        LossSpec.potential(CustomPotentialDensity(lambda u: 1.0 / (1.0 + np.asarray(u) ** 2))),
+    ], ids=["qtl", "linex", "weighted", "custom-ptl"])
+    @pytest.mark.parametrize("post", [GaussianPosterior(1.0, 1.3), GammaPosterior(3.0, 1.2),
+                                      CLOUD], ids=["gaussian", "gamma", "draws"])
+    def test_risk_curves_match_the_per_kappa_formulas(self, spec, post):
+        lossfn = compose(spec)
+        kappas = np.linspace(-2.0, 6.0, 17)
+        actions = np.linspace(-1.0, 5.0, 13)
+        curve = [(float(k), post.tail_prob(k), float(lossfn(1.37, k))) for k in kappas]
+        env = [(float(k), post.tail_prob(k), float(np.min(lossfn(actions, float(k)))))
+               for k in kappas]
+        assert list(tail_risk_curve(spec, post, 1.37, kappas).points) == curve
+        assert list(lower_envelope(spec, post, kappas, actions).points) == env

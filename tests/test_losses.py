@@ -158,13 +158,9 @@ class TestCompose:
             LossSpec(compose="sum", components=())
 
     def test_metadata_conservative(self):
-        assert compose(LossSpec.sel()).symmetric
         assert compose(LossSpec.sel()).differentiable
-        assert not compose(LossSpec.qtl(0.9)).symmetric
         assert not compose(LossSpec.sum_of(LossSpec.sel(), LossSpec.zero_one())).differentiable
-        assert not compose(LossSpec.weighted(Weight.identity(), LossSpec.sel())).symmetric
         assert compose(LossSpec.sum_of(LossSpec.sel(), LossSpec.linex(1))).differentiable
-        assert not compose(LossSpec.sum_of(LossSpec.sel(), LossSpec.linex(1))).symmetric
         assert compose(LossSpec.gam(1, 2)).positive_domain
         sum_with_gam = LossSpec.sum_of(LossSpec.sel(), LossSpec.gam(1, 2))
         assert compose(sum_with_gam).positive_domain

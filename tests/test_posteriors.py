@@ -230,3 +230,12 @@ class TestSampleFile:
         path.write_text("1.0\noops\n")
         with pytest.raises(ValidationError, match="2"):
             load_samples(path)
+
+    def test_unweighted_file_is_an_unweighted_cloud(self, tmp_path):
+        values = [2.0, -0.0, 1.0, 0.0, 2.0, -3.5]
+        path = tmp_path / "draws.txt"
+        path.write_text("  # indented comment\n" + "\n".join(map(repr, values)) + "\n")
+        post = load_samples(path)
+        ref = SamplePosterior(values, [1.0] * len(values))
+        assert post.values.tobytes() == ref.values.tobytes()
+        assert post.weights.tobytes() == ref.weights.tobytes()
