@@ -41,13 +41,14 @@ class CalibrationTarget:
         if (self.gaussian_multiple is None) == (self.tail_mass is None):
             raise ValidationError(
                 "supply exactly one of gaussian_multiple / tail_mass")
-        if not self.posterior_sd > 0:
-            raise ValidationError(f"posterior sd must be > 0, got {self.posterior_sd!r}")
+        if not 0 < self.posterior_sd < math.inf:
+            raise ValidationError(
+                f"posterior sd must be finite and > 0, got {self.posterior_sd!r}")
         if self.tail_mass is not None and not (0.0 < self.tail_mass < 1.0):
             raise ValidationError(f"tail mass must lie in (0, 1), got {self.tail_mass!r}")
-        if self.gaussian_multiple is not None and not self.gaussian_multiple > 0:
+        if self.gaussian_multiple is not None and not 0 < self.gaussian_multiple < math.inf:
             raise ValidationError(
-                f"gaussian multiple must be > 0, got {self.gaussian_multiple!r}")
+                f"gaussian multiple must be finite and > 0, got {self.gaussian_multiple!r}")
 
     def multiple(self):
         if self.gaussian_multiple is not None:

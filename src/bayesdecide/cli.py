@@ -130,6 +130,11 @@ def predict(scenario_path, out_dir, seed, fmt):
     _emit_decision(fmt, decision, doc["seed"], out_dir, "predict.csv")
 
 
+def _labelled(labels, values):
+    """``label=value`` pairs, each value printed as the repr of a Python float."""
+    return " ".join(f"{label}={float(v)!r}" for label, v in zip(labels, values))
+
+
 @main.command("compare-models")
 @_common_options
 def compare_models(scenario_path, out_dir, seed, fmt):
@@ -139,15 +144,13 @@ def compare_models(scenario_path, out_dir, seed, fmt):
     post = mc_mod.posterior_models(ev)
     baf = mc_mod.choose_baf(ev)
     rows = [
-        ("posterior", " ".join(f"{l}={p!r}" for l, p in
-                               zip(ev.labels, post.probabilities))),
+        ("posterior", _labelled(ev.labels, post.probabilities)),
         ("choice_bayes_factor", ev.labels[baf]),
     ]
     csv_rows = [(ev.labels[k], post.probabilities[k], "", "") for k in range(ev.m)]
     if table is not None:
         choice, epl_vec = mc_mod.choose_epl(ev, table)
-        rows.append(("epl_vector", " ".join(f"{l}={v!r}" for l, v in
-                                            zip(ev.labels, epl_vec))))
+        rows.append(("epl_vector", _labelled(ev.labels, epl_vec)))
         rows.append(("choice_decision_table", ev.labels[choice]))
         csv_rows = [(ev.labels[k], post.probabilities[k], float(epl_vec[k]),
                      ev.labels[choice]) for k in range(ev.m)]

@@ -63,13 +63,11 @@ class CostFunction:
     table: Optional[dict] = None
 
     def __post_init__(self):
-        if self.c0 < 0 or self.per_unit < 0:
-            raise ValidationError("costs must be nonnegative")
-        if self.table is not None:
-            ns = sorted(self.table)
-            vals = [self.table[n] for n in ns]
-            if any(b < a for a, b in zip(vals, vals[1:])):
-                raise ValidationError("cost table must be nondecreasing in n")
+        if not (0 <= self.c0 < math.inf and 0 <= self.per_unit < math.inf):
+            raise ValidationError("costs must be finite and nonnegative")
+        vals = [self.table[n] for n in sorted(self.table or {})]
+        if not all(map(math.isfinite, vals)) or any(b < a for a, b in zip(vals, vals[1:])):
+            raise ValidationError("cost table must be finite and nondecreasing in n")
 
     def __call__(self, n):
         if self.table is not None:
@@ -170,8 +168,8 @@ def optimal_sample_size(model, loss, tau, cost, n_grid, n_mc, seed):
         raise ValidationError("n_grid must be nonempty")
     if any(n < 0 for n in ns):
         raise ValidationError("sample sizes must be >= 0")
-    if not tau > 0:
-        raise ValidationError(f"tau must be > 0, got {tau!r}")
+    if not 0 < tau < math.inf:
+        raise ValidationError(f"tau must be finite and > 0, got {tau!r}")
     losses = _joint_losses(model, loss, ns, n_mc, seed, max(ns))
     curve = []
     for n, row in zip(ns, losses):

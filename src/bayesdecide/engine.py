@@ -301,12 +301,12 @@ def _closed_form(spec, post):
         return action(post, spec.params), name
     if spec.compose == "weighted":
         base = spec.components[0]
-        if base.family == "GAM" and spec.weight.name == "identity":
+        w = spec.params["weight"]
+        if base.family == "GAM" and w.name == "identity":
             return post.moments()[0], "posterior_mean"
         if _loss_key(base) == "SEL":
-            w = spec.weight.fn
-            num = post.expect(lambda y: w(np.asarray(y, dtype=float)) * y)
-            den = post.expect(lambda y: w(np.asarray(y, dtype=float)))
+            num = post.expect(lambda y: w.fn(np.asarray(y, dtype=float)) * y)
+            den = post.expect(lambda y: w.fn(np.asarray(y, dtype=float)))
             if den <= 0:
                 raise NumericError("weight function has nonpositive posterior mass")
             return num / den, "reweighted_mean"

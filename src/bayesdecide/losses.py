@@ -7,13 +7,18 @@ Families
 - ``ZERO_ONE``      I(a != y), the rho -> 0+ limit of MTC
 - ``QTL(q)``        (a - y)(I(a - y > 0) - q), pinball loss, q in (0, 1)
 - ``LNX(psi)``      exp{psi(a - y)} - psi(a - y) - 1, psi != 0
-- ``PTL(omega)``    potential loss of a bounded density; the generalized
+- ``PTL(density)``  potential loss of a bounded density; the generalized
                     Gaussian member equals |a - y|^omega exactly
 - ``PWD(lam)``      y * phi_lam(a / y), ratio-based power-divergence, a, y > 0
 - ``GAM(alpha,nu)`` (nu - 1)[(a/y) - 1 - log(a/y)], ratio-based, a, y > 0
 
-Compositions: weighted(w), sum, product, power(p), exp_minus_one.
+Compositions: weighted(weight), sum, product, power(p), exp_minus_one.
 A composed loss is marked differentiable only when every part is.
+
+Two tables, ``_FAMILIES`` and ``_COMPOSITIONS``, give each family and
+composition one row: parameter names, evaluator and metadata.  ``_RANGES``
+states each parameter's range once.  A ``LossSpec`` is checked against its
+row when it is built, so ``compose`` only looks rows up.
 
 Evaluators are vectorized over y so expected-loss sums over large sample
 clouds stay cheap.
@@ -21,7 +26,10 @@ clouds stay cheap.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -32,14 +40,41 @@ from .errors import NumericError, ValidationError
 
 EXP_LIMIT = 700.0  # beyond this exp() overflows a double
 
-# each leaf family and the parameters its spec must carry
-_FAMILIES = {"MTC": ("rho",), "SEL": (), "ZERO_ONE": (), "QTL": ("q",),
-             "LNX": ("psi",), "PTL": (), "PWD": ("lam",), "GAM": ("alpha", "nu")}
-_COMPOSITIONS = {"weighted", "sum", "product", "power", "exp_minus_one"}
-
 # Switch to the analytic limit formulas near the removable singularities
 # of (lam * (lam + 1))^-1.
 _PWD_LIMIT_TOL = 1e-6
+
+# parameter name -> (test, rule text): each parameter's range, stated once
+_RANGES = {
+    "rho": (lambda v: math.isfinite(v) and v > 0, "be > 0"),
+    "q": (lambda v: math.isfinite(v) and 0.0 < v < 1.0, "lie in (0, 1)"),
+    "psi": (lambda v: math.isfinite(v) and v != 0, "be finite and nonzero"),
+    "lam": (math.isfinite, "be finite"),
+    "alpha": (lambda v: math.isfinite(v) and v > 0, "be > 0"),
+    "nu": (lambda v: math.isfinite(v) and v > 1, "be > 1"),
+    "omega": (lambda v: math.isfinite(v) and v > 0, "be > 0"),
+    "p": (lambda v: math.isfinite(v) and v > 0, "be > 0"),
+    "density": (lambda d: callable(getattr(d, "neg_log_ratio", None)),
+                "be a potential density"),
+    "weight": (lambda w: isinstance(w, Weight), "be a Weight"),
+}
+
+
+def _check(**values):
+    """Raise ValidationError unless each named parameter lies in its range."""
+    for name, value in values.items():
+        test, rule = _RANGES[name]
+        if not test(value):
+            raise ValidationError(f"{name} must {rule}, got {value!r}")
+
+
+def _ratio(family, a, y):
+    """(y, a / y) as float arrays; the ratio families need a > 0 and y > 0."""
+    a = np.asarray(a, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.any(a <= 0) or np.any(y <= 0):
+        raise ValidationError(f"{family} loss requires a > 0 and y > 0")
+    return y, a / y
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +83,7 @@ _PWD_LIMIT_TOL = 1e-6
 
 def eval_mtc(rho, a, y):
     """|a - y|^rho."""
-    if not (np.isfinite(rho) and rho > 0):
-        raise ValidationError(f"rho must be > 0, got {rho!r}")
+    _check(rho=rho)
     return np.abs(np.asarray(a) - y) ** rho
 
 
@@ -60,16 +94,14 @@ def eval_zero_one(a, y):
 
 def eval_qtl(q, a, y):
     """(a - y)(I(a - y > 0) - q): the pinball loss."""
-    if not (np.isfinite(q) and 0.0 < q < 1.0):
-        raise ValidationError(f"q must lie in (0, 1), got {q!r}")
+    _check(q=q)
     d = np.asarray(a, dtype=float) - y
     return d * ((d > 0).astype(float) - q)
 
 
 def eval_linex(psi, a, y):
     """exp{psi(a - y)} - psi(a - y) - 1."""
-    if psi == 0 or not np.isfinite(psi):
-        raise ValidationError(f"psi must be finite and nonzero, got {psi!r}")
+    _check(psi=psi)
     u = psi * (np.asarray(a, dtype=float) - y)
     if np.max(u, initial=-np.inf) > EXP_LIMIT:
         raise NumericError(
@@ -86,8 +118,7 @@ class GeneralizedGaussian:
     omega: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.omega) and self.omega > 0):
-            raise ValidationError(f"omega must be > 0, got {self.omega!r}")
+        _check(omega=self.omega)
 
     def neg_log_ratio(self, u):
         # -log f(u) + log f(0) collapses to |u|^omega exactly
@@ -98,19 +129,17 @@ class GeneralizedGaussian:
 class CustomPotentialDensity:
     """A user-supplied bounded density for potential losses.
 
-    The mode-at-zero requirement f(u) <= f(0) is spot-checked on a grid
-    at construction.
+    The mode-at-zero requirement f(u) <= f(0) is spot-checked at
+    construction on 401 points over [-20, 20].
     """
 
     pdf: Callable[[np.ndarray], np.ndarray]
-    check_grid: tuple = tuple(np.linspace(-20.0, 20.0, 401))
 
     def __post_init__(self):
-        grid = np.asarray(self.check_grid)
         f0 = float(self.pdf(np.zeros(1))[0])
         if f0 <= 0:
             raise ValidationError("potential density must satisfy f(0) > 0")
-        if np.any(np.asarray(self.pdf(grid)) > f0 * (1 + 1e-12)):
+        if np.any(np.asarray(self.pdf(np.linspace(-20.0, 20.0, 401))) > f0 * (1 + 1e-12)):
             raise ValidationError("potential density must satisfy f(u) <= f(0)")
 
     def neg_log_ratio(self, u):
@@ -135,13 +164,9 @@ def _phi_lam(lam, r):
 
 def eval_pwd(lam, a, y):
     """y * phi_lam(a / y): ratio-based power-divergence loss, a, y > 0."""
-    if not np.isfinite(lam):
-        raise ValidationError(f"lambda must be finite, got {lam!r}")
-    a = np.asarray(a, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(a <= 0) or np.any(y <= 0):
-        raise ValidationError("PWD loss requires a > 0 and y > 0")
-    return y * _phi_lam(lam, a / y)
+    _check(lam=lam)
+    y, r = _ratio("PWD", a, y)
+    return y * _phi_lam(lam, r)
 
 
 def eval_gam(alpha, nu, a, y):
@@ -150,35 +175,66 @@ def eval_gam(alpha, nu, a, y):
     The simplified closed form is used; ``gam_definitional`` retains the
     log-density-ratio definition as a cross-check.
     """
-    _check_gam_params(alpha, nu)
-    a = np.asarray(a, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(a <= 0) or np.any(y <= 0):
-        raise ValidationError("GAM loss requires a > 0 and y > 0")
-    r = a / y
+    _check(alpha=alpha, nu=nu)
+    _, r = _ratio("GAM", a, y)
     return (nu - 1.0) * (r - 1.0 - np.log(r))
 
 
 def gam_definitional(alpha, nu, a, y):
     """GAM loss from the gamma log-density ratio at its mode; cross-check only."""
-    _check_gam_params(alpha, nu)
-    a = np.asarray(a, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(a <= 0) or np.any(y <= 0):
-        raise ValidationError("GAM loss requires a > 0 and y > 0")
+    _check(alpha=alpha, nu=nu)
+    _, r = _ratio("GAM", a, y)
 
     def log_density(x):
         return -alpha * x + (nu - 1.0) * np.log(x) - (gammaln(nu) - nu * math.log(alpha))
 
     x0 = (nu - 1.0) / alpha
-    return log_density(x0) - log_density(x0 * (a / y))
+    return log_density(x0) - log_density(x0 * r)
 
 
-def _check_gam_params(alpha, nu):
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise ValidationError(f"alpha must be > 0, got {alpha!r}")
-    if not (np.isfinite(nu) and nu > 1):
-        raise ValidationError(f"nu must be > 1, got {nu!r}")
+def _weighted(parts, weight, a, y):
+    """w(y) * L(a, y) for a weight function that must be finite and > 0."""
+    wy = np.asarray(weight.fn(np.asarray(y, dtype=float)), dtype=float)
+    if np.any(~np.isfinite(wy)) or np.any(wy <= 0):
+        raise ValidationError("loss weight function must be finite and > 0")
+    return wy * parts[0](a, y)
+
+
+# ---------------------------------------------------------------------------
+# the two tables
+
+_Family = namedtuple("_Family", "params evaluate differentiable positive_domain")
+_Composition = namedtuple("_Composition", "count params evaluate differentiable")
+_ALWAYS, _NEVER = (lambda prm: True), (lambda prm: False)
+
+# family -> (parameter names in evaluator order, evaluate(*params, a, y),
+#            differentiable(params), positive_domain)
+_FAMILIES = {
+    "MTC": _Family(("rho",), eval_mtc, lambda prm: prm["rho"] > 1, False),
+    "SEL": _Family((), functools.partial(eval_mtc, 2.0), _ALWAYS, False),
+    "ZERO_ONE": _Family((), eval_zero_one, _NEVER, False),
+    "QTL": _Family(("q",), eval_qtl, _NEVER, False),
+    "LNX": _Family(("psi",), eval_linex, _ALWAYS, False),
+    "PTL": _Family(("density",), eval_potential, lambda prm: isinstance(
+        prm["density"], GeneralizedGaussian) and prm["density"].omega > 1, False),
+    "PWD": _Family(("lam",), eval_pwd, _ALWAYS, True),
+    "GAM": _Family(("alpha", "nu"), eval_gam, _ALWAYS, True),
+}
+
+# composition -> (component count, None for one or more; parameter names;
+#                 evaluate(parts, *params, a, y); differentiable(params) when
+#                 every part is)
+_COMPOSITIONS = {
+    "weighted": _Composition(1, ("weight",), _weighted, _ALWAYS),
+    "sum": _Composition(None, (), lambda parts, a, y: sum(p(a, y) for p in parts), _ALWAYS),
+    "product": _Composition(None, (), lambda parts, a, y: functools.reduce(
+        operator.mul, (p(a, y) for p in parts)), _ALWAYS),
+    # (L)^p with p < 1 has an unbounded derivative where L = 0
+    "power": _Composition(1, ("p",), lambda parts, p, a, y: parts[0](a, y) ** p,
+                          lambda prm: prm["p"] >= 1),
+    "exp_minus_one": _Composition(1, (), lambda parts, a, y: np.expm1(parts[0](a, y)),
+                                  _ALWAYS),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -211,33 +267,37 @@ class Weight:
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Declarative description of a loss: a family leaf or a composition."""
+    """Declarative description of a loss: a family leaf or a composition.
+
+    Built only when ``params`` holds exactly its row's parameters, each in
+    range, and ``components`` has the row's count (none for a family).
+    """
 
     family: Optional[str] = None
     params: dict = field(default_factory=dict)
     compose: Optional[str] = None
     components: tuple = ()
-    weight: Optional[Weight] = None
-    density: object = None
 
     def __post_init__(self):
         if (self.family is None) == (self.compose is None):
             raise ValidationError("spec must set exactly one of family / compose")
-        if self.family is not None:
-            if self.family not in _FAMILIES:
-                raise ValidationError(f"unknown loss family {self.family!r}")
-            missing = [k for k in _FAMILIES[self.family] if k not in self.params]
-            if missing:
-                raise ValidationError(
-                    f"{self.family} loss is missing parameter "
-                    + ", ".join(repr(k) for k in missing))
-        if self.compose is not None:
-            if self.compose not in _COMPOSITIONS:
-                raise ValidationError(f"unknown composition {self.compose!r}")
-            if len(self.components) == 0:
-                raise ValidationError("composition must have at least one component")
-            if self.compose == "weighted" and self.weight is None:
-                raise ValidationError("weighted composition requires a Weight")
+        leaf = self.family is not None
+        kind = self.family if leaf else self.compose
+        row = (_FAMILIES if leaf else _COMPOSITIONS).get(kind)
+        if row is None:
+            what = "loss family" if leaf else "composition"
+            raise ValidationError(f"unknown {what} {kind!r}")
+        for fault, names in (("is missing", [k for k in row.params if k not in self.params]),
+                             ("takes no", [k for k in self.params if k not in row.params])):
+            if names:
+                raise ValidationError(f"{kind} loss {fault} parameter "
+                                      + ", ".join(repr(k) for k in names))
+        _check(**self.params)
+        want = 0 if leaf else row.count  # None: one or more
+        n = len(self.components)
+        if (n == 0) if want is None else (n != want):
+            want = "one or more" if want is None else want
+            raise ValidationError(f"{kind} loss takes {want} component(s), got {n}")
 
     # convenience constructors ------------------------------------------------
 
@@ -263,7 +323,7 @@ class LossSpec:
 
     @staticmethod
     def potential(density):
-        return LossSpec(family="PTL", density=density)
+        return LossSpec(family="PTL", params={"density": density})
 
     @staticmethod
     def pwd(lam):
@@ -275,7 +335,7 @@ class LossSpec:
 
     @staticmethod
     def weighted(weight, base):
-        return LossSpec(compose="weighted", components=(base,), weight=weight)
+        return LossSpec(compose="weighted", components=(base,), params={"weight": weight})
 
     @staticmethod
     def sum_of(*parts):
@@ -287,8 +347,6 @@ class LossSpec:
 
     @staticmethod
     def power_of(base, p):
-        if not (np.isfinite(p) and p > 0):
-            raise ValidationError(f"power must be > 0, got {p!r}")
         return LossSpec(compose="power", components=(base,), params={"p": float(p)})
 
     @staticmethod
@@ -311,91 +369,17 @@ class LossFunction:
 
 
 def compose(spec):
-    """Build a ``LossFunction`` from a ``LossSpec``."""
+    """Build a ``LossFunction`` from a ``LossSpec`` through its table row."""
     if isinstance(spec, LossFunction):
         return spec
+    prm = spec.params
     if spec.family is not None:
-        return _compose_leaf(spec)
+        row = _FAMILIES[spec.family]
+        evaluate = functools.partial(row.evaluate, *(prm[k] for k in row.params))
+        return LossFunction(spec, evaluate, row.differentiable(prm), row.positive_domain)
+    row = _COMPOSITIONS[spec.compose]
     parts = [compose(c) for c in spec.components]
-    if spec.compose == "weighted":
-        w = spec.weight
-        base = parts[0]
-
-        def ev(a, y, _w=w.fn, _b=base):
-            wy = np.asarray(_w(np.asarray(y, dtype=float)), dtype=float)
-            if np.any(~np.isfinite(wy)) or np.any(wy <= 0):
-                raise ValidationError("loss weight function must be finite and > 0")
-            return wy * _b(a, y)
-
-        return LossFunction(spec, ev, differentiable=base.differentiable,
-                            positive_domain=base.positive_domain)
-    if spec.compose == "sum":
-        def ev(a, y, _parts=parts):
-            return sum(p(a, y) for p in _parts)
-    elif spec.compose == "product":
-        def ev(a, y, _parts=parts):
-            out = _parts[0](a, y)
-            for p in _parts[1:]:
-                out = out * p(a, y)
-            return out
-    elif spec.compose == "power":
-        p_exp = spec.params["p"]
-
-        def ev(a, y, _b=parts[0], _p=p_exp):
-            return _b(a, y) ** _p
-    else:  # exp_minus_one
-        def ev(a, y, _b=parts[0]):
-            return np.expm1(_b(a, y))
-
-    differentiable = all(p.differentiable for p in parts)
-    if spec.compose == "power" and spec.params["p"] < 1:
-        # (L)^p with p < 1 has an unbounded derivative where L = 0
-        differentiable = False
-    positive_domain = any(p.positive_domain for p in parts)
-    return LossFunction(spec, ev, differentiable, positive_domain)
-
-
-def _compose_leaf(spec):
-    fam, prm = spec.family, spec.params
-    if fam == "SEL":
-        return LossFunction(spec, lambda a, y: eval_mtc(2.0, a, y),
-                            differentiable=True, positive_domain=False)
-    if fam == "MTC":
-        rho = prm["rho"]
-        if not (np.isfinite(rho) and rho > 0):
-            raise ValidationError(f"rho must be > 0, got {rho!r}")
-        return LossFunction(spec, lambda a, y: eval_mtc(rho, a, y),
-                            differentiable=rho > 1, positive_domain=False)
-    if fam == "ZERO_ONE":
-        return LossFunction(spec, eval_zero_one, differentiable=False,
-                            positive_domain=False)
-    if fam == "QTL":
-        q = prm["q"]
-        if not (np.isfinite(q) and 0.0 < q < 1.0):
-            raise ValidationError(f"q must lie in (0, 1), got {q!r}")
-        return LossFunction(spec, lambda a, y: eval_qtl(q, a, y),
-                            differentiable=False, positive_domain=False)
-    if fam == "LNX":
-        psi = prm["psi"]
-        if psi == 0 or not np.isfinite(psi):
-            raise ValidationError(f"psi must be finite and nonzero, got {psi!r}")
-        return LossFunction(spec, lambda a, y: eval_linex(psi, a, y),
-                            differentiable=True, positive_domain=False)
-    if fam == "PTL":
-        density = spec.density
-        if density is None:
-            raise ValidationError("PTL spec requires a density")
-        differentiable = isinstance(density, GeneralizedGaussian) and density.omega > 1
-        return LossFunction(spec, lambda a, y: eval_potential(density, a, y),
-                            differentiable=differentiable, positive_domain=False)
-    if fam == "PWD":
-        lam = prm["lam"]
-        if not np.isfinite(lam):
-            raise ValidationError(f"lambda must be finite, got {lam!r}")
-        return LossFunction(spec, lambda a, y: eval_pwd(lam, a, y),
-                            differentiable=True, positive_domain=True)
-    # GAM, the last family LossSpec admits
-    alpha, nu = prm["alpha"], prm["nu"]
-    _check_gam_params(alpha, nu)
-    return LossFunction(spec, lambda a, y: eval_gam(alpha, nu, a, y),
-                        differentiable=True, positive_domain=True)
+    evaluate = functools.partial(row.evaluate, parts, *(prm[k] for k in row.params))
+    return LossFunction(spec, evaluate,
+                        row.differentiable(prm) and all(p.differentiable for p in parts),
+                        any(p.positive_domain for p in parts))

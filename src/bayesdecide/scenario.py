@@ -5,11 +5,12 @@ names mirror the library's types.  Blocks:
 
 ``posterior``      {kind: gaussian, mean, sd} | {kind: gamma, shape, rate}
                    | {kind: samples, path}
-``loss``           {family, params} leaf or a composition:
-                   {compose: sum|product, components: [...]},
+``loss``           {family, params} leaf (PTL takes params: {omega}, the
+                   generalized Gaussian exponent) or a composition:
+                   {compose: sum|product, components: [...]}, or one of
                    {compose: weighted, weight: {name: identity|power|exp, ...}, base: ...},
                    {compose: power, p: ..., base: ...},
-                   {compose: exp_minus_one, base: ...}
+                   {compose: exp_minus_one, base: ...}, each with exactly one base
 ``functional``     optional g(Y): {name: square|exp|indicator_above|affine, ...}
 ``model_choice``   models: [{label, log_likelihood, prior}], optional
                    decision_table (row-major)
@@ -18,12 +19,11 @@ names mirror the library's types.  Blocks:
 ``risk_curve``     action (optional), kappa_grid, a_grid
 ``design``         template, params, tau, cost: {c0, per_unit}, n_grid, n_mc
 ``voi``            template, params, n_existing, n_extra, n_mc
-``calibrate``      prevention_share | gaussian_multiple | tail_mass, sigma,
-                   paper_exact
+``calibrate``      prevention_share | gaussian_multiple, sigma, paper_exact
 ``seed``           unsigned integer, defaults to DEFAULT_SEED
 
-Integer fields take whole numbers only (never true/false), and every
-matrix, inline or read from a file, must be rectangular.
+Number fields never take true/false, integer fields take whole numbers
+only, and every matrix, inline or read from a file, must be rectangular.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .bma import EnsembleMember, ModelEnsemble
 from .design import CostFunction, beta_bernoulli, gaussian_known_variance
 from .eigen import CorrelationMatrix, VectorPosterior
 from .errors import ValidationError
-from .losses import LossSpec, Weight
+from .losses import GeneralizedGaussian, LossSpec, Weight
 from .model_choice import DecisionTable, ModelEvidence
 from .posteriors import GammaPosterior, GaussianPosterior, load_samples
 
@@ -84,8 +84,9 @@ def _as(value, kind, where):
     if kind in _STRICT:
         ok = isinstance(value, _STRICT[kind])
     else:
-        # an int must be whole: int() would read true as 1 and 2.7 as 2
-        ok = kind is not int or not (isinstance(value, bool) or (
+        # no number is true or false, and an int must be whole: float() would
+        # read true as 1.0, int() would read 2.7 as 2
+        ok = not isinstance(value, bool) and (kind is not int or not (
             isinstance(value, float) and not value.is_integer()))
     if ok:
         try:
@@ -145,28 +146,22 @@ def parse_weight(block):
 
 
 def parse_loss(block):
-    kind = read(block, "compose", "loss", default=None)
+    kind = read(block, "compose", "loss", str, None)
     if kind is not None:
         if kind in ("sum", "product"):
-            comps = tuple(parse_loss(c) for c in read(block, "components", "loss", list))
-            return LossSpec(compose=kind, components=comps)
-        if kind == "weighted":
-            base = parse_loss(read(block, "base", "loss"))
-            weight = parse_weight(read(block, "weight", "loss"))
-            return LossSpec.weighted(weight, base)
-        if kind == "power":
-            base = parse_loss(read(block, "base", "loss"))
-            return LossSpec.power_of(base, read(block, "p", "loss", float))
-        if kind == "exp_minus_one":
-            return LossSpec.exp_minus_one(parse_loss(read(block, "base", "loss")))
-        raise ValidationError(f"loss: unknown composition {kind!r}")
+            key, parts = "components", read(block, "components", "loss", list)
+        else:  # one base; without it, LossSpec names an unknown kind or the count
+            key, parts = "base", [block["base"]] if "base" in block else []
+        params = {k: parse_weight(v) if k == "weight" else read(block, k, "loss", float)
+                  for k, v in block.items() if k not in ("compose", key)}
+        return LossSpec(compose=kind, components=tuple(map(parse_loss, parts)),
+                        params=params)
     family = str(read(block, "family", "loss")).upper()
-    params = read(block, "params", "loss", dict, {})
-    if family == "PTL":
-        from .losses import GeneralizedGaussian
-        omega = read(params, "omega", "loss.params", float)
-        return LossSpec.potential(GeneralizedGaussian(omega))
-    params = {k: read(params, k, "loss.params", float) for k in params}
+    raw = read(block, "params", "loss", dict, {})
+    params = {k: read(raw, k, "loss.params", float) for k in raw}
+    if family == "PTL":  # a scenario names the generalized Gaussian density by omega
+        params["density"] = GeneralizedGaussian(read(params, "omega", "loss.params"))
+        del params["omega"]
     return LossSpec(family=family, params=params)
 
 

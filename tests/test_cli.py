@@ -543,3 +543,124 @@ loss: {family: LNX, params: {psi: -2.0}}
                                     "print('scipy.stats' in sys.modules)"])
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+
+_SEL = "{family: SEL}"
+_QTL = "{family: QTL, params: {q: 0.7}}"
+_LNX = "{family: LNX, params: {psi: 0.2}}"
+_POWER = "{compose: power, p: 1.5, base: {family: MTC, params: {rho: 1}}}"
+_WEIGHTED = "{compose: weighted, weight: {name: power, p: 0.5}, base: %s}"
+_EXPM1 = "{compose: exp_minus_one, base: %s}" % _LNX
+
+
+def _library_specs():
+    from bayesdecide import GeneralizedGaussian, LossSpec as L, Weight
+    power = L.power_of(L.mtc(1), 1.5)
+    weighted = L.weighted(Weight.power(0.5), L.sel())
+    expm1 = L.exp_minus_one(L.linex(0.2))
+    return {
+        "sum": L.sum_of(L.qtl(0.7), L.linex(0.2)),
+        "product": L.product_of(L.potential(GeneralizedGaussian(1.5)), L.gam(1, 2)),
+        "weighted": L.weighted(Weight.power(0.5), L.mtc(1.5)),
+        "power": power,
+        "exp_minus_one": expm1,
+        "nested": L.sum_of(L.qtl(0.7), power, weighted, expm1),
+    }
+
+
+class TestYamlCompositions:
+    """A composition read from YAML predicts exactly what the same spec built
+    with the static constructors does."""
+
+    YAML = {
+        "sum": "{compose: sum, components: [%s, %s]}" % (_QTL, _LNX),
+        "product": "{compose: product, components: [{family: PTL, params: {omega: 1.5}}, "
+                   "{family: GAM, params: {alpha: 1, nu: 2}}]}",
+        "weighted": _WEIGHTED % "{family: MTC, params: {rho: 1.5}}",
+        "power": _POWER,
+        "exp_minus_one": _EXPM1,
+        "nested": "{compose: sum, components: [%s, %s, %s, %s]}" % (
+            _QTL, _POWER, _WEIGHTED % _SEL, _EXPM1),
+    }
+
+    @pytest.mark.parametrize("name", list(YAML))
+    def test_predict_matches_optimize(self, runner, tmp_path, name):
+        from bayesdecide import load_samples, optimize
+
+        rng = np.random.default_rng(3)
+        write(tmp_path, "draws.txt", "\n".join(repr(float(v)) for v in
+                                               rng.lognormal(0.3, 0.4, size=300)))
+        scenario = write(tmp_path, "s.yaml", "posterior: {kind: samples, path: draws.txt}\n"
+                                             f"loss: {self.YAML[name]}\n")
+        result = runner.invoke(main, ["predict", "--scenario", scenario,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        row = read_csv(tmp_path / "out", "predict.csv").splitlines()[1].split(",")
+        want = optimize(_library_specs()[name], load_samples(str(tmp_path / "draws.txt")))
+        assert (float(row[0]), float(row[1])) == (want.action, want.epl)
+
+    @pytest.mark.parametrize("loss, message", [
+        ("{compose: max, base: {family: SEL}}", "unknown composition 'max'"),
+        ("{compose: power, base: {family: SEL}}", "missing parameter 'p'"),
+        ("{compose: power, p: -1, base: {family: SEL}}", "p must be > 0"),
+        ("{compose: exp_minus_one}", "exp_minus_one loss takes 1 component(s), got 0"),
+        ("{compose: sum, p: 2, components: [{family: SEL}]}", "takes no parameter 'p'"),
+        ("{family: SEL, params: {q: 0.5}}", "takes no parameter 'q'"),
+        ("{family: PTL, params: {omega: 0}}", "omega must be > 0"),
+    ])
+    def test_malformed_composition_exits_2(self, runner, tmp_path, loss, message):
+        scenario = write(tmp_path, "s.yaml", GAUSS + f"loss: {loss}\n")
+        result = runner.invoke(main, ["predict", "--scenario", scenario])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert message in result.output
+
+
+class TestNonFiniteAndBooleanNumbers:
+    """A boolean or non-finite scalar where a finite number belongs exits 2."""
+
+    COST = "design: {%s, tau: %s, n_grid: [0, 1], n_mc: 5, cost: %s}"
+
+    @pytest.mark.parametrize("verb, text, message", [
+        ("predict", "posterior: {kind: gaussian, mean: true, sd: 1}", "posterior.mean"),
+        ("predict", "posterior: {kind: gaussian, mean: 0, sd: 1}\n"
+                    "loss: {family: QTL, params: {q: false}}", "loss.params.q"),
+        ("design-n", COST % (GKV, ".inf", "{per_unit: 0.1}"), "tau must be finite"),
+        ("design-n", COST % (GKV, "1.0", "{per_unit: .nan}"), "costs must be finite"),
+        ("design-n", COST % (GKV, "1.0", "{c0: .inf}"), "costs must be finite"),
+        ("design-n", COST % (GKV, "1.0", "{table: {0: 0, 1: .inf}}"),
+         "cost table must be finite"),
+        ("calibrate", "calibrate: {prevention_share: 0.03, sigma: .inf}",
+         "posterior sd must be finite"),
+        ("calibrate", "calibrate: {gaussian_multiple: .inf}", "gaussian multiple must be finite"),
+    ], ids=["mean-true", "q-false", "tau-inf", "per_unit-nan", "c0-inf", "table-inf",
+            "sigma-inf", "multiple-inf"])
+    def test_scenario_exits_2(self, runner, tmp_path, verb, text, message):
+        scenario = write(tmp_path, "s.yaml", text + "\n")
+        result = runner.invoke(main, [verb, "--scenario", scenario])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert "Traceback" not in result.output
+        assert message in result.output
+
+    @pytest.mark.parametrize("flags", [
+        ["--prevention-share", "0.03", "--sigma", "inf"],
+        ["--gaussian-multiple", "inf"],
+    ])
+    def test_calibrate_flags_exit_2(self, runner, flags):
+        result = runner.invoke(main, ["calibrate", *flags])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert "Traceback" not in result.output
+        assert "must be finite" in result.output
+
+
+def test_compare_models_prints_plain_floats(runner, tmp_path):
+    from bayesdecide import DecisionTable, ModelEvidence, choose_epl
+
+    scenario = write(tmp_path, "s.yaml", TestCompareModels.SCENARIO)
+    result = runner.invoke(main, ["compare-models", "--scenario", scenario])
+    assert result.exit_code == 0, result.output
+    rows = dict(line.split(None, 1) for line in result.output.splitlines())
+    ev = ModelEvidence(log_likelihoods=[-4.0, -3.0], labels=["simple", "rich"])
+    _, epl_vec = choose_epl(ev, DecisionTable([[0.0, 1.0], [100.0, 0.0]]))
+    assert rows["epl_vector"] == " ".join(f"{label}={float(v)!r}" for label, v in
+                                          zip(["simple", "rich"], epl_vec))
+    assert "np." not in result.output

@@ -225,3 +225,90 @@ def test_linex_asymmetry_for_negative_psi(psi, d, y):
 def test_pwd_asymmetry_for_negative_lambda(lam, y, frac):
     d = frac * y
     assert eval_pwd(lam, y - d, y) > eval_pwd(lam, y + d, y)
+
+
+# ---------------------------------------------------------------------------
+# specs are checked when built
+
+NAN, INF = float("nan"), float("inf")
+_GOOD = {"MTC": {"rho": 1.5}, "QTL": {"q": 0.5}, "LNX": {"psi": 1.0},
+         "PWD": {"lam": 0.5}, "GAM": {"alpha": 1.0, "nu": 2.0}}
+_BAD = {"rho": (0.0, -1.0, NAN, INF), "q": (0.0, 1.0, -0.5, 1.5, NAN, INF),
+        "psi": (0.0, NAN, INF, -INF), "lam": (NAN, INF, -INF),
+        "alpha": (0.0, -1.0, NAN, INF), "nu": (1.0, 0.5, NAN, INF)}
+# every public evaluator that takes the family's parameters, at a valid (a, y)
+_EVALUATORS = {
+    "MTC": [lambda rho: eval_mtc(rho, 2.0, 1.0)],
+    "QTL": [lambda q: eval_qtl(q, 2.0, 1.0)],
+    "LNX": [lambda psi: eval_linex(psi, 2.0, 1.0)],
+    "PWD": [lambda lam: eval_pwd(lam, 2.0, 1.0)],
+    "GAM": [lambda alpha, nu: eval_gam(alpha, nu, 2.0, 1.0),
+            lambda alpha, nu: gam_definitional(alpha, nu, 2.0, 1.0)],
+}
+_OUT_OF_RANGE = [(family, name, value) for family, good in _GOOD.items()
+                 for name in good for value in _BAD[name]]
+
+
+@pytest.mark.parametrize("family, name, value", _OUT_OF_RANGE)
+def test_out_of_range_parameter_rejected_when_built(family, name, value):
+    params = dict(_GOOD[family], **{name: value})
+    with pytest.raises(ValidationError, match=f"{name} must"):
+        LossSpec(family=family, params=params)
+    for evaluate in _EVALUATORS[family]:
+        with pytest.raises(ValidationError, match=f"{name} must"):
+            evaluate(**params)
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, NAN, INF])
+def test_out_of_range_power_rejected_when_built(p):
+    with pytest.raises(ValidationError, match="p must be > 0"):
+        LossSpec(compose="power", components=(LossSpec.sel(),), params={"p": p})
+    with pytest.raises(ValidationError, match="p must be > 0"):
+        LossSpec.power_of(LossSpec.sel(), p)
+
+
+@pytest.mark.parametrize("omega", [0.0, -1.0, NAN, INF])
+def test_out_of_range_omega_rejected(omega):
+    with pytest.raises(ValidationError, match="omega must be > 0"):
+        GeneralizedGaussian(omega)
+
+
+def test_power_without_exponent_rejected_when_built():
+    with pytest.raises(ValidationError, match="power loss is missing parameter 'p'"):
+        LossSpec(compose="power", components=(LossSpec.sel(),))
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("weighted", {"weight": Weight.identity()}), ("power", {"p": 2.0}),
+    ("exp_minus_one", {})])
+def test_single_base_compositions_take_exactly_one_component(kind, params):
+    # a second part used to be ignored, yet its GAM still demanded y > 0
+    parts = (LossSpec.sel(), LossSpec.gam(1, 2))
+    with pytest.raises(ValidationError, match=r"takes 1 component\(s\), got 2"):
+        LossSpec(compose=kind, components=parts, params=params)
+    with pytest.raises(ValidationError, match="got 0"):
+        LossSpec(compose=kind, components=(), params=params)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"family": "SEL", "params": {"q": 0.5}}, "SEL loss takes no parameter 'q'"),
+    ({"family": "SEL", "components": (LossSpec.sel(),)}, "SEL loss takes 0 component"),
+    ({"compose": "sum", "components": (LossSpec.sel(),), "params": {"p": 2.0}},
+     "sum loss takes no parameter 'p'"),
+    ({"compose": "weighted", "components": (LossSpec.sel(),)}, "missing parameter 'weight'"),
+    ({"compose": "weighted", "components": (LossSpec.sel(),), "params": {"weight": len}},
+     "weight must be a Weight"),
+    ({"family": "PTL"}, "PTL loss is missing parameter 'density'"),
+    ({"family": "PTL", "params": {"density": None}}, "density must be a potential density"),
+    ({"compose": "max", "components": (LossSpec.sel(),)}, "unknown composition 'max'"),
+])
+def test_malformed_spec_rejected_when_built(kwargs, message):
+    with pytest.raises(ValidationError, match=message):
+        LossSpec(**kwargs)
+
+
+def test_custom_density_spec_composes():
+    density = CustomPotentialDensity(lambda u: np.exp(-np.asarray(u) ** 2))
+    loss = compose(LossSpec.potential(density))
+    assert loss(3.0, 1.0) == pytest.approx(4.0)
+    assert not loss.differentiable
