@@ -31,7 +31,8 @@ import math
 import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 from scipy.special import gammaln
@@ -271,10 +272,12 @@ class LossSpec:
 
     Built only when ``params`` holds exactly its row's parameters, each in
     range, and ``components`` has the row's count (none for a family).
+    ``params`` is stored as a read-only copy, so a checked spec stays
+    checked; pickling and ``copy.deepcopy`` rebuild it from a plain dict.
     """
 
     family: Optional[str] = None
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
     compose: Optional[str] = None
     components: tuple = ()
 
@@ -298,6 +301,10 @@ class LossSpec:
         if (n == 0) if want is None else (n != want):
             want = "one or more" if want is None else want
             raise ValidationError(f"{kind} loss takes {want} component(s), got {n}")
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+
+    def __reduce__(self):
+        return LossSpec, (self.family, dict(self.params), self.compose, self.components)
 
     # convenience constructors ------------------------------------------------
 

@@ -13,10 +13,17 @@ weights by a positive function of y and renormalize).
 
 The Gaussian and Gamma densities, distribution functions and quantiles
 are written on ``scipy.special`` (``ndtr``, ``ndtri``, ``gammainc``,
-``gammaincc``, ``gammaincinv``) rather than ``scipy.stats``, whose
-per-call overhead dominated quadrature and whose import dominated CLI
-start-up.  ``pdf`` takes a ``math`` fast path for the scalar floats that
-``scipy.integrate.quad`` passes to an integrand.
+``gammaincc``, ``gammaincinv``, ``gammainccinv``) rather than
+``scipy.stats``, whose per-call overhead dominated quadrature and whose
+import dominated CLI start-up.
+
+``expect`` on a Gaussian or Gamma computes E h(Y) = integral over (0, 1) of
+h(F^-1(u)) du by a fixed tanh-sinh rule in quantile space (see
+``_quad_expect``), so ``h`` receives one float array of nodes, as it does
+on draws.  When the rule cannot certify its sum, adaptive QUADPACK
+quadrature against the density answers instead; ``scipy.integrate`` is
+imported only then.  ``pdf`` keeps a ``math`` fast path for the scalar
+floats that ``scipy.integrate.quad`` passes to that fallback's integrand.
 """
 
 from __future__ import annotations
@@ -27,14 +34,25 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammainc, gammaincc, gammaincinv, logsumexp, ndtr, ndtri
+from scipy.special import (expit, gammainc, gammaincc, gammainccinv, gammaincinv,
+                           logsumexp, ndtr, ndtri)
 
 from .errors import DivergentMgfError, NumericError, ValidationError
 
 # Mass left in each tail when truncating a parametric support for quadrature.
 _QUAD_TAIL = 1e-10
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# Tanh-sinh rule on one panel of unit width: t = k/16 for |t| <= 6.  A node
+# sits the fraction expit(pi sinh t) of the panel above its lower end and
+# expit(-pi sinh t) below its upper end; both are kept, so a node near
+# either end is placed without cancellation.
+_TS_T = np.arange(-96, 97) / 16.0
+_TS_LOWER = _TS_T < 0.0  # nodes placed from the lower end
+_TS_FROM_LO, _TS_FROM_HI = expit(np.pi * np.sinh(_TS_T)), expit(-np.pi * np.sinh(_TS_T))
+_TS_W = np.pi * np.cosh(_TS_T) * _TS_FROM_LO * _TS_FROM_HI / 16.0
+# The rule's acceptance tolerance, the QUADPACK fallback's epsabs and epsrel.
+_EPSABS, _EPSREL = 1e-13, 1e-11
 
 
 def _check_finite(name, value):
@@ -79,6 +97,10 @@ class GaussianPosterior:
 
     def support(self):
         return self.quantile(_QUAD_TAIL), self.quantile(1.0 - _QUAD_TAIL)
+
+    def _quantiles(self, u, v):
+        # the quantile at lower mass u = 1 - v, from the smaller of the two
+        return self.mean + self.sd * np.where(u < 0.5, ndtri(u), -ndtri(v))
 
     def expect(self, h, breakpoints=()):
         return _quad_expect(self, h, breakpoints)
@@ -140,6 +162,15 @@ class GammaPosterior:
 
     def support(self):
         return self.quantile(_QUAD_TAIL), self.quantile(1.0 - _QUAD_TAIL)
+
+    def _quantiles(self, u, v):
+        # the quantile at lower mass u = 1 - v, from the smaller of the two;
+        # each inverse is iterative, so each node takes only one
+        low = u < 0.5
+        x = np.empty(u.shape)
+        x[low] = gammaincinv(self.shape, u[low])
+        x[~low] = gammainccinv(self.shape, v[~low])
+        return x / self.rate
 
     def expect(self, h, breakpoints=()):
         return _quad_expect(self, h, breakpoints)
@@ -326,6 +357,61 @@ def _check_psi(psi):
 
 
 def _quad_expect(post, h, breakpoints=()):
+    """E h(Y) on a parametric posterior: a tanh-sinh rule in quantile space.
+
+    E h(Y) is the integral over (0, 1) of h(F^-1(u)) du.  The unit interval
+    is cut into panels at F(b) for each finite breakpoint b inside the
+    support (known kinks of h, e.g. the action of an absolute-displacement
+    loss), and each panel takes the 193 tanh-sinh nodes t = k/16,
+    |t| <= 6.  Each edge carries both u = F(b) and v = 1 - F(b) (from
+    ``tail_prob``), so a node in an upper tail is inverted from its tail
+    mass and nothing cancels near u = 1.  ``h`` is called once, on the
+    float array of all nodes with a positive weight and a finite y (y > 0
+    on a Gamma).
+
+    The sum is accepted only when every term is finite and both tests hold
+    at tolerance max(1e-13, 1e-11 |sum|): it differs from the sum over the
+    even nodes (step 1/8) by no more, and no panel's outermost term
+    exceeds it, which catches a truncated endpoint singularity such as
+    y^(shape - 2) near shape 1.  Otherwise, and when ``h`` raises on the
+    array (a ``NumericError`` or ``ValidationError``, or the ``TypeError``
+    or ``ValueError`` of an ``h`` written for scalars), the answer, or the
+    error, is ``_quadpack_expect``'s.
+    """
+    gamma = isinstance(post, GammaPosterior)
+    cuts = sorted({float(b) for b in breakpoints
+                   if np.isfinite(b) and (float(b) > 0.0 or not gamma)})
+    u = np.array([0.0] + [float(post.cdf(b)) for b in cuts] + [1.0])
+    v = np.array([1.0] + [post.tail_prob(b) for b in cuts] + [0.0])
+    u_lo, u_hi, v_lo, v_hi = (e[:, None] for e in (u[:-1], u[1:], v[:-1], v[1:]))
+    # a panel's width from whichever mass its lower edge has less of
+    width = np.where(u_lo < 0.5, u_hi - u_lo, v_lo - v_hi)
+    nu = np.where(_TS_LOWER, u_lo + width * _TS_FROM_LO, u_hi - width * _TS_FROM_HI)
+    nv = np.where(_TS_LOWER, v_lo - width * _TS_FROM_LO, v_hi + width * _TS_FROM_HI)
+    w = width * _TS_W
+    try:
+        with np.errstate(all="ignore"):
+            y = post._quantiles(nu, nv)
+            keep = (w > 0.0) & np.isfinite(y)
+            if gamma:
+                keep &= y > 0.0
+            terms = np.zeros_like(y)
+            terms[keep] = w[keep] * np.asarray(h(y[keep]), dtype=float)
+    except (NumericError, TypeError, ValueError):  # ValidationError too
+        return _quadpack_expect(post, h, breakpoints)
+    if np.all(np.isfinite(terms)):
+        value = float(terms.sum())
+        tol = max(_EPSABS, _EPSREL * abs(value))
+        rows = np.arange(len(terms))
+        first = np.argmax(keep, axis=1)
+        last = terms.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)
+        outer = np.abs(np.concatenate((terms[rows, first], terms[rows, last])))
+        if abs(value - 2.0 * float(terms[:, ::2].sum())) <= tol and np.all(outer <= tol):
+            return value
+    return _quadpack_expect(post, h, breakpoints)
+
+
+def _quadpack_expect(post, h, breakpoints=()):
     """Adaptive quadrature of h against a parametric density.
 
     The bulk between the 1e-10 and 1-1e-10 quantiles is integrated
@@ -335,8 +421,11 @@ def _quad_expect(post, h, breakpoints=()):
     integrands such as y^(shape - 2) (E(1/Y) with shape < 2) where they
     are steepest.  Known kinks of h (e.g. the action of an
     absolute-displacement loss) are passed as ``breakpoints`` so the
-    subdivision never straddles them.
+    subdivision never straddles them.  ``h`` and ``pdf`` receive scalar
+    floats.
     """
+    from scipy import integrate  # only this fallback needs it
+
     lo, hi = post.support()
     if isinstance(post, GammaPosterior):
         edges = [0.0, hi, np.inf]
@@ -357,7 +446,7 @@ def _quad_expect(post, h, breakpoints=()):
     value = 0.0
     for a, b in zip(edges, edges[1:]):
         piece, _ = integrate.quad(integrand, a, b, limit=200,
-                                  epsabs=1e-13, epsrel=1e-11)
+                                  epsabs=_EPSABS, epsrel=_EPSREL)
         value += piece
     if not np.isfinite(value):
         raise NumericError(f"quadrature of h produced a non-finite value on the support")

@@ -544,6 +544,26 @@ loss: {family: LNX, params: {psi: -2.0}}
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
 
+    @pytest.mark.parametrize("loss", [
+        None,                                   # import only
+        "{family: SEL}",                        # closed form
+        "{family: MTC, params: {rho: 0.5}}",    # numeric search over EPLs
+    ])
+    def test_cli_leaves_scipy_integrate_unloaded(self, tmp_path, loss):
+        code = "import sys, bayesdecide.cli\n"
+        if loss is not None:
+            scenario = write(tmp_path, "s.yaml", "posterior: {kind: gaussian, "
+                                                 f"mean: 1.0, sd: 2.0}}\nloss: {loss}\n")
+            code += ("bayesdecide.cli.main.main(args=['predict', '--scenario', "
+                     f"{scenario!r}, '--out', {str(tmp_path / 'out')!r}], "
+                     "standalone_mode=False)\n")
+        code += "print('scipy.integrate' in sys.modules)"
+        result = _run_python(["-c", code], cwd=str(tmp_path))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().splitlines()[-1] == "False"
+        if loss is not None:
+            assert (tmp_path / "out" / "predict.csv").exists()
+
 
 _SEL = "{family: SEL}"
 _QTL = "{family: QTL, params: {q: 0.7}}"

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -305,6 +307,35 @@ def test_single_base_compositions_take_exactly_one_component(kind, params):
 def test_malformed_spec_rejected_when_built(kwargs, message):
     with pytest.raises(ValidationError, match=message):
         LossSpec(**kwargs)
+
+
+def test_spec_params_reject_in_place_writes():
+    # a write after the check used to reach the evaluator: p = -1 gave EPL -0.996
+    spec = LossSpec.power_of(LossSpec.sel(), 2.0)
+    given_params = {"q": 0.3}
+    leaf = LossSpec(family="QTL", params=given_params)
+    with pytest.raises(TypeError):
+        spec.params["p"] = -1.0
+    with pytest.raises(TypeError):
+        del leaf.params["q"]
+    given_params["q"] = 5.0  # the spec keeps its own copy
+    assert spec.params["p"] == 2.0 and leaf.params["q"] == 0.3
+
+
+@pytest.mark.parametrize("spec", [
+    LossSpec.qtl(0.3),
+    LossSpec.sum_of(LossSpec.qtl(0.7), LossSpec.power_of(LossSpec.mtc(1), 1.5),
+                    LossSpec.potential(GeneralizedGaussian(1.5))),
+])
+@pytest.mark.parametrize("clone", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_spec_round_trips_through_pickle_and_deepcopy(spec, clone):
+    twin = clone(spec)
+    assert twin == spec and twin is not spec
+    with pytest.raises(TypeError):
+        twin.params["x"] = 1.0
+    y = np.linspace(-2.0, 3.0, 11)
+    np.testing.assert_array_equal(compose(twin)(0.4, y), compose(spec)(0.4, y))
 
 
 def test_custom_density_spec_composes():

@@ -1,0 +1,227 @@
+"""The tanh-sinh rule behind parametric ``expect`` against scipy.integrate.quad.
+
+``posteriors._quad_expect`` integrates h(F^-1(u)) over (0, 1) with a fixed
+tanh-sinh rule and hands over to ``posteriors._quadpack_expect`` when it
+cannot certify its sum.  The oracle here calls ``scipy.integrate.quad`` on
+h(y) p(y) directly, with the density written out below, split at the
+action and at the 1e-10 tail quantiles.  Fallbacks are counted by wrapping
+``_quadpack_expect``.
+"""
+
+import math
+import re
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate
+from scipy.special import gammaincinv, ndtri
+
+from bayesdecide import (GammaPosterior, GaussianPosterior, GeneralizedGaussian,
+                         LossSpec as L, NumericError, compose, optimize,
+                         optimize_functional)
+from bayesdecide import posteriors
+
+REL = 1e-9
+
+
+def _density(post):
+    if isinstance(post, GaussianPosterior):
+        m, s = post.mean, post.sd
+        return lambda y: math.exp(-0.5 * ((y - m) / s) ** 2) / (s * math.sqrt(2 * math.pi))
+    k, r = post.shape, post.rate
+    log_norm = k * math.log(r) - math.lgamma(k)
+    return lambda y: math.exp(log_norm + (k - 1) * math.log(y) - r * y)
+
+
+def _oracle(post, h, breakpoints=()):
+    """E h(Y) by scipy.integrate.quad of h(y) p(y), one call per piece."""
+    pdf = _density(post)
+    if isinstance(post, GaussianPosterior):
+        tail = -float(ndtri(1e-10)) * post.sd
+        edges = [-np.inf, post.mean - tail, post.mean + tail, np.inf]
+    else:
+        edges = [0.0, float(gammaincinv(post.shape, 1 - 1e-10)) / post.rate, np.inf]
+    edges = sorted(set(edges) | {float(b) for b in breakpoints if edges[0] < b})
+
+    def integrand(y):
+        p = pdf(y)  # h is not asked where the density underflows
+        return 0.0 if p == 0.0 else float(h(y)) * p
+
+    return sum(integrate.quad(integrand, a, b, limit=200, epsabs=1e-13, epsrel=1e-11)[0]
+               for a, b in zip(edges, edges[1:]))
+
+
+class _FellBack(Exception):
+    pass
+
+
+def _rule(post, h, breakpoints=()):
+    """The rule's own sum, or None where it hands over to QUADPACK."""
+    def refuse(*args):
+        raise _FellBack
+
+    with mock.patch.object(posteriors, "_quadpack_expect", refuse):
+        try:
+            return posteriors._quad_expect(post, h, breakpoints)
+        except _FellBack:
+            return None
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The list of arguments of every call to the QUADPACK fallback."""
+    calls, fallback = [], posteriors._quadpack_expect
+
+    def counted(*args):
+        calls.append(args)
+        return fallback(*args)
+
+    monkeypatch.setattr(posteriors, "_quadpack_expect", counted)
+    return calls
+
+
+def _assert_close(got, want):
+    assert abs(got - want) <= REL * abs(want), (got, want)
+
+
+def _check_against_quad(spec, post, t):
+    lossfn = compose(spec)
+    a = post.quantile(t)
+    h = lambda y: lossfn(a, y)
+    want = _oracle(post, h, (a,))
+    got = _rule(post, h, (a,))
+    if got is None:  # rare: the answer is the fallback's
+        got = posteriors._quad_expect(post, h, (a,))
+    _assert_close(got, want)
+
+
+# losses without a closed-form EPL on either posterior
+_ANY = st.one_of(
+    st.floats(0.2, 3.0).map(L.mtc),
+    st.floats(0.05, 0.95).map(L.qtl),
+    st.floats(0.5, 3.0).map(lambda w: L.potential(GeneralizedGaussian(w))),
+    st.floats(0.5, 3.0).map(lambda p: L.power_of(L.mtc(1), p)),
+    st.floats(0.2, 3.0).map(lambda rho: L.product_of(L.mtc(rho), L.qtl(0.4))),
+)
+
+
+@given(spec=st.one_of(_ANY, st.tuples(st.floats(0.05, 0.5), st.sampled_from([-1.0, 1.0]))
+                      .map(lambda c: ("LNX", c[0] * c[1]))),
+       mean=st.floats(-5.0, 5.0), sd=st.floats(0.05, 5.0), t=st.floats(0.02, 0.98))
+@settings(max_examples=80, deadline=None)
+def test_gaussian_grid_matches_quad(spec, mean, sd, t):
+    if isinstance(spec, tuple):  # psi scaled to the posterior's spread
+        spec = L.sum_of(L.qtl(0.3), L.linex(spec[1] / sd))
+    _check_against_quad(spec, GaussianPosterior(mean, sd), t)
+
+
+@given(spec=st.one_of(
+           _ANY,
+           # y phi_lam(a / y) grows like y^-lam at 0: lam <= 1 < shape keeps it integrable
+           st.floats(-2.0, 1.0).map(L.pwd),
+           st.floats(1.1, 5.0).map(lambda nu: L.gam(1.0, nu)),
+           st.floats(0.05, 1.0).map(lambda psi: L.sum_of(L.qtl(0.3), L.linex(psi))),
+           st.floats(0.5, 3.0).map(lambda rho: L.product_of(L.mtc(rho), L.gam(1.0, 2.0)))),
+       shape=st.floats(1.5, 30.0), rate=st.floats(0.1, 10.0), t=st.floats(0.02, 0.98))
+@settings(max_examples=80, deadline=None)
+def test_gamma_grid_matches_quad(spec, shape, rate, t):
+    _check_against_quad(spec, GammaPosterior(shape, rate), t)
+
+
+@given(shape=st.floats(1.02, 2.5), rate=st.floats(0.05, 10.0))
+@settings(max_examples=60, deadline=None)
+def test_inverse_mean_on_gamma_matches_closed_form(shape, rate):
+    # y^(shape - 2) is unbounded at 0 for shape < 2
+    post = GammaPosterior(shape, rate)
+    want = rate / (shape - 1.0)
+    got = _rule(post, lambda y: 1.0 / y)
+    if shape >= 1.1:
+        assert got is not None
+    if got is None:
+        got = post.expect(lambda y: 1.0 / y)
+    _assert_close(got, want)
+
+
+@pytest.mark.parametrize("spec, post", [
+    (L.mtc(0.5), GaussianPosterior(1.0, 2.0)),
+    (L.potential(GeneralizedGaussian(1.5)), GaussianPosterior(0.0, 1.0)),
+    (L.pwd(0.5), GammaPosterior(3.0, 2.0)),
+    (L.sum_of(L.qtl(0.7), L.linex(0.3)), GaussianPosterior(1.0, 2.0)),
+    (L.product_of(L.mtc(1.5), L.gam(1.0, 2.0)), GammaPosterior(3.0, 1.0)),
+    (L.power_of(L.mtc(1), 1.5), GaussianPosterior(0.0, 1.0)),
+    (L.mtc(1.5), GammaPosterior(1.5, 2.0)),
+], ids=["mtc-half", "ptl", "pwd-half", "sum", "product", "power", "mtc-gamma"])
+def test_numeric_search_needs_no_fallback(fallbacks, spec, post):
+    decision = optimize(spec, post)
+    assert decision.method.kind == "numeric"
+    assert fallbacks == []
+    lossfn = compose(spec)
+    a = decision.action
+    _assert_close(decision.epl, _oracle(post, lambda y: lossfn(a, y), (a,)))
+
+
+# ---------------------------------------------------------------------------
+# each way the rule hands over to QUADPACK
+
+
+def test_unlisted_interior_kink_fails_the_nested_difference(fallbacks):
+    # QTL of exp(Y) kinks at y = log a, which is not passed as a breakpoint
+    post, lossfn, a = GaussianPosterior(0.0, 0.5), compose(L.qtl(0.7)), 1.3
+    h = lambda y: lossfn(a, np.exp(y))
+    got = post.expect(h)
+    assert len(fallbacks) == 1
+    _assert_close(got, _oracle(post, h, (math.log(a),)))
+
+
+def test_functional_quantile_through_the_fallback(fallbacks):
+    decision = optimize_functional(L.qtl(0.7), GaussianPosterior(0.0, 0.5), np.exp)
+    assert fallbacks  # most EPLs of this search fall back
+    assert decision.action == pytest.approx(math.exp(0.5 * float(ndtri(0.7))), rel=1e-7)
+
+
+def test_endpoint_singularity_fails_the_outermost_term_test(fallbacks):
+    # y^-1.44 on Gamma(1.5, 1): the sum passes the nested difference, but
+    # its outermost term shows the integrand is not yet negligible there
+    post, p = GammaPosterior(1.5, 1.0), 1.44
+    assert _rule(post, lambda y: y ** -p) is None
+    got = post.expect(lambda y: y ** -p)
+    assert len(fallbacks) == 1
+    _assert_close(got, math.gamma(1.5 - p) / math.gamma(1.5))
+
+
+def test_non_finite_extreme_node_falls_back(fallbacks):
+    # y phi_0.5(a / y) overflows at the rule's smallest nodes
+    post, lossfn, a = GammaPosterior(1.2, 0.3), compose(L.pwd(0.5)), 2.0
+    h = lambda y: lossfn(a, y)
+    got = post.expect(h, breakpoints=(a,))
+    assert len(fallbacks) == 1
+    _assert_close(got, _oracle(post, h, (a,)))
+
+
+def test_scalar_only_h_falls_back(fallbacks):
+    got = GaussianPosterior(0.0, 1.0).expect(math.exp)
+    assert len(fallbacks) == 1
+    _assert_close(got, math.exp(0.5))
+
+
+@pytest.mark.parametrize("a", [664.8, 670.0])
+def test_h_raising_at_an_extreme_node_keeps_quadpack_answer(fallbacks, a):
+    # LINEX refuses psi (a - y) > EXP_LIMIT, which the rule's lowest node
+    # (about 35 sd below the mean) reaches first
+    post, lossfn = GaussianPosterior(0.0, 1.0), compose(L.sum_of(L.qtl(0.3), L.linex(1.0)))
+    h = lambda y: lossfn(a, y)
+    assert _rule(post, h, (a,)) is None
+    try:
+        want = posteriors._quadpack_expect(post, h, (a,))
+    except NumericError as exc:
+        want = exc
+    fallbacks.clear()
+    if isinstance(want, NumericError):
+        with pytest.raises(NumericError, match=re.escape(str(want))):
+            post.expect(h, breakpoints=(a,))
+    else:
+        _assert_close(post.expect(h, breakpoints=(a,)), want)
+    assert len(fallbacks) == 1
