@@ -9,12 +9,13 @@ numerically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import engine
 from .errors import ValidationError
 from .losses import LossSpec, compose
-from .posteriors import DiscretePosterior
+from .posteriors import DiscretePosterior, GaussianPosterior
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,8 @@ def bma_predict_general(ens):
     positive = any(lf.positive_domain for lf in lossfns)
     for lf, m in zip(lossfns, ens.members):
         if lf.positive_domain:
-            lo, _ = m.posterior.support()
+            lo = (-math.inf if isinstance(m.posterior, GaussianPosterior)
+                  else m.posterior.support()[0])
             if lo <= 0:
                 raise ValidationError(
                     f"member {m.label!r} pairs a positive-domain loss with a "

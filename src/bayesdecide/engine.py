@@ -74,7 +74,8 @@ class TailRiskCurve:
 
 def _check_domain(lossfn, post):
     if lossfn.positive_domain:
-        lo, _ = post.support()
+        # a Gaussian's support is the whole line, whatever support() truncates
+        lo = -math.inf if isinstance(post, GaussianPosterior) else post.support()[0]
         if lo <= 0:
             raise ValidationError(
                 "loss requires y > 0 but the posterior support reaches "
@@ -268,7 +269,8 @@ def _gamma_pwd_minus_epl(post, prm, a):
 
 
 # (posterior type, loss key) -> epl(post, params, a) in closed form; every
-# other pair (GAM and PWD(+-1) on a Gaussian, all on draws) uses post.expect
+# other pair (all on draws) uses post.expect.  GAM and PWD, which need y > 0,
+# never meet a Gaussian: _check_domain refuses it first
 _EPLS = {
     **{(kind, key): fn
        for kind in (GaussianPosterior, GammaPosterior)
@@ -328,19 +330,56 @@ def optimize(loss, post, force_numeric=False):
     return OptimalDecision(float(action), f(action), path)
 
 
+# the quadrature's outermost nodes lie up to 2.3 support widths beyond a
+# Gaussian's support() and up to 26.5 widths above a Gamma's (never below 0)
+_NODE_REACH = 27.0
+
+
+def _crossings(g, y, gy, a):
+    """Each point where g - a changes sign between neighbours of the grid y
+    (``gy`` = g(y)), refined by 50 halvings of its cell."""
+    above = gy > a
+    cuts = []
+    for i in np.flatnonzero(above[:-1] != above[1:]):
+        lo, hi = y[i], y[i + 1]
+        with np.errstate(all="ignore"):
+            for _ in range(50):
+                mid = 0.5 * (lo + hi)
+                if (g(np.array([mid]))[0] > a) == above[i]:
+                    lo = mid
+                else:
+                    hi = mid
+        cuts.append(0.5 * (lo + hi))
+    return cuts
+
+
 def optimize_functional(loss, post, g, force_numeric=False):
-    """Minimize E(L(a, g(Y)) | z): the optimal decision about g(Y)."""
+    """Minimize E(L(a, g(Y)) | z): the optimal decision about g(Y).
+
+    ``g`` maps a float array of y values to g(y) elementwise.  On a
+    Gaussian or Gamma posterior, each EPL but SEL's is ``post.expect`` cut
+    where g(y) = a: at each sign change of g - a on a fixed grid over
+    ``post.support()``, widened to the quadrature's outermost nodes,
+    refined by bisection.
+    """
     lossfn = compose(loss)
     if isinstance(post, SamplePosterior):
         gv = np.asarray(g(post.values), dtype=float)
         pushed = SamplePosterior(gv, post.weights)
         return optimize(lossfn, pushed, force_numeric=force_numeric)
-    # parametric posterior: push through the quadrature
-    f = lambda a: post.expect(lambda y: lossfn(a, np.asarray(g(y), dtype=float)))
+    h = lambda a: lambda y: lossfn(a, np.asarray(g(y), dtype=float))
     x0 = post.expect(lambda y: np.asarray(g(y), dtype=float))
     if not force_numeric and _loss_key(lossfn.spec) == "SEL":
-        return OptimalDecision(float(x0), f(x0),
+        # squared error has no kink at g(y) = a: its one EPL needs no cut
+        return OptimalDecision(float(x0), post.expect(h(x0)),
                                SolverPath("closed_form", "pushforward_mean"))
+    lo, hi = post.support()
+    reach = _NODE_REACH * (hi - lo)
+    y = np.concatenate(([0.0 if isinstance(post, GammaPosterior) else lo - reach],
+                        np.linspace(lo, hi, 257), [hi + reach]))
+    with np.errstate(all="ignore"):
+        gy = np.asarray(g(y), dtype=float)
+    f = lambda a: post.expect(h(a), breakpoints=_crossings(g, y, gy, a))
     action, path = minimize(f, x0, lossfn.positive_domain)
     return OptimalDecision(float(action), f(action), path)
 

@@ -21,16 +21,14 @@ import dominated CLI start-up.
 h(F^-1(u)) du by a fixed tanh-sinh rule in quantile space (see
 ``_quad_expect``), so ``h`` receives one float array of nodes, as it does
 on draws.  When the rule cannot certify its sum, adaptive QUADPACK
-quadrature against the density answers instead; ``scipy.integrate`` is
-imported only then.  ``pdf`` keeps a ``math`` fast path for the scalar
-floats that ``scipy.integrate.quad`` passes to that fallback's integrand.
+quadrature against the density answers instead, or raises;
+``scipy.integrate`` is imported only then.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -83,9 +81,6 @@ class GaussianPosterior:
         return self.mean
 
     def pdf(self, y):
-        if isinstance(y, float):
-            z = (y - self.mean) / self.sd
-            return math.exp(-0.5 * z * z) * _INV_SQRT_2PI / self.sd
         z = (np.asarray(y, dtype=float) - self.mean) / self.sd
         return np.exp(-0.5 * z * z) * _INV_SQRT_2PI / self.sd
 
@@ -128,11 +123,6 @@ class GammaPosterior:
         if not (np.isfinite(self.rate) and self.rate > 0):
             raise ValidationError(f"rate must be > 0, got {self.rate!r}")
 
-    @cached_property
-    def _log_norm(self):
-        # log(rate^shape / Gamma(shape)), the log-normaliser of the density
-        return self.shape * math.log(self.rate) - math.lgamma(self.shape)
-
     def moments(self):
         return self.shape / self.rate, self.shape / self.rate ** 2
 
@@ -145,14 +135,12 @@ class GammaPosterior:
 
     def pdf(self, y):
         k, r = self.shape, self.rate
-        if isinstance(y, float):
-            if y <= 0.0 or y == math.inf:
-                return 0.0
-            return math.exp(self._log_norm + (k - 1.0) * math.log(y) - r * y)
+        log_norm = k * math.log(r) - math.lgamma(k)  # log(r^k / Gamma(k))
         y = np.asarray(y, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            dens = np.exp(self._log_norm + (k - 1.0) * np.log(y) - r * y)
-        return np.where((y <= 0.0) | (y == np.inf), 0.0, dens)
+            log_dens = log_norm + (k - 1.0) * np.log(y) - r * y
+        # exp of the 0-d where() is a float scalar for a scalar y
+        return np.exp(np.where((y > 0.0) & (y < np.inf), log_dens, -np.inf))
 
     def cdf(self, y):
         return gammainc(self.shape, self.rate * np.maximum(y, 0.0))
@@ -412,17 +400,21 @@ def _quad_expect(post, h, breakpoints=()):
 
 
 def _quadpack_expect(post, h, breakpoints=()):
-    """Adaptive quadrature of h against a parametric density.
+    """Adaptive QUADPACK quadrature of h against a parametric density.
 
-    The bulk between the 1e-10 and 1-1e-10 quantiles is integrated
-    directly and each unbounded tail separately, so integrands with
-    exponential growth (e.g. LINEX) keep their tail mass.  A Gamma's
-    bulk starts at 0 instead: an edge at its lower quantile would cut
-    integrands such as y^(shape - 2) (E(1/Y) with shape < 2) where they
-    are steepest.  Known kinks of h (e.g. the action of an
-    absolute-displacement loss) are passed as ``breakpoints`` so the
-    subdivision never straddles them.  ``h`` and ``pdf`` receive scalar
-    floats.
+    The fallback of ``_quad_expect`` for an ``h`` its rule cannot certify;
+    no decision of the package reaches it on its own.  The bulk between
+    the 1e-10 and 1-1e-10 quantiles is integrated directly and each
+    unbounded tail separately, so integrands with exponential growth
+    (e.g. LINEX) keep their tail mass.  A Gamma's bulk starts at 0
+    instead: an edge at its lower quantile would cut integrands such as
+    y^(shape - 2) (E(1/Y) with shape < 2) where they are steepest.  Known
+    kinks of h (e.g. the action of an absolute-displacement loss) are
+    passed as ``breakpoints`` so the subdivision never straddles them.
+    ``h`` and ``pdf`` receive scalar floats.  When QUADPACK reports a
+    problem on a piece (say, a divergent integral exhausting its
+    subdivisions), a ``NumericError`` names the piece, QUADPACK's message
+    and its error estimate instead of returning the sum.
     """
     from scipy import integrate  # only this fallback needs it
 
@@ -445,8 +437,12 @@ def _quadpack_expect(post, h, breakpoints=()):
 
     value = 0.0
     for a, b in zip(edges, edges[1:]):
-        piece, _ = integrate.quad(integrand, a, b, limit=200,
-                                  epsabs=_EPSABS, epsrel=_EPSREL)
+        piece, abserr, *problem = integrate.quad(
+            integrand, a, b, limit=200, epsabs=_EPSABS, epsrel=_EPSREL, full_output=1)
+        if len(problem) > 1:  # (infodict, message, ...) when QUADPACK complains
+            raise NumericError(
+                f"quadrature of h on [{a}, {b}] failed: "
+                f"{problem[1].splitlines()[0].strip()} (error estimate {abserr:.3g})")
         value += piece
     if not np.isfinite(value):
         raise NumericError(f"quadrature of h produced a non-finite value on the support")

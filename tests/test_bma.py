@@ -94,6 +94,16 @@ class TestGeneral:
         with pytest.raises(ValidationError):
             bma_predict_general(ens)
 
+    def test_positive_domain_with_far_positive_gaussian_member_rejected(self):
+        # N(10, 1) has a positive 1e-10 quantile but no positive support
+        members = [
+            EnsembleMember("ratio", GaussianPosterior(10.0, 1.0), LossSpec.gam(1, 2)),
+            EnsembleMember("loc", GammaPosterior(5.0, 1.0), LossSpec.sel()),
+        ]
+        ens = ModelEnsemble(members, [0.5, 0.5])
+        with pytest.raises(ValidationError, match="member 'ratio'.*reaches -inf"):
+            bma_predict_general(ens)
+
     def test_asymmetric_member_pulls_action_up(self):
         sym = ModelEnsemble(
             [EnsembleMember("a", GaussianPosterior(0, 1), LossSpec.sel()),

@@ -78,6 +78,36 @@ functional: {name: square}
         action = float(result.output.splitlines()[0].split()[1])
         assert action == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("posterior, loss, functional, want", [
+        ("{kind: gaussian, mean: 0, sd: 0.5}", "{family: MTC, params: {rho: 1}}",
+         "{name: exp}", 1.0),
+        ("{kind: gaussian, mean: 0.25, sd: 1.5}", "{family: MTC, params: {rho: 1}}",
+         "{name: affine, slope: 2, intercept: -1}", -0.5),
+        ("{kind: gamma, shape: 3, rate: 2}", "{family: QTL, params: {q: 0.3}}",
+         "{name: affine, slope: -1}", -1.8077838329329956),
+    ], ids=["exp-median", "affine-median", "affine-decreasing-quantile"])
+    def test_functional_quantile_is_g_of_the_quantile(self, runner, tmp_path, posterior,
+                                                       loss, functional, want):
+        # the median of g(Y) is g(median of Y) for a monotone g; a decreasing g
+        # maps the 0.3-quantile of g(Y) to the 0.7-quantile of Y (scipy.stats ppf)
+        scenario = write(tmp_path, "s.yaml", f"posterior: {posterior}\nloss: {loss}\n"
+                                             f"functional: {functional}\n")
+        result = runner.invoke(main, ["predict", "--scenario", scenario])
+        assert result.exit_code == 0, result.output
+        action = float(result.output.splitlines()[0].split()[1])
+        assert abs(action - want) <= 1e-7
+
+    def test_indicator_functional_gives_tail_probability(self, runner, tmp_path):
+        scenario = write(tmp_path, "s.yaml", """
+posterior: {kind: gaussian, mean: 0.0, sd: 1.0}
+loss: {family: SEL}
+functional: {name: indicator_above, kappa: 0.5}
+""")
+        result = runner.invoke(main, ["predict", "--scenario", scenario])
+        assert result.exit_code == 0, result.output
+        action = float(result.output.splitlines()[0].split()[1])
+        assert action == pytest.approx(0.3085375387259869, abs=1e-9)  # Pr(Y > 0.5)
+
     def test_validation_error_exits_2(self, runner, tmp_path):
         scenario = write(tmp_path, "s.yaml", """
 posterior: {kind: gaussian, mean: 0.0, sd: -1.0}
@@ -104,6 +134,28 @@ loss: {family: LNX, params: {psi: -2.0}}
         result = runner.invoke(main, ["predict", "--scenario", scenario])
         assert result.exit_code == 3
         assert "numeric failure" in result.output
+
+    def test_divergent_power_divergence_exits_3(self, runner, tmp_path):
+        # PWD(lam) with lam >= shape has E Y^-lam = infinity on a Gamma
+        scenario = write(tmp_path, "s.yaml", """
+posterior: {kind: gamma, shape: 2.0, rate: 1.0}
+loss: {family: PWD, params: {lam: 2.0}}
+""")
+        result = runner.invoke(main, ["predict", "--scenario", scenario])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "Traceback" not in result.output
+        assert "numeric failure" in result.output
+        assert "quadrature of h on" in result.output
+
+    @pytest.mark.parametrize("loss", ["{family: GAM, params: {alpha: 1, nu: 2}}",
+                                      "{family: PWD, params: {lam: 0.5}}"])
+    def test_positive_domain_loss_on_gaussian_exits_2(self, runner, tmp_path, loss):
+        scenario = write(tmp_path, "s.yaml", "posterior: {kind: gaussian, mean: 10, sd: 1}\n"
+                                             f"loss: {loss}\n")
+        result = runner.invoke(main, ["predict", "--scenario", scenario])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert "Traceback" not in result.output
+        assert "loss requires y > 0" in result.output
 
     def test_format_table_writes_no_csv(self, runner, tmp_path):
         scenario = write(tmp_path, "s.yaml", """

@@ -34,6 +34,20 @@ class TestEpl:
         with pytest.raises(ValidationError):
             epl(LossSpec.gam(1, 2), GaussianPosterior(0, 1), 1.0)
 
+    @pytest.mark.parametrize("spec", [
+        LossSpec.gam(1, 2), LossSpec.pwd(1.0), LossSpec.pwd(0.5),
+        LossSpec.weighted(Weight.identity(), LossSpec.gam(1, 2)),
+    ], ids=["gam", "pwd-1", "pwd-half", "weighted-gam"])
+    def test_positive_domain_on_gaussian_refused_before_any_epl(self, monkeypatch, spec):
+        # the 1e-10 quantile of N(10, 1) is positive, yet the density is not
+        post = GaussianPosterior(10.0, 1.0)
+        assert post.support()[0] > 0
+        monkeypatch.setattr(GaussianPosterior, "expect", None)  # no EPL may run
+        with pytest.raises(ValidationError, match="support reaches down to -inf"):
+            optimize(spec, post)
+        with pytest.raises(ValidationError, match="support reaches down to -inf"):
+            epl(spec, post, 10.0)
+
 
 class TestOptimizeDispatch:
     def test_sel_posterior_mean(self):
@@ -174,6 +188,14 @@ class TestFunctional:
         d = optimize_functional(LossSpec.sel(), post, g)
         assert d.action == pytest.approx(0.5, abs=1e-8)
 
+    @pytest.mark.parametrize("spec", [LossSpec.gam(1, 2), LossSpec.pwd(1.0)],
+                             ids=["gam", "pwd-1"])
+    def test_inverse_mean_reciprocal_on_draws(self, spec):
+        y = np.random.default_rng(7).lognormal(0.2, 0.5, size=2_000)
+        d = optimize(spec, SamplePosterior(y))
+        assert d.method.name == "inverse_mean_reciprocal"
+        assert d.action == pytest.approx(1.0 / np.mean(1.0 / y), rel=1e-12)
+
     def test_sample_pushforward(self):
         rng = np.random.default_rng(5)
         post = SamplePosterior(rng.normal(0, 1, size=50_000))
@@ -207,6 +229,25 @@ class TestMinimax:
         a = np.linspace(0, 5, 101)
         got = minimax_posterior(LossSpec.sel(), post, a, a)
         assert got == pytest.approx(2.5, abs=0.05)
+
+    @pytest.mark.parametrize("spec", [LossSpec.sel(), LossSpec.qtl(0.8)], ids=["sel", "qtl"])
+    def test_minimax_posterior_on_draws_brute_force(self, spec):
+        # 9 draws: 3 histogram bins of width 5/3 over [0, 5] with masses 4/14,
+        # 7/14 and 3/14; no y of the grid sits on a bin edge
+        draws = [0.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 4.0, 5.0]
+        weights = [1, 2, 1, 1, 2, 2, 2, 1, 2]
+        y = np.arange(-0.95, 6.0, 0.1)
+        a = np.linspace(-1.0, 6.0, 141)
+
+        def mass(v):
+            if not 0.0 <= v <= 5.0:
+                return 0.0
+            return (4 / 14, 7 / 14, 3 / 14)[min(int(v / (5 / 3)), 2)]
+
+        lossfn = compose(spec)
+        worst = [max(float(lossfn(ai, yi)) * mass(yi) for yi in y) for ai in a]
+        got = minimax_posterior(spec, SamplePosterior(draws, weights), y, a)
+        assert got == a[int(np.argmin(worst))]
 
     def test_minimax_posterior_symmetric_gaussian(self):
         post = GaussianPosterior(0, 1)

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import gammaincinv, ndtri
@@ -163,6 +163,46 @@ def test_numeric_search_needs_no_fallback(fallbacks, spec, post):
     _assert_close(decision.epl, _oracle(post, lambda y: lossfn(a, y), (a,)))
 
 
+def test_functional_quantile_needs_no_fallback(fallbacks):
+    # the kink of the pinball loss at y = log a is a breakpoint of every EPL
+    decision = optimize_functional(L.qtl(0.7), GaussianPosterior(0.0, 0.5), np.exp)
+    assert fallbacks == []
+    assert decision.action == pytest.approx(math.exp(0.5 * float(ndtri(0.7))), rel=1e-7)
+
+
+def _affine(slope, intercept):
+    return lambda y: slope * np.asarray(y, dtype=float) + intercept
+
+
+# (posterior, g, g increasing): the q-quantile of g(Y) is g(F^-1(q)) for an
+# increasing g and g(F^-1(1 - q)) for a decreasing one
+_SLOPE = st.floats(0.2, 5.0) | st.floats(-5.0, -0.2)
+_GAUSS = st.builds(GaussianPosterior, st.floats(-2.0, 2.0), st.floats(0.1, 1.5))
+_GAMMA = st.builds(GammaPosterior, st.floats(1.5, 30.0), st.floats(0.2, 10.0))
+_CASES = st.one_of(
+    st.tuples(_GAUSS, st.just(np.exp), st.just(True)),
+    st.tuples(_GAUSS | _GAMMA, _SLOPE, st.floats(-5.0, 5.0)).map(
+        lambda c: (c[0], _affine(c[1], c[2]), c[1] > 0)),
+    st.tuples(_GAMMA, st.just(np.square), st.just(True)),
+)
+
+
+@given(case=_CASES, q=st.floats(0.05, 0.95), median=st.booleans())
+# the bracket tries a = -7.55, whose kink at y = 2.776 lies just above the
+# support's upper end (2.772) but among the rule's nodes
+@example(case=(GammaPosterior(2.0, 9.5), _affine(-2.0, -2.0), False), q=0.0625, median=False)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_functional_quantile_is_g_of_the_quantile(fallbacks, case, q, median):
+    post, g, increasing = case
+    fallbacks.clear()
+    spec, q = (L.mtc(1), 0.5) if median else (L.qtl(q), q)
+    want = float(g(np.array([post.quantile(q if increasing else 1.0 - q)]))[0])
+    decision = optimize_functional(spec, post, g)
+    assert fallbacks == []
+    assert abs(decision.action - want) <= 1e-6 * max(abs(want), 1.0), (decision.action, want)
+
+
 # ---------------------------------------------------------------------------
 # each way the rule hands over to QUADPACK
 
@@ -174,12 +214,6 @@ def test_unlisted_interior_kink_fails_the_nested_difference(fallbacks):
     got = post.expect(h)
     assert len(fallbacks) == 1
     _assert_close(got, _oracle(post, h, (math.log(a),)))
-
-
-def test_functional_quantile_through_the_fallback(fallbacks):
-    decision = optimize_functional(L.qtl(0.7), GaussianPosterior(0.0, 0.5), np.exp)
-    assert fallbacks  # most EPLs of this search fall back
-    assert decision.action == pytest.approx(math.exp(0.5 * float(ndtri(0.7))), rel=1e-7)
 
 
 def test_endpoint_singularity_fails_the_outermost_term_test(fallbacks):
@@ -199,6 +233,17 @@ def test_non_finite_extreme_node_falls_back(fallbacks):
     got = post.expect(h, breakpoints=(a,))
     assert len(fallbacks) == 1
     _assert_close(got, _oracle(post, h, (a,)))
+
+
+@pytest.mark.parametrize("lam", [2.0, 3.0])
+def test_divergent_integral_raises_from_the_fallback(fallbacks, lam):
+    # PWD(lam) with lam >= shape: y phi_lam(a / y) grows like y^(1 - lam) at 0,
+    # so E Y^-lam diverges on Gamma(2, 1); the rule refuses the sum
+    post, lossfn = GammaPosterior(2.0, 1.0), compose(L.pwd(lam))
+    with pytest.raises(NumericError, match=r"quadrature of h on \[0.0, 2.0\] failed: "
+                                           r".*\(error estimate"):
+        post.expect(lambda y: lossfn(2.0, y), breakpoints=(2.0,))
+    assert len(fallbacks) == 1
 
 
 def test_scalar_only_h_falls_back(fallbacks):
