@@ -94,5 +94,7 @@ def bma_predict_general(ens):
     x0 = sum(pk * m.posterior.quantile(0.5) for pk, m in zip(p, ens.members))
     if positive and x0 <= 0:
         x0 = max(m.posterior.quantile(0.5) for m in ens.members)
-    action, path = engine.minimize(f, x0, positive)
-    return engine.OptimalDecision(float(action), f(action), path)
+    unimodal = all(engine.unimodal_epl(lf, m.posterior)
+                   for lf, m in zip(lossfns, ens.members))
+    action, value, path = engine.minimize(f, x0, positive, unimodal)
+    return engine.OptimalDecision(float(action), value, path)

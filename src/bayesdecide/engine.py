@@ -11,8 +11,13 @@ mixture.  Every other EPL (all on draws, compositions, PTL, MTC(rho) with
 rho not in {1, 2}) is ``post.expect`` of the loss: a weighted sum on draws,
 quadrature otherwise.  ``optimize`` minimizes the EPL numerically when no
 closed form applies, through ``minimize``: bracket by geometric expansion
-from the posterior median, then golden-section search to a 1e-10 relative
-bracket width.
+from the posterior median, then search the bracket to a 1e-10 relative
+width.  The search is Brent's method (parabolic interpolation guarded by
+golden-section steps) whenever the EPL is unimodal: on a Gaussian or Gamma
+posterior, and on draws for a convex loss (``LossFunction.convex``).  A
+nonconvex loss on draws (MTC(rho < 1), 0-1) has a local minimum at every
+draw, so there the search is plain golden section, which interpolates
+nothing.
 
 Also: minimax, plain or posterior-weighted (one search serves both),
 functional prediction, the lower envelope of tail-risk curves over actions
@@ -33,6 +38,7 @@ from .losses import EXP_LIMIT, LossSpec, compose
 from .posteriors import GammaPosterior, GaussianPosterior, SamplePosterior
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = 1.0 - _GOLD  # Brent's golden step, as a fraction of the larger side
 _REL_WIDTH = 1e-10
 _MAX_EXPAND = 200
 
@@ -104,13 +110,14 @@ def _bracket(f, x0, positive):
     """Expand geometrically from x0 until f stops decreasing on both sides.
 
     The left end halves toward 0 on a positive domain; otherwise each end
-    steps out by step * 2^k.
+    steps out by step * 2^k.  Returns (lo, x, fx, hi): the two ends and the
+    best point evaluated between them, with its value.
     """
     f0 = f(x0)
     step = 0.5 * (1.0 + abs(x0))
     left_failure = ("toward 0: EPL keeps decreasing" if positive
                     else "(left): EPL appears unbounded below")
-    ends = []
+    ends, best = [], (f0, x0)
     for sign, failure in ((-1.0, left_failure),
                           (1.0, "(right): EPL appears unbounded below")):
         halve = positive and sign < 0
@@ -124,7 +131,9 @@ def _bracket(f, x0, positive):
         else:
             raise NumericError(f"bracket expansion failed {failure}")
         ends.append(cand)
-    return ends[0], ends[1]
+        if fx < best[0]:
+            best = (fx, x)
+    return ends[0], best[1], best[0], ends[1]
 
 
 def _golden(f, lo, hi):
@@ -147,15 +156,94 @@ def _golden(f, lo, hi):
     return 0.5 * (lo + hi), iterations
 
 
-def minimize(f, x0, positive):
-    """Minimize a scalar f by bracketing from x0, then golden-section search.
+def _brent(f, lo, hi, x, fx):
+    """Brent's minimizer (Brent 1973, ch. 5) on lo < x < hi, f(x) <= f(ends).
 
-    ``positive`` confines the search to a > 0.  Returns the action and the
-    numeric ``SolverPath`` that found it.
+    Each step fits a parabola through the three best points and steps to
+    its vertex when that lands inside the bracket and moves less than half
+    the step before last; otherwise it takes a golden-section step into
+    the larger side.  No step is shorter than a quarter of the stop width,
+    so the bracket closes from both sides.  Stops, like ``_golden``, when
+    the bracket is narrower than 1e-10 (1 + |lo| + |hi|); returns the best
+    point evaluated, its value and the number of steps.
     """
-    lo, hi = _bracket(f, x0, positive)
-    x, iters = _golden(f, lo, hi)
-    return x, SolverPath("numeric", "golden_section", iters, (lo, hi))
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0  # the last step and the one before it
+    iterations = 0
+    while True:
+        width = _REL_WIDTH * (1.0 + abs(lo) + abs(hi))
+        if hi - lo <= width:
+            return x, fx, iterations
+        iterations += 1
+        tol = 0.25 * width
+        mid = 0.5 * (lo + hi)
+        parabolic = False
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            parabolic = (abs(p) < abs(0.5 * q * e)
+                         and q * (lo - x) < p < q * (hi - x))
+            if parabolic:
+                e, d = d, p / q
+                if (x + d) - lo < 2.0 * tol or hi - (x + d) < 2.0 * tol:
+                    d = math.copysign(tol, mid - x)
+        if not parabolic:
+            e = (lo if x >= mid else hi) - x
+            d = _CGOLD * e
+        u = x + d if abs(d) >= tol else x + math.copysign(tol, d)
+        fu = f(u)
+        if fu <= fx:
+            if u >= x:
+                lo = x
+            else:
+                hi = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                lo = u
+            else:
+                hi = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+def unimodal_epl(lossfn, post):
+    """Whether Brent's method may search the EPL of ``lossfn`` on ``post``.
+
+    A convex loss has a convex EPL, and a Gaussian or Gamma posterior
+    smooths a nonconvex one; but on draws a nonconvex loss (MTC(rho < 1),
+    0-1) has a local minimum at every draw.
+    """
+    return lossfn.convex or not isinstance(post, SamplePosterior)
+
+
+def minimize(f, x0, positive, unimodal=True):
+    """Minimize a scalar f by bracketing from x0, then a search inside.
+
+    ``positive`` confines the search to a > 0.  A ``unimodal`` f gets
+    Brent's method from the bracket's best point, and the result is the
+    best point it evaluated.  Otherwise golden section narrows the bracket
+    to its 1e-10 relative width and the result is the final midpoint.
+    Returns (action, f(action), numeric ``SolverPath``); the path's
+    ``iterations`` counts the evaluations after the bracket.
+    """
+    lo, x, fx, hi = _bracket(f, x0, positive)
+    if unimodal:
+        x, fx, iters = _brent(f, lo, hi, x, fx)
+        name = "brent"
+    else:
+        x, iters = _golden(f, lo, hi)
+        fx = f(x)
+        name = "golden_section"
+    return x, fx, SolverPath("numeric", name, iters, (lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +413,16 @@ def optimize(loss, post, force_numeric=False):
             action, name = hit
             return OptimalDecision(float(action), epl(lossfn, post, action),
                                    SolverPath("closed_form", name))
-    f = lambda a: epl(lossfn, post, a)
-    action, path = minimize(f, post.quantile(0.5), lossfn.positive_domain)
-    return OptimalDecision(float(action), f(action), path)
+    action, value, path = minimize(lambda a: epl(lossfn, post, a), post.quantile(0.5),
+                                   lossfn.positive_domain, unimodal_epl(lossfn, post))
+    return OptimalDecision(float(action), value, path)
 
 
 # the quadrature's outermost nodes lie up to 2.3 support widths beyond a
 # Gaussian's support() and up to 26.5 widths above a Gamma's (never below 0)
 _NODE_REACH = 27.0
+# the evenly spaced part of optimize_functional's grid over support()
+_UNIT_GRID = np.linspace(0.0, 1.0, 257)
 
 
 def _crossings(g, y, gy, a):
@@ -353,14 +443,30 @@ def _crossings(g, y, gy, a):
     return cuts
 
 
+def _jumps(g, y, gy):
+    """The jumps of g on the grid y (``gy`` = g(y)): each cell of its evenly
+    spaced part whose change exceeds that of its two neighbours together
+    (twice its one neighbour's at an end), cut where g crosses the middle
+    of the cell's two values."""
+    step = np.abs(np.diff(gy[1:-1]))
+    side = np.concatenate(([step[1]], step, [step[-2]]))
+    cuts = []
+    for i in np.flatnonzero(step > side[:-2] + side[2:]) + 1:
+        cuts += _crossings(g, y[i:i + 2], gy[i:i + 2], 0.5 * (gy[i] + gy[i + 1]))
+    return cuts
+
+
 def optimize_functional(loss, post, g, force_numeric=False):
     """Minimize E(L(a, g(Y)) | z): the optimal decision about g(Y).
 
     ``g`` maps a float array of y values to g(y) elementwise.  On a
-    Gaussian or Gamma posterior, each EPL but SEL's is ``post.expect`` cut
-    where g(y) = a: at each sign change of g - a on a fixed grid over
-    ``post.support()``, widened to the quadrature's outermost nodes,
-    refined by bisection.
+    Gaussian or Gamma posterior, g is evaluated once on a fixed grid over
+    ``post.support()``, widened to the quadrature's outermost nodes.  Every
+    ``post.expect`` (the start E g(Y), which is SEL's answer, and each EPL)
+    is cut at the jumps of g the grid shows (``_jumps``), and each EPL but
+    SEL's also where g(y) = a: at each sign change of g - a on the grid,
+    refined by bisection.  The search is Brent's, as for every loss on a
+    Gaussian or Gamma posterior.
     """
     lossfn = compose(loss)
     if isinstance(post, SamplePosterior):
@@ -368,20 +474,23 @@ def optimize_functional(loss, post, g, force_numeric=False):
         pushed = SamplePosterior(gv, post.weights)
         return optimize(lossfn, pushed, force_numeric=force_numeric)
     h = lambda a: lambda y: lossfn(a, np.asarray(g(y), dtype=float))
-    x0 = post.expect(lambda y: np.asarray(g(y), dtype=float))
-    if not force_numeric and _loss_key(lossfn.spec) == "SEL":
-        # squared error has no kink at g(y) = a: its one EPL needs no cut
-        return OptimalDecision(float(x0), post.expect(h(x0)),
-                               SolverPath("closed_form", "pushforward_mean"))
     lo, hi = post.support()
     reach = _NODE_REACH * (hi - lo)
-    y = np.concatenate(([0.0 if isinstance(post, GammaPosterior) else lo - reach],
-                        np.linspace(lo, hi, 257), [hi + reach]))
+    y = np.empty(_UNIT_GRID.size + 2)
+    y[0] = 0.0 if isinstance(post, GammaPosterior) else lo - reach
+    y[1:-1] = lo + (hi - lo) * _UNIT_GRID
+    y[-1] = hi + reach
     with np.errstate(all="ignore"):
         gy = np.asarray(g(y), dtype=float)
-    f = lambda a: post.expect(h(a), breakpoints=_crossings(g, y, gy, a))
-    action, path = minimize(f, x0, lossfn.positive_domain)
-    return OptimalDecision(float(action), f(action), path)
+        jumps = _jumps(g, y, gy)
+    x0 = post.expect(lambda y: np.asarray(g(y), dtype=float), breakpoints=jumps)
+    if not force_numeric and _loss_key(lossfn.spec) == "SEL":
+        # squared error has no kink at g(y) = a: its one EPL needs no more cuts
+        return OptimalDecision(float(x0), post.expect(h(x0), breakpoints=jumps),
+                               SolverPath("closed_form", "pushforward_mean"))
+    f = lambda a: post.expect(h(a), breakpoints=_crossings(g, y, gy, a) + jumps)
+    action, value, path = minimize(f, x0, lossfn.positive_domain)
+    return OptimalDecision(float(action), value, path)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,14 @@ Families
 Compositions: weighted(weight), sum, product, power(p), exp_minus_one.
 A composed loss is marked differentiable only when every part is.
 
+Each row also says whether L(a, y) is convex in a for every y, which
+makes every expected posterior loss convex in a and so lets the
+minimizer interpolate (``LossFunction.convex``).  Convex: SEL, MTC(rho
+>= 1), QTL, LNX, PWD, GAM and PTL of a generalized Gaussian with omega
+>= 1; and weighted, sum, product, exp_minus_one and power(p >= 1) of
+convex parts.  Not convex: MTC(rho < 1), ZERO_ONE, a custom potential
+density, power(p < 1).
+
 Two tables, ``_FAMILIES`` and ``_COMPOSITIONS``, give each family and
 composition one row: parameter names, evaluator and metadata.  ``_RANGES``
 states each parameter's range once.  A ``LossSpec`` is checked against its
@@ -204,37 +212,53 @@ def _weighted(parts, weight, a, y):
 # ---------------------------------------------------------------------------
 # the two tables
 
-_Family = namedtuple("_Family", "params evaluate differentiable positive_domain")
-_Composition = namedtuple("_Composition", "count params evaluate differentiable")
+_Family = namedtuple("_Family", "params evaluate differentiable convex positive_domain")
+_Composition = namedtuple("_Composition", "count params evaluate differentiable convex")
 _ALWAYS, _NEVER = (lambda prm: True), (lambda prm: False)
 
+
+def _gg_omega(prm):
+    """omega of a generalized Gaussian potential density, 0 for any other."""
+    d = prm["density"]
+    return d.omega if isinstance(d, GeneralizedGaussian) else 0.0
+
+
 # family -> (parameter names in evaluator order, evaluate(*params, a, y),
-#            differentiable(params), positive_domain)
+#            differentiable(params), convex(params) in a for every y,
+#            positive_domain)
 _FAMILIES = {
-    "MTC": _Family(("rho",), eval_mtc, lambda prm: prm["rho"] > 1, False),
-    "SEL": _Family((), functools.partial(eval_mtc, 2.0), _ALWAYS, False),
-    "ZERO_ONE": _Family((), eval_zero_one, _NEVER, False),
-    "QTL": _Family(("q",), eval_qtl, _NEVER, False),
-    "LNX": _Family(("psi",), eval_linex, _ALWAYS, False),
-    "PTL": _Family(("density",), eval_potential, lambda prm: isinstance(
-        prm["density"], GeneralizedGaussian) and prm["density"].omega > 1, False),
-    "PWD": _Family(("lam",), eval_pwd, _ALWAYS, True),
-    "GAM": _Family(("alpha", "nu"), eval_gam, _ALWAYS, True),
+    "MTC": _Family(("rho",), eval_mtc, lambda prm: prm["rho"] > 1,
+                   lambda prm: prm["rho"] >= 1, False),
+    "SEL": _Family((), functools.partial(eval_mtc, 2.0), _ALWAYS, _ALWAYS, False),
+    "ZERO_ONE": _Family((), eval_zero_one, _NEVER, _NEVER, False),
+    "QTL": _Family(("q",), eval_qtl, _NEVER, _ALWAYS, False),
+    "LNX": _Family(("psi",), eval_linex, _ALWAYS, _ALWAYS, False),
+    "PTL": _Family(("density",), eval_potential,
+                   lambda prm: _gg_omega(prm) > 1, lambda prm: _gg_omega(prm) >= 1, False),
+    # y phi_lam(a / y) has second derivative (a / y)^(lam - 1) / y > 0 in a
+    "PWD": _Family(("lam",), eval_pwd, _ALWAYS, _ALWAYS, True),
+    # (nu - 1) / a^2 > 0, as nu > 1
+    "GAM": _Family(("alpha", "nu"), eval_gam, _ALWAYS, _ALWAYS, True),
 }
 
 # composition -> (component count, None for one or more; parameter names;
-#                 evaluate(parts, *params, a, y); differentiable(params) when
-#                 every part is)
+#                 evaluate(parts, *params, a, y); differentiable(params) and
+#                 convex(params), each when every part is).  Every convex leaf
+# is >= 0, is 0 at a = y and is monotone on each side of y, and so is every
+# convex composition; so on each side of y two parts f, g have f'g' >= 0, and
+# their product (fg)'' = f''g + 2f'g' + fg'' >= 0 stays convex
 _COMPOSITIONS = {
-    "weighted": _Composition(1, ("weight",), _weighted, _ALWAYS),
-    "sum": _Composition(None, (), lambda parts, a, y: sum(p(a, y) for p in parts), _ALWAYS),
+    "weighted": _Composition(1, ("weight",), _weighted, _ALWAYS, _ALWAYS),
+    "sum": _Composition(None, (), lambda parts, a, y: sum(p(a, y) for p in parts),
+                        _ALWAYS, _ALWAYS),
     "product": _Composition(None, (), lambda parts, a, y: functools.reduce(
-        operator.mul, (p(a, y) for p in parts)), _ALWAYS),
-    # (L)^p with p < 1 has an unbounded derivative where L = 0
+        operator.mul, (p(a, y) for p in parts)), _ALWAYS, _ALWAYS),
+    # (L)^p with p < 1 has an unbounded derivative where L = 0, and is
+    # concave on each side of y when L is linear there
     "power": _Composition(1, ("p",), lambda parts, p, a, y: parts[0](a, y) ** p,
-                          lambda prm: prm["p"] >= 1),
+                          lambda prm: prm["p"] >= 1, lambda prm: prm["p"] >= 1),
     "exp_minus_one": _Composition(1, (), lambda parts, a, y: np.expm1(parts[0](a, y)),
-                                  _ALWAYS),
+                                  _ALWAYS, _ALWAYS),
 }
 
 
@@ -370,6 +394,8 @@ class LossFunction:
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     differentiable: bool
     positive_domain: bool
+    # L(., y) is convex for every y, so every EPL is convex in a
+    convex: bool = False
 
     def __call__(self, a, y):
         return self.evaluate(a, y)
@@ -383,10 +409,12 @@ def compose(spec):
     if spec.family is not None:
         row = _FAMILIES[spec.family]
         evaluate = functools.partial(row.evaluate, *(prm[k] for k in row.params))
-        return LossFunction(spec, evaluate, row.differentiable(prm), row.positive_domain)
+        return LossFunction(spec, evaluate, row.differentiable(prm), row.positive_domain,
+                            row.convex(prm))
     row = _COMPOSITIONS[spec.compose]
     parts = [compose(c) for c in spec.components]
     evaluate = functools.partial(row.evaluate, parts, *(prm[k] for k in row.params))
     return LossFunction(spec, evaluate,
                         row.differentiable(prm) and all(p.differentiable for p in parts),
-                        any(p.positive_domain for p in parts))
+                        any(p.positive_domain for p in parts),
+                        row.convex(prm) and all(p.convex for p in parts))

@@ -364,25 +364,15 @@ def _quad_expect(post, h, breakpoints=()):
     y^(shape - 2) near shape 1.  Otherwise, and when ``h`` raises on the
     array (a ``NumericError`` or ``ValidationError``, or the ``TypeError``
     or ``ValueError`` of an ``h`` written for scalars), the answer, or the
-    error, is ``_quadpack_expect``'s.
+    error, is ``_quadpack_expect``'s.  The nodes come from
+    ``_rule_nodes``, which keeps the latest posterior's and cut set's.
     """
     gamma = isinstance(post, GammaPosterior)
-    cuts = sorted({float(b) for b in breakpoints
-                   if np.isfinite(b) and (float(b) > 0.0 or not gamma)})
-    u = np.array([0.0] + [float(post.cdf(b)) for b in cuts] + [1.0])
-    v = np.array([1.0] + [post.tail_prob(b) for b in cuts] + [0.0])
-    u_lo, u_hi, v_lo, v_hi = (e[:, None] for e in (u[:-1], u[1:], v[:-1], v[1:]))
-    # a panel's width from whichever mass its lower edge has less of
-    width = np.where(u_lo < 0.5, u_hi - u_lo, v_lo - v_hi)
-    nu = np.where(_TS_LOWER, u_lo + width * _TS_FROM_LO, u_hi - width * _TS_FROM_HI)
-    nv = np.where(_TS_LOWER, v_lo - width * _TS_FROM_LO, v_hi + width * _TS_FROM_HI)
-    w = width * _TS_W
+    cuts = tuple(sorted({float(b) for b in breakpoints
+                         if np.isfinite(b) and (float(b) > 0.0 or not gamma)}))
+    y, w, keep = _rule_nodes(post, cuts)
     try:
         with np.errstate(all="ignore"):
-            y = post._quantiles(nu, nv)
-            keep = (w > 0.0) & np.isfinite(y)
-            if gamma:
-                keep &= y > 0.0
             terms = np.zeros_like(y)
             terms[keep] = w[keep] * np.asarray(h(y[keep]), dtype=float)
     except (NumericError, TypeError, ValueError):  # ValidationError too
@@ -397,6 +387,39 @@ def _quad_expect(post, h, breakpoints=()):
         if abs(value - 2.0 * float(terms[:, ::2].sum())) <= tol and np.all(outer <= tol):
             return value
     return _quadpack_expect(post, h, breakpoints)
+
+
+# (posterior, cuts, nodes) of the latest _rule_nodes call: one decision often
+# takes several expectations with one cut set (a pushforward mean and its
+# EPL, a reweighted mean's two sums), and the nodes' quantiles are most of
+# the rule's cost.  The nodes are a pure function of the key, so sharing
+# this one entry between callers changes no result
+_last_nodes = [None]
+
+
+def _rule_nodes(post, cuts):
+    """The rule's nodes y, weights w and usable-node mask on ``post`` cut at
+    the sorted tuple ``cuts``, as read-only arrays of one row per panel."""
+    last = _last_nodes[0]
+    if last is not None and last[0] is post and last[1] == cuts:
+        return last[2]
+    u = np.array([0.0] + [float(post.cdf(b)) for b in cuts] + [1.0])
+    v = np.array([1.0] + [post.tail_prob(b) for b in cuts] + [0.0])
+    u_lo, u_hi, v_lo, v_hi = (e[:, None] for e in (u[:-1], u[1:], v[:-1], v[1:]))
+    # a panel's width from whichever mass its lower edge has less of
+    width = np.where(u_lo < 0.5, u_hi - u_lo, v_lo - v_hi)
+    nu = np.where(_TS_LOWER, u_lo + width * _TS_FROM_LO, u_hi - width * _TS_FROM_HI)
+    nv = np.where(_TS_LOWER, v_lo - width * _TS_FROM_LO, v_hi + width * _TS_FROM_HI)
+    w = width * _TS_W
+    with np.errstate(all="ignore"):
+        y = post._quantiles(nu, nv)
+        keep = (w > 0.0) & np.isfinite(y)
+        if isinstance(post, GammaPosterior):
+            keep &= y > 0.0
+    for arr in (y, w, keep):
+        arr.flags.writeable = False
+    _last_nodes[0] = (post, cuts, (y, w, keep))
+    return y, w, keep
 
 
 def _quadpack_expect(post, h, breakpoints=()):

@@ -129,6 +129,23 @@ class TestGeneral:
         assert d.action == pytest.approx(1.5, abs=0.05)
 
 
+    @pytest.mark.parametrize("cloud_loss,method", [
+        (LossSpec.mtc(1.5), "brent"),
+        (LossSpec.mtc(0.5), "golden_section"),   # a local minimum at every draw
+    ], ids=["convex", "nonconvex"])
+    def test_search_follows_the_members_shapes(self, cloud_loss, method):
+        cloud = SamplePosterior(np.random.default_rng(8).lognormal(0.5, 0.4, 500))
+        ens = ModelEnsemble(
+            [EnsembleMember("cloud", cloud, cloud_loss),
+             EnsembleMember("gauss", GaussianPosterior(1.5, 1.0), LossSpec.mtc(0.5))],
+            [0.6, 0.4])
+        d = bma_predict_general(ens)
+        assert d.method.name == method
+        want = 0.6 * epl(cloud_loss, cloud, d.action) + 0.4 * epl(
+            LossSpec.mtc(0.5), GaussianPosterior(1.5, 1.0), d.action)
+        assert d.epl == want
+
+
 class TestEnsembleValidation:
     def test_needs_members(self):
         with pytest.raises(ValidationError):

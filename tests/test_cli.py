@@ -108,6 +108,22 @@ functional: {name: indicator_above, kappa: 0.5}
         action = float(result.output.splitlines()[0].split()[1])
         assert action == pytest.approx(0.3085375387259869, abs=1e-9)  # Pr(Y > 0.5)
 
+    @pytest.mark.parametrize("loss,want", [("{family: SEL}", 0.31822242500251646),
+                                           ("{family: MTC, params: {rho: 1}}", 0.0)],
+                             ids=["sel", "mtc1"])
+    def test_indicator_functional_cut_at_its_jump(self, runner, tmp_path, loss, want):
+        # Pr(Y > kappa) = 0.318...; the start E g(Y) is cut at kappa, where
+        # an uncut rule handed over to QUADPACK, which gave up (exit 3)
+        scenario = write(tmp_path, "s.yaml", f"""
+posterior: {{kind: gamma, shape: 13.390230504285748, rate: 3.924224014410591}}
+loss: {loss}
+functional: {{name: indicator_above, kappa: 3.781119781620137}}
+""")
+        result = runner.invoke(main, ["predict", "--scenario", scenario])
+        assert result.exit_code == 0, result.output
+        action = float(result.output.splitlines()[0].split()[1])
+        assert abs(action - want) <= 1e-9
+
     def test_validation_error_exits_2(self, runner, tmp_path):
         scenario = write(tmp_path, "s.yaml", """
 posterior: {kind: gaussian, mean: 0.0, sd: -1.0}
@@ -609,10 +625,10 @@ loss: {family: LNX, params: {psi: -2.0}}
             code += ("bayesdecide.cli.main.main(args=['predict', '--scenario', "
                      f"{scenario!r}, '--out', {str(tmp_path / 'out')!r}], "
                      "standalone_mode=False)\n")
-        code += "print('scipy.integrate' in sys.modules)"
+        code += "print('scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules)"
         result = _run_python(["-c", code], cwd=str(tmp_path))
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip().splitlines()[-1] == "False"
+        assert result.stdout.strip().splitlines()[-1] == "False False"
         if loss is not None:
             assert (tmp_path / "out" / "predict.csv").exists()
 

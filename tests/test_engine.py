@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from bayesdecide import (GammaPosterior, GaussianPosterior, LossSpec,
-                         NumericError, SamplePosterior, ValidationError,
+from bayesdecide import (GammaPosterior, GaussianPosterior, GeneralizedGaussian,
+                         LossSpec, NumericError, SamplePosterior, ValidationError,
                          Weight, compose, epl, lower_envelope, minimax,
                          minimax_posterior, optimize, optimize_functional,
-                         tail_risk_curve, threshold_rule)
+                         posteriors, tail_risk_curve, threshold_rule)
+from bayesdecide.engine import _bracket, minimize
 from bayesdecide.losses import CustomPotentialDensity
 
 Z97 = 1.8807936081512495
@@ -201,6 +204,160 @@ class TestFunctional:
         post = SamplePosterior(rng.normal(0, 1, size=50_000))
         d = optimize_functional(LossSpec.sel(), post, lambda y: y ** 2)
         assert d.action == pytest.approx(1.0, abs=0.05)
+
+
+class TestFunctionalJump:
+    """g = I(Y > kappa) jumps at kappa; every expectation is cut there."""
+
+    POST = GammaPosterior(13.390230504285748, 3.924224014410591)
+    KAPPA = 3.781119781620137
+
+    @pytest.fixture(autouse=True)
+    def no_fallback(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("QUADPACK fallback reached")
+        monkeypatch.setattr(posteriors, "_quadpack_expect", refuse)
+
+    def g(self, y):
+        return (np.asarray(y, dtype=float) > self.KAPPA).astype(float)
+
+    def test_sel_is_the_tail_probability(self):
+        d = optimize_functional(LossSpec.sel(), self.POST, self.g)
+        assert self.POST.tail_prob(self.KAPPA) == 0.31822242500251646
+        assert abs(d.action - 0.31822242500251646) <= 1e-12
+        p = 0.31822242500251646  # E (p - I)^2 = p (1 - p)
+        assert d.epl == pytest.approx(p * (1.0 - p), rel=1e-10)
+
+    def test_absolute_loss_picks_the_likelier_value(self):
+        # E|a - I| = (1 - p)|a| + p|1 - a| is least at a = 0 when p < 1/2
+        d = optimize_functional(LossSpec.mtc(1), self.POST, self.g)
+        assert abs(d.action) <= 1e-9
+        assert d.epl == pytest.approx(0.31822242500251646, rel=1e-8)
+
+
+class TestBrent:
+    @staticmethod
+    def counted(f):
+        calls = []
+
+        def wrapped(x):
+            calls.append(x)
+            return f(x)
+        return wrapped, calls
+
+    CLOUD = SamplePosterior(np.random.default_rng(17).lognormal(0.5, 0.6, 301),
+                            np.random.default_rng(18).uniform(0.5, 1.5, 301))
+
+    # a minimum value of 0 keeps f's rounding below 1e-9 in x: with f(x*) = c
+    # no search on values alone resolves x* better than sqrt(eps |c|)
+    @pytest.mark.parametrize("f,x0,want", [
+        (lambda x: 2.5 * (x - 3.7) ** 2, 0.0, 3.7),
+        (lambda x: abs(x + 2.3), 1.0, -2.3),
+        (lambda x: epl(LossSpec.qtl(0.3), TestBrent.CLOUD, x), 1.0,
+         CLOUD.quantile(0.3)),
+    ], ids=["quadratic", "absolute", "pinball-on-draws"])
+    def test_finds_the_minimiser(self, f, x0, want):
+        x, fx, path = minimize(f, x0, False)
+        assert path.name == "brent"
+        assert abs(x - want) <= 1e-9 * (1.0 + abs(x))
+        assert fx == f(x)
+        lo, hi = path.bracket
+        assert lo < x < hi
+
+    def test_quadratic_costs_at_most_30_steps_after_the_bracket(self):
+        g, calls = self.counted(lambda x: (x - 3.7) ** 2 + 1.2)
+        _bracket(g, 0.0, False)
+        n_bracket = len(calls)
+        calls.clear()
+        x, fx, path = minimize(g, 0.0, False)
+        assert len(calls) - n_bracket == path.iterations <= 30
+
+    def test_positive_domain_stays_positive(self):
+        f, calls = self.counted(lambda x: x - math.log(x))  # least at x = 1
+        x, fx, path = minimize(f, 40.0, True)
+        assert abs(x - 1.0) <= 1e-9 * 2.0
+        assert min(calls) > 0.0
+
+    def test_numeric_optimize_reports_brent_and_its_epl(self):
+        post = GammaPosterior(3.0, 1.5)
+        for spec in (LossSpec.mtc(1.5), LossSpec.pwd(0.5),
+                     LossSpec.power_of(LossSpec.qtl(0.6), 1.5)):
+            d = optimize(spec, post)
+            assert d.method.name == "brent"
+            assert d.epl == epl(spec, post, d.action)
+
+
+class TestGoldenPath:
+    """A nonconvex loss on draws keeps golden section, digit for digit."""
+
+    rng = np.random.default_rng(2024)
+    CLOUD = SamplePosterior(rng.lognormal(1.0, 0.45, 2000), rng.uniform(0.5, 1.5, 2000))
+
+    @pytest.mark.parametrize("rho,action,value", [
+        (0.5, 2.5128932806578135, 0.9172338313729298),
+        (0.8, 2.639569347648405, 0.9747130018133487),
+    ])
+    def test_mtc_below_one_on_draws(self, rho, action, value):
+        d = optimize(LossSpec.mtc(rho), self.CLOUD)
+        assert d.method.name == "golden_section"
+        assert d.method.iterations == 47
+        assert (d.action, d.epl) == (action, value)
+
+    def test_same_loss_on_a_gaussian_uses_brent(self):
+        assert optimize(LossSpec.mtc(0.5), GaussianPosterior(1.0, 2.0)).method.name == "brent"
+
+
+def _positive_weighted(spec):
+    return LossSpec.weighted(Weight.power(0.5), spec)
+
+
+LEAVES = st.one_of(
+    st.just(LossSpec.sel()), st.just(LossSpec.zero_one()),
+    st.floats(0.2, 3.0).map(LossSpec.mtc),
+    st.floats(0.05, 0.95).map(LossSpec.qtl),
+    st.sampled_from([-1.0, -0.3, 0.2, 0.9]).map(LossSpec.linex),
+    st.floats(0.3, 3.0).map(lambda w: LossSpec.potential(GeneralizedGaussian(w))),
+    st.just(LossSpec.potential(CustomPotentialDensity(
+        lambda u: 1.0 / (1.0 + np.asarray(u) ** 2)))),
+    st.floats(-2.0, 2.0).map(LossSpec.pwd),
+    st.tuples(st.floats(0.5, 3.0), st.floats(1.1, 4.0)).map(lambda p: LossSpec.gam(*p)),
+)
+SPECS = st.recursive(LEAVES, lambda parts: st.one_of(
+    st.lists(parts, min_size=1, max_size=3).map(lambda ps: LossSpec.sum_of(*ps)),
+    st.lists(parts, min_size=1, max_size=2).map(lambda ps: LossSpec.product_of(*ps)),
+    st.tuples(parts, st.floats(0.3, 3.0)).map(lambda t: LossSpec.power_of(*t)),
+    parts.map(LossSpec.exp_minus_one),
+    parts.map(_positive_weighted),
+), max_leaves=4)
+
+
+class TestConvexTag:
+    @settings(max_examples=400, deadline=None)
+    @given(spec=SPECS, a=st.floats(0.1, 5.0), b=st.floats(0.1, 5.0), y=st.floats(0.1, 5.0))
+    def test_tagged_losses_are_midpoint_convex(self, spec, a, b, y):
+        lossfn = compose(spec)
+        assume(lossfn.convex)
+        with np.errstate(over="ignore"):
+            la, lb, lm = (float(lossfn(x, y)) for x in (a, b, 0.5 * (a + b)))
+        assume(math.isfinite(la) and math.isfinite(lb))
+        assert lm <= 0.5 * (la + lb) + 1e-10 * (abs(la) + abs(lb)) + 1e-12
+
+    @pytest.mark.parametrize("spec", [
+        LossSpec.mtc(0.5), LossSpec.zero_one(), LossSpec.power_of(LossSpec.sel(), 0.5),
+        LossSpec.power_of(LossSpec.mtc(1), 0.5),
+        LossSpec.potential(CustomPotentialDensity(lambda u: np.exp(-np.abs(u)))),
+        LossSpec.sum_of(LossSpec.sel(), LossSpec.mtc(0.5)),
+    ], ids=["mtc-half", "zero-one", "sqrt-sel", "sqrt-abs", "custom-ptl", "sum-with-mtc-half"])
+    def test_nonconvex_losses_are_not_tagged(self, spec):
+        assert not compose(spec).convex
+
+    @pytest.mark.parametrize("spec", [
+        LossSpec.mtc(1), LossSpec.qtl(0.2), LossSpec.potential(GeneralizedGaussian(1.0)),
+        LossSpec.product_of(LossSpec.qtl(0.7), LossSpec.sel()),
+        LossSpec.power_of(LossSpec.qtl(0.6), 1.5),
+    ], ids=["mtc-1", "qtl", "ptl-omega-1", "product", "power"])
+    def test_kinked_convex_losses_are_tagged(self, spec):
+        assert compose(spec).convex
 
 
 class TestMinimax:

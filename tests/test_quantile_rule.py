@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import gammaincinv, ndtri
@@ -201,6 +201,33 @@ def test_functional_quantile_is_g_of_the_quantile(fallbacks, case, q, median):
     decision = optimize_functional(spec, post, g)
     assert fallbacks == []
     assert abs(decision.action - want) <= 1e-6 * max(abs(want), 1.0), (decision.action, want)
+
+
+@given(post=_GAUSS | _GAMMA, t=st.floats(0.02, 0.98),
+       loss=st.sampled_from(["SEL", "MTC1", "MTC1.5"]) | st.floats(0.05, 0.95))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_indicator_functional_is_a_two_point_decision(fallbacks, post, t, loss):
+    # g(Y) = I(Y > kappa) takes 1 with probability p = Pr(Y > kappa): SEL
+    # gives p, MTC(1) the likelier value, QTL(q) 0 when 1 - p >= q, and
+    # MTC(1.5) minimises (1 - p)|a|^1.5 + p|1 - a|^1.5 at p^2 / (p^2 + (1 - p)^2)
+    kappa = post.quantile(t)
+    p = post.tail_prob(kappa)
+    if loss == "SEL":
+        spec, want = L.sel(), p
+    elif loss == "MTC1":
+        assume(abs(p - 0.5) > 1e-3)
+        spec, want = L.mtc(1), float(p > 0.5)
+    elif loss == "MTC1.5":
+        spec, want = L.mtc(1.5), p * p / (p * p + (1.0 - p) ** 2)
+    else:
+        assume(abs(1.0 - p - loss) > 1e-3)
+        spec, want = L.qtl(loss), float(1.0 - p < loss)
+    fallbacks.clear()
+    g = lambda y: (np.asarray(y, dtype=float) > kappa).astype(float)
+    decision = optimize_functional(spec, post, g)
+    assert fallbacks == []
+    assert abs(decision.action - want) <= 1e-6, (decision.action, want)
 
 
 # ---------------------------------------------------------------------------
