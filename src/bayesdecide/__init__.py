@@ -16,8 +16,8 @@ from .design import (CostFunction, JointModel, beta_bernoulli,
                      expected_joint_loss, gaussian_known_variance,
                      neg_posterior_variance, optimal_sample_size, voi)
 from .eigen import (CorrelationMatrix, EigenDecomposition, VectorPosterior,
-                    default_eigen_weights, estimate_correlation,
-                    optimize_eigen, epl_multivariate, project,
+                    default_eigen_weights, eigenspace_decisions,
+                    estimate_correlation, optimize_eigen, epl_multivariate, project,
                     spectral_decompose)
 from .engine import (OptimalDecision, SolverPath, TailRiskCurve, epl,
                      lower_envelope, minimax, minimax_posterior, optimize,

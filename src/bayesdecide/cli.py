@@ -16,8 +16,10 @@ from __future__ import annotations
 import functools
 import os
 import sys
+from collections import Counter
 
 import click
+import numpy as np
 
 from . import bma as bma_mod
 from . import design as design_mod
@@ -109,6 +111,17 @@ def _method_tag(decision):
     return f"numeric({m.name}, iterations={m.iterations}, bracket={m.bracket})"
 
 
+def _eigenspace_tag(decisions):
+    """``closed_form(eigenspace)`` when every eigenspace had a closed form;
+    otherwise the number of eigenspaces each search (or closed_form) decided,
+    e.g. ``numeric(eigenspace: golden_section x3)``."""
+    counts = Counter(d.method.name if d.method.kind == "numeric" else "closed_form"
+                     for d in decisions)
+    if list(counts) == ["closed_form"]:
+        return "closed_form(eigenspace)"
+    return f"numeric(eigenspace: {', '.join(f'{k} x{n}' for k, n in counts.items())})"
+
+
 @click.group()
 def main():
     """Optimal Bayes decisions from posteriors and loss functions."""
@@ -179,13 +192,14 @@ def multivar(scenario_path, out_dir, seed, fmt):
         losses = [sc.parse_loss(losses_block[0])] * decomp.n
     else:
         losses = [sc.parse_loss(lb) for lb in losses_block]
-    action = eigen_mod.optimize_eigen(decomp, vp, losses)
+    decisions = eigen_mod.eigenspace_decisions(decomp, vp, losses)
+    action = decomp.eigenvectors @ np.array([d.action for d in decisions])
     value = eigen_mod.epl_multivariate(decomp, vp, losses, action)
     rows = [
         ("action", " ".join(repr(float(v)) for v in action)),
         ("epl", value),
         ("eigenvalues", " ".join(repr(float(v)) for v in decomp.eigenvalues)),
-        ("method", "closed_form(eigenspace)"),
+        ("method", _eigenspace_tag(decisions)),
         ("seed", doc["seed"]),
     ]
     _emit(fmt, rows, out_dir, "multivar.csv", ["component", "action", "eigenvalue"],

@@ -9,7 +9,9 @@ loss.
 
 Eigenpairs come from LAPACK's symmetric solver (``np.linalg.eigh``),
 sorted by decreasing eigenvalue with a fixed sign per eigenvector.
-Dimensions are capped at N <= 64.
+Dimensions are capped at N <= 64.  A ``VectorPosterior`` keeps read-only
+copies of its draws and weights; each projection is an equal-weight
+``SamplePosterior`` when the draws are unweighted.
 """
 
 from __future__ import annotations
@@ -90,12 +92,16 @@ def spectral_decompose(corr):
 
 
 class VectorPosterior:
-    """Weighted draws of an N-vector predictand."""
+    """Weighted draws of an N-vector predictand.
+
+    The draws and the normalized weights are stored as read-only copies, so
+    changing the caller's arrays afterwards changes nothing here.
+    """
 
     __slots__ = ("draws", "weights", "site")
 
     def __init__(self, draws, weights=None, site=None):
-        arr = np.asarray(draws, dtype=float)
+        arr = np.array(draws, dtype=float)
         if arr.ndim != 2 or arr.size == 0:
             raise ValidationError("draws must be a nonempty (n, N) array")
         if not np.all(np.isfinite(arr)):
@@ -109,6 +115,7 @@ class VectorPosterior:
             if not np.all(np.isfinite(w)) or np.any(w <= 0):
                 raise ValidationError("weights must be finite and > 0")
             w = w / w.sum()
+        arr.flags.writeable = w.flags.writeable = False
         object.__setattr__(self, "draws", arr)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "site", site)
@@ -134,15 +141,18 @@ def project(decomp, post, i):
     return SamplePosterior(scalar, post.weights)
 
 
-def optimize_eigen(decomp, post, losses):
-    """Optimal vector action: per-eigenspace scalar optima mapped back."""
+def eigenspace_decisions(decomp, post, losses):
+    """The ``engine.optimize`` decision in each eigenspace, in eigenvalue order."""
     if len(losses) != decomp.n:
         raise ValidationError(f"need {decomp.n} losses, got {len(losses)}")
-    gammas = np.array([
-        engine.optimize(losses[i], project(decomp, post, i)).action
-        for i in range(decomp.n)
-    ])
-    return decomp.eigenvectors @ gammas
+    return tuple(engine.optimize(losses[i], project(decomp, post, i))
+                 for i in range(decomp.n))
+
+
+def optimize_eigen(decomp, post, losses):
+    """Optimal vector action: per-eigenspace scalar optima mapped back."""
+    decisions = eigenspace_decisions(decomp, post, losses)
+    return decomp.eigenvectors @ np.array([d.action for d in decisions])
 
 
 def epl_multivariate(decomp, post, losses, a, weights=None):

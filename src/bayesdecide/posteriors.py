@@ -191,8 +191,11 @@ class SamplePosterior:
     """Weighted posterior draws.
 
     Draws are stored sorted by value with normalized weights, in read-only
-    arrays.  A single draw (degenerate posterior) is legal everywhere; its
-    variance is 0.
+    arrays, in the order of a stable argsort of the values.  When every
+    weight is equal (no weights given, or 1/n weights from an eigenspace
+    projection) the values alone are sorted, without the index sort, since
+    permuting equal weights changes none of them.  A single draw
+    (degenerate posterior) is legal everywhere; its variance is 0.
     """
 
     __slots__ = ("values", "weights", "_cumw")
@@ -204,7 +207,6 @@ class SamplePosterior:
         if not np.all(np.isfinite(values)):
             raise ValidationError("draw values must be finite")
         if weights is None:
-            values = _stable_sort(values)
             weights = np.ones_like(values)
         else:
             weights = np.asarray(weights, dtype=float)
@@ -212,6 +214,10 @@ class SamplePosterior:
                 raise ValidationError("weights must match values in shape")
             if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
                 raise ValidationError("all weights must be finite and > 0")
+        if np.all(weights == weights[0]):
+            # any permutation leaves equal weights as they are
+            values = _stable_sort(values)
+        else:
             order = np.argsort(values, kind="stable")
             values = values[order]
             weights = weights[order]
@@ -241,8 +247,8 @@ class SamplePosterior:
 
     def cdf(self, y):
         idx = np.searchsorted(self.values, y, side="right")
-        cw = np.concatenate(([0.0], self._cumw))
-        return cw[idx]
+        # where no draw is <= y, idx - 1 = -1 reads the last entry; the CDF is 0
+        return np.where(idx > 0, self._cumw[idx - 1], 0.0)[()]
 
     def tail_prob(self, kappa):
         return float(1.0 - self.cdf(kappa))

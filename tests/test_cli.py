@@ -257,6 +257,50 @@ multivar:
         eigvals = [float(r.split(",")[2]) for r in rows[1:]]
         assert eigvals == pytest.approx([1.6, 0.4])
 
+    @staticmethod
+    def _vector_draws(tmp_path):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(60, 3)) @ np.array([[1.0, 0.4, 0.1], [0, 1.0, 0.3], [0, 0, 1.0]])
+        write(tmp_path, "vector_draws.csv", "y0,y1,y2\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in x))
+
+    def test_sel_fixture_output_pinned(self, runner, tmp_path):
+        # the benchmark's SEL fixture, on 60 seeded draws: every eigenspace
+        # takes the closed-form mean
+        self._vector_draws(tmp_path)
+        fixture = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                               "perfbench", "fixtures", "multivar.yaml")
+        with open(fixture) as fh:
+            scenario = write(tmp_path, "multivar.yaml", fh.read())
+        result = runner.invoke(main, ["multivar", "--scenario", scenario,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        assert result.output == (
+            "action       0.03996119169009511 0.08760430494271977 0.00958265232232831\n"
+            "epl          3.3818291497258315\n"
+            "eigenvalues  1.4230723905241032 0.8998658874247835 0.6770617220511131\n"
+            "method       closed_form(eigenspace)\n"
+            "seed         20220901\n")
+        assert read_csv(tmp_path / "out", "multivar.csv") == (
+            "component,action,eigenvalue\n"
+            "1,0.03996119169009511,1.4230723905241032\n"
+            "2,0.08760430494271977,0.8998658874247835\n"
+            "3,0.00958265232232831,0.6770617220511131\n")
+
+    @pytest.mark.parametrize("losses, tag", [
+        ("[{family: MTC, params: {rho: 0.5}}]", "numeric(eigenspace: golden_section x3)"),
+        ("[{family: SEL}, {family: MTC, params: {rho: 0.5}}, {family: QTL, params: {q: 0.3}}]",
+         "numeric(eigenspace: closed_form x2, golden_section x1)"),
+        ("[{family: QTL, params: {q: 0.3}}]", "closed_form(eigenspace)"),
+    ])
+    def test_method_names_what_ran(self, runner, tmp_path, losses, tag):
+        self._vector_draws(tmp_path)
+        scenario = write(tmp_path, "s.yaml", "multivar:\n  draws: {path: vector_draws.csv}\n"
+                         f"  losses: {losses}\n")
+        result = runner.invoke(main, ["multivar", "--scenario", scenario])
+        assert result.exit_code == 0, result.output
+        assert f"method       {tag}\n" in result.output
+
     def test_estimated_correlation_fallback(self, runner, tmp_path):
         rng = np.random.default_rng(5)
         draws = rng.normal(size=(2000, 2))

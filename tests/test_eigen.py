@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from bayesdecide import (CorrelationMatrix, LossSpec, ValidationError,
+from bayesdecide import (CorrelationMatrix, LossSpec, SolverPath, ValidationError,
                          VectorPosterior, default_eigen_weights,
-                         epl_multivariate, estimate_correlation,
-                         optimize_eigen, project, spectral_decompose)
+                         eigenspace_decisions, epl_multivariate,
+                         estimate_correlation, optimize, optimize_eigen, project,
+                         spectral_decompose)
 
 # spectrum of the 2x2 equicorrelation matrix with rho = 0.6
 RHO = 0.6
@@ -147,6 +148,92 @@ class TestOptimizeEigen:
         d = spectral_decompose(corr2())
         with pytest.raises(ValidationError):
             optimize_eigen(d, post, [LossSpec.sel()])
+
+
+class TestVectorPosteriorStorage:
+    def test_source_arrays_are_copied(self):
+        draws = np.array([[1.0, 2.0], [3.0, 5.0]])
+        weights = np.array([1.0, 3.0])
+        vp = VectorPosterior(draws, weights)
+        mean = vp.mean()
+        draws[0, 0] = 1e6
+        weights[0] = 1e6
+        assert vp.draws is not draws
+        assert vp.draws.tolist() == [[1.0, 2.0], [3.0, 5.0]]
+        assert vp.weights.tolist() == [0.25, 0.75]
+        assert vp.mean().tolist() == mean.tolist() == [2.5, 4.25]
+
+    @pytest.mark.parametrize("weights", [None, [1.0, 3.0]])
+    @pytest.mark.parametrize("attr", ["draws", "weights"])
+    def test_arrays_are_read_only(self, attr, weights):
+        vp = VectorPosterior([[1.0, 2.0], [3.0, 5.0]], weights)
+        with pytest.raises(ValueError):
+            getattr(vp, attr)[0] = 99.0
+
+    def test_fortran_order_is_kept(self):
+        draws = np.asfortranarray(np.random.default_rng(6).normal(size=(50, 3)))
+        assert VectorPosterior(draws).draws.flags.f_contiguous
+
+
+# float.hex digits of the N = 48 decision below, from the argsort of every
+# projection; the equal-weight sort must give the same bits
+N48_ACTION = [
+    "-0x1.bc1c3e284de2dp-2", "-0x1.08d961497f933p+0", "0x1.76b3d5b7fa0dfp+0", "0x1.05b5ce3decf0fp+1",
+    "-0x1.0e29691fb4ce8p-1", "0x1.6243400be0fffp-2", "-0x1.2349dd1466029p+1", "-0x1.9dcee3e2c68f7p+0",
+    "0x1.038c15eb778aap-1", "0x1.50f40acbdb6c3p+0", "0x1.9243ff05913d3p-2", "-0x1.faf29b8ce1c32p-2",
+    "0x1.e0da326f789ccp+0", "0x1.7cf70c55a6259p+0", "-0x1.053f90bd935b8p+1", "-0x1.2a4e5a1b40e04p+0",
+    "-0x1.079e66094ba08p+1", "0x1.9820200918cd2p+0", "0x1.d48b57554c91ep-1", "-0x1.8bf2cc7ce85d2p+0",
+    "-0x1.0815078e0507ep+1", "0x1.392372b4ed3a1p+0", "-0x1.50253ff7150d7p-2", "-0x1.2b0dfacc39921p-2",
+    "-0x1.83253446afaccp-2", "-0x1.16dc55317006bp+1", "0x1.c038daf4337acp+0", "0x1.5cafaf1db5353p-1",
+    "-0x1.462ca60e88e3bp+0", "-0x1.122819e8f814ap+0", "0x1.8a5b72fd79854p+0", "0x1.2fb382486e1b8p+1",
+    "-0x1.79813e0f7a93ep-1", "-0x1.86340fb451ed5p+0", "-0x1.3031b5575a8f6p-1", "0x1.6d6d236a7d512p-1",
+    "0x1.48fab35bebf83p-1", "0x1.385537691685ep-1", "0x1.b5d7a20a36cb9p-1", "-0x1.c087fb88dbc1cp+0",
+    "-0x1.396b8706eb23cp-1", "-0x1.c214111b8be46p+0", "-0x1.168f0e9f99dc3p+0", "0x1.24d52a2e2730ep+0",
+    "0x1.f197138449234p-2", "0x1.4946bcdd25548p-1", "-0x1.c517c1dddf133p-1", "0x1.3f9a4f6281726p-2",
+]
+N48_EPL = "0x1.5003f9b3759d0p+6"
+
+
+class TestEigenspaceDecisions:
+    @staticmethod
+    def _n48():
+        rng = np.random.default_rng(48)
+        load = rng.normal(size=(48, 2))
+        draws = rng.normal(size=(400, 2)) @ load.T + rng.normal(size=(400, 48))
+        losses = [LossSpec.qtl(float(q)) if i % 3 else LossSpec.sel()
+                  for i, q in enumerate(np.linspace(0.05, 0.95, 48))]
+        decomp = spectral_decompose(estimate_correlation(draws))
+        return decomp, VectorPosterior(draws), losses
+
+    def test_n48_pinned_digits(self):
+        decomp, post, losses = self._n48()
+        action = optimize_eigen(decomp, post, losses)
+        assert [float(a).hex() for a in action] == N48_ACTION
+        assert epl_multivariate(decomp, post, losses, action).hex() == N48_EPL
+
+    def test_decisions_are_the_scalar_optima(self):
+        decomp, post, losses = self._n48()
+        decisions = eigenspace_decisions(decomp, post, losses)
+        assert len(decisions) == 48
+        for i in (0, 1, 47):
+            assert decisions[i] == optimize(losses[i], project(decomp, post, i))
+        gammas = np.array([d.action for d in decisions])
+        assert (decomp.eigenvectors @ gammas).tobytes() == \
+            optimize_eigen(decomp, post, losses).tobytes()
+
+    def test_numeric_eigenspaces_report_their_search(self):
+        rng = np.random.default_rng(8)
+        post = VectorPosterior(rng.normal(size=(300, 2)))
+        decomp = spectral_decompose(corr2())
+        decisions = eigenspace_decisions(decomp, post, [LossSpec.sel(), LossSpec.mtc(0.5)])
+        assert decisions[0].method == SolverPath("closed_form", "posterior_mean")
+        assert decisions[1].method.kind == "numeric"
+        assert decisions[1].method.name == "golden_section"
+
+    def test_loss_count_mismatch(self):
+        post = VectorPosterior(np.zeros((5, 2)) + [[1.0, 2.0]] * 5)
+        with pytest.raises(ValidationError):
+            eigenspace_decisions(spectral_decompose(corr2()), post, [LossSpec.sel()])
 
 
 class TestEplMultivariate:

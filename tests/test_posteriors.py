@@ -216,6 +216,73 @@ class TestSampleStorage:
         assert post.weights.tobytes() == weights.tobytes()
         assert post._cumw.tobytes() == np.cumsum(weights).tobytes()
 
+    @staticmethod
+    def _assert_matches_argsort(values, weights):
+        """The posterior's arrays are byte for byte those of a stable argsort."""
+        values, weights = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+        order = np.argsort(values, kind="stable")
+        w = weights[order] / weights[order].sum()
+        post = SamplePosterior(values, weights)
+        assert post.values.tobytes() == values[order].tobytes()
+        assert post.weights.tobytes() == w.tobytes()
+        assert post._cumw.tobytes() == np.cumsum(w).tobytes()
+
+    # forced ties, both zeros, and a few distinct values
+    TIED = st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-300, 7.0]),
+                    min_size=1, max_size=40)
+    WEIGHT = st.one_of(st.just(None), st.floats(1e-3, 1e3))  # None: 1/n
+
+    @given(TIED, WEIGHT)
+    @settings(max_examples=300, deadline=None)
+    def test_equal_weights_match_stable_argsort(self, values, c):
+        c = 1.0 / len(values) if c is None else c
+        self._assert_matches_argsort(values, np.full(len(values), c))
+
+    @given(TIED, WEIGHT, st.integers(0, 39), st.floats(0.1, 10.0).filter(lambda f: f != 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_unequal_weights_match_stable_argsort(self, values, c, j, factor):
+        if len(values) < 2:
+            values = values + [-0.0]
+        c = 1.0 / len(values) if c is None else c
+        weights = np.full(len(values), c)
+        weights[j % len(values)] *= factor
+        self._assert_matches_argsort(values, weights)
+
+    def test_projection_weights_match_stable_argsort(self):
+        values = _signed_ties(3)
+        self._assert_matches_argsort(values, np.full(values.size, 1.0 / values.size))
+
+
+class TestCdf:
+    POST = [SamplePosterior([2.0, 1.0, 2.0, -0.0, 0.0, 3.0], [1.0, 2.0, 3.0, 1.0, 1.0, 2.0]),
+            SamplePosterior([5.0]),
+            SamplePosterior(_signed_ties(5, n=50))]
+    POINTS = [-10.0, -3.0, -0.0, 0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 5.0, 10.0]
+
+    @staticmethod
+    def _reference(post, y):
+        # the cumulative weights with a leading 0, indexed by the draws <= y
+        idx = np.searchsorted(post.values, y, side="right")
+        return np.concatenate(([0.0], post._cumw))[idx]
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_scalars_match_reference(self, k):
+        post = self.POST[k]
+        for y in self.POINTS + [float(v) for v in post.values]:
+            for arg in (y, np.float64(y), np.array(y)):
+                got, want = post.cdf(arg), self._reference(post, arg)
+                assert type(got) is type(want) is np.float64
+                assert got.tobytes() == want.tobytes()
+            assert post.tail_prob(y) == 1.0 - float(self._reference(post, y))
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_arrays_match_reference(self, k):
+        post = self.POST[k]
+        for ys in (self.POINTS, np.array(self.POINTS).reshape(11, 1), post.values, []):
+            got, want = post.cdf(ys), self._reference(post, ys)
+            assert isinstance(got, np.ndarray) and got.shape == want.shape
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 class TestSampleFile:
     def test_round_trip(self, tmp_path):
