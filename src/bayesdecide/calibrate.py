@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy.special import ndtri
-
+from . import _special
 from .errors import ValidationError
 
 
@@ -54,7 +53,7 @@ class CalibrationTarget:
         if self.gaussian_multiple is not None:
             z = float(self.gaussian_multiple)
         else:
-            z = float(ndtri(1.0 - self.tail_mass))
+            z = float(_special.ndtri(1.0 - self.tail_mass))
         if self.rounded:
             z = round(z, 2)
         if z <= 0:

@@ -85,11 +85,12 @@ def _handle_errors(fn):
 
 def _common_options(fn):
     fn = click.option("--scenario", "scenario_path", required=True,
-                      type=click.Path(exists=True),
+                      type=click.Path(exists=True, dir_okay=False),
                       help="Scenario YAML document.")(fn)
-    fn = click.option("--out", "out_dir", default=None, type=click.Path(),
+    fn = click.option("--out", "out_dir", default=None, type=click.Path(file_okay=False),
                       help="Directory for CSV artifacts.")(fn)
-    fn = click.option("--seed", default=None, type=int,
+    # an unsigned integer, as a scenario's own seed must be
+    fn = click.option("--seed", default=None, type=click.IntRange(min=0),
                       help="Override the scenario seed.")(fn)
     fn = click.option("--format", "fmt", default="both",
                       type=click.Choice(["table", "csv", "both"]),
@@ -229,8 +230,8 @@ def bma(scenario_path, out_dir, seed, fmt):
 @click.option("--paper-exact", is_flag=True,
               help="Use the two-decimal multiple (0.97 tail -> 1.88).")
 @click.option("--scenario", "scenario_path", default=None,
-              type=click.Path(exists=True))
-@click.option("--out", "out_dir", default=None, type=click.Path())
+              type=click.Path(exists=True, dir_okay=False))
+@click.option("--out", "out_dir", default=None, type=click.Path(file_okay=False))
 @click.option("--format", "fmt", default="both",
               type=click.Choice(["table", "csv", "both"]))
 @_handle_errors

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import digamma, gammainc, gammaincc, ndtr
 
+from . import _special
 from .errors import NumericError, ValidationError
 from .losses import EXP_LIMIT, LossSpec, compose
 from .posteriors import GammaPosterior, GaussianPosterior, SamplePosterior
@@ -299,14 +299,16 @@ def _partials(post, a):
     if isinstance(post, GaussianPosterior):
         z = (a - post.mean) / post.sd
         phi = post.sd * post.pdf(float(a))  # standard normal density at z
-        return (post.sd * (z * float(ndtr(z)) + phi),
-                post.sd * (phi - z * float(ndtr(-z))))
+        return (post.sd * (z * float(_special.ndtr(z)) + phi),
+                post.sd * (phi - z * float(_special.ndtr(-z))))
     k, m = post.shape, post.moments()[0]
     if a <= 0:
         return 0.0, m - a
     x = post.rate * a
-    return (a * float(gammainc(k, x)) - m * float(gammainc(k + 1.0, x)),
-            m * float(gammaincc(k + 1.0, x)) - a * float(gammaincc(k, x)))
+    return (a * float(_special.gammainc(k, x))
+            - m * float(_special.gammainc(k + 1.0, x)),
+            m * float(_special.gammaincc(k + 1.0, x))
+            - a * float(_special.gammaincc(k, x)))
 
 
 def _abs_epl(post, prm, a):
@@ -338,7 +340,7 @@ def _gamma_gam_epl(post, prm, a):
     # with t = a E(1/Y) both brackets below are nonnegative
     k, t = post.shape, a / _inverse_mean_reciprocal(post, prm)
     return (prm["nu"] - 1.0) * ((t - 1.0 - math.log(t))
-                                + (float(digamma(k)) - math.log(k - 1.0)))
+                                + (float(_special.digamma(k)) - math.log(k - 1.0)))
 
 
 def _gamma_pwd_plus_epl(post, prm, a):
@@ -353,7 +355,7 @@ def _gamma_pwd_minus_epl(post, prm, a):
     # - log r); with t = a/m both brackets below are nonnegative
     k, m = post.shape, post.moments()[0]
     t = a / m
-    return m * ((t - 1.0 - math.log(t)) + (float(digamma(k + 1.0)) - math.log(k)))
+    return m * ((t - 1.0 - math.log(t)) + (float(_special.digamma(k + 1.0)) - math.log(k)))
 
 
 # (posterior type, loss key) -> epl(post, params, a) in closed form; every

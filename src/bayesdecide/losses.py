@@ -43,7 +43,6 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NumericError, ValidationError
 
@@ -181,24 +180,13 @@ def eval_pwd(lam, a, y):
 def eval_gam(alpha, nu, a, y):
     """(nu - 1)[(a/y) - 1 - log(a/y)], independent of alpha.
 
-    The simplified closed form is used; ``gam_definitional`` retains the
-    log-density-ratio definition as a cross-check.
+    The simplified closed form of the definition, log f(x0) - log f(x0 a/y)
+    for the Gamma(nu, alpha) density f and its mode x0 = (nu - 1)/alpha;
+    the tests check one against the other.
     """
     _check(alpha=alpha, nu=nu)
     _, r = _ratio("GAM", a, y)
     return (nu - 1.0) * (r - 1.0 - np.log(r))
-
-
-def gam_definitional(alpha, nu, a, y):
-    """GAM loss from the gamma log-density ratio at its mode; cross-check only."""
-    _check(alpha=alpha, nu=nu)
-    _, r = _ratio("GAM", a, y)
-
-    def log_density(x):
-        return -alpha * x + (nu - 1.0) * np.log(x) - (gammaln(nu) - nu * math.log(alpha))
-
-    x0 = (nu - 1.0) / alpha
-    return log_density(x0) - log_density(x0 * r)
 
 
 def _weighted(parts, weight, a, y):

@@ -14,8 +14,10 @@ weights by a positive function of y and renormalize).
 The Gaussian and Gamma densities, distribution functions and quantiles
 are written on ``scipy.special`` (``ndtr``, ``ndtri``, ``gammainc``,
 ``gammaincc``, ``gammaincinv``, ``gammainccinv``) rather than
-``scipy.stats``, whose per-call overhead dominated quadrature and whose
-import dominated CLI start-up.
+``scipy.stats``, whose per-call overhead dominated quadrature.
+``scipy.special`` itself is imported on first use (see ``_special``), so
+a decision that calls none of these, say a quantile of draws, never pays
+for its import.
 
 ``expect`` on a Gaussian or Gamma computes E h(Y) = integral over (0, 1) of
 h(F^-1(u)) du by a fixed tanh-sinh rule in quantile space (see
@@ -27,30 +29,43 @@ quadrature against the density answers instead, or raises;
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.special import (expit, gammainc, gammaincc, gammainccinv, gammaincinv,
-                           logsumexp, ndtr, ndtri)
 
+from . import _special
 from .errors import DivergentMgfError, NumericError, ValidationError
 
 # Mass left in each tail when truncating a parametric support for quadrature.
 _QUAD_TAIL = 1e-10
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# Tanh-sinh rule on one panel of unit width: t = k/16 for |t| <= 6.  A node
-# sits the fraction expit(pi sinh t) of the panel above its lower end and
-# expit(-pi sinh t) below its upper end; both are kept, so a node near
-# either end is placed without cancellation.
+# Tanh-sinh rule on one panel of unit width: t = k/16 for |t| <= 6.
 _TS_T = np.arange(-96, 97) / 16.0
 _TS_LOWER = _TS_T < 0.0  # nodes placed from the lower end
-_TS_FROM_LO, _TS_FROM_HI = expit(np.pi * np.sinh(_TS_T)), expit(-np.pi * np.sinh(_TS_T))
-_TS_W = np.pi * np.cosh(_TS_T) * _TS_FROM_LO * _TS_FROM_HI / 16.0
 # The rule's acceptance tolerance, the QUADPACK fallback's epsabs and epsrel.
 _EPSABS, _EPSREL = 1e-13, 1e-11
+
+
+@functools.cache
+def _ts_rule():
+    """(from_lo, from_hi, w) of the tanh-sinh rule at ``_TS_T``, read-only.
+
+    A node sits the fraction from_lo = expit(pi sinh t) of the panel above
+    its lower end and from_hi = expit(-pi sinh t) below its upper end; both
+    are kept, so a node near either end is placed without cancellation.
+    Built on the first call rather than at import, because ``expit`` needs
+    ``scipy.special``.
+    """
+    from_lo = _special.expit(np.pi * np.sinh(_TS_T))
+    from_hi = _special.expit(-np.pi * np.sinh(_TS_T))
+    w = np.pi * np.cosh(_TS_T) * from_lo * from_hi / 16.0
+    for arr in (from_lo, from_hi, w):
+        arr.flags.writeable = False
+    return from_lo, from_hi, w
 
 
 def _check_finite(name, value):
@@ -75,7 +90,7 @@ class GaussianPosterior:
 
     def quantile(self, q):
         _check_q(q)
-        return float(ndtri(q) * self.sd + self.mean)
+        return float(_special.ndtri(q) * self.sd + self.mean)
 
     def mode(self):
         return self.mean
@@ -85,17 +100,18 @@ class GaussianPosterior:
         return np.exp(-0.5 * z * z) * _INV_SQRT_2PI / self.sd
 
     def cdf(self, y):
-        return ndtr((np.asarray(y, dtype=float) - self.mean) / self.sd)
+        return _special.ndtr((np.asarray(y, dtype=float) - self.mean) / self.sd)
 
     def tail_prob(self, kappa):
-        return float(ndtr(-((kappa - self.mean) / self.sd)))
+        return float(_special.ndtr(-((kappa - self.mean) / self.sd)))
 
     def support(self):
         return self.quantile(_QUAD_TAIL), self.quantile(1.0 - _QUAD_TAIL)
 
     def _quantiles(self, u, v):
         # the quantile at lower mass u = 1 - v, from the smaller of the two
-        return self.mean + self.sd * np.where(u < 0.5, ndtri(u), -ndtri(v))
+        return self.mean + self.sd * np.where(u < 0.5, _special.ndtri(u),
+                                              -_special.ndtri(v))
 
     def expect(self, h, breakpoints=()):
         return _quad_expect(self, h, breakpoints)
@@ -128,7 +144,7 @@ class GammaPosterior:
 
     def quantile(self, q):
         _check_q(q)
-        return float(gammaincinv(self.shape, q) / self.rate)
+        return float(_special.gammaincinv(self.shape, q) / self.rate)
 
     def mode(self):
         return (self.shape - 1.0) / self.rate
@@ -143,10 +159,10 @@ class GammaPosterior:
         return np.exp(np.where((y > 0.0) & (y < np.inf), log_dens, -np.inf))
 
     def cdf(self, y):
-        return gammainc(self.shape, self.rate * np.maximum(y, 0.0))
+        return _special.gammainc(self.shape, self.rate * np.maximum(y, 0.0))
 
     def tail_prob(self, kappa):
-        return float(gammaincc(self.shape, self.rate * max(kappa, 0.0)))
+        return float(_special.gammaincc(self.shape, self.rate * max(kappa, 0.0)))
 
     def support(self):
         return self.quantile(_QUAD_TAIL), self.quantile(1.0 - _QUAD_TAIL)
@@ -156,8 +172,8 @@ class GammaPosterior:
         # each inverse is iterative, so each node takes only one
         low = u < 0.5
         x = np.empty(u.shape)
-        x[low] = gammaincinv(self.shape, u[low])
-        x[~low] = gammainccinv(self.shape, v[~low])
+        x[low] = _special.gammaincinv(self.shape, u[low])
+        x[~low] = _special.gammainccinv(self.shape, v[~low])
         return x / self.rate
 
     def expect(self, h, breakpoints=()):
@@ -286,7 +302,7 @@ class SamplePosterior:
 
     def log_mgf_neg(self, psi):
         _check_psi(psi)
-        return float(logsumexp(-psi * self.values, b=self.weights))
+        return float(_special.logsumexp(-psi * self.values, b=self.weights))
 
     def reweight(self, w):
         """Return the posterior proportional to w(y) * p(y|z)."""
@@ -414,9 +430,10 @@ def _rule_nodes(post, cuts):
     u_lo, u_hi, v_lo, v_hi = (e[:, None] for e in (u[:-1], u[1:], v[:-1], v[1:]))
     # a panel's width from whichever mass its lower edge has less of
     width = np.where(u_lo < 0.5, u_hi - u_lo, v_lo - v_hi)
-    nu = np.where(_TS_LOWER, u_lo + width * _TS_FROM_LO, u_hi - width * _TS_FROM_HI)
-    nv = np.where(_TS_LOWER, v_lo - width * _TS_FROM_LO, v_hi + width * _TS_FROM_HI)
-    w = width * _TS_W
+    from_lo, from_hi, ts_w = _ts_rule()
+    nu = np.where(_TS_LOWER, u_lo + width * from_lo, u_hi - width * from_hi)
+    nv = np.where(_TS_LOWER, v_lo - width * from_lo, v_hi + width * from_hi)
+    w = width * ts_w
     with np.errstate(all="ignore"):
         y = post._quantiles(nu, nv)
         keep = (w > 0.0) & np.isfinite(y)

@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 
@@ -675,6 +676,91 @@ loss: {family: LNX, params: {psi: -2.0}}
         assert result.stdout.strip().splitlines()[-1] == "False False"
         if loss is not None:
             assert (tmp_path / "out" / "predict.csv").exists()
+
+    @pytest.mark.parametrize("module", ["bayesdecide", "bayesdecide.cli"])
+    def test_import_leaves_scipy_special_unloaded(self, module):
+        result = _run_python(["-c", f"import sys, {module}; "
+                                    "print('scipy.special' in sys.modules)"])
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("verb, fixture", [
+        ("predict", "predict.yaml"),              # QTL on draws: closed form
+        ("predict", "predict_mtc_half.yaml"),     # MTC(0.5) on draws: numeric search
+        ("predict", "predict_linex_edge.yaml"),   # LINEX on a Gaussian: closed form
+        ("compare-models", "compare_models.yaml"),
+        ("multivar", "multivar.yaml"),
+        ("bma", "bma.yaml"),                      # SEL members: the mixture mean
+        ("design-n", "design_n.yaml"),
+        ("voi", "voi.yaml"),
+    ])
+    def test_fixture_verb_leaves_scipy_special_unloaded(self, tmp_path, verb, fixture):
+        _copy_fixtures(tmp_path)
+        result = _run_python(["-c", _RUN_VERB, verb, "--scenario", fixture, "--out", "out"],
+                             cwd=str(tmp_path))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False"
+        assert os.listdir(tmp_path / "out")
+
+    @pytest.mark.parametrize("verb, fixture", [("calibrate", "calibrate.yaml"),
+                                               ("risk-curve", "risk_curve.yaml")])
+    def test_scipy_special_on_first_use_gives_the_eager_bytes(self, tmp_path, verb, fixture):
+        # the verb with scipy.special imported by its first call, and with it
+        # imported before the package, as by a caller that already uses scipy
+        _copy_fixtures(tmp_path)
+        runs = []
+        for first in ("", "import scipy.special\n"):
+            out = tmp_path / f"out{len(runs)}"
+            result = _run_python(["-c", first + _RUN_VERB, verb, "--scenario", fixture,
+                                  "--out", str(out)], cwd=str(tmp_path))
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.splitlines()[-1] == "True"
+            runs.append((result.stdout, {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert runs[0] == runs[1]
+        assert runs[0][1]
+
+    @pytest.mark.parametrize("verb, args", [
+        ("predict", ["--scenario", "."]),
+        ("calibrate", ["--scenario", "."]),
+        ("voi", ["--scenario", "voi.yaml", "--out", "voi.yaml"]),
+        ("calibrate", ["--prevention-share", "0.03", "--out", "voi.yaml"]),
+        ("predict", ["--scenario", "predict.yaml", "--seed", "-1"]),
+        ("design-n", ["--scenario", "design_n.yaml", "--seed", "-1"]),
+        ("voi", ["--scenario", "voi.yaml", "--seed", "-1"]),
+    ], ids=["predict-scenario-dir", "calibrate-scenario-dir", "voi-out-file",
+            "calibrate-out-file", "predict-seed-negative", "design-n-seed-negative",
+            "voi-seed-negative"])
+    def test_bad_argument_exits_2_without_traceback(self, tmp_path, verb, args):
+        _copy_fixtures(tmp_path)
+        if "--out" not in args:
+            args = args + ["--out", "out"]
+        before = sorted(tmp_path.rglob("*"))
+        result = _run_python(["-m", "bayesdecide.cli", verb, *args], cwd=str(tmp_path))
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stdout + result.stderr
+        assert result.stdout == ""
+        assert sorted(tmp_path.rglob("*")) == before  # no CSV, no --out directory
+
+
+FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "fixtures")
+# the CLI in a fresh interpreter (``python -c _RUN_VERB verb ...``), which then
+# prints whether scipy.special was imported
+_RUN_VERB = ("import sys\nfrom bayesdecide.cli import main\n"
+             "main.main(args=sys.argv[1:], standalone_mode=False)\n"
+             "print('scipy.special' in sys.modules)\n")
+
+
+def _copy_fixtures(tmp_path):
+    """The benchmark's CLI fixtures in ``tmp_path``, with small seeded draw files
+    in place of the ones the benchmark writes (draws.txt, vector_draws.csv)."""
+    for name in os.listdir(FIXTURES):
+        shutil.copy(os.path.join(FIXTURES, name), tmp_path / name)
+    rng = np.random.default_rng(5)
+    write(tmp_path, "draws.txt", "".join(
+        f"{float(v)!r},{float(w)!r}\n" for v, w in zip(rng.lognormal(0.5, 0.45, 200),
+                                         rng.uniform(0.5, 1.5, 200))))
+    TestMultivar._vector_draws(tmp_path)
 
 
 _SEL = "{family: SEL}"

@@ -10,7 +10,19 @@ from hypothesis import strategies as st
 from bayesdecide import (GeneralizedGaussian, LossSpec, ValidationError,
                          Weight, compose, eval_gam, eval_linex, eval_mtc,
                          eval_potential, eval_pwd, eval_qtl, eval_zero_one)
-from bayesdecide.losses import CustomPotentialDensity, gam_definitional
+from bayesdecide.losses import CustomPotentialDensity
+
+
+def gam_definitional(alpha, nu, a, y):
+    """GAM loss by its definition: the gamma log-density ratio
+    log f(x0) - log f(x0 a/y) at the mode x0 = (nu - 1)/alpha.  The
+    normalizing constant log Gamma(nu) - nu log alpha cancels in the
+    difference, so only the kernel is written."""
+    def log_kernel(x):
+        return -alpha * x + (nu - 1.0) * np.log(x)
+
+    x0 = (nu - 1.0) / alpha
+    return log_kernel(x0) - log_kernel(x0 * (np.asarray(a, dtype=float) / y))
 
 
 class TestMtc:
@@ -244,8 +256,7 @@ _EVALUATORS = {
     "QTL": [lambda q: eval_qtl(q, 2.0, 1.0)],
     "LNX": [lambda psi: eval_linex(psi, 2.0, 1.0)],
     "PWD": [lambda lam: eval_pwd(lam, 2.0, 1.0)],
-    "GAM": [lambda alpha, nu: eval_gam(alpha, nu, 2.0, 1.0),
-            lambda alpha, nu: gam_definitional(alpha, nu, 2.0, 1.0)],
+    "GAM": [lambda alpha, nu: eval_gam(alpha, nu, 2.0, 1.0)],
 }
 _OUT_OF_RANGE = [(family, name, value) for family, good in _GOOD.items()
                  for name in good for value in _BAD[name]]

@@ -70,3 +70,42 @@ def test_checker_allows_own_and_public_names():
     source = ("from . import engine\nengine.minimize(f, 0.0, False)\n"
               "def _own():\n    pass\n_own()\n")
     assert private_reach_ins(source, "bma") == []
+
+
+def scipy_special_imports(source):
+    """(line, module) of every import of ``scipy.special`` or a name from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        found.extend((node.lineno, n) for n in names
+                     if n == "scipy.special" or n.startswith("scipy.special."))
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PKG_DIR.glob("*.py")))
+def test_only_the_lazy_module_imports_scipy_special(module):
+    # importing scipy.special costs more than the rest of the package, and only
+    # some decisions need it; ``_special`` imports it on first use
+    found = scipy_special_imports((PKG_DIR / f"{module}.py").read_text())
+    assert bool(found) == (module == "_special"), found
+
+
+@pytest.mark.parametrize("source", [
+    "from scipy.special import ndtr\n",
+    "from scipy import special\n",
+    "import scipy.special\n",
+    "import scipy.special as sp\n",
+    "def f():\n    from scipy.special._ufuncs import ndtr\n",
+])
+def test_scipy_special_checker_flags_imports(source):
+    assert scipy_special_imports(source)
+
+
+def test_scipy_special_checker_allows_other_imports():
+    assert scipy_special_imports("import scipy\nfrom scipy import integrate\n"
+                                 "from . import _special\n") == []

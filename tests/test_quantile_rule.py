@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import gammaincinv, ndtri
+from scipy.special import expit, gammaincinv, ndtri
 
 from bayesdecide import (GammaPosterior, GaussianPosterior, GeneralizedGaussian,
                          LossSpec as L, NumericError, compose, optimize,
@@ -96,6 +96,20 @@ def _check_against_quad(spec, post, t):
     if got is None:  # rare: the answer is the fallback's
         got = posteriors._quad_expect(post, h, (a,))
     _assert_close(got, want)
+
+
+
+def test_node_table_is_the_expit_formula():
+    # the node fractions and weights, built on first use, are this formula's
+    # exact bytes: t = k/16 for |t| <= 6, with expit from scipy.special
+    t = np.arange(-96, 97) / 16.0
+    from_lo, from_hi = expit(np.pi * np.sinh(t)), expit(-np.pi * np.sinh(t))
+    w = np.pi * np.cosh(t) * from_lo * from_hi / 16.0
+    table = posteriors._ts_rule()
+    for got, want in zip(table, (from_lo, from_hi, w)):
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    assert posteriors._ts_rule() is table
 
 
 # losses without a closed-form EPL on either posterior
