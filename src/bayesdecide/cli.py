@@ -4,9 +4,10 @@ Verbs: predict, compare-models, multivar, bma, calibrate, risk-curve,
 design-n, voi.  Each verb reads a scenario document (see
 ``bayesdecide.scenario``), prints a human-readable result table on
 stdout, and writes machine-readable CSV artifacts under ``--out`` when
-given.  Every numeric result carries its method tag (closed_form or
-numeric) and, for Monte Carlo verbs, the seed and a standard error, so a
-run can be reproduced without the original command line.
+given (``--format csv`` needs ``--out``).  Every numeric result carries
+its method tag (closed_form or numeric) and every scenario verb its seed,
+so a run can be reproduced without the original command line.  Of the
+Monte Carlo verbs, only ``voi`` prints a standard error.
 
 Exit codes: 0 success, 2 validation error, 3 numeric failure.
 """
@@ -32,16 +33,11 @@ from .errors import NumericError, ValidationError
 
 
 def _write_csv(out_dir, name, header, rows):
-    if out_dir is None:
-        return None
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w", newline="\n") as fh:
+    with open(os.path.join(out_dir, name), "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
                               for v in row) + "\n")
-    return path
 
 
 def _echo_rows(rows):
@@ -51,10 +47,10 @@ def _echo_rows(rows):
 
 
 def _emit(fmt, rows, out_dir, name, header, csv_rows):
-    """Print the result table and/or write the CSV artifact, as ``fmt`` asks."""
-    if fmt in ("table", "both"):
+    """Print the table unless ``fmt`` is csv; write the CSV when given ``out_dir``."""
+    if fmt != "csv":
         _echo_rows(rows)
-    if fmt in ("csv", "both"):
+    if out_dir is not None:
         _write_csv(out_dir, name, header, csv_rows)
 
 
@@ -69,33 +65,44 @@ def _emit_decision(fmt, decision, seed, out_dir, name):
     _emit(fmt, rows, out_dir, name, [k for k, _ in rows], [[v for _, v in rows]])
 
 
-def _handle_errors(fn):
+def _output_options(fn):
+    """``--out`` and ``--format``, checked before the verb runs, and the exit
+    codes of its errors.  The verb gets ``out_dir`` made, or None when it is to
+    write no CSV."""
+    @click.option("--out", "out_dir", type=click.Path(file_okay=False),
+                  help="Directory for CSV artifacts.")
+    @click.option("--format", "fmt", type=click.Choice(["table", "csv", "both"]),
+                  default="both", help="Emit the stdout table, the CSV artifacts "
+                                       "(needs --out), or both.")
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def run(*args, out_dir, fmt, **kwargs):
+        if out_dir is None and fmt == "csv":
+            raise click.UsageError("--format csv needs --out")
         try:
-            return fn(*args, **kwargs)
+            if out_dir is not None and fmt != "table":
+                os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:  # as click reports an --out that is a file
+            raise click.BadParameter(f"cannot make directory {out_dir!r}: {exc.strerror}",
+                                     param_hint="'--out'")
+        try:
+            return fn(*args, out_dir=None if fmt == "table" else out_dir, fmt=fmt, **kwargs)
         except ValidationError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except NumericError as exc:
             click.echo(f"numeric failure: {exc}", err=True)
             sys.exit(3)
-    return wrapper
+    return run
 
 
 def _common_options(fn):
     fn = click.option("--scenario", "scenario_path", required=True,
                       type=click.Path(exists=True, dir_okay=False),
                       help="Scenario YAML document.")(fn)
-    fn = click.option("--out", "out_dir", default=None, type=click.Path(file_okay=False),
-                      help="Directory for CSV artifacts.")(fn)
     # an unsigned integer, as a scenario's own seed must be
     fn = click.option("--seed", default=None, type=click.IntRange(min=0),
                       help="Override the scenario seed.")(fn)
-    fn = click.option("--format", "fmt", default="both",
-                      type=click.Choice(["table", "csv", "both"]),
-                      help="Emit the stdout table, the CSV artifacts, or both.")(fn)
-    return _handle_errors(fn)
+    return _output_options(fn)
 
 
 def _load(scenario_path, seed):
@@ -231,10 +238,7 @@ def bma(scenario_path, out_dir, seed, fmt):
               help="Use the two-decimal multiple (0.97 tail -> 1.88).")
 @click.option("--scenario", "scenario_path", default=None,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_dir", default=None, type=click.Path(file_okay=False))
-@click.option("--format", "fmt", default="both",
-              type=click.Choice(["table", "csv", "both"]))
-@_handle_errors
+@_output_options
 def calibrate(prevention_share, gaussian_multiple, sigma, paper_exact,
               scenario_path, out_dir, fmt):
     """Calibrate pinball level q and LINEX psi from a cost asymmetry."""
@@ -290,7 +294,7 @@ def risk_curve(scenario_path, out_dir, seed, fmt):
             ("points", len(curve.points))]
     header = ["kappa", "tail_prob", "loss"]
     _emit(fmt, rows, out_dir, "risk_curve.csv", header, curve.points)
-    if fmt in ("csv", "both") and "a_grid" in block:
+    if out_dir is not None and "a_grid" in block:
         a_grid = sc.parse_grid(block["a_grid"], "risk_curve.a_grid")
         env = engine.lower_envelope(spec, post, kappas, a_grid)
         _write_csv(out_dir, "risk_envelope.csv", header, env.points)

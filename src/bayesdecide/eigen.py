@@ -98,9 +98,9 @@ class VectorPosterior:
     changing the caller's arrays afterwards changes nothing here.
     """
 
-    __slots__ = ("draws", "weights", "site")
+    __slots__ = ("draws", "weights")
 
-    def __init__(self, draws, weights=None, site=None):
+    def __init__(self, draws, weights=None):
         arr = np.array(draws, dtype=float)
         if arr.ndim != 2 or arr.size == 0:
             raise ValidationError("draws must be a nonempty (n, N) array")
@@ -118,7 +118,6 @@ class VectorPosterior:
         arr.flags.writeable = w.flags.writeable = False
         object.__setattr__(self, "draws", arr)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "site", site)
 
     def __setattr__(self, name, value):
         raise AttributeError("VectorPosterior is immutable")
@@ -186,11 +185,10 @@ def default_eigen_weights(decomp):
 
 
 def estimate_correlation(draws):
-    """Sample correlation matrix, symmetrized and eigenvalue-guarded.
+    """Sample correlation matrix, symmetrized with a unit diagonal.
 
-    Tiny eigenvalues are clipped to 1e-10 and the matrix rescaled back to
-    a unit diagonal; inputs that remain effectively singular (e.g. a
-    perfectly correlated pair) are rejected as non-positive-definite.
+    ``CorrelationMatrix`` rejects an effectively singular estimate (e.g. a
+    perfectly correlated pair) as non-positive-definite.
     """
     arr = np.asarray(draws, dtype=float)
     if arr.ndim != 2:
@@ -204,12 +202,5 @@ def estimate_correlation(draws):
         raise ValidationError(f"coordinate {int(zero[0])} has zero variance")
     corr = np.atleast_2d(np.corrcoef(arr, rowvar=False))  # 0-d when N = 1
     corr = 0.5 * (corr + corr.T)
-    vals, vecs = np.linalg.eigh(corr)
-    if np.any(vals < 1e-10):
-        clipped = np.maximum(vals, 1e-10)
-        corr = vecs @ np.diag(clipped) @ vecs.T
-        d = np.sqrt(np.diag(corr))
-        corr = corr / np.outer(d, d)
-        corr = 0.5 * (corr + corr.T)
     np.fill_diagonal(corr, 1.0)
     return CorrelationMatrix(corr)

@@ -22,8 +22,8 @@ names mirror the library's types.  Blocks:
 ``calibrate``      prevention_share | gaussian_multiple, sigma, paper_exact
 ``seed``           unsigned integer, defaults to DEFAULT_SEED
 
-Number fields never take true/false, integer fields take whole numbers
-only, and every matrix, inline or read from a file, must be rectangular.
+Number fields never take true/false, integer fields take whole int64
+numbers only, and each matrix, inline or read from a file, must be rectangular.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def load_scenario(path):
 
 
 _REQUIRED = object()
-_KIND_NAMES = {float: "a number", int: "an integer", bool: "true or false",
+_KIND_NAMES = {float: "a number", int: "a 64-bit integer", bool: "true or false",
                dict: "a mapping", list: "a list", str: "a string"}
 # kinds taken only as they are, never converted from another type
 _STRICT = {bool: bool, dict: dict, list: (list, tuple), str: str}
@@ -90,7 +90,9 @@ def _as(value, kind, where):
             isinstance(value, float) and not value.is_integer()))
     if ok:
         try:
-            return kind(value)
+            out = kind(value)
+            if kind is not int or abs(out) < 2 ** 63:  # numpy takes sizes as int64
+                return out
         except (TypeError, ValueError, OverflowError):
             pass
     raise ValidationError(f"{where}: expected {_KIND_NAMES[kind]}, got {value!r}")
@@ -201,6 +203,8 @@ def parse_int_grid(block, name="n_grid"):
         start = read(block, "start", name, int)
         stop = read(block, "stop", name, int)
         step = read(block, "step", name, int, 1)
+        if step == 0:
+            raise ValidationError(f"{name}.step must be nonzero")
         return list(range(start, stop + 1, step))
     raise ValidationError(f"{name}: expected a list or start/stop mapping")
 

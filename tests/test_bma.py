@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bayesdecide import engine
 from bayesdecide import (EnsembleMember, GammaPosterior, GaussianPosterior,
                          LossSpec, ModelEnsemble, SamplePosterior,
                          ValidationError, bma_predict_general,
@@ -86,6 +87,27 @@ class TestGeneral:
         d = bma_predict_general(ens)
         assert d.action > 0
 
+    def test_positive_domain_start_falls_back_to_largest_member_median(self, monkeypatch):
+        # the weighted median sum, 0.5 * 2.67 - 0.5 * 20, is no positive start
+        members = [
+            EnsembleMember("ratio", GammaPosterior(3.0, 1.0), LossSpec.gam(1, 2)),
+            EnsembleMember("far", GaussianPosterior(-20.0, 1.0), LossSpec.sel()),
+        ]
+        ens = ModelEnsemble(members, [0.5, 0.5])
+        starts, search = [], engine.minimize
+
+        def recorded(f, x0, *args):
+            starts.append(x0)
+            return search(f, x0, *args)
+
+        monkeypatch.setattr(engine, "minimize", recorded)
+        d = bma_predict_general(ens)
+        assert starts == [GammaPosterior(3.0, 1.0).quantile(0.5)]
+        grid = np.linspace(0.005, 1.0, 200)
+        mix = [0.5 * epl(LossSpec.gam(1, 2), members[0].posterior, a)
+               + 0.5 * epl(LossSpec.sel(), members[1].posterior, a) for a in grid]
+        assert 0 < d.action and d.epl <= min(mix) + 1e-9
+
     def test_positive_domain_with_gaussian_member_rejected(self):
         members = [
             EnsembleMember("ratio", GaussianPosterior(3.0, 1.0), LossSpec.gam(1, 2)),
@@ -161,3 +183,8 @@ class TestEnsembleValidation:
                    EnsembleMember("b", GaussianPosterior(1, 1), LossSpec.sel())]
         with pytest.raises(ValidationError):
             ModelEnsemble(members, [0.5, 0.6])
+
+    def test_immutable(self):
+        ens = gaussian_pair()
+        with pytest.raises(AttributeError, match="immutable"):
+            ens.members = ()

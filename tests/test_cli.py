@@ -184,6 +184,17 @@ posterior: {kind: gaussian, mean: 0.0, sd: 1.0}
         assert result.exit_code == 0
         assert not (out / "predict.csv").exists()
 
+    def test_format_csv_writes_no_table(self, runner, tmp_path):
+        scenario = write(tmp_path, "s.yaml", """
+posterior: {kind: gaussian, mean: 0.0, sd: 1.0}
+""")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["predict", "--scenario", scenario,
+                                      "--out", str(out), "--format", "csv"])
+        assert result.exit_code == 0
+        assert result.output == ""
+        assert (out / "predict.csv").exists()
+
     def test_byte_identical_reruns(self, runner, tmp_path):
         scenario = write(tmp_path, "s.yaml", """
 posterior: {kind: gaussian, mean: 0.3, sd: 1.7}
@@ -580,10 +591,16 @@ class TestMalformedInputs:
          "no draws found"),
         ("risk-curve", GAUSS + "risk_curve: {kappa_grid: [0, 1], action: .nan}", {},
          "action must be finite"),
+        ("design-n", f"design: {{{GKV}, tau: 1.0, n_grid: {{start: 0, stop: 4, step: 0}}}}",
+         {}, "design.n_grid.step must be nonzero"),
+        ("design-n", f"design: {{{GKV}, tau: 1.0, n_grid: [{10 ** 30}]}}", {},
+         "design.n_grid[0]: expected a 64-bit integer"),
+        ("voi", f"voi: {{template: beta-bernoulli, n_existing: {10 ** 30}}}", {},
+         "voi.n_existing: expected a 64-bit integer"),
     ], ids=["decision_table", "matrix", "correlation-file", "n_mc-fraction", "n_mc-bool",
             "n_grid-fraction", "cost-key-fraction", "n_existing-negative", "prior_sd-inf",
             "seed-bool", "path-number", "path-directory", "binary-draws", "header-only",
-            "action-nan"])
+            "action-nan", "n_grid-step-zero", "n_grid-past-int64", "n_existing-past-int64"])
     def test_exits_2(self, runner, tmp_path, verb, text, files, message):
         write(tmp_path, "draws.csv", DRAWS_CSV)
         for name, content in files.items():
@@ -594,6 +611,23 @@ class TestMalformedInputs:
         assert result.exit_code == 2, (result.output, result.exception)
         assert "Traceback" not in result.output
         assert message in result.output
+
+    def test_integers_fit_in_int64(self):
+        from bayesdecide.scenario import read
+        assert read({"n": 2 ** 63 - 1}, "n", "w", int) == 2 ** 63 - 1
+        assert read({"n": -(2 ** 63 - 1)}, "n", "w", int) == -(2 ** 63 - 1)
+        with pytest.raises(bayesdecide.ValidationError, match="w.n: expected a 64-bit"):
+            read({"n": 2 ** 63}, "n", "w", int)
+
+    def test_descending_n_grid_runs(self, runner, tmp_path):
+        scenario = write(tmp_path, "s.yaml", f"design: {{{GKV}, tau: 1.0, n_mc: 5, "
+                                             "n_grid: {start: 4, stop: 0, step: -2}}\n")
+        result = runner.invoke(main, ["design-n", "--scenario", scenario,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        ns = [line.split(",")[0] for line in
+              read_csv(tmp_path / "out", "design_n.csv").splitlines()[1:]]
+        assert ns[-2:] == ["2", "4"]
 
     def test_whole_float_is_an_integer(self, runner, tmp_path):
         scenario = write(tmp_path, "s.yaml", f"voi: {{{GKV}, n_mc: 3.0}}\n")
@@ -724,22 +758,39 @@ loss: {family: LNX, params: {psi: -2.0}}
         ("calibrate", ["--scenario", "."]),
         ("voi", ["--scenario", "voi.yaml", "--out", "voi.yaml"]),
         ("calibrate", ["--prevention-share", "0.03", "--out", "voi.yaml"]),
+        ("voi", ["--scenario", "voi.yaml", "--out", "voi.yaml/sub"]),
+        ("calibrate", ["--prevention-share", "0.03", "--out", "voi.yaml/sub"]),
         ("predict", ["--scenario", "predict.yaml", "--seed", "-1"]),
         ("design-n", ["--scenario", "design_n.yaml", "--seed", "-1"]),
         ("voi", ["--scenario", "voi.yaml", "--seed", "-1"]),
     ], ids=["predict-scenario-dir", "calibrate-scenario-dir", "voi-out-file",
-            "calibrate-out-file", "predict-seed-negative", "design-n-seed-negative",
+            "calibrate-out-file", "voi-out-under-file", "calibrate-out-under-file",
+            "predict-seed-negative", "design-n-seed-negative",
             "voi-seed-negative"])
     def test_bad_argument_exits_2_without_traceback(self, tmp_path, verb, args):
         _copy_fixtures(tmp_path)
+        bad_value = args[-1]
         if "--out" not in args:
             args = args + ["--out", "out"]
         before = sorted(tmp_path.rglob("*"))
         result = _run_python(["-m", "bayesdecide.cli", verb, *args], cwd=str(tmp_path))
         assert result.returncode == 2, result.stderr
         assert "Traceback" not in result.stdout + result.stderr
-        assert result.stdout == ""
+        assert result.stdout == ""  # rejected before the verb's work
+        assert f"'{bad_value}'" in result.stderr or f" {bad_value} " in result.stderr
         assert sorted(tmp_path.rglob("*")) == before  # no CSV, no --out directory
+
+    def test_format_csv_without_out_exits_2(self, tmp_path):
+        _copy_fixtures(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        result = _run_python(["-m", "bayesdecide.cli", "compare-models",
+                              "--scenario", "compare_models.yaml", "--format", "csv"],
+                             cwd=str(tmp_path))
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stdout + result.stderr
+        assert result.stdout == ""
+        assert "--format csv needs --out" in result.stderr
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

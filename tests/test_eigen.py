@@ -170,6 +170,11 @@ class TestVectorPosteriorStorage:
         with pytest.raises(ValueError):
             getattr(vp, attr)[0] = 99.0
 
+    def test_immutable(self):
+        vp = VectorPosterior([[1.0, 2.0], [3.0, 5.0]])
+        with pytest.raises(AttributeError, match="immutable"):
+            vp.draws = np.zeros((2, 2))
+
     def test_fortran_order_is_kept(self):
         draws = np.asfortranarray(np.random.default_rng(6).normal(size=(50, 3)))
         assert VectorPosterior(draws).draws.flags.f_contiguous
@@ -288,6 +293,25 @@ class TestEstimateCorrelation:
         x = rng.normal(size=100)
         with pytest.raises(ValidationError):
             estimate_correlation(np.column_stack([x, x]))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_near_collinear_estimate_is_the_sample_correlation_or_rejected(self, seed):
+        # the estimate is never altered to make it positive-definite: it is
+        # the symmetrized sample correlation, or it is refused
+        rng = np.random.default_rng(seed)
+        draws = rng.normal(size=(12, 4))
+        for eps in 10.0 ** np.arange(-9.0, -2.0):
+            draws[:, 3] = draws[:, 0] + eps * rng.normal(size=12)
+            want = np.corrcoef(draws, rowvar=False)
+            want = 0.5 * (want + want.T)
+            np.fill_diagonal(want, 1.0)
+            try:
+                got = estimate_correlation(draws).entries
+            except ValidationError as exc:
+                assert "not positive-definite" in str(exc)
+                assert np.linalg.eigvalsh(want)[0] <= 1e-9
+            else:
+                assert got.tobytes() == want.tobytes()
 
     def test_single_coordinate(self):
         draws = np.random.default_rng(2).normal(size=(50, 1))

@@ -37,6 +37,11 @@ class TestEpl:
         with pytest.raises(ValidationError):
             epl(LossSpec.gam(1, 2), GaussianPosterior(0, 1), 1.0)
 
+    @pytest.mark.parametrize("a", [0.0, -1.0])
+    def test_positive_domain_action_guard(self, a):
+        with pytest.raises(ValidationError, match="requires action > 0"):
+            epl(LossSpec.gam(1, 2), GammaPosterior(3, 1), a)
+
     @pytest.mark.parametrize("spec", [
         LossSpec.gam(1, 2), LossSpec.pwd(1.0), LossSpec.pwd(0.5),
         LossSpec.weighted(Weight.identity(), LossSpec.gam(1, 2)),
@@ -98,6 +103,12 @@ class TestOptimizeDispatch:
         spec = LossSpec.weighted(Weight.identity(), LossSpec.sel())
         d = optimize(spec, post)
         assert d.action == pytest.approx(4.0, abs=0.05)  # size-biased mean
+
+    def test_weighted_sel_with_nonpositive_weight_mass_raises(self):
+        # E[w(Y)] = E[Y] = -1 under N(-1, 0.5): the reweighted mean has no meaning
+        spec = LossSpec.weighted(Weight.power(1), LossSpec.sel())
+        with pytest.raises(NumericError, match="nonpositive posterior mass"):
+            optimize(spec, GaussianPosterior(-1.0, 0.5))
 
     def test_epl_self_consistency(self):
         post = GammaPosterior(3, 1)

@@ -94,6 +94,10 @@ class TestPotential:
         with pytest.raises(ValidationError):
             CustomPotentialDensity(lambda u: np.abs(u) + 1.0)
 
+    def test_zero_density_at_the_mode_rejected(self):
+        with pytest.raises(ValidationError, match=r"f\(0\) > 0"):
+            CustomPotentialDensity(lambda u: np.zeros_like(u))
+
 
 class TestPwd:
     def test_lambda_one_is_half_squared_ratio(self):
@@ -139,6 +143,12 @@ class TestCompose:
     def test_weighted_identity_over_sel(self):
         loss = compose(LossSpec.weighted(Weight.identity(), LossSpec.sel()))
         assert loss(2, 1.0) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("y", [-1.0, 0.0])
+    def test_weighted_rejects_a_nonpositive_weight_where_evaluated(self, y):
+        loss = compose(LossSpec.weighted(Weight.power(1), LossSpec.sel()))
+        with pytest.raises(ValidationError, match="weight function must be finite and > 0"):
+            loss(0.5, np.array([1.0, y]))
 
     def test_sum_sel_zero_one(self):
         loss = compose(LossSpec.sum_of(LossSpec.sel(), LossSpec.zero_one()))
@@ -301,6 +311,12 @@ def test_single_base_compositions_take_exactly_one_component(kind, params):
         LossSpec(compose=kind, components=parts, params=params)
     with pytest.raises(ValidationError, match="got 0"):
         LossSpec(compose=kind, components=(), params=params)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"family": "SEL", "compose": "sum"}])
+def test_spec_sets_exactly_one_of_family_and_compose(kwargs):
+    with pytest.raises(ValidationError, match="exactly one of family / compose"):
+        LossSpec(**kwargs)
 
 
 @pytest.mark.parametrize("kwargs, message", [

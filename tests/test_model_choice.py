@@ -47,6 +47,35 @@ class TestEvidence:
         with pytest.raises(ValidationError):
             ModelEvidence(likelihoods=[1.0, 2.0], prior=[0.7, 0.7])
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"likelihoods": []}, "at least one model"),
+        ({"likelihoods": [1.0, math.inf]}, "likelihoods must be finite and > 0"),
+        ({"log_likelihoods": []}, "at least one model"),
+        ({"log_likelihoods": [0.0, math.nan]}, "log-likelihoods must be finite"),
+        ({"likelihoods": [1.0, 2.0], "prior": [1.0]}, "prior must match"),
+        ({"likelihoods": [1.0, 2.0], "prior": [1.5, -0.5]}, "nonnegative and sum to 1"),
+        ({"likelihoods": [1.0, 2.0], "labels": ["only"]}, "labels must match"),
+    ])
+    def test_malformed_evidence_rejected(self, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            ModelEvidence(**kwargs)
+
+    def test_labels_kept(self):
+        ev = ModelEvidence(likelihoods=[1.0, 2.0], labels=["a", "b"])
+        assert ev.labels == ("a", "b")
+        assert posterior_models(ev).labels == ("a", "b")
+
+    def test_all_zero_products_rejected(self):
+        # the only likely model has prior 0; the other's ratio underflows to 0
+        ev = ModelEvidence(log_likelihoods=[0.0, -1000.0], prior=[0.0, 1.0])
+        with pytest.raises(ValidationError, match="products are zero"):
+            posterior_models(ev)
+
+    def test_immutable(self):
+        ev = ModelEvidence(likelihoods=[1.0, 2.0])
+        with pytest.raises(AttributeError, match="immutable"):
+            ev.prior = np.array([1.0, 0.0])
+
 
 class TestBayesFactor:
     def test_ratio(self):

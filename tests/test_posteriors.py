@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayesdecide import (DivergentMgfError, GammaPosterior, GaussianPosterior,
+from bayesdecide import (DiscretePosterior, DivergentMgfError, GammaPosterior, GaussianPosterior,
                          SamplePosterior, ValidationError, load_samples)
 
 # standard-normal 0.97 quantile, frozen from a bisection-on-erf oracle
@@ -68,6 +68,13 @@ class TestMode:
         post = SamplePosterior(rng.gamma(3.0, 1.0, size=100_000))
         assert post.mode() == pytest.approx(2.0, abs=0.15)
 
+    def test_sample_mode_of_a_constant_cloud(self):
+        assert SamplePosterior([2.5] * 5).mode() == 2.5
+
+    def test_sample_mode_with_zero_iqr(self):
+        # Freedman-Diaconis gives width 0; ceil(sqrt(11)) = 4 bins of 1.25 instead
+        assert SamplePosterior([0.0] * 10 + [5.0]).mode() == 0.625
+
     def test_mode_median_mean_ordering_for_skewed_gamma(self):
         post = GammaPosterior(3, 1)
         assert post.mode() < post.quantile(0.5) < post.moments()[0]
@@ -96,7 +103,7 @@ class TestExpect:
 
     def test_nonfinite_h_reported(self):
         post = SamplePosterior([0.0, 1.0])
-        with pytest.raises(Exception, match="y=0.0"):
+        with pytest.raises(Exception, match="y=0.0"), np.errstate(divide="ignore"):
             post.expect(lambda y: 1.0 / y)
 
 
@@ -152,6 +159,10 @@ class TestReweight:
         with pytest.raises(ValidationError):
             post.reweight(lambda y: np.zeros_like(y))
 
+    def test_scalar_weight_is_broadcast(self):
+        post = SamplePosterior([1.0, 2.0, 5.0], [0.2, 0.3, 0.5])
+        assert np.array_equal(post.reweight(lambda y: 2.0).weights, post.weights)
+
 
 class TestValidation:
     def test_gaussian_sd_positive(self):
@@ -173,6 +184,20 @@ class TestValidation:
     def test_normalization_within_tolerance(self):
         post = SamplePosterior([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         assert abs(post.weights.sum() - 1.0) < 1e-12
+
+    def test_sample_posterior_immutable(self):
+        post = SamplePosterior([1.0, 2.0])
+        with pytest.raises(AttributeError, match="immutable"):
+            post.values = np.array([3.0, 4.0])
+
+    @pytest.mark.parametrize("probs, message", [
+        ([], "at least one probability"),
+        ([1.5, -0.5], "nonnegative"),
+        ([0.5, 0.6], "sum to 1"),
+    ])
+    def test_discrete_posterior_rejects(self, probs, message):
+        with pytest.raises(ValidationError, match=message):
+            DiscretePosterior(probs)
 
 
 def _signed_ties(seed, n=300):
