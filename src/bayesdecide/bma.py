@@ -9,13 +9,12 @@ numerically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import engine
 from .errors import ValidationError
 from .losses import LossSpec, compose
-from .posteriors import DiscretePosterior, GaussianPosterior
+from .posteriors import DiscretePosterior, almost_surely_positive
 
 
 @dataclass(frozen=True)
@@ -76,13 +75,10 @@ def bma_predict_general(ens):
     lossfns = [compose(m.loss) for m in ens.members]
     positive = any(lf.positive_domain for lf in lossfns)
     for lf, m in zip(lossfns, ens.members):
-        if lf.positive_domain:
-            lo = (-math.inf if isinstance(m.posterior, GaussianPosterior)
-                  else m.posterior.support()[0])
-            if lo <= 0:
-                raise ValidationError(
-                    f"member {m.label!r} pairs a positive-domain loss with a "
-                    f"posterior whose support reaches {lo}; action domain is empty")
+        if lf.positive_domain and not almost_surely_positive(m.posterior):
+            raise ValidationError(
+                f"member {m.label!r} pairs a positive-domain loss with a posterior "
+                f"whose support reaches {m.posterior.lower}; action domain is empty")
 
     p = ens.model_posterior.probabilities
     # degenerate model posterior: single-model optimum, full dispatch

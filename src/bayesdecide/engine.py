@@ -35,7 +35,8 @@ import numpy as np
 from . import _special
 from .errors import NumericError, ValidationError
 from .losses import EXP_LIMIT, LossSpec, compose
-from .posteriors import GammaPosterior, GaussianPosterior, SamplePosterior
+from .posteriors import (GammaPosterior, GaussianPosterior, SamplePosterior,
+                         almost_surely_positive)
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 _CGOLD = 1.0 - _GOLD  # Brent's golden step, as a fraction of the larger side
@@ -79,14 +80,9 @@ class TailRiskCurve:
 
 
 def _check_domain(lossfn, post):
-    if lossfn.positive_domain:
-        # a Gaussian's support is the whole line, whatever support() truncates
-        lo = -math.inf if isinstance(post, GaussianPosterior) else post.support()[0]
-        if lo <= 0:
-            raise ValidationError(
-                "loss requires y > 0 but the posterior support reaches "
-                f"down to {lo}"
-            )
+    if lossfn.positive_domain and not almost_surely_positive(post):
+        raise ValidationError("loss requires y > 0 but the posterior support reaches "
+                              f"down to {post.lower}")
 
 
 def epl(loss, post, a):
@@ -479,7 +475,7 @@ def optimize_functional(loss, post, g, force_numeric=False):
     lo, hi = post.support()
     reach = _NODE_REACH * (hi - lo)
     y = np.empty(_UNIT_GRID.size + 2)
-    y[0] = 0.0 if isinstance(post, GammaPosterior) else lo - reach
+    y[0] = max(post.lower, lo - reach)
     y[1:-1] = lo + (hi - lo) * _UNIT_GRID
     y[-1] = hi + reach
     with np.errstate(all="ignore"):

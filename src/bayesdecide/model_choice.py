@@ -50,7 +50,8 @@ class ModelEvidence:
             pr = np.asarray(prior, dtype=float)
             if pr.shape != (m,):
                 raise ValidationError("prior must match the number of models")
-            if np.any(pr < 0) or abs(pr.sum() - 1.0) > 1e-12:
+            # a NaN fails: every comparison with NaN is false
+            if not (np.all(pr >= 0) and abs(pr.sum() - 1.0) <= 1e-12):
                 raise ValidationError("prior must be nonnegative and sum to 1")
         if labels is None:
             labels = tuple(f"M{i + 1}" for i in range(m))

@@ -7,7 +7,11 @@ across threads.
 
 All representations expose the same surface used by the decision
 machinery: ``moments``, ``quantile``, ``mode``, ``expect``,
-``log_mgf_neg`` (log E exp(-psi Y)) and ``tail_prob``.
+``log_mgf_neg`` (log E exp(-psi Y)), ``tail_prob`` and ``lower``, where
+the true support starts: -inf on a Gaussian, whatever ``support()``
+truncates for quadrature, 0.0 on a Gamma and the least draw on a cloud.
+``almost_surely_positive`` (Y > 0 almost surely, as GAM and PWD need) is
+the one rule built on it.
 ``SamplePosterior`` additionally supports ``reweight`` (multiply the
 weights by a positive function of y and renormalize).
 
@@ -73,17 +77,35 @@ def _check_finite(name, value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
+def _check_moments(post, *names):
+    """Refuse parameters whose mean or variance is not a finite float."""
+    try:
+        finite = all(map(math.isfinite, post.moments()))
+    except ArithmeticError:  # a float ** that overflows, or a rate ** 2 of 0
+        finite = False
+    if not finite:
+        given = ", ".join(f"{n}={getattr(post, n)!r}" for n in names)
+        raise ValidationError(f"the mean or variance is not a finite float for {given}")
+
+
+def almost_surely_positive(post):
+    """Whether Y > 0 almost surely: the support starts above 0, or at 0 with no mass."""
+    return post.lower > 0 or post.lower == 0 and post.cdf(0.0) == 0
+
+
 @dataclass(frozen=True)
 class GaussianPosterior:
     """Gaussian posterior with mean ``mean`` and standard deviation ``sd``."""
 
     mean: float
     sd: float
+    lower = -math.inf  # the whole line
 
     def __post_init__(self):
         _check_finite("mean", self.mean)
         if not (np.isfinite(self.sd) and self.sd > 0):
             raise ValidationError(f"sd must be > 0, got {self.sd!r}")
+        _check_moments(self, "sd")
 
     def moments(self):
         return self.mean, self.sd ** 2
@@ -132,12 +154,14 @@ class GammaPosterior:
 
     shape: float
     rate: float
+    lower = 0.0
 
     def __post_init__(self):
         if not (np.isfinite(self.shape) and self.shape > 1):
             raise ValidationError(f"shape must be > 1, got {self.shape!r}")
         if not (np.isfinite(self.rate) and self.rate > 0):
             raise ValidationError(f"rate must be > 0, got {self.rate!r}")
+        _check_moments(self, "shape", "rate")
 
     def moments(self):
         return self.shape / self.rate, self.shape / self.rate ** 2
@@ -214,7 +238,7 @@ class SamplePosterior:
     (degenerate posterior) is legal everywhere; its variance is 0.
     """
 
-    __slots__ = ("values", "weights", "_cumw")
+    __slots__ = ("values", "weights", "_cumw", "lower")
 
     def __init__(self, values, weights=None):
         values = np.asarray(values, dtype=float)
@@ -242,6 +266,7 @@ class SamplePosterior:
         for name, arr in (("values", values), ("weights", weights), ("_cumw", cumw)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "lower", float(values[0]))
 
     def __setattr__(self, name, value):
         raise AttributeError("SamplePosterior is immutable")
@@ -334,9 +359,10 @@ class DiscretePosterior:
         probs = tuple(float(p) for p in probabilities)
         if len(probs) == 0:
             raise ValidationError("need at least one probability")
-        if any(p < 0 for p in probs):
+        # a NaN fails both: every comparison with NaN is false
+        if not all(p >= 0 for p in probs):
             raise ValidationError("probabilities must be nonnegative")
-        if abs(sum(probs) - 1.0) > 1e-12:
+        if not abs(sum(probs) - 1.0) <= 1e-12:
             raise ValidationError(f"probabilities must sum to 1, got {sum(probs)!r}")
         if labels is None:
             labels = tuple(f"M{i + 1}" for i in range(len(probs)))
@@ -376,8 +402,8 @@ def _quad_expect(post, h, breakpoints=()):
     |t| <= 6.  Each edge carries both u = F(b) and v = 1 - F(b) (from
     ``tail_prob``), so a node in an upper tail is inverted from its tail
     mass and nothing cancels near u = 1.  ``h`` is called once, on the
-    float array of all nodes with a positive weight and a finite y (y > 0
-    on a Gamma).
+    float array of all nodes with a positive weight and a finite y above
+    ``post.lower``.
 
     The sum is accepted only when every term is finite and both tests hold
     at tolerance max(1e-13, 1e-11 |sum|): it differs from the sum over the
@@ -389,9 +415,8 @@ def _quad_expect(post, h, breakpoints=()):
     error, is ``_quadpack_expect``'s.  The nodes come from
     ``_rule_nodes``, which keeps the latest posterior's and cut set's.
     """
-    gamma = isinstance(post, GammaPosterior)
     cuts = tuple(sorted({float(b) for b in breakpoints
-                         if np.isfinite(b) and (float(b) > 0.0 or not gamma)}))
+                         if np.isfinite(b) and float(b) > post.lower}))
     y, w, keep = _rule_nodes(post, cuts)
     try:
         with np.errstate(all="ignore"):
@@ -436,9 +461,7 @@ def _rule_nodes(post, cuts):
     w = width * ts_w
     with np.errstate(all="ignore"):
         y = post._quantiles(nu, nv)
-        keep = (w > 0.0) & np.isfinite(y)
-        if isinstance(post, GammaPosterior):
-            keep &= y > 0.0
+        keep = (w > 0.0) & np.isfinite(y) & (y > post.lower)
     for arr in (y, w, keep):
         arr.flags.writeable = False
     _last_nodes[0] = (post, cuts, (y, w, keep))
@@ -452,7 +475,7 @@ def _quadpack_expect(post, h, breakpoints=()):
     no decision of the package reaches it on its own.  The bulk between
     the 1e-10 and 1-1e-10 quantiles is integrated directly and each
     unbounded tail separately, so integrands with exponential growth
-    (e.g. LINEX) keep their tail mass.  A Gamma's bulk starts at 0
+    (e.g. LINEX) keep their tail mass.  A Gamma's bulk starts at ``lower``
     instead: an edge at its lower quantile would cut integrands such as
     y^(shape - 2) (E(1/Y) with shape < 2) where they are steepest.  Known
     kinks of h (e.g. the action of an absolute-displacement loss) are
@@ -465,10 +488,7 @@ def _quadpack_expect(post, h, breakpoints=()):
     from scipy import integrate  # only this fallback needs it
 
     lo, hi = post.support()
-    if isinstance(post, GammaPosterior):
-        edges = [0.0, hi, np.inf]
-    else:
-        edges = [-np.inf, lo, hi, np.inf]
+    edges = [-np.inf, lo, hi, np.inf] if post.lower == -np.inf else [post.lower, hi, np.inf]
     for p in breakpoints:
         p = float(p)
         if np.isfinite(p) and edges[0] < p < np.inf and p not in edges:

@@ -205,7 +205,7 @@ def parse_int_grid(block, name="n_grid"):
         step = read(block, "step", name, int, 1)
         if step == 0:
             raise ValidationError(f"{name}.step must be nonzero")
-        return list(range(start, stop + 1, step))
+        return list(range(start, stop + (1 if step > 0 else -1), step))  # stop included
     raise ValidationError(f"{name}: expected a list or start/stop mapping")
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from bayesdecide import engine
-from bayesdecide import (EnsembleMember, GammaPosterior, GaussianPosterior,
-                         LossSpec, ModelEnsemble, SamplePosterior,
+from bayesdecide import (DiscretePosterior, EnsembleMember, GammaPosterior,
+                         GaussianPosterior, LossSpec, ModelEnsemble, SamplePosterior,
                          ValidationError, bma_predict_general,
                          bma_predict_sel, epl, optimize)
 
@@ -183,6 +183,16 @@ class TestEnsembleValidation:
                    EnsembleMember("b", GaussianPosterior(1, 1), LossSpec.sel())]
         with pytest.raises(ValidationError):
             ModelEnsemble(members, [0.5, 0.6])
+
+    def test_model_posterior_given_as_is_kept(self):
+        mp = DiscretePosterior([0.25, 0.75], labels=["x", "y"])
+        ens = ModelEnsemble(gaussian_pair().members, mp)
+        assert ens.model_posterior is mp
+
+    def test_model_posterior_given_as_is_must_match_the_members(self):
+        members = [EnsembleMember("a", GaussianPosterior(0, 1), LossSpec.sel())]
+        with pytest.raises(ValidationError, match="one entry per member"):
+            ModelEnsemble(members, DiscretePosterior([0.5, 0.5]))
 
     def test_immutable(self):
         ens = gaussian_pair()

@@ -55,6 +55,11 @@ class TestTarget:
         with pytest.raises(ValidationError):
             CalibrationTarget(posterior_sd=0.0, tail_mass=0.03)
 
+    @pytest.mark.parametrize("mass", [0.0, 1.0, 1.5])
+    def test_tail_mass_must_lie_in_the_unit_interval(self, mass):
+        with pytest.raises(ValidationError, match="tail mass must lie in"):
+            CalibrationTarget(posterior_sd=1.0, tail_mass=mass)
+
 
 class TestLinexCalibration:
     def test_rounded_three_percent_unit_sd(self):

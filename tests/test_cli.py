@@ -358,6 +358,31 @@ ensemble:
         assert result.exit_code == 0, result.output
         assert "numeric(" in result.output
 
+    def test_models_evidence_gives_the_posterior_model_probabilities(self, runner, tmp_path):
+        from bayesdecide import ModelEvidence, posterior_models
+
+        members = """
+ensemble:
+  members:
+    - label: a
+      posterior: {kind: gaussian, mean: 0.0, sd: 1.0}
+      loss: {family: QTL, params: {q: 0.8}}
+    - {label: b, posterior: {kind: gamma, shape: 3.0, rate: 1.0}}
+"""
+        ev = ModelEvidence(log_likelihoods=[-1.0, -2.5], prior=[0.3, 0.7], labels=["a", "b"])
+        probs = posterior_models(ev).probabilities
+        assert probs[0] != pytest.approx(0.3, abs=0.05)  # evidence moves the prior
+        outputs = []
+        for block in ("  models: [{label: a, log_likelihood: -1.0, prior: 0.3}, "
+                      "{label: b, log_likelihood: -2.5, prior: 0.7}]\n",
+                      f"  probabilities: [{probs[0]!r}, {probs[1]!r}]\n"):
+            scenario = write(tmp_path, "s.yaml", members + block)
+            out = tmp_path / f"out{len(outputs)}"
+            result = runner.invoke(main, ["bma", "--scenario", scenario, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            outputs.append((result.output, read_csv(out, "bma.csv")))
+        assert outputs[0] == outputs[1]
+
 
 class TestCalibrate:
     def test_flags_paper_exact(self, runner, tmp_path):
@@ -627,7 +652,7 @@ class TestMalformedInputs:
         assert result.exit_code == 0, result.output
         ns = [line.split(",")[0] for line in
               read_csv(tmp_path / "out", "design_n.csv").splitlines()[1:]]
-        assert ns[-2:] == ["2", "4"]
+        assert sorted(ns, key=int) == ["0", "2", "4"]  # stop included, as ascending
 
     def test_whole_float_is_an_integer(self, runner, tmp_path):
         scenario = write(tmp_path, "s.yaml", f"voi: {{{GKV}, n_mc: 3.0}}\n")
@@ -919,6 +944,38 @@ class TestNonFiniteAndBooleanNumbers:
         assert result.exit_code == 2, (result.output, result.exception)
         assert "Traceback" not in result.output
         assert "must be finite" in result.output
+
+
+class TestOutOfRangeNumbers:
+    """Finite numbers whose posterior moments overflow, and NaN model
+    probabilities, exit 2 naming the field, never a traceback or an answer."""
+
+    @pytest.mark.parametrize("verb, text, message", [
+        ("predict", "posterior: {kind: gaussian, mean: 0, sd: 1e200}", "sd=1e+200"),
+        ("predict", "posterior: {kind: gaussian, mean: 0, sd: 1e160}\n"
+                    "loss: {family: LNX, params: {psi: 1}}", "sd=1e+160"),
+        ("predict", "posterior: {kind: gaussian, mean: 0, sd: 1e160}\n"
+                    "loss: {family: MTC, params: {rho: 1}}", "sd=1e+160"),
+        ("predict", "posterior: {kind: gaussian, mean: 1e308, sd: 1e308}\n"
+                    "loss: {family: MTC, params: {rho: 1.5}}", "sd=1e+308"),
+        *[("predict", "posterior: {kind: gamma, shape: 3, rate: 1e-200}\n" + loss,
+           "shape=3.0, rate=1e-200") for loss in (
+               "", "loss: {family: MTC, params: {rho: 1}}",
+               "loss: {family: QTL, params: {q: 0.3}}", "loss: {family: LNX, params: {psi: 1}}")],
+        ("compare-models", "model_choice: {models: [{label: a, log_likelihood: -1, prior: .nan}, "
+                           "{label: b, log_likelihood: -2, prior: .nan}]}",
+         "prior must be nonnegative and sum to 1"),
+        ("bma", "ensemble: {members: [{posterior: {kind: gaussian, mean: 0, sd: 1}}, "
+                "{posterior: {kind: gaussian, mean: 1, sd: 1}}], probabilities: [.nan, .nan]}",
+         "probabilities must be nonnegative"),
+    ], ids=["sd-1e200", "lnx-sd-1e160", "mtc1-sd-1e160", "mtc-1.5-1e308", "gamma-sel",
+            "gamma-mtc1", "gamma-qtl", "gamma-lnx", "nan-priors", "nan-probabilities"])
+    def test_exits_2(self, runner, tmp_path, verb, text, message):
+        scenario = write(tmp_path, "s.yaml", text + "\n")
+        result = runner.invoke(main, [verb, "--scenario", scenario])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert "Traceback" not in result.output
+        assert message in result.output
 
 
 def test_compare_models_prints_plain_floats(runner, tmp_path):

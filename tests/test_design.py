@@ -4,8 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bayesdecide import (CostFunction, GammaPosterior, JointModel, LossSpec,
-                         ValidationError, beta_bernoulli, design,
+from bayesdecide import (CostFunction, GammaPosterior, GaussianPosterior, JointModel,
+                         LossSpec, NumericError, ValidationError, beta_bernoulli, design,
                          expected_joint_loss, gaussian_known_variance,
                          neg_posterior_variance, optimal_sample_size, voi)
 
@@ -110,6 +110,13 @@ class TestExpectedJointLoss:
         a = expected_joint_loss(model, LossSpec.sel(), n=3, n_mc=50, seed=11)
         b = expected_joint_loss(model, LossSpec.sel(), n=3, n_mc=50, seed=11)
         assert a == b
+
+    def test_non_finite_realised_loss_refused(self):
+        model = JointModel(prior_sampler=lambda rng: np.inf,
+                           data_sampler=lambda rng, y, n: np.zeros(n),
+                           posterior_builder=lambda z, z_extra: GaussianPosterior(0.0, 1.0))
+        with pytest.raises(NumericError, match="non-finite loss in replicate 0 .*n=1"):
+            expected_joint_loss(model, LossSpec.sel(), n=1, n_mc=2, seed=SEED)
 
 
 class TestOptimalSampleSize:

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bayesdecide import (GammaPosterior, GaussianPosterior, GeneralizedGaussian,
-                         LossSpec, NumericError, SamplePosterior, ValidationError,
-                         Weight, compose, epl, lower_envelope, minimax,
+from bayesdecide import (EnsembleMember, GammaPosterior, GaussianPosterior,
+                         GeneralizedGaussian, LossSpec, ModelEnsemble, NumericError,
+                         SamplePosterior, TailRiskCurve, ValidationError, Weight,
+                         bma_predict_general, compose, epl, lower_envelope, minimax,
                          minimax_posterior, optimize, optimize_functional,
                          posteriors, tail_risk_curve, threshold_rule)
-from bayesdecide.engine import _bracket, minimize
+from bayesdecide.engine import _bracket, _inverse_mean_reciprocal, minimize
 from bayesdecide.losses import CustomPotentialDensity
 
 Z97 = 1.8807936081512495
@@ -527,3 +528,46 @@ class TestOneHomePins:
                for k in kappas]
         assert list(tail_risk_curve(spec, post, 1.37, kappas).points) == curve
         assert list(lower_envelope(spec, post, kappas, actions).points) == env
+
+
+class TestPositiveSupport:
+    """GAM and PWD need Y > 0 almost surely; epl, optimize and the BMA
+    mixture ask the one rule, and each error names where the support starts."""
+
+    @pytest.mark.parametrize("post, lower", [
+        (GaussianPosterior(10.0, 1.0), "-inf"),
+        # cdf(0) underflows to 0 here, so the rule must not rest on it
+        (GaussianPosterior(40.0, 1.0), "-inf"),
+        (GammaPosterior(1.5, 1.0), None),
+        (SamplePosterior([0.0, 1.0, 2.0]), "0.0"),
+        (SamplePosterior([1e-300, 1.0, 2.0], [1e-300, 1.0, 1.0]), None),
+    ], ids=["N(10,1)", "N(40,1)", "Gamma(1.5,1)", "draws-from-0", "draws-from-1e-300"])
+    @pytest.mark.parametrize("spec", [LossSpec.gam(1, 2), LossSpec.pwd(-1.0)],
+                             ids=["gam", "pwd-minus-1"])
+    def test_refused_exactly_when_the_support_reaches_zero(self, post, lower, spec):
+        ens = ModelEnsemble([EnsembleMember("ratio", post, spec),
+                             EnsembleMember("loc", GammaPosterior(5.0, 1.0), LossSpec.sel())],
+                            [0.5, 0.5])
+        if lower is None:
+            assert math.isfinite(epl(spec, post, 1.0))
+            for d in (optimize(spec, post), bma_predict_general(ens)):
+                assert d.action > 0 and math.isfinite(d.epl)
+            return
+        for call in (lambda: epl(spec, post, 1.0), lambda: optimize(spec, post)):
+            with pytest.raises(ValidationError, match=f"support reaches down to {lower}$"):
+                call()
+        with pytest.raises(ValidationError, match=f"member 'ratio'.*reaches {lower};"):
+            bma_predict_general(ens)
+
+    def test_far_gaussian_has_no_mass_below_zero_in_floats(self):
+        assert GaussianPosterior(40.0, 1.0).cdf(0.0) == 0.0
+
+
+class TestGuards:
+    def test_increasing_tail_probabilities_refused(self):
+        with pytest.raises(ValidationError, match="nonincreasing in kappa"):
+            TailRiskCurve(((0.0, 0.2, 1.0), (1.0, 0.5, 1.0)))
+
+    def test_inverse_mean_reciprocal_needs_a_positive_mean_reciprocal(self):
+        with pytest.raises(NumericError, match="E\\(1/Y \\| z\\) is nonpositive"):
+            _inverse_mean_reciprocal(SamplePosterior([-2.0, -1.0]), {})

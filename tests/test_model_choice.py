@@ -54,6 +54,8 @@ class TestEvidence:
         ({"log_likelihoods": [0.0, math.nan]}, "log-likelihoods must be finite"),
         ({"likelihoods": [1.0, 2.0], "prior": [1.0]}, "prior must match"),
         ({"likelihoods": [1.0, 2.0], "prior": [1.5, -0.5]}, "nonnegative and sum to 1"),
+        ({"likelihoods": [1.0, 2.0], "prior": [math.nan, math.nan]}, "nonnegative and sum to 1"),
+        ({"likelihoods": [1.0, 2.0], "prior": [math.nan, 1.0]}, "nonnegative and sum to 1"),
         ({"likelihoods": [1.0, 2.0], "labels": ["only"]}, "labels must match"),
     ])
     def test_malformed_evidence_rejected(self, kwargs, message):

@@ -109,3 +109,56 @@ def test_scipy_special_checker_flags_imports(source):
 def test_scipy_special_checker_allows_other_imports():
     assert scipy_special_imports("import scipy\nfrom scipy import integrate\n"
                                  "from . import _special\n") == []
+
+
+# posteriors answers "is Y > 0 almost surely?" (``lower``, ``almost_surely_positive``);
+# elsewhere a Gaussian or Gamma type test may only pick a closed form
+_PARAMETRIC_TYPES = {"GaussianPosterior", "GammaPosterior"}
+_CLOSED_FORM_HOMES = {("engine", "_partials"), ("engine", "_inverse_mean_reciprocal")}
+
+
+def parametric_type_tests(source):
+    """(line, enclosing function or None) of every ``isinstance`` call whose
+    class argument names GaussianPosterior or GammaPosterior."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance" and len(node.args) == 2
+              and any(getattr(n, "id", getattr(n, "attr", None)) in _PARAMETRIC_TYPES
+                      for n in ast.walk(node.args[1]))):
+            found.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "posteriors"])
+def test_parametric_type_tests_only_pick_closed_forms(module):
+    found = parametric_type_tests((PKG_DIR / f"{module}.py").read_text())
+    assert [(line, func) for line, func in found
+            if (module, func) not in _CLOSED_FORM_HOMES] == []
+
+
+@pytest.mark.parametrize("source, func", [
+    ("def _check_domain(post):\n    return isinstance(post, GaussianPosterior)\n",
+     "_check_domain"),
+    ("def f(p):\n    return isinstance(p, (SamplePosterior, posteriors.GammaPosterior))\n", "f"),
+    ("def f(p):\n    return isinstance(p, GaussianPosterior | GammaPosterior)\n", "f"),
+    ("def f(ps):\n    return [0.0 if isinstance(p, GammaPosterior) else 1.0 for p in ps]\n",
+     "f"),
+    ("GAMMA = isinstance(POST, GammaPosterior)\n", None),
+])
+def test_parametric_type_checker_flags_type_tests(source, func):
+    assert [f for _, f in parametric_type_tests(source)] == [func]
+
+
+def test_parametric_type_checker_allows_other_type_uses():
+    source = ("def f(p):\n    return isinstance(p, SamplePosterior)\n"
+              "TABLE = {(GaussianPosterior, 'SEL'): None}\n"
+              "def g(p):\n    return p.lower > 0\n")
+    assert parametric_type_tests(source) == []

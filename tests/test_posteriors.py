@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bayesdecide import (DiscretePosterior, DivergentMgfError, GammaPosterior, GaussianPosterior,
                          SamplePosterior, ValidationError, load_samples)
+from bayesdecide.posteriors import almost_surely_positive
 
 # standard-normal 0.97 quantile, frozen from a bisection-on-erf oracle
 Z97 = 1.8807936081512495
@@ -194,6 +195,8 @@ class TestValidation:
         ([], "at least one probability"),
         ([1.5, -0.5], "nonnegative"),
         ([0.5, 0.6], "sum to 1"),
+        ([math.nan, math.nan], "nonnegative"),
+        ([0.5, math.nan], "nonnegative"),
     ])
     def test_discrete_posterior_rejects(self, probs, message):
         with pytest.raises(ValidationError, match=message):
@@ -331,3 +334,75 @@ class TestSampleFile:
         ref = SamplePosterior(values, [1.0] * len(values))
         assert post.values.tobytes() == ref.values.tobytes()
         assert post.weights.tobytes() == ref.weights.tobytes()
+
+
+    def test_three_fields_refused(self, tmp_path):
+        path = tmp_path / "draws.txt"
+        path.write_text("1.0\n2.0,1,3\n")
+        with pytest.raises(ValidationError, match="draws.txt:2: .*too many fields"):
+            load_samples(path)
+
+    def test_comments_only_refused(self, tmp_path):
+        path = tmp_path / "draws.txt"
+        path.write_text("# nothing\n\n")
+        with pytest.raises(ValidationError, match="no draws found"):
+            load_samples(path)
+
+
+class TestSupportStart:
+    @pytest.mark.parametrize("post, lower, positive", [
+        (GaussianPosterior(10.0, 1.0), -math.inf, False),
+        (GaussianPosterior(40.0, 1.0), -math.inf, False),  # its cdf(0) is 0.0 in floats
+        (GammaPosterior(1.5, 1.0), 0.0, True),
+        (SamplePosterior([2.0, 0.0, 1.0]), 0.0, False),
+        (SamplePosterior([2.0, -0.0, 1.0]), 0.0, False),
+        (SamplePosterior([3.0, -1.0]), -1.0, False),
+        (SamplePosterior([1e-300, 2.0]), 1e-300, True),
+    ], ids=["N(10,1)", "N(40,1)", "Gamma", "draws-0", "draws-minus-0", "draws-neg",
+            "draws-1e-300"])
+    def test_lower_and_the_positive_rule(self, post, lower, positive):
+        assert post.lower == lower
+        assert almost_surely_positive(post) == positive
+
+
+class TestParameterRanges:
+    """Construction refuses what no later call could use, naming the parameter."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: GaussianPosterior(0.0, 1e200), "sd=1e\\+200"),
+        (lambda: GaussianPosterior(0.0, 1e160), "sd=1e\\+160"),
+        (lambda: GaussianPosterior(1e308, 1e308), "sd=1e\\+308"),
+        (lambda: GammaPosterior(3.0, 1e-200), "shape=3.0, rate=1e-200"),
+        (lambda: GammaPosterior(3.0, 1e-160), "shape=3.0, rate=1e-160"),
+        (lambda: GammaPosterior(1e308, 1e-10), "shape=1e\\+308, rate=1e-10"),
+    ], ids=["sd-1e200", "sd-1e160", "mean-and-sd-1e308", "rate-1e-200", "rate-1e-160",
+            "mean-overflows"])
+    def test_moments_must_be_finite_floats(self, make, message):
+        with pytest.raises(ValidationError, match="mean or variance is not a finite float "
+                                                  "for " + message):
+            make()
+
+    def test_largest_moments_accepted(self):
+        assert GaussianPosterior(1e308, 1e154).moments() == (1e308, 1e154 ** 2)
+        assert math.isfinite(GammaPosterior(3.0, 1e-150).moments()[1])
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: GaussianPosterior(math.nan, 1.0), "mean must be finite"),
+        (lambda: GammaPosterior(3.0, 0.0), "rate must be > 0"),
+        (lambda: GammaPosterior(3.0, math.inf), "rate must be > 0"),
+        (lambda: SamplePosterior([1.0, math.nan]), "draw values must be finite"),
+        (lambda: SamplePosterior([1.0, 2.0], [1.0]), "weights must match values"),
+        (lambda: GaussianPosterior(0.0, 1.0).log_mgf_neg(0.0), "psi must be finite"),
+        (lambda: SamplePosterior([1.0, 2.0]).reweight(lambda y: 1.5 - y),
+         "finite and >= 0 on all draws"),
+        # each product of weight and w(y) underflows to 0
+        (lambda: SamplePosterior([1.0, 2.0]).reweight(lambda y: np.where(y > 1.5, 5e-324, 0.0)),
+         "all-zero weights"),
+    ], ids=["mean-nan", "rate-0", "rate-inf", "draw-nan", "weights-shape", "psi-0",
+            "reweight-negative", "reweight-underflow"])
+    def test_refused(self, make, message):
+        with pytest.raises(ValidationError, match=message):
+            make()
+
+    def test_default_labels(self):
+        assert DiscretePosterior([0.25, 0.75]).labels == ("M1", "M2")
