@@ -11,13 +11,14 @@ mixture.  Every other EPL (all on draws, compositions, PTL, MTC(rho) with
 rho not in {1, 2}) is ``post.expect`` of the loss: a weighted sum on draws,
 quadrature otherwise.  ``optimize`` minimizes the EPL numerically when no
 closed form applies, through ``minimize``: bracket by geometric expansion
-from the posterior median, then search the bracket to a 1e-10 relative
-width.  The search is Brent's method (parabolic interpolation guarded by
-golden-section steps) whenever the EPL is unimodal: on a Gaussian or Gamma
-posterior, and on draws for a convex loss (``LossFunction.convex``).  A
-nonconvex loss on draws (MTC(rho < 1), 0-1) has a local minimum at every
-draw, so there the search is plain golden section, which interpolates
-nothing.
+from the posterior median, then search the bracket.  The search is Brent's
+method (parabolic interpolation guarded by golden-section steps) whenever
+the EPL is unimodal: on a Gaussian or Gamma posterior, and on draws for a
+convex loss (``LossFunction.convex``).  It stops once a short step finds an
+EPL tied to rounding with the best one, or else at a 1e-10 relative
+width.  A nonconvex loss on draws (MTC(rho < 1), 0-1) has a local minimum
+at every draw, so there the search is plain golden section, which
+interpolates nothing, down to the 1e-10 relative width.
 
 Also: minimax, plain or posterior-weighted (one search serves both),
 functional prediction, the lower envelope of tail-risk curves over actions
@@ -27,6 +28,7 @@ functional prediction, the lower envelope of tail-risk curves over actions
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +43,8 @@ from .posteriors import (GammaPosterior, GaussianPosterior, SamplePosterior,
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 _CGOLD = 1.0 - _GOLD  # Brent's golden step, as a fraction of the larger side
 _REL_WIDTH = 1e-10
+_SQRT_EPS = math.sqrt(sys.float_info.epsilon)  # Brent's "short step", relative
+_TIE = 4.0 * sys.float_info.epsilon  # values this close (relative) are tied
 _MAX_EXPAND = 200
 
 
@@ -159,9 +163,15 @@ def _brent(f, lo, hi, x, fx):
     its vertex when that lands inside the bracket and moves less than half
     the step before last; otherwise it takes a golden-section step into
     the larger side.  No step is shorter than a quarter of the stop width,
-    so the bracket closes from both sides.  Stops, like ``_golden``, when
-    the bracket is narrower than 1e-10 (1 + |lo| + |hi|); returns the best
-    point evaluated, its value and the number of steps.
+    so the bracket closes from both sides.
+
+    Stops when a step was short, 2 |u - x| <= sqrt(eps) (1 + |lo| + |hi|),
+    and its value ties the best one, |f(u) - f(x)| <= 4 eps |f(x)|: values
+    that agree to rounding cannot tell the points apart, so narrowing
+    further buys no accuracy.  A kink never ties, and a minimum value of 0
+    ties only on exact equality; those, and every other case, stop like
+    ``_golden`` once the bracket is narrower than 1e-10 (1 + |lo| + |hi|).
+    Returns the best point evaluated, its value and the number of steps.
     """
     w = v = x
     fw = fv = fx
@@ -194,6 +204,8 @@ def _brent(f, lo, hi, x, fx):
             d = _CGOLD * e
         u = x + d if abs(d) >= tol else x + math.copysign(tol, d)
         fu = f(u)
+        settled = (2.0 * abs(u - x) <= _SQRT_EPS * (1.0 + abs(lo) + abs(hi))
+                   and abs(fu - fx) <= _TIE * abs(fx))
         if fu <= fx:
             if u >= x:
                 lo = x
@@ -209,6 +221,8 @@ def _brent(f, lo, hi, x, fx):
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
+        if settled:
+            return x, fx, iterations
 
 
 def unimodal_epl(lossfn, post):
@@ -225,9 +239,11 @@ def minimize(f, x0, positive, unimodal=True):
     """Minimize a scalar f by bracketing from x0, then a search inside.
 
     ``positive`` confines the search to a > 0.  A ``unimodal`` f gets
-    Brent's method from the bracket's best point, and the result is the
-    best point it evaluated.  Otherwise golden section narrows the bracket
-    to its 1e-10 relative width and the result is the final midpoint.
+    Brent's method from the bracket's best point, which stops at a short
+    step whose value ties the best one to rounding, or at a 1e-10 relative
+    width; the result is the best point it evaluated.  Otherwise golden
+    section narrows the bracket to its 1e-10 relative width and the result
+    is the final midpoint.
     Returns (action, f(action), numeric ``SolverPath``); the path's
     ``iterations`` counts the evaluations after the bracket.
     """
@@ -250,10 +266,8 @@ def _inverse_mean_reciprocal(post, prm):
     """1 / E(1/Y | z): in closed form on a Gamma, E(1/Y) = rate / (shape - 1)."""
     if isinstance(post, GammaPosterior):
         return (post.shape - 1.0) / post.rate
-    inv_mean = post.expect(lambda y: 1.0 / np.asarray(y, dtype=float))
-    if inv_mean <= 0:
-        raise NumericError("E(1/Y | z) is nonpositive; ratio predictor undefined")
-    return 1.0 / inv_mean
+    # every caller passed _check_domain, so the draws are all > 0 here
+    return 1.0 / post.expect(lambda y: 1.0 / np.asarray(y, dtype=float))
 
 
 # the optimal action of each loss key, valid on every posterior type:

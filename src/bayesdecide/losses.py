@@ -77,12 +77,12 @@ def _check(**values):
 
 
 def _ratio(family, a, y):
-    """(y, a / y) as float arrays; the ratio families need a > 0 and y > 0."""
+    """(a, y, a / y) as float arrays; the ratio families need a > 0 and y > 0."""
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(a <= 0) or np.any(y <= 0):
         raise ValidationError(f"{family} loss requires a > 0 and y > 0")
-    return y, a / y
+    return a, y, a / y
 
 
 # ---------------------------------------------------------------------------
@@ -160,21 +160,23 @@ def eval_potential(density, a, y):
     return density.neg_log_ratio(np.asarray(a, dtype=float) - y)
 
 
-def _phi_lam(lam, r):
-    r = np.asarray(r, dtype=float)
-    if abs(lam) < _PWD_LIMIT_TOL:
-        return r * np.log(r) + 1.0 - r
-    if abs(lam + 1.0) < _PWD_LIMIT_TOL:
-        return r - 1.0 - np.log(r)
-    c = 1.0 / (lam * (lam + 1.0))
-    return c * ((r ** (lam + 1.0) - r) + lam * (1.0 - r))
-
-
 def eval_pwd(lam, a, y):
-    """y * phi_lam(a / y): ratio-based power-divergence loss, a, y > 0."""
+    """y * phi_lam(a / y): ratio-based power-divergence loss, a, y > 0.
+
+    With r = a/y and phi_lam(r) = (r^(lam+1) - r + lam(1 - r)) / (lam(lam + 1)),
+    y * phi_lam(r) is evaluated as (a r^lam - a + lam(y - a)) / (lam(lam + 1)),
+    which never forms r^(lam+1): that power overflows for a draw near 0
+    while the term itself is representable.  Its limits are a log r + y - a
+    at lam = 0 and a - y - y log r at lam = -1.
+    """
     _check(lam=lam)
-    y, r = _ratio("PWD", a, y)
-    return y * _phi_lam(lam, r)
+    a, y, r = _ratio("PWD", a, y)
+    if abs(lam) < _PWD_LIMIT_TOL:
+        return a * np.log(r) + y - a
+    if abs(lam + 1.0) < _PWD_LIMIT_TOL:
+        return a - y - y * np.log(r)
+    c = 1.0 / (lam * (lam + 1.0))
+    return c * ((a * r ** lam - a) + lam * (y - a))
 
 
 def eval_gam(alpha, nu, a, y):
@@ -185,7 +187,7 @@ def eval_gam(alpha, nu, a, y):
     the tests check one against the other.
     """
     _check(alpha=alpha, nu=nu)
-    _, r = _ratio("GAM", a, y)
+    *_, r = _ratio("GAM", a, y)
     return (nu - 1.0) * (r - 1.0 - np.log(r))
 
 

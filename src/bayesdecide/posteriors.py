@@ -319,11 +319,15 @@ class SamplePosterior:
 
     def expect(self, h, breakpoints=()):
         hv = np.asarray(h(self.values), dtype=float)
-        bad = ~np.isfinite(hv)
-        if np.any(bad):
-            y_bad = float(self.values[bad][0])
-            raise NumericError(f"h(y) is not finite at draw y={y_bad!r}")
-        return float(np.dot(self.weights, hv))
+        total = float(np.dot(self.weights, hv))
+        # a non-finite term makes the sum inf or nan, so only then look for one
+        # (a sum of finite terms may still overflow, and is returned as it is)
+        if not math.isfinite(total):
+            bad = ~np.isfinite(hv)
+            if np.any(bad):
+                y_bad = float(self.values[bad][0])
+                raise NumericError(f"h(y) is not finite at draw y={y_bad!r}")
+        return total
 
     def log_mgf_neg(self, psi):
         _check_psi(psi)

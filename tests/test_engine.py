@@ -11,8 +11,8 @@ from bayesdecide import (EnsembleMember, GammaPosterior, GaussianPosterior,
                          bma_predict_general, compose, epl, lower_envelope, minimax,
                          minimax_posterior, optimize, optimize_functional,
                          posteriors, tail_risk_curve, threshold_rule)
-from bayesdecide.engine import _bracket, _inverse_mean_reciprocal, minimize
-from bayesdecide.losses import CustomPotentialDensity
+from bayesdecide.engine import _bracket, _golden, minimize, unimodal_epl
+from bayesdecide.losses import EXP_LIMIT, CustomPotentialDensity
 
 Z97 = 1.8807936081512495
 
@@ -276,13 +276,16 @@ class TestBrent:
         lo, hi = path.bracket
         assert lo < x < hi
 
-    def test_quadratic_costs_at_most_30_steps_after_the_bracket(self):
+    def test_quadratic_costs_at_most_8_steps_after_the_bracket(self):
+        # values near x* = 3.7 tie to rounding with the minimum 1.2 > 0, so
+        # the search stops at the first short step that finds such a tie
         g, calls = self.counted(lambda x: (x - 3.7) ** 2 + 1.2)
         _bracket(g, 0.0, False)
         n_bracket = len(calls)
         calls.clear()
         x, fx, path = minimize(g, 0.0, False)
-        assert len(calls) - n_bracket == path.iterations <= 30
+        assert len(calls) - n_bracket == path.iterations <= 8
+        assert abs(x - 3.7) <= 1e-8
 
     def test_positive_domain_stays_positive(self):
         f, calls = self.counted(lambda x: x - math.log(x))  # least at x = 1
@@ -370,6 +373,111 @@ class TestConvexTag:
     ], ids=["mtc-1", "qtl", "ptl-omega-1", "product", "power"])
     def test_kinked_convex_losses_are_tagged(self, spec):
         assert compose(spec).convex
+
+
+def _cloud(p):
+    loc, spread, n, seed, weighted = p
+    rng = np.random.default_rng(seed)
+    return SamplePosterior(loc + spread * rng.lognormal(0.0, 0.6, n),
+                           rng.uniform(0.5, 1.5, n) if weighted else None)
+
+
+# posteriors narrow against their distance from 0 as well as wide ones: the
+# bracket's scale sets the short step, so a narrow posterior far from 0 is
+# where a tie tolerance looser than rounding would stop Brent early
+POSTERIORS = st.one_of(
+    st.tuples(st.sampled_from([0.0, 10.0, 1000.0]), st.sampled_from([1e-3, 0.1, 1.0]),
+              st.integers(2, 300), st.integers(0, 2 ** 32 - 1), st.booleans()).map(_cloud),
+    st.tuples(st.sampled_from([-1000.0, -3.0, 0.5, 100.0]),
+              st.sampled_from([1e-3, 0.1, 2.0])).map(lambda p: GaussianPosterior(*p)),
+    st.tuples(st.floats(1.5, 1e4), st.floats(0.3, 4.0)).map(lambda p: GammaPosterior(*p)),
+)
+
+
+class TestBrentStop:
+    """Brent stops on a short step whose EPL ties the best one to rounding;
+    that must cost nothing golden section's full-width search would find."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=SPECS, post=POSTERIORS)
+    def test_no_worse_than_golden_section_on_the_same_bracket(self, spec, post):
+        lossfn = compose(spec)
+        assume(unimodal_epl(lossfn, post))
+        f = lambda a: epl(lossfn, post, a)
+        try:
+            with np.errstate(all="ignore"):
+                x, fx, path = minimize(f, post.quantile(0.5), lossfn.positive_domain)
+                xg, _ = _golden(f, *path.bracket)
+                g = f(xg)
+                # an EPL flat to rounding over the bracket (0-1 loss on a
+                # density) has no minimum for either search to find
+                assume(min(f(path.bracket[0]), f(path.bracket[1])) > g * (1.0 + 1e-9))
+                # how far the EPL moves within golden section's own stop
+                # width, rounding included: neither search can decide there
+                w = 1e-10 * (1.0 + 2.0 * abs(xg))
+                near = [f(xg + k * w) for k in (-1.0, -0.5, 0.5, 1.0)] + [g]
+        except (NumericError, ValidationError):
+            assume(False)
+        assert fx <= g * (1.0 + 1e-14) + (max(near) - min(near))
+
+    def test_a_value_tied_across_a_kink_does_not_stop_the_search(self):
+        # from 1.875, Brent's steps on 4|a + 1| reach a point whose value
+        # equals the best one's on the other side of the kink; a tie that
+        # far from the best point says nothing about the minimum between them
+        x, fx, path = minimize(lambda a: 4.0 * abs(a + 1.0), 1.875, False)
+        assert abs(x + 1.0) <= 1e-9
+
+
+class TestNumericEdges:
+    @pytest.mark.parametrize("y", [1e-3, 2.5, 1234.5678])
+    def test_single_draw_under_mtc_returns_the_draw(self, y):
+        d = optimize(LossSpec.mtc(1.5), SamplePosterior([y]))
+        assert d.method.name == "brent"
+        assert (d.action, d.epl) == (y, 0.0)
+
+    @pytest.mark.parametrize("y", [1e-3, 2.5, 1234.5678])
+    def test_single_draw_under_pwd_returns_the_draw(self, y):
+        # near a = y the loss is a difference of terms of size a, so its
+        # value carries a rounding error of about eps * a and its zero is
+        # resolved to about sqrt(eps) * y
+        d = optimize(LossSpec.pwd(0.5), SamplePosterior([y]))
+        assert d.method.name == "brent"
+        assert abs(d.action - y) <= 1e-7 * y
+        assert abs(d.epl) <= 1e-15 * y
+
+    PARETO = SamplePosterior(1.0 + np.random.default_rng(7).pareto(1.2, 3000),
+                             np.random.default_rng(8).uniform(0.2, 5.0, 3000))
+
+    @pytest.mark.parametrize("spec", [
+        LossSpec.mtc(1.5), LossSpec.pwd(0.5), LossSpec.gam(1.0, 2.0),
+        LossSpec.potential(GeneralizedGaussian(1.5)),
+        LossSpec.sum_of(LossSpec.pwd(-0.5), LossSpec.qtl(0.8)),
+    ], ids=["mtc-1.5", "pwd-0.5", "gam", "ptl-1.5", "pwd-plus-qtl"])
+    def test_heavy_tailed_cloud_matches_golden_section(self, spec):
+        lossfn = compose(spec)
+        f = lambda a: epl(lossfn, self.PARETO, a)
+        d = optimize(spec, self.PARETO, force_numeric=True)
+        xg, _ = _golden(f, *d.method.bracket)
+        assert d.method.name == "brent"
+        assert d.epl <= f(xg) * (1.0 + 1e-14)
+
+    DRAWS = (0.0, 1.0, 3.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(psi=st.sampled_from([0.5, 1.0, -2.0]), u=st.floats(600.0, 800.0))
+    def test_linex_up_to_the_exponent_limit(self, psi, u):
+        # psi (a - y) = u at the draw farthest on the side psi points away from
+        y_far = min(self.DRAWS) if psi > 0 else max(self.DRAWS)
+        a = y_far + u / psi
+        z = [psi * (a - y) for y in self.DRAWS]
+        assume(abs(max(z) - EXP_LIMIT) > 1e-9)
+        spec, post = LossSpec.linex(psi), SamplePosterior(list(self.DRAWS))
+        if max(z) > EXP_LIMIT:
+            with pytest.raises(NumericError, match="LINEX overflow"):
+                epl(spec, post, a)
+            return
+        want = math.fsum(math.expm1(t) - t for t in z) / len(z)
+        assert epl(spec, post, a) == pytest.approx(want, rel=1e-12)
 
 
 class TestMinimax:
@@ -559,6 +667,17 @@ class TestPositiveSupport:
         with pytest.raises(ValidationError, match=f"member 'ratio'.*reaches {lower};"):
             bma_predict_general(ens)
 
+    @pytest.mark.parametrize("lam", [1.0, 0.5])
+    def test_pwd_near_a_zero_draw_stays_finite(self, lam):
+        # (a/y)^(lam + 1) overflows at y = 1e-300, but y phi_lam(a/y) does not
+        post = SamplePosterior([1e-300, 1.0, 2.0], [1e-300, 1.0, 1.0])
+        value = epl(LossSpec.pwd(lam), post, 1.0)
+        if lam == 1.0:  # y phi_1(a/y) = (a - y)^2 / (2y)
+            w = post.weights
+            assert value == pytest.approx(w[0] * 0.5e300 + w[2] * 0.25, rel=1e-15)
+        d = optimize(LossSpec.pwd(lam), post)
+        assert math.isfinite(value) and d.action > 0 and math.isfinite(d.epl)
+
     def test_far_gaussian_has_no_mass_below_zero_in_floats(self):
         assert GaussianPosterior(40.0, 1.0).cdf(0.0) == 0.0
 
@@ -568,6 +687,9 @@ class TestGuards:
         with pytest.raises(ValidationError, match="nonincreasing in kappa"):
             TailRiskCurve(((0.0, 0.2, 1.0), (1.0, 0.5, 1.0)))
 
-    def test_inverse_mean_reciprocal_needs_a_positive_mean_reciprocal(self):
-        with pytest.raises(NumericError, match="E\\(1/Y \\| z\\) is nonpositive"):
-            _inverse_mean_reciprocal(SamplePosterior([-2.0, -1.0]), {})
+    @pytest.mark.parametrize("spec", [LossSpec.gam(1, 2), LossSpec.pwd(1.0)],
+                             ids=["gam", "pwd-plus-1"])
+    def test_ratio_predictor_refuses_a_negative_cloud(self, spec):
+        # 1/E(1/Y) is the optimal action; the domain check comes before it
+        with pytest.raises(ValidationError, match="support reaches down to -2.0$"):
+            optimize(spec, SamplePosterior([-2.0, -1.0]))

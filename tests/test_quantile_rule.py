@@ -268,11 +268,21 @@ def test_endpoint_singularity_fails_the_outermost_term_test(fallbacks):
 
 
 def test_non_finite_extreme_node_falls_back(fallbacks):
-    # y phi_0.5(a / y) overflows at the rule's smallest nodes
+    # y phi_0.5(a / y) written with (a / y)^1.5, which overflows at the
+    # rule's smallest nodes although the product with y is finite there
+    post, a = GammaPosterior(1.2, 0.3), 2.0
+    h = lambda y: y * ((a / y) ** 1.5 - a / y + 0.5 * (1.0 - a / y)) / 0.75
+    got = post.expect(h, breakpoints=(a,))
+    assert len(fallbacks) == 1
+    _assert_close(got, _oracle(post, h, (a,)))
+
+
+def test_pwd_stays_finite_at_the_extreme_nodes(fallbacks):
+    # the loss itself never forms (a / y)^1.5, so the rule keeps its sum
     post, lossfn, a = GammaPosterior(1.2, 0.3), compose(L.pwd(0.5)), 2.0
     h = lambda y: lossfn(a, y)
     got = post.expect(h, breakpoints=(a,))
-    assert len(fallbacks) == 1
+    assert fallbacks == []
     _assert_close(got, _oracle(post, h, (a,)))
 
 
