@@ -2,17 +2,18 @@
 
 Both operations Monte-Carlo a user-supplied generative pair (prior
 sampler for Y, data sampler for z given Y) with common random numbers:
-every replicate draws its randomness from a stream seeded by
-(seed, replicate index), so the two VOI arms, and all candidate sample
-sizes, see identical draws.  Results are bit-reproducible for a fixed
-(seed, grid, replicate budget).
+replicate r takes every draw from one generator seeded by (seed, r), in
+a fixed order: the prior draw, then the data, then the VOI extra arm.
+So the two VOI arms share their prior and existing-data draws, and all
+candidate sample sizes see identical data.  Results are bit-reproducible
+for a fixed (seed, grid, replicate budget).
 
 Sample-size design makes one pass over the replicates: each replicate
-seeds its streams and draws the largest sample once, and every candidate
-n builds its posterior from the first n of those draws.  The
-beta-bernoulli template memoises its posterior cloud on the sufficient
-statistic (successes, trials), which alone seeds it, so replicates that
-reach the same statistic share one immutable cloud.
+draws the largest sample once, and every candidate n builds its
+posterior from the first n of those draws.  The beta-bernoulli template
+memoises its posterior cloud on the sufficient statistic (successes,
+trials), which alone seeds it, so replicates that reach the same
+statistic share one immutable cloud.
 """
 
 from __future__ import annotations
@@ -38,8 +39,11 @@ class JointModel:
     y, n) -> array`` draws n observations given Y = y; ``posterior_builder
     (z, z_extra) -> Posterior`` turns simulated data into a posterior
     (z may be None when n = 0; z_extra is None without an extra arm).
-    ``extra_data_sampler`` supplies the VOI extra-data arm.  Sample-size
-    design passes z as a read-only view of draws shared by every n.
+    ``extra_data_sampler`` supplies the VOI extra-data arm.  All three
+    samplers of one replicate receive the same generator, in the order
+    prior, data, extra arm, so each continues the stream where the last
+    stopped.  Sample-size design passes z as a read-only view of draws
+    shared by every n.
     """
 
     prior_sampler: Callable
@@ -77,13 +81,6 @@ class CostFunction:
         return self.c0 + self.per_unit * n
 
 
-def _replicate_rng(seed, replicate, purpose):
-    return np.random.default_rng(np.random.SeedSequence((int(seed), int(replicate), purpose)))
-
-
-# purposes are numbered so every (replicate, purpose) pair maps to one stream
-_PRIOR, _DATA, _EXTRA, _POSTERIOR = 0, 1, 2, 3
-
 # draws held by one beta-bernoulli cloud memo: three float arrays per cloud,
 # about 3 MB in all, or 32 clouds of the default 4,000 draws
 _MEMO_DRAWS = 1 << 17
@@ -94,7 +91,7 @@ def voi(model, value_fn, n_mc, seed):
 
     Returns (voi, std_err).  The existing-data arm and the combined arm
     share the same prior and existing-data draws per replicate, so an
-    extra arm that duplicates the existing data yields exactly zero.
+    extra arm that the posterior builder ignores yields exactly zero.
     """
     if n_mc < 2:
         raise ValidationError(f"n_mc must be >= 2, got {n_mc}")
@@ -102,10 +99,10 @@ def voi(model, value_fn, n_mc, seed):
         raise ValidationError("VOI requires an extra_data_sampler")
     diffs = np.empty(n_mc)
     for r in range(n_mc):
-        y = model.prior_sampler(_replicate_rng(seed, r, _PRIOR))
-        z = model.data_sampler(_replicate_rng(seed, r, _DATA), y, model.n_existing)
-        z_extra = model.extra_data_sampler(
-            _replicate_rng(seed, r, _EXTRA), y, model.n_extra)
+        rng = np.random.default_rng((int(seed), r))
+        y = model.prior_sampler(rng)
+        z = model.data_sampler(rng, y, model.n_existing)
+        z_extra = model.extra_data_sampler(rng, y, model.n_extra)
         v_existing = value_fn(model.posterior_builder(z, None), y)
         v_both = value_fn(model.posterior_builder(z, z_extra), y)
         diffs[r] = v_both - v_existing
@@ -117,8 +114,8 @@ def voi(model, value_fn, n_mc, seed):
 def _joint_losses(model, loss, ns, n_mc, seed, max_n):
     """Realised losses of the EPL-optimal rule: a (len(ns), n_mc) array.
 
-    Each replicate seeds its prior and data streams once and draws max_n
-    observations once; the row of sample size n uses the first n.
+    Each replicate draws its prior value and then max_n observations
+    from its one generator; the row of sample size n uses the first n.
     """
     if n_mc < 1:
         raise ValidationError(f"n_mc must be >= 1, got {n_mc}")
@@ -127,11 +124,11 @@ def _joint_losses(model, loss, ns, n_mc, seed, max_n):
     lossfn = compose(loss)
     losses = np.empty((len(ns), n_mc))
     for r in range(n_mc):
-        y = model.prior_sampler(_replicate_rng(seed, r, _PRIOR))
+        rng = np.random.default_rng((int(seed), r))
+        y = model.prior_sampler(rng)
         if max_n > 0:
             # a read-only view: every sample size shares these draws
-            draws = np.asarray(
-                model.data_sampler(_replicate_rng(seed, r, _DATA), y, max_n)).view()
+            draws = np.asarray(model.data_sampler(rng, y, max_n)).view()
             draws.flags.writeable = False
         for i, n in enumerate(ns):
             post = model.posterior_builder(draws[:n] if n > 0 else None, None)
@@ -250,8 +247,7 @@ def beta_bernoulli(a, b, n_existing=1, n_extra=1, posterior_draws=4000):
     @functools.lru_cache(maxsize=max(1, _MEMO_DRAWS // posterior_draws))
     def cloud(succ, tot):
         # deterministic cloud: seed from the sufficient statistics
-        rng = np.random.default_rng(
-            np.random.SeedSequence((int(succ * 2), int(tot), 12345)))
+        rng = np.random.default_rng((int(succ * 2), int(tot), 12345))
         return SamplePosterior(rng.beta(a + succ, b + tot - succ,
                                         size=posterior_draws))
 

@@ -407,8 +407,8 @@ def _closed_form(spec, post):
         if base.family == "GAM" and w.name == "identity":
             return post.moments()[0], "posterior_mean"
         if _loss_key(base) == "SEL":
-            num = post.expect(lambda y: w.fn(np.asarray(y, dtype=float)) * y)
-            den = post.expect(lambda y: w.fn(np.asarray(y, dtype=float)))
+            num = post.expect(lambda y: w(y) * y)
+            den = post.expect(w)
             if den <= 0:
                 raise NumericError("weight function has nonpositive posterior mass")
             return num / den, "reweighted_mean"

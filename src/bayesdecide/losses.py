@@ -193,10 +193,7 @@ def eval_gam(alpha, nu, a, y):
 
 def _weighted(parts, weight, a, y):
     """w(y) * L(a, y) for a weight function that must be finite and > 0."""
-    wy = np.asarray(weight.fn(np.asarray(y, dtype=float)), dtype=float)
-    if np.any(~np.isfinite(wy)) or np.any(wy <= 0):
-        raise ValidationError("loss weight function must be finite and > 0")
-    return wy * parts[0](a, y)
+    return weight(y) * parts[0](a, y)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +241,11 @@ _COMPOSITIONS = {
     "product": _Composition(None, (), lambda parts, a, y: functools.reduce(
         operator.mul, (p(a, y) for p in parts)), _ALWAYS, _ALWAYS),
     # (L)^p with p < 1 has an unbounded derivative where L = 0, and is
-    # concave on each side of y when L is linear there
-    "power": _Composition(1, ("p",), lambda parts, p, a, y: parts[0](a, y) ** p,
+    # concave on each side of y when L is linear there.  A loss is >= 0, but
+    # PWD rounds to about -eps * a near a = y, and a fractional power of that
+    # is NaN, so the base is clamped at 0
+    "power": _Composition(1, ("p",),
+                          lambda parts, p, a, y: np.maximum(parts[0](a, y), 0.0) ** p,
                           lambda prm: prm["p"] >= 1, lambda prm: prm["p"] >= 1),
     "exp_minus_one": _Composition(1, (), lambda parts, a, y: np.expm1(parts[0](a, y)),
                                   _ALWAYS, _ALWAYS),
@@ -266,6 +266,15 @@ class Weight:
 
     fn: Callable[[np.ndarray], np.ndarray]
     name: Optional[str] = None
+
+    def __call__(self, y):
+        """w(y) as a float array; ValidationError unless every value is finite and > 0."""
+        with np.errstate(all="ignore"):
+            wy = np.asarray(self.fn(np.asarray(y, dtype=float)), dtype=float)
+        # a NaN makes min and max NaN, which fails both tests
+        if not (wy.min(initial=math.inf) > 0.0 and wy.max(initial=0.0) < math.inf):
+            raise ValidationError("loss weight function must be finite and > 0")
+        return wy
 
     @staticmethod
     def identity():

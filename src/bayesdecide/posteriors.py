@@ -28,7 +28,9 @@ h(F^-1(u)) du by a fixed tanh-sinh rule in quantile space (see
 ``_quad_expect``), so ``h`` receives one float array of nodes, as it does
 on draws.  When the rule cannot certify its sum, adaptive QUADPACK
 quadrature against the density answers instead, or raises;
-``scipy.integrate`` is imported only then.
+``scipy.integrate`` is imported only then.  Decisions reach it too: a
+LINEX term on a wide Gaussian raises at the rule's lowest nodes, where
+psi (a - y) exceeds its overflow limit.
 """
 
 from __future__ import annotations
@@ -475,8 +477,10 @@ def _rule_nodes(post, cuts):
 def _quadpack_expect(post, h, breakpoints=()):
     """Adaptive QUADPACK quadrature of h against a parametric density.
 
-    The fallback of ``_quad_expect`` for an ``h`` its rule cannot certify;
-    no decision of the package reaches it on its own.  The bulk between
+    The fallback of ``_quad_expect`` for an ``h`` its rule cannot certify,
+    which decisions reach as well as library callers: QTL(0.3) + LINEX(1)
+    on N(0, 20^2) makes 24 calls, for the EPLs whose lowest rule nodes
+    trip the LINEX overflow guard.  The bulk between
     the 1e-10 and 1-1e-10 quantiles is integrated directly and each
     unbounded tail separately, so integrands with exponential growth
     (e.g. LINEX) keep their tail mass.  A Gamma's bulk starts at ``lower``

@@ -174,6 +174,16 @@ loss: {family: PWD, params: {lam: 2.0}}
         assert "Traceback" not in result.output
         assert "loss requires y > 0" in result.output
 
+    @pytest.mark.parametrize("base", ["{family: SEL}", "{family: MTC, params: {rho: 1.5}}"])
+    def test_weight_nan_below_zero_exits_2(self, runner, tmp_path, base):
+        # the reweighted mean under SEL checks its weight as MTC(1.5) does
+        scenario = write(tmp_path, "s.yaml", "posterior: {kind: gaussian, mean: 0, sd: 1}\n"
+                                             f"loss: {_WEIGHTED % base}\n")
+        result = runner.invoke(main, ["predict", "--scenario", scenario])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert "Traceback" not in result.output
+        assert "loss weight function must be finite and > 0" in result.output
+
     def test_format_table_writes_no_csv(self, runner, tmp_path):
         scenario = write(tmp_path, "s.yaml", """
 posterior: {kind: gaussian, mean: 0.0, sd: 1.0}

@@ -106,10 +106,32 @@ class TestOptimizeDispatch:
         assert d.action == pytest.approx(4.0, abs=0.05)  # size-biased mean
 
     def test_weighted_sel_with_nonpositive_weight_mass_raises(self):
-        # E[w(Y)] = E[Y] = -1 under N(-1, 0.5): the reweighted mean has no meaning
+        # w(y) = y is <= 0 on most of N(-1, 0.5): the reweighted mean checks
+        # its weight where it evaluates it, as every other weighted loss does
         spec = LossSpec.weighted(Weight.power(1), LossSpec.sel())
-        with pytest.raises(NumericError, match="nonpositive posterior mass"):
+        with pytest.raises(ValidationError, match="weight function must be finite and > 0"):
             optimize(spec, GaussianPosterior(-1.0, 0.5))
+
+    def test_weighted_sel_with_underflowing_weight_mass_raises(self):
+        # e^-745 is the least subnormal: positive, but half of it rounds to 0
+        spec = LossSpec.weighted(Weight.exp(-1.0), LossSpec.sel())
+        with pytest.raises(NumericError, match="nonpositive posterior mass"):
+            optimize(spec, SamplePosterior([745.0, 745.0]))
+
+    @pytest.mark.parametrize("base", [LossSpec.sel(), LossSpec.mtc(1.5)],
+                             ids=["closed-form", "numeric"])
+    def test_weight_nan_below_zero_is_refused_on_every_path(self, base):
+        # y^0.5 is NaN on the negative half of N(0, 1)
+        spec = LossSpec.weighted(Weight.power(0.5), base)
+        with pytest.raises(ValidationError, match="weight function must be finite and > 0"):
+            optimize(spec, GaussianPosterior(0.0, 1.0))
+
+    def test_fractional_power_of_pwd_on_draws(self):
+        # PWD rounds below 0 near a = y, where its square root was NaN
+        spec = LossSpec.power_of(LossSpec.pwd(0.5), 0.5)
+        for seed in range(40):
+            draws = np.random.default_rng(seed).lognormal(0.5, 0.4, 500)
+            assert math.isfinite(optimize(spec, SamplePosterior(draws)).epl)
 
     def test_epl_self_consistency(self):
         post = GammaPosterior(3, 1)

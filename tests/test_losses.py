@@ -169,6 +169,23 @@ class TestCompose:
         loss = compose(LossSpec.power_of(LossSpec.mtc(1), 3.0))
         assert loss(3.0, 1.0) == pytest.approx(8.0)
 
+    def test_power_clamps_a_base_rounded_below_zero(self):
+        # PWD is a difference of terms of size a, which rounds below 0 here
+        a, y = 1.733759351509418, 1.7337593549769368
+        assert eval_pwd(0.5, a, y) < 0
+        assert compose(LossSpec.power_of(LossSpec.pwd(0.5), 0.5))(a, y) == 0.0
+
+    def test_weight_returns_its_values(self):
+        y = np.array([0.25, 4.0])
+        assert np.array_equal(Weight.power(0.5)(y), [0.5, 2.0])
+
+    @pytest.mark.parametrize("weight, y", [
+        (Weight.power(0.5), -1.0), (Weight.power(-1), 0.0), (Weight.exp(1.0), 1e3),
+        (Weight.exp(-1.0), 1e3)], ids=["nan", "inf-at-zero", "overflow", "underflow"])
+    def test_weight_refuses_a_value_that_is_not_finite_and_positive(self, weight, y):
+        with pytest.raises(ValidationError, match="weight function must be finite and > 0"):
+            weight(np.array([1.0, y]))
+
     @pytest.mark.parametrize("family,missing", [
         ("QTL", "'q'"), ("MTC", "'rho'"), ("LNX", "'psi'"), ("PWD", "'lam'"),
         ("GAM", "'alpha', 'nu'")])

@@ -321,3 +321,18 @@ def test_h_raising_at_an_extreme_node_keeps_quadpack_answer(fallbacks, a):
     else:
         _assert_close(post.expect(h, breakpoints=(a,)), want)
     assert len(fallbacks) == 1
+
+
+def test_a_decision_reaches_the_fallback(fallbacks):
+    # the rule's lowest nodes, about 35 sd below the mean, trip the LINEX
+    # overflow guard at the search's actions; QUADPACK answers those EPLs
+    post = GaussianPosterior(0.0, 20.0)
+    decision = optimize(L.sum_of(L.qtl(0.3), L.linex(1.0)), post)
+    assert len(fallbacks) > 0
+    a, z = decision.action, decision.action / 20.0
+    pdf, cdf = math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi), 0.5 * math.erfc(-z / math.sqrt(2))
+    # closed forms on N(0, 20^2): E QTL(0.3) and E LINEX(1) = e^(a + 200) - a - 1
+    qtl, linex = a * (cdf - 0.3) + 20.0 * pdf, math.expm1(a + 200.0) - a
+    _assert_close(decision.epl, qtl + linex)
+    # their derivative in a, F(a) - 0.3 + e^(a + 200) - 1, vanishes there
+    assert abs(cdf - 0.3 + math.expm1(a + 200.0)) < 1e-8
