@@ -28,7 +28,7 @@ from .losses import (GeneralizedGaussian, LossFunction, LossSpec, Weight,
                      eval_pwd, eval_qtl, eval_zero_one)
 from .model_choice import (DecisionTable, ModelEvidence, bayes_factor,
                            choose_baf, choose_epl, posterior_models)
-from .posteriors import (DiscretePosterior, GammaPosterior, GaussianPosterior,
-                         Posterior, SamplePosterior, load_samples)
+from .posteriors import (BetaPosterior, DiscretePosterior, GammaPosterior,
+                         GaussianPosterior, Posterior, SamplePosterior, load_samples)
 
 __version__ = "0.1.0"

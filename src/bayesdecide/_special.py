@@ -1,8 +1,8 @@
 """``scipy.special``, imported on first use.
 
 Importing ``scipy.special`` costs more than the rest of the package's
-import, yet only some decisions call a special function: a Gaussian or
-Gamma distribution function or quantile, the Gamma closed forms, the
+import, yet only some decisions call a special function: a parametric
+distribution function or quantile, the Gamma and Beta closed forms, the
 tanh-sinh rule's nodes, a LINEX log-MGF on draws, a calibration from a
 tail mass.  Modules write ``_special.ndtr(x)``; the first such call pays
 for importing ``scipy.special``, and each name read is then stored in this

@@ -10,15 +10,13 @@ for a fixed (seed, grid, replicate budget).
 
 Sample-size design makes one pass over the replicates: each replicate
 draws the largest sample once, and every candidate n builds its
-posterior from the first n of those draws.  The beta-bernoulli template
-memoises its posterior cloud on the sufficient statistic (successes,
-trials), which alone seeds it, so replicates that reach the same
-statistic share one immutable cloud.
+posterior from the first n of those draws.  Both conjugate templates
+build their exact posterior, Gaussian or Beta, so the replicates are the
+only Monte Carlo error.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -28,7 +26,7 @@ import numpy as np
 from . import engine
 from .errors import NumericError, ValidationError
 from .losses import compose
-from .posteriors import GaussianPosterior, SamplePosterior
+from .posteriors import BetaPosterior, GaussianPosterior, SamplePosterior
 
 
 @dataclass(frozen=True)
@@ -79,11 +77,6 @@ class CostFunction:
                 raise ValidationError(f"cost table has no entry for n={n}")
             return float(self.table[n])
         return self.c0 + self.per_unit * n
-
-
-# draws held by one beta-bernoulli cloud memo: three float arrays per cloud,
-# about 3 MB in all, or 32 clouds of the default 4,000 draws
-_MEMO_DRAWS = 1 << 17
 
 
 def voi(model, value_fn, n_mc, seed):
@@ -224,19 +217,10 @@ def gaussian_known_variance(prior_mean, prior_sd, noise_sd,
                       extra_data_sampler, n_existing, n_extra)
 
 
-def beta_bernoulli(a, b, n_existing=1, n_extra=1, posterior_draws=4000):
-    """Beta(a, b) prior for a success rate with Bernoulli observations.
-
-    The conjugate Beta posterior is represented as a seeded sample cloud
-    (``posterior_draws`` draws) so the generic loss machinery applies.
-    The cloud is seeded by the sufficient statistic (successes, trials)
-    alone, so it is memoised on that pair: the most recently used clouds
-    are kept, up to about 131,000 draws in all (32 default-size clouds).
-    """
-    if not (a > 0 and b > 0):
-        raise ValidationError("Beta parameters must be > 0")
-    if posterior_draws < 1:
-        raise ValidationError(f"posterior_draws must be >= 1, got {posterior_draws}")
+def beta_bernoulli(a, b, n_existing=1, n_extra=1):
+    """Beta(a, b) prior for a success rate with Bernoulli observations; the
+    exact posterior after s successes in n trials is Beta(a + s, b + n - s)."""
+    BetaPosterior(a, b)  # refuses a or b not finite and > 0, naming both
 
     def prior_sampler(rng):
         return rng.beta(a, b)
@@ -244,20 +228,11 @@ def beta_bernoulli(a, b, n_existing=1, n_extra=1, posterior_draws=4000):
     def data_sampler(rng, y, n):
         return (rng.random(n) < y).astype(float)
 
-    @functools.lru_cache(maxsize=max(1, _MEMO_DRAWS // posterior_draws))
-    def cloud(succ, tot):
-        # deterministic cloud: seed from the sufficient statistics
-        rng = np.random.default_rng((int(succ * 2), int(tot), 12345))
-        return SamplePosterior(rng.beta(a + succ, b + tot - succ,
-                                        size=posterior_draws))
-
     def posterior_builder(z, z_extra=None):
-        succ, tot = 0.0, 0
-        for arm in (z, z_extra):
-            if arm is not None and len(arm) > 0:
-                succ += float(np.sum(arm))
-                tot += len(arm)
-        return cloud(succ, tot)
+        arms = [arm for arm in (z, z_extra) if arm is not None]
+        succ, tot = sum(float(np.sum(arm)) for arm in arms), sum(map(len, arms))
+        # failures are counted before adding b, which may be far below 1
+        return BetaPosterior(a + succ, b + (tot - succ))
 
     # both arms draw Bernoulli data; they differ only by their seeded stream
     return JointModel(prior_sampler, data_sampler, posterior_builder,

@@ -4,8 +4,8 @@ Two flat tables hold the closed forms.  ``_ACTIONS`` maps a leaf loss key
 (see ``_loss_key``) to the name and formula of its optimal action (mean,
 median, mode, quantile, LINEX log-MGF, 1/E(1/Y)); each formula is valid on
 every posterior ``optimize`` accepts.  ``_EPLS`` maps (posterior type, loss
-key) to the expected posterior loss EPL(a) in closed form on Gaussian and
-Gamma posteriors, so ``epl`` answers those pairs without quadrature,
+key) to the expected posterior loss EPL(a) in closed form on Gaussian,
+Gamma and Beta posteriors, so ``epl`` answers those pairs without quadrature,
 whichever caller asks: ``optimize``, its numeric search, or the BMA
 mixture.  Every other EPL (all on draws, compositions, PTL, MTC(rho) with
 rho not in {1, 2}) is ``post.expect`` of the loss: a weighted sum on draws,
@@ -13,7 +13,7 @@ quadrature otherwise.  ``optimize`` minimizes the EPL numerically when no
 closed form applies, through ``minimize``: bracket by geometric expansion
 from the posterior median, then search the bracket.  The search is Brent's
 method (parabolic interpolation guarded by golden-section steps) whenever
-the EPL is unimodal: on a Gaussian or Gamma posterior, and on draws for a
+the EPL is unimodal: on a parametric posterior, and on draws for a
 convex loss (``LossFunction.convex``).  It stops once a short step finds an
 EPL tied to rounding with the best one, or else at a 1e-10 relative
 width.  A nonconvex loss on draws (MTC(rho < 1), 0-1) has a local minimum
@@ -37,8 +37,8 @@ import numpy as np
 from . import _special
 from .errors import NumericError, ValidationError
 from .losses import EXP_LIMIT, LossSpec, compose
-from .posteriors import (GammaPosterior, GaussianPosterior, SamplePosterior,
-                         almost_surely_positive)
+from .posteriors import (BetaPosterior, GammaPosterior, GaussianPosterior,
+                         SamplePosterior, almost_surely_positive)
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 _CGOLD = 1.0 - _GOLD  # Brent's golden step, as a fraction of the larger side
@@ -75,12 +75,6 @@ class TailRiskCurve:
         tps = [p[1] for p in self.points]
         if any(t2 > t1 + 1e-12 for t1, t2 in zip(tps, tps[1:])):
             raise ValidationError("tail probabilities must be nonincreasing in kappa")
-
-    def to_csv(self):
-        lines = ["kappa,tail_prob,loss"]
-        for k, tp, lv in self.points:
-            lines.append(f"{k!r},{tp!r},{lv!r}")
-        return "\n".join(lines) + "\n"
 
 
 def _check_domain(lossfn, post):
@@ -228,8 +222,8 @@ def _brent(f, lo, hi, x, fx):
 def unimodal_epl(lossfn, post):
     """Whether Brent's method may search the EPL of ``lossfn`` on ``post``.
 
-    A convex loss has a convex EPL, and a Gaussian or Gamma posterior
-    smooths a nonconvex one; but on draws a nonconvex loss (MTC(rho < 1),
+    A convex loss has a convex EPL, and a parametric posterior smooths
+    a nonconvex one; but on draws a nonconvex loss (MTC(rho < 1),
     0-1) has a local minimum at every draw.
     """
     return lossfn.convex or not isinstance(post, SamplePosterior)
@@ -305,16 +299,23 @@ def _partials(post, a):
 
     Gaussian: from the standard normal cdf and density at z = (a - m)/sd.
     Gamma: from P(k, r a) and P(k + 1, r a), as E(Y I(Y < a)) = m P(k + 1, r a).
+    Beta: likewise, E(Y I(Y < a)) = m I_x(al + 1, be) at x = min(a, 1).
     """
     if isinstance(post, GaussianPosterior):
         z = (a - post.mean) / post.sd
         phi = post.sd * post.pdf(float(a))  # standard normal density at z
         return (post.sd * (z * float(_special.ndtr(z)) + phi),
                 post.sd * (phi - z * float(_special.ndtr(-z))))
-    k, m = post.shape, post.moments()[0]
+    m = post.moments()[0]
     if a <= 0:
         return 0.0, m - a
-    x = post.rate * a
+    if isinstance(post, BetaPosterior):
+        al, be, x = post.a, post.b, min(a, 1.0)
+        return (a * float(_special.betainc(al, be, x))
+                - m * float(_special.betainc(al + 1.0, be, x)),
+                m * float(_special.betaincc(al + 1.0, be, x))
+                - a * float(_special.betaincc(al, be, x)))
+    k, x = post.shape, post.rate * a
     return (a * float(_special.gammainc(k, x))
             - m * float(_special.gammainc(k + 1.0, x)),
             m * float(_special.gammaincc(k + 1.0, x))
@@ -369,11 +370,11 @@ def _gamma_pwd_minus_epl(post, prm, a):
 
 
 # (posterior type, loss key) -> epl(post, params, a) in closed form; every
-# other pair (all on draws) uses post.expect.  GAM and PWD, which need y > 0,
-# never meet a Gaussian: _check_domain refuses it first
+# other pair uses post.expect.  GAM and PWD, which need y > 0, never meet a
+# Gaussian: _check_domain refuses it first
 _EPLS = {
     **{(kind, key): fn
-       for kind in (GaussianPosterior, GammaPosterior)
+       for kind in (GaussianPosterior, GammaPosterior, BetaPosterior)
        for key, fn in (("SEL", _sel_epl), ("MTC1", _abs_epl),
                        ("ZERO_ONE", _zero_one_epl), ("QTL", _qtl_epl),
                        ("LNX", _linex_epl))},
@@ -431,7 +432,8 @@ def optimize(loss, post, force_numeric=False):
 
 
 # the quadrature's outermost nodes lie up to 2.3 support widths beyond a
-# Gaussian's support() and up to 26.5 widths above a Gamma's (never below 0)
+# Gaussian's support(), up to 26.5 above a Gamma's (never below 0) and either
+# side of a Beta's, past which a Beta shape < 1 puts only mass below 1e-170
 _NODE_REACH = 27.0
 # the evenly spaced part of optimize_functional's grid over support()
 _UNIT_GRID = np.linspace(0.0, 1.0, 257)
@@ -472,13 +474,13 @@ def optimize_functional(loss, post, g, force_numeric=False):
     """Minimize E(L(a, g(Y)) | z): the optimal decision about g(Y).
 
     ``g`` maps a float array of y values to g(y) elementwise.  On a
-    Gaussian or Gamma posterior, g is evaluated once on a fixed grid over
+    parametric posterior, g is evaluated once on a fixed grid over
     ``post.support()``, widened to the quadrature's outermost nodes.  Every
     ``post.expect`` (the start E g(Y), which is SEL's answer, and each EPL)
     is cut at the jumps of g the grid shows (``_jumps``), and each EPL but
     SEL's also where g(y) = a: at each sign change of g - a on the grid,
     refined by bisection.  The search is Brent's, as for every loss on a
-    Gaussian or Gamma posterior.
+    parametric posterior.
     """
     lossfn = compose(loss)
     if isinstance(post, SamplePosterior):

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
-from bayesdecide import (DivergentMgfError, GammaPosterior, GaussianPosterior,
-                         LossSpec, NumericError, compose, epl, optimize)
+from bayesdecide import (BetaPosterior, DivergentMgfError, GammaPosterior,
+                         GaussianPosterior, LossSpec, NumericError, compose, epl,
+                         optimize)
 from bayesdecide import engine, posteriors
 
 REL = 1e-9
@@ -45,6 +46,7 @@ def _assert_close(got, want):
 
 GAUSS_KEYS = ["SEL", "MTC1", "ZERO_ONE", "QTL", "LNX"]
 GAMMA_KEYS = GAUSS_KEYS + ["GAM", "PWD+1", "PWD-1"]
+BETA_KEYS = GAUSS_KEYS
 
 
 @given(key=st.sampled_from(GAUSS_KEYS), mean=st.floats(-5.0, 5.0),
@@ -76,6 +78,54 @@ def test_gamma_entries_match_quadrature(key, shape, rate, q, psi_mag, psi_frac,
     _assert_close(epl(spec, post, a), _quadrature(spec, post, a))
 
 
+@given(key=st.sampled_from(BETA_KEYS), al=st.floats(0.3, 40.0), be=st.floats(0.3, 40.0),
+       q=st.floats(0.01, 0.99), psi=st.floats(-20.0, 20.0).filter(lambda p: abs(p) > 0.05),
+       t=st.floats(-0.5, 1.5))
+@settings(max_examples=300, deadline=None)
+def test_beta_entries_match_quadrature(key, al, be, q, psi, t):
+    # t spans actions below 0 and above 1, where a partial expectation is 0
+    post = BetaPosterior(al, be)
+    spec = _spec(key, q=q, psi=psi)
+    # 0-1 EPL is exactly 1: no point carries mass
+    want = 1.0 if key == "ZERO_ONE" else _beta_quadrature(spec, post, t)
+    _assert_close(epl(spec, post, t), want)
+
+
+def _beta_quadrature(spec, post, t):
+    """E L(t, Y) on a Beta by QUADPACK, an oracle apart from the posterior's
+    own quadrature.  Each half of [0, 1] is integrated in s = d^p, where d is
+    the distance to its end and p = min(shape, 1) that end's shape: there
+    the density's factor d^(shape - 1) dd becomes d^(shape - p) ds / p,
+    which is bounded, so neither end is singular.  The kink at y = t is a
+    breakpoint."""
+    lossfn = compose(spec)
+    al, be = post.a, post.b
+    norm = math.exp(-special.betaln(al, be))
+    total = 0.0
+    for shape, other, to_y in ((al, be, lambda d: d), (be, al, lambda d: 1.0 - d)):
+        p = min(shape, 1.0)
+
+        def f(s):
+            d = s ** (1.0 / p)
+            return (norm * float(lossfn(t, to_y(d))) * d ** (shape - p)
+                    * (1.0 - d) ** (other - 1.0) / p)
+        kink = to_y(t)  # t's distance from this end
+        total += integrate.quad(f, 0.0, 0.5 ** p, points=[kink ** p] if 0 < kink < 0.5 else None,
+                                epsabs=1e-15, epsrel=1e-11, limit=200)[0]
+    return total
+
+
+@pytest.mark.parametrize("key", ["SEL", "MTC1", "QTL", "LNX"])
+@pytest.mark.parametrize("al, be", [(4.0, 4.0), (0.5, 0.5), (0.7, 12.0), (30.0, 1.5)])
+def test_beta_closed_forms_match_the_numeric_search(key, al, be):
+    post = BetaPosterior(al, be)
+    closed = optimize(_spec(key, psi=-3.0), post)
+    numeric = optimize(_spec(key, psi=-3.0), post, force_numeric=True)
+    assert (closed.method.kind, numeric.method.kind) == ("closed_form", "numeric")
+    assert abs(closed.action - numeric.action) <= 1e-8
+    assert abs(closed.epl - numeric.epl) <= 1e-8
+
+
 @pytest.mark.parametrize("key", ["SEL", "MTC1", "QTL", "LNX"])
 @pytest.mark.parametrize("a", [-3.0, 0.0])
 def test_gamma_actions_at_or_below_zero(key, a):
@@ -105,14 +155,16 @@ def test_ratio_losses_near_shape_one(key, shape, f):
 
 def _analytic_pairs():
     posts = {GaussianPosterior: GaussianPosterior(0.4, 1.3),
-             GammaPosterior: GammaPosterior(3.5, 2.0)}
+             GammaPosterior: GammaPosterior(3.5, 2.0),
+             BetaPosterior: BetaPosterior(2.5, 4.0)}
     return [(posts[kind], key) for kind, key in engine._EPLS]
 
 
 def test_every_analytic_pair_is_tested():
     pairs = {(type(p), k) for p, k in _analytic_pairs()}
     want = ({(GaussianPosterior, k) for k in GAUSS_KEYS}
-            | {(GammaPosterior, k) for k in GAMMA_KEYS})
+            | {(GammaPosterior, k) for k in GAMMA_KEYS}
+            | {(BetaPosterior, k) for k in BETA_KEYS})
     assert pairs == want
 
 
@@ -187,6 +239,7 @@ def test_linex_near_exponent_limit_returns():
 
 GAUSS_Y = [-1e6, -40.0, -8.0, -1.0, 0.0, 0.3, 2.5, 9.0, 40.0, 1e6]
 GAMMA_Y = [-5.0, -1e-300, 0.0, 1e-300, 1e-12, 1e-3, 0.5, 2.0, 10.0, 80.0, 400.0]
+BETA_Y = [-5.0, 0.0, 1e-300, 1e-12, 1e-3, 0.2, 0.5, 0.9, 1.0 - 1e-9, 1.0, 3.0]
 
 
 def _close_arrays(got, want, rtol=1e-11):
@@ -224,6 +277,26 @@ def test_gamma_functions_match_scipy_stats(shape, rate):
     qs = [1e-12, 1e-10, 0.03, 0.5, 0.97, 1.0 - 1e-10]
     _close_arrays([post.quantile(q) for q in qs], ref.ppf(qs))
     _close_arrays(post.support(), ref.ppf([1e-10, 1.0 - 1e-10]))
+
+
+@pytest.mark.parametrize("al,be", [(0.3, 0.8), (2.0, 3.0), (40.0, 7.5), (1e5, 0.5)])
+def test_beta_functions_match_scipy_stats(al, be):
+    post = BetaPosterior(al, be)
+    ref = stats.beta(al, be)
+    y = np.array(BETA_Y)
+    inside = y[(y > 0.0) & (y < 1.0)]
+    # the density's log B(a, b) from scipy.special.betaln is off by 6.5e-11
+    # at (1e5, 0.5), where one shape dwarfs the other; scipy.stats is exact
+    _close_arrays(post.pdf(inside), ref.pdf(inside), rtol=1e-9)
+    _close_arrays([post.pdf(float(v)) for v in inside], ref.pdf(inside), rtol=1e-9)
+    # 0 at and past the ends, also where a shape below 1 makes it unbounded there
+    np.testing.assert_array_equal(post.pdf(y[(y <= 0.0) | (y >= 1.0)]), 0.0)
+    assert isinstance(post.pdf(0.5), float)
+    _close_arrays(post.cdf(y), ref.cdf(y))
+    _close_arrays([post.tail_prob(float(v)) for v in y], ref.sf(y))
+    qs = [1e-12, 1e-10, 0.03, 0.5, 0.97, 1.0 - 1e-10]
+    _close_arrays([post.quantile(q) for q in qs], ref.ppf(qs))
+    _close_arrays(post.moments(), ref.stats("mv"))
 
 
 def test_gamma_density_vanishes_off_support():

@@ -522,6 +522,35 @@ voi:
         assert csv.splitlines()[0] == "voi,std_err,n_mc,seed"
         assert csv.splitlines()[1].endswith(",50,20220901")
 
+    def test_beta_bernoulli_matches_conjugate_value(self, runner, tmp_path):
+        # the fixture voi.yaml is Gaussian, whose gain does not depend on the
+        # data; a beta-bernoulli gain does, so this sees the replicates
+        scenario = write(tmp_path, "s.yaml", """
+voi:
+  template: beta-bernoulli
+  params: {a: 5.0, b: 1.0}
+  n_existing: 2
+  n_extra: 3
+  n_mc: 4000
+""")
+        result = runner.invoke(main, ["voi", "--scenario", scenario])
+        assert result.exit_code == 0, result.output
+        rows = dict(line.split() for line in result.output.splitlines())
+        est, se = float(rows["voi"]), float(rows["std_err"])
+        # E Var(Y | s successes of n) = Var(Y) (a + b) / (a + b + n)
+        prior_var = 5.0 / (36.0 * 7.0)
+        want = prior_var * 6.0 * (1.0 / 8.0 - 1.0 / 11.0)
+        assert 0.0 < se and abs(est - want) <= 4.0 * se
+
+    def test_beta_bernoulli_tiny_b_keeps_its_failures(self, runner, tmp_path):
+        # every draw is a success, and (1e-300 + 2) - 2 would leave b = 0
+        scenario = write(tmp_path, "s.yaml", "voi: {template: beta-bernoulli, params: "
+                                             "{a: 1e308, b: 1e-300}, n_existing: 2, "
+                                             "n_extra: 3, n_mc: 20}\n")
+        result = runner.invoke(main, ["voi", "--scenario", scenario])
+        assert result.exit_code == 0, (result.output, result.exception)
+        assert "Traceback" not in result.output
+
     def test_unknown_value_function_exits_2(self, runner, tmp_path):
         scenario = write(tmp_path, "s.yaml", """
 voi:
@@ -617,6 +646,8 @@ class TestMalformedInputs:
          {}, "design.cost.table key"),
         ("voi", f"voi: {{{GKV}, n_existing: -2}}", {}, "n_existing"),
         ("voi", f"voi: {{{GKV}, params: {{prior_sd: .inf}}}}", {}, "prior_sd"),
+        ("voi", "voi: {template: beta-bernoulli, params: {a: .inf}}", {},
+         "a and b must be finite and > 0 with a finite sum, got a=inf, b=1.0"),
         ("predict", "seed: true\n" + GAUSS, {}, "seed"),
         ("predict", "posterior: {kind: samples, path: 5}", {}, "posterior.path"),
         ("predict", "posterior: {kind: samples, path: .}", {}, "file"),
@@ -633,7 +664,7 @@ class TestMalformedInputs:
         ("voi", f"voi: {{template: beta-bernoulli, n_existing: {10 ** 30}}}", {},
          "voi.n_existing: expected a 64-bit integer"),
     ], ids=["decision_table", "matrix", "correlation-file", "n_mc-fraction", "n_mc-bool",
-            "n_grid-fraction", "cost-key-fraction", "n_existing-negative", "prior_sd-inf",
+            "n_grid-fraction", "cost-key-fraction", "n_existing-negative", "prior_sd-inf", "a-inf",
             "seed-bool", "path-number", "path-directory", "binary-draws", "header-only",
             "action-nan", "n_grid-step-zero", "n_grid-past-int64", "n_existing-past-int64"])
     def test_exits_2(self, runner, tmp_path, verb, text, files, message):

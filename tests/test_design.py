@@ -4,12 +4,20 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bayesdecide import (CostFunction, GammaPosterior, GaussianPosterior, JointModel,
-                         LossSpec, NumericError, ValidationError, beta_bernoulli, design,
+from bayesdecide import (BetaPosterior, CostFunction, GammaPosterior, GaussianPosterior,
+                         JointModel, LossSpec, NumericError, ValidationError, beta_bernoulli,
                          expected_joint_loss, gaussian_known_variance,
                          neg_posterior_variance, optimal_sample_size, voi)
 
 SEED = 20220901
+
+
+def _exact_beta_bernoulli_voi(a, b, n_existing, n_extra):
+    """The drop in E Var(Y | s successes of n) from n = n_existing to
+    n_existing + n_extra, as E Var(Y | s, n) = Var(Y) (a + b) / (a + b + n)."""
+    m = a + b
+    prior_var = a * b / (m * m * (m + 1.0))
+    return prior_var * m * (1.0 / (m + n_existing) - 1.0 / (m + n_existing + n_extra))
 
 
 class TestCostFunction:
@@ -66,6 +74,14 @@ class TestVoi:
         a = voi(model, neg_posterior_variance, n_mc=40, seed=7)
         b = voi(model, neg_posterior_variance, n_mc=40, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize("a, b, n_existing, n_extra",
+                             [(5, 1, 2, 3), (0.5, 0.5, 1, 2), (2, 2, 1, 1), (2, 2, 3, 4)])
+    def test_beta_bernoulli_matches_conjugate_value(self, a, b, n_existing, n_extra):
+        # the exact posterior leaves the replicates as the only error
+        model = beta_bernoulli(a, b, n_existing=n_existing, n_extra=n_extra)
+        est, se = voi(model, neg_posterior_variance, n_mc=4000, seed=7)
+        assert abs(est - _exact_beta_bernoulli_voi(a, b, n_existing, n_extra)) <= 3.0 * se
 
     def test_beta_bernoulli_gain_positive(self):
         model = beta_bernoulli(2.0, 2.0, n_existing=2, n_extra=10)
@@ -183,23 +199,38 @@ class TestTemplates:
         assert post.sd == pytest.approx(prec ** -0.5)
 
     def test_beta_builder_moments(self):
-        model = beta_bernoulli(2.0, 3.0, posterior_draws=200_000)
+        model = beta_bernoulli(2.0, 3.0)
         post = model.posterior_builder(np.array([1.0, 1.0, 0.0]), None)
-        # Beta(4, 4): mean 1/2
-        assert post.moments()[0] == pytest.approx(0.5, abs=0.01)
+        # Beta(4, 4): mean 1/2, variance 16 / (64 * 9)
+        assert post.moments() == (0.5, 1.0 / 36.0)
 
     def test_beta_builder_deterministic(self):
         model = beta_bernoulli(2.0, 3.0)
         z = np.array([1.0, 0.0])
         p1 = model.posterior_builder(z, None)
         p2 = model.posterior_builder(z, None)
-        assert np.array_equal(p1.values, p2.values)
+        assert p1 == p2 == BetaPosterior(3.0, 4.0)
+
+    def test_beta_builder_counts_both_arms(self):
+        model = beta_bernoulli(2.0, 3.0)
+        post = model.posterior_builder(np.array([1.0, 0.0]), np.array([1.0, 1.0, 0.0]))
+        assert isinstance(post, BetaPosterior)
+        assert (post.a, post.b) == (5.0, 5.0)
+        assert model.posterior_builder(None, None) == BetaPosterior(2.0, 3.0)
+
+    def test_beta_builder_keeps_a_tiny_b(self):
+        # (1e-300 + 2) - 2 would be 0: failures are counted before b is added
+        post = beta_bernoulli(1.0, 1e-300).posterior_builder(np.ones(2), None)
+        assert (post.a, post.b) == (3.0, 1e-300)
 
     def test_template_validation(self):
         with pytest.raises(ValidationError):
             gaussian_known_variance(0.0, 0.0, 1.0)
         with pytest.raises(ValidationError):
             beta_bernoulli(0.0, 1.0)
+        for a, b in ((np.inf, 1.0), (1.0, np.nan), (1e308, 1e308)):
+            with pytest.raises(ValidationError, match="a and b must be finite"):
+                beta_bernoulli(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +267,12 @@ def _median_error(post, truth):
 
 
 # (case, seed) -> result, recorded when each replicate first drew its prior
-# value, data and extra arm from one generator.  The losses and value
-# functions use arithmetic, sqrt and order statistics only, so the pins do
-# not depend on the last bits of exp, special functions or a BLAS dot
-# product, which vary with the library build and the CPU.
+# value, data and extra arm from one generator (the "bb" rows when the
+# beta-bernoulli template first built its exact Beta posterior).  The losses
+# and value functions use arithmetic, sqrt and order statistics only, so the
+# pins do not depend on the last bits of exp or a BLAS dot product, which vary
+# with the library build and the CPU; the one special function they rest on
+# is betaincinv, in the Beta quantiles of "bb-n" (QTL) and "bb-voi" (median).
 PINNED = {
     ("gkv-n", 5): (8, [
         (0, 27.722283765654392, 2.762228376565439, 0.1),
@@ -252,13 +285,13 @@ PINNED = {
         (3, 6.01347327885529, 0.585347327885529, 0.16),
         (8, 3.6697645636339216, 0.34097645636339213, 0.26)]),
     ("bb-n", 5): (5, [
-        (0, 0.7122175313878747, 0.06122175313878747, 0.1),
-        (2, 0.6999777423650716, 0.05599777423650716, 0.14),
-        (5, 0.6799202579945991, 0.0479920257994599, 0.2)]),
+        (0, 0.7140478848530204, 0.06140478848530204, 0.1),
+        (2, 0.6966164329366912, 0.055661643293669114, 0.14),
+        (5, 0.6788561186518045, 0.04788561186518046, 0.2)]),
     ("bb-n", 20220901): (0, [
-        (0, 0.6773301500179338, 0.057733015001793384, 0.1),
-        (2, 0.707785028139733, 0.0567785028139733, 0.14),
-        (5, 0.6833565095760146, 0.04833565095760145, 0.2)]),
+        (0, 0.6754997965527881, 0.05754997965527882, 0.1),
+        (2, 0.7056104303272909, 0.05656104303272909, 0.14),
+        (5, 0.6821462204035991, 0.04821462204035991, 0.2)]),
     ("custom-n", 5): (4, [
         (0, 3.9664529088959344, 0.7732905817791869, 0.1),
         (1, 3.0175100199384413, 0.5795020039876883, 0.12000000000000001),
@@ -269,14 +302,14 @@ PINNED = {
         (4, 0.5038316425639044, 0.0647663285127809, 0.18)]),
     ("gkv-voi", 5): (0.4735543984653331, 2.54702629954375e-17),
     ("gkv-voi", 20220901): (0.4735543984653331, 2.54702629954375e-17),
-    ("bb-voi", 5): (0.02185188988481689, 0.02496515583954351),
-    ("bb-voi", 20220901): (0.024068565009361716, 0.02133522356893276),
+    ("bb-voi", 5): (0.02270988192733373, 0.02451956410664549),
+    ("bb-voi", 20220901): (0.023776688834237353, 0.021092592785096155),
     ("custom-voi", 5): (0.16493055555555555, 0.02130370035799262),
     ("custom-voi", 20220901): (0.11689814814814815, 0.01637193215313136),
     ("gkv-ejl", 5): [1.4501886483597553, 0.6918705076259343, 0.41318757002038864],
     ("gkv-ejl", 20220901): [1.504247461373336, 0.9224740891168653, 0.5006886005559387],
-    ("bb-ejl", 5): [0.028491340190281576, 0.02255452670282186],
-    ("bb-ejl", 20220901): [0.02789753403968008, 0.016527264008382194],
+    ("bb-ejl", 5): [0.0284968326130214, 0.022456474766910015],
+    ("bb-ejl", 20220901): [0.027882189537919138, 0.01654491718998023],
 }
 
 RUNS = {
@@ -351,27 +384,6 @@ class TestOnePass:
         optimal_sample_size(model, LossSpec.sel(), 1.0, COST, [0, 2, 4], 6, 1)
         assert seen and not any(seen)
 
-    def test_beta_cloud_drawn_once_per_sufficient_statistic(self, monkeypatch):
-        real, built = design.SamplePosterior, []
-
-        def counting(draws):
-            built.append(len(draws))
-            return real(draws)
-        monkeypatch.setattr(design, "SamplePosterior", counting)
-        base = _bb()
-        keys = set()
-
-        def build(z, z_extra=None):
-            arms = [arm for arm in (z, z_extra) if arm is not None]
-            keys.add((sum(float(np.sum(arm)) for arm in arms),
-                      sum(len(arm) for arm in arms)))
-            return base.posterior_builder(z, z_extra)
-        model = dataclasses.replace(base, posterior_builder=build)
-        optimal_sample_size(model, LossSpec.qtl(0.7), 1.0, COST, [0, 2, 5], 40, 4)
-        voi(model, neg_posterior_variance, 40, 4)
-        assert len(built) == len(keys)
-        assert len(keys) < 40
-
 
 class TestReplicateBudget:
     @pytest.mark.parametrize("n_mc", [0, -1])
@@ -387,7 +399,3 @@ class TestReplicateBudget:
     def test_max_n_below_n_rejected(self):
         with pytest.raises(ValidationError, match="max_n"):
             expected_joint_loss(_gkv(), LossSpec.sel(), 5, 10, 1, max_n=3)
-
-    def test_beta_needs_posterior_draws(self):
-        with pytest.raises(ValidationError, match="posterior_draws"):
-            beta_bernoulli(1.0, 1.0, posterior_draws=0)

@@ -601,13 +601,6 @@ class TestTailRisk:
         env = lower_envelope(LossSpec.sel(), post, kappas, a_grid)
         assert env.points[0][2] > 0.0
 
-    def test_csv_shape(self):
-        post = GaussianPosterior(0, 1)
-        curve = tail_risk_curve(LossSpec.sel(), post, 0.0, [0.0, 1.0])
-        text = curve.to_csv()
-        assert text.splitlines()[0] == "kappa,tail_prob,loss"
-        assert len(text.splitlines()) == 3
-
 
 class TestThresholdRule:
     def test_far_below(self):
