@@ -10,8 +10,12 @@ loss.
 Eigenpairs come from LAPACK's symmetric solver (``np.linalg.eigh``),
 sorted by decreasing eigenvalue with a fixed sign per eigenvector.
 Dimensions are capped at N <= 64.  A ``VectorPosterior`` keeps read-only
-copies of its draws and weights; each projection is an equal-weight
-``SamplePosterior`` when the draws are unweighted.
+copies of its draws and weights, and an ``EigenDecomposition`` of its
+arrays; each projection is an equal-weight ``SamplePosterior`` when the
+draws are unweighted.  ``eigenspace_decisions`` (and so ``optimize_eigen``)
+and ``epl_multivariate`` share one set of projections per (decomposition,
+posterior) pair: the latest pair's are kept, so an optimal action and its
+joint EPL project each eigenspace once.
 """
 
 from __future__ import annotations
@@ -62,10 +66,17 @@ class CorrelationMatrix:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues in decreasing order with orthonormal eigenvector columns."""
+    """Eigenvalues in decreasing order with orthonormal eigenvector columns,
+    stored as read-only copies."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+    def __post_init__(self):
+        for name in ("eigenvalues", "eigenvectors"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self):
@@ -140,12 +151,28 @@ def project(decomp, post, i):
     return SamplePosterior(scalar, post.weights)
 
 
+# (decomposition, posterior, projections) of the latest _projections call:
+# optimize_eigen and epl_multivariate on one pair need the same projections.
+# Both keys are immutable and held here, so an identity match is the pair
+_last_projections = [None]
+
+
+def _projections(decomp, post):
+    """``project(decomp, post, i)`` for every eigenspace i, built once per pair."""
+    last = _last_projections[0]
+    if last is not None and last[0] is decomp and last[1] is post:
+        return last[2]
+    projections = tuple(project(decomp, post, i) for i in range(decomp.n))
+    _last_projections[0] = (decomp, post, projections)
+    return projections
+
+
 def eigenspace_decisions(decomp, post, losses):
     """The ``engine.optimize`` decision in each eigenspace, in eigenvalue order."""
     if len(losses) != decomp.n:
         raise ValidationError(f"need {decomp.n} losses, got {len(losses)}")
-    return tuple(engine.optimize(losses[i], project(decomp, post, i))
-                 for i in range(decomp.n))
+    return tuple(engine.optimize(loss, proj)
+                 for loss, proj in zip(losses, _projections(decomp, post)))
 
 
 def optimize_eigen(decomp, post, losses):
@@ -169,11 +196,11 @@ def epl_multivariate(decomp, post, losses, a, weights=None):
         w = np.ones(decomp.n)
     else:
         w = np.asarray(weights, dtype=float)
-        if w.shape != (decomp.n,) or np.any(w <= 0):
-            raise ValidationError("per-eigenspace weights must be positive")
+        # a NaN fails the test, as every comparison with NaN is false
+        if w.shape != (decomp.n,) or not np.all((w > 0) & (w < np.inf)):
+            raise ValidationError("per-eigenspace weights must be finite and positive")
     total = 0.0
-    for i in range(decomp.n):
-        proj = project(decomp, post, i)
+    for i, proj in enumerate(_projections(decomp, post)):
         b_i = float(decomp.eigenvectors[:, i] @ a)
         total += w[i] * engine.epl(losses[i], proj, b_i)
     return total

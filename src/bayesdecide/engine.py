@@ -4,15 +4,22 @@ Two flat tables hold the closed forms.  ``_ACTIONS`` maps a leaf loss key
 (see ``_loss_key``) to the name and formula of its optimal action (mean,
 median, mode, quantile, LINEX log-MGF, 1/E(1/Y)); each formula is valid on
 every posterior ``optimize`` accepts.  ``_EPLS`` maps (posterior type, loss
-key) to the expected posterior loss EPL(a) in closed form on Gaussian,
-Gamma and Beta posteriors, so ``epl`` answers those pairs without quadrature,
-whichever caller asks: ``optimize``, its numeric search, or the BMA
-mixture.  Every other EPL (all on draws, compositions, PTL, MTC(rho) with
-rho not in {1, 2}) is ``post.expect`` of the loss: a weighted sum on draws,
-quadrature otherwise.  ``optimize`` minimizes the EPL numerically when no
-closed form applies, through ``minimize``: bracket by geometric expansion
-from the posterior median, then search the bracket.  The search is Brent's
-method (parabolic interpolation guarded by golden-section steps) whenever
+key) to the expected posterior loss EPL(a) in closed form: on Gaussian,
+Gamma and Beta posteriors, and for SEL, MTC(1) and QTL on draws, where it
+is read off the cloud's running sums in O(log n).  A sum whose every part
+has a row is the sum of those rows.  So ``epl`` answers these without
+quadrature or a pass over the draws, whichever caller asks: ``optimize``,
+its numeric search, or the BMA mixture.  Every other EPL (the other
+losses on draws, other compositions, PTL, MTC(rho) with rho not in {1,
+2}) is ``post.expect`` of the loss: a weighted sum on draws, quadrature
+otherwise.  ``epl`` refuses an action that is not finite, and raises
+``NumericError`` when a closed form overflows, as the sum and the
+quadrature do.
+
+``optimize`` minimizes the EPL numerically when no closed form applies,
+through ``minimize``: bracket by geometric expansion from the posterior
+median, then search the bracket.  The search is Brent's method
+(parabolic interpolation guarded by golden-section steps) whenever
 the EPL is unimodal: on a parametric posterior, and on draws for a
 convex loss (``LossFunction.convex``).  It stops once a short step finds an
 EPL tied to rounding with the best one, or else at a 1e-10 relative
@@ -87,13 +94,29 @@ def epl(loss, post, a):
     """Expected posterior loss E(L(a, Y) | z)."""
     lossfn = compose(loss)
     _check_domain(lossfn, post)
+    if not math.isfinite(a):
+        raise ValidationError(f"action must be finite, got {a!r}")
     if lossfn.positive_domain and a <= 0:
         raise ValidationError(f"loss requires action > 0, got {a!r}")
-    closed = _EPLS.get((type(post), _loss_key(lossfn.spec)))
+    spec = lossfn.spec
+    closed = _EPLS.get((type(post), _loss_key(spec)))
     if closed is not None:
-        return float(closed(post, lossfn.spec.params, a))
+        return _finite(closed(post, spec.params, a), a)
+    if spec.compose == "sum":
+        rows = [(_EPLS.get((type(post), _loss_key(p))), p.params) for p in spec.components]
+        if all(row is not None for row, _ in rows):
+            return _finite(sum(row(post, prm, a) for row, prm in rows), a)
     # a itself is a potential kink of y -> L(a, y) (absolute/pinball losses)
     return post.expect(lambda y: lossfn(a, y), breakpoints=(a,))
+
+
+def _finite(value, a):
+    """A closed-form EPL as a float; NumericError when it overflowed, as the
+    weighted sum and the quadrature raise when theirs do."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise NumericError(f"the closed-form EPL at a={a!r} is not finite")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +323,10 @@ def _partials(post, a):
     Gaussian: from the standard normal cdf and density at z = (a - m)/sd.
     Gamma: from P(k, r a) and P(k + 1, r a), as E(Y I(Y < a)) = m P(k + 1, r a).
     Beta: likewise, E(Y I(Y < a)) = m I_x(al + 1, be) at x = min(a, 1).
+    Draws: from the cloud's running sums, ``SamplePosterior.linear_loss``.
     """
+    if isinstance(post, SamplePosterior):
+        return post.linear_loss(a)
     if isinstance(post, GaussianPosterior):
         z = (a - post.mean) / post.sd
         phi = post.sd * post.pdf(float(a))  # standard normal density at z
@@ -370,8 +396,9 @@ def _gamma_pwd_minus_epl(post, prm, a):
 
 
 # (posterior type, loss key) -> epl(post, params, a) in closed form; every
-# other pair uses post.expect.  GAM and PWD, which need y > 0, never meet a
-# Gaussian: _check_domain refuses it first
+# other pair uses post.expect (and so does a sum with a part outside the
+# table).  GAM and PWD, which need y > 0, never meet a Gaussian:
+# _check_domain refuses it first
 _EPLS = {
     **{(kind, key): fn
        for kind in (GaussianPosterior, GammaPosterior, BetaPosterior)
@@ -381,6 +408,10 @@ _EPLS = {
     (GammaPosterior, "GAM"): _gamma_gam_epl,
     (GammaPosterior, "PWD+1"): _gamma_pwd_plus_epl,
     (GammaPosterior, "PWD-1"): _gamma_pwd_minus_epl,
+    # on draws about the median draw, not the mean (see SamplePosterior)
+    (SamplePosterior, "SEL"): lambda post, prm, a: post.squared_loss(a),
+    (SamplePosterior, "MTC1"): _abs_epl,
+    (SamplePosterior, "QTL"): _qtl_epl,
 }
 
 

@@ -13,7 +13,9 @@ quadrature, 0.0 on a Gamma or a Beta and the least draw on a cloud.
 ``almost_surely_positive`` (Y > 0 almost surely, as GAM and PWD need) is
 the one rule built on it.
 ``SamplePosterior`` additionally supports ``reweight`` (multiply the
-weights by a positive function of y and renormalize).
+weights by a positive function of y and renormalize), and reads the
+expected squared and linear losses, E(a - Y)^2, E(a - Y)^+ and E(Y - a)^+,
+off sums it builds once (``squared_loss``, ``linear_loss``).
 
 The parametric densities, distribution functions and quantiles are
 written on ``scipy.special`` (``ndtr``, ``ndtri``, the regularized
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -316,6 +319,12 @@ def _stable_sort(values):
     return out
 
 
+# what a cloud's moments and its squared and linear losses are read from,
+# about its median draw c: with d = y - c, the totals of w, w d and w d^2 and
+# the running sum of w d over the sorted draws (read-only)
+_DrawSums = namedtuple("_DrawSums", "mean var centre w wd wd2 prefix_wd")
+
+
 class SamplePosterior:
     """Weighted posterior draws.
 
@@ -325,9 +334,16 @@ class SamplePosterior:
     projection) the values alone are sorted, without the index sort, since
     permuting equal weights changes none of them.  A single draw
     (degenerate posterior) is legal everywhere; its variance is 0.
+
+    The moments, and the sums ``squared_loss`` and ``linear_loss`` read,
+    are built in O(n) on first use and kept; ``squared_loss`` is then
+    O(1) and ``linear_loss`` O(log n).  The sums are taken about the median draw
+    c, not about 0: (a - c) and (y - c) are exact for a and y near c, so
+    a narrow cloud far from 0 keeps its digits.  Uncentred, var + (a -
+    mean)^2 is 2e-7 relative off on N(1e9, 1) draws.
     """
 
-    __slots__ = ("values", "weights", "_cumw", "lower")
+    __slots__ = ("values", "weights", "_cumw", "lower", "_draw_sums")
 
     def __init__(self, values, weights=None):
         values = np.asarray(values, dtype=float)
@@ -356,6 +372,7 @@ class SamplePosterior:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "lower", float(values[0]))
+        object.__setattr__(self, "_draw_sums", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SamplePosterior is immutable")
@@ -363,10 +380,45 @@ class SamplePosterior:
     def __len__(self):
         return self.values.size
 
+    def _sums(self):
+        sums = self._draw_sums
+        if sums is None:
+            v, w = self.values, self.weights
+            mean = float(np.dot(w, v))
+            var = float(np.dot(w, (v - mean) ** 2))
+            centre = self.quantile(0.5)
+            d = v - centre
+            wd = w * d
+            prefix = np.cumsum(wd)
+            prefix.flags.writeable = False
+            sums = _DrawSums(mean, var, centre, float(self._cumw[-1]), float(prefix[-1]),
+                             float(np.dot(wd, d)), prefix)
+            object.__setattr__(self, "_draw_sums", sums)
+        return sums
+
     def moments(self):
-        mean = float(np.dot(self.weights, self.values))
-        var = float(np.dot(self.weights, (self.values - mean) ** 2))
-        return mean, var
+        sums = self._sums()
+        return sums.mean, sums.var
+
+    def squared_loss(self, a):
+        """E (a - Y)^2, as sum w d^2 - 2 b sum w d + b^2 sum w with b = a - c."""
+        s = self._sums()
+        b = a - s.centre
+        return s.wd2 + b * (b * s.w - 2.0 * s.wd)
+
+    def linear_loss(self, a):
+        """(E(a - Y)^+, E(Y - a)^+), Raiffa & Schlaifer's linear-loss integrals.
+
+        With b = a - c, the draws y <= a give b W - S and the others
+        (sum w d - S) - b (sum w - W), where W and S are the running sums of
+        w and w d up to the last of them, found by one binary search.
+        """
+        s = self._sums()
+        b = a - s.centre
+        k = int(np.searchsorted(self.values, a, side="right"))
+        below_w, below_wd = ((float(self._cumw[k - 1]), float(s.prefix_wd[k - 1])) if k
+                             else (0.0, 0.0))
+        return b * below_w - below_wd, (s.wd - below_wd) - b * (s.w - below_w)
 
     def quantile(self, q):
         """Left-continuous inverse CDF: smallest y with CDF(y) >= q."""
@@ -565,8 +617,8 @@ def _quadpack_expect(post, h, breakpoints=()):
     """Adaptive QUADPACK quadrature of h against a parametric density.
 
     The fallback of ``_quad_expect`` for an ``h`` its rule cannot certify,
-    which decisions reach as well as library callers: QTL(0.3) + LINEX(1)
-    on N(0, 20^2) makes 24 calls, for the EPLs whose lowest rule nodes
+    which decisions reach as well as library callers: MTC(1.5) + LINEX(1)
+    on N(0, 20^2) makes 25 calls, for the EPLs whose lowest rule nodes
     trip the LINEX overflow guard.  The bulk between
     the 1e-10 and 1-1e-10 quantiles is integrated directly and each
     unbounded tail separately, so integrands with exponential growth

@@ -2,8 +2,9 @@
 
 Every (posterior type, loss family) pair whose EPL the engine reports in
 closed form is checked against the adaptive quadrature of the loss over
-the posterior density, and the scipy.special densities behind both are
-checked against scipy.stats.
+the posterior density, or on draws against the weighted sum of the loss
+over the cloud, and the scipy.special densities behind both are checked
+against scipy.stats.
 """
 
 import math
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from bayesdecide import (BetaPosterior, DivergentMgfError, GammaPosterior,
-                         GaussianPosterior, LossSpec, NumericError, compose, epl,
-                         optimize)
+                         GaussianPosterior, LossSpec, NumericError, SamplePosterior,
+                         ValidationError, compose, epl, optimize)
 from bayesdecide import engine, posteriors
 
 REL = 1e-9
@@ -47,6 +48,7 @@ def _assert_close(got, want):
 GAUSS_KEYS = ["SEL", "MTC1", "ZERO_ONE", "QTL", "LNX"]
 GAMMA_KEYS = GAUSS_KEYS + ["GAM", "PWD+1", "PWD-1"]
 BETA_KEYS = GAUSS_KEYS
+DRAW_KEYS = ["SEL", "MTC1", "QTL"]
 
 
 @given(key=st.sampled_from(GAUSS_KEYS), mean=st.floats(-5.0, 5.0),
@@ -154,9 +156,12 @@ def test_ratio_losses_near_shape_one(key, shape, f):
 
 
 def _analytic_pairs():
+    rng = np.random.default_rng(4)
     posts = {GaussianPosterior: GaussianPosterior(0.4, 1.3),
              GammaPosterior: GammaPosterior(3.5, 2.0),
-             BetaPosterior: BetaPosterior(2.5, 4.0)}
+             BetaPosterior: BetaPosterior(2.5, 4.0),
+             SamplePosterior: SamplePosterior(rng.lognormal(0.3, 0.5, 400),
+                                              rng.uniform(0.5, 1.5, 400))}
     return [(posts[kind], key) for kind, key in engine._EPLS]
 
 
@@ -164,16 +169,18 @@ def test_every_analytic_pair_is_tested():
     pairs = {(type(p), k) for p, k in _analytic_pairs()}
     want = ({(GaussianPosterior, k) for k in GAUSS_KEYS}
             | {(GammaPosterior, k) for k in GAMMA_KEYS}
-            | {(BetaPosterior, k) for k in BETA_KEYS})
+            | {(BetaPosterior, k) for k in BETA_KEYS}
+            | {(SamplePosterior, k) for k in DRAW_KEYS})
     assert pairs == want
 
 
 @pytest.mark.parametrize("post,key", _analytic_pairs(), ids=str)
 def test_registry_pairs_need_no_quadrature(monkeypatch, post, key):
     def no_quadrature(*args, **kwargs):
-        raise AssertionError("quadrature called on an analytic pair")
+        raise AssertionError("quadrature or a sum over draws on an analytic pair")
 
     monkeypatch.setattr(posteriors, "_quad_expect", no_quadrature)
+    monkeypatch.setattr(SamplePosterior, "expect", no_quadrature)
     spec = _spec(key)
     d = optimize(spec, post)
     assert d.method.kind == "closed_form"
@@ -202,6 +209,111 @@ def test_solver_path_names_unchanged():
     }
     for key in GAUSS_KEYS:
         assert optimize(_spec(key), gauss).method.name == names[key]
+
+
+# ---------------------------------------------------------------------------
+# rows on draws against the weighted sum
+
+
+def _cloud(centre, sd, n=1500, seed=11):
+    rng = np.random.default_rng(seed)
+    return SamplePosterior(centre + sd * rng.standard_normal(n), rng.uniform(0.2, 5.0, n))
+
+
+# centred at 0, and narrow clouds far from 0, where var + (a - mean)^2 loses
+# the digits that a sum about a draw keeps
+CLOUDS = [_cloud(0.0, 1.0), _cloud(1e6, 1e-3, seed=12), _cloud(1e9, 1.0, seed=13)]
+
+
+def _weighted_sum(spec, post, a):
+    return float(np.dot(post.weights, compose(spec)(a, post.values)))
+
+
+def _actions(draw):
+    """An action on a drawn cloud: inside it, outside it, or exactly at a draw."""
+    post = CLOUDS[draw(st.integers(0, len(CLOUDS) - 1))]
+    centre, sd = post.quantile(0.5), math.sqrt(post.moments()[1])
+    kind = draw(st.sampled_from(["inside", "outside", "draw"]))
+    if kind == "draw":
+        return post, float(post.values[draw(st.integers(0, len(post) - 1))])
+    t = draw(st.floats(-4.0, 4.0) if kind == "inside"
+             else st.floats(5.0, 1e4).map(lambda x: x * draw(st.sampled_from([-1.0, 1.0]))))
+    return post, centre + t * sd
+
+
+@given(key=st.sampled_from(DRAW_KEYS), q=st.floats(0.01, 0.99), data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_draw_rows_match_the_weighted_sum(key, q, data):
+    post, a = _actions(data.draw)
+    spec = _spec(key, q=q)
+    want = _weighted_sum(spec, post, a)
+    assert abs(epl(spec, post, a) - want) <= 1e-12 * abs(want), (a, want)
+
+
+@given(q=st.floats(0.01, 0.99), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_sum_of_draw_rows_matches_the_weighted_sum(q, data):
+    post, a = _actions(data.draw)
+    spec = LossSpec.sum_of(LossSpec.qtl(q), LossSpec.sel(), LossSpec.mtc(1))
+    want = _weighted_sum(spec, post, a)
+    assert abs(epl(spec, post, a) - want) <= 1e-12 * abs(want), (a, want)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_an_uncentred_sel_row_fails_the_shifted_clouds(k):
+    # the same sum about 0 rather than about a draw: (a - mean) carries the
+    # mean's rounding, eps |mean|, which is no longer small beside the spread
+    post = CLOUDS[k]
+    mean, var = post.moments()
+    sd = math.sqrt(var)
+    worst = 0.0
+    for t in np.linspace(-3.0, 3.0, 13):
+        a = post.quantile(0.5) + t * sd
+        want = _weighted_sum(LossSpec.sel(), post, a)
+        assert abs(epl(LossSpec.sel(), post, a) - want) <= 1e-12 * want
+        worst = max(worst, abs(var + (a - mean) ** 2 - want) / want)
+    assert worst > 1e-10
+
+
+SUM_PARTS = {GaussianPosterior: GAUSS_KEYS, GammaPosterior: GAMMA_KEYS, BetaPosterior: BETA_KEYS}
+
+
+@pytest.mark.parametrize("post", [GaussianPosterior(0.4, 1.3), GammaPosterior(3.5, 2.0),
+                                  BetaPosterior(2.5, 4.0)], ids=lambda p: type(p).__name__)
+@pytest.mark.parametrize("f", [0.3, 1.0, 1.8])
+def test_a_sum_of_closed_forms_matches_quadrature(monkeypatch, post, f):
+    keys = [k for k in SUM_PARTS[type(post)] if k != "ZERO_ONE"]
+    spec = LossSpec.sum_of(*(_spec(k, q=0.3, psi=0.5) for k in keys))
+    a = f * post.moments()[0]
+    if isinstance(post, BetaPosterior):
+        want = _beta_quadrature(spec, post, a)
+    else:
+        want = _quadrature(spec, post, a)
+    calls = []
+    monkeypatch.setattr(posteriors, "_quad_expect", lambda *args: calls.append(args))
+    _assert_close(epl(spec, post, a), want)
+    assert calls == []
+
+
+@pytest.mark.parametrize("post", [GaussianPosterior(0.4, 1.3), GammaPosterior(3.5, 2.0),
+                                  BetaPosterior(2.5, 4.0), CLOUDS[0]],
+                         ids=lambda p: type(p).__name__)
+@pytest.mark.parametrize("spec", [LossSpec.sel(), LossSpec.qtl(0.3), LossSpec.mtc(1),
+                                  LossSpec.mtc(0.5),
+                                  LossSpec.sum_of(LossSpec.qtl(0.3), LossSpec.sel())],
+                         ids=["SEL", "QTL", "MTC1", "MTC0.5", "sum"])
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+def test_a_nonfinite_action_is_refused(post, spec, a):
+    with pytest.raises(ValidationError, match="action must be finite"):
+        epl(spec, post, a)
+
+
+def test_an_overflowing_draw_row_raises_like_the_weighted_sum():
+    # (a - c)^2 overflows at a = 1e200: the weighted sum raised NumericError there
+    with pytest.raises(NumericError, match="not finite"):
+        epl(LossSpec.sel(), CLOUDS[0], 1e200)
+    with pytest.raises(NumericError, match="not finite"):
+        epl(LossSpec.sum_of(LossSpec.qtl(0.3), LossSpec.sel()), CLOUDS[0], -1e200)
 
 
 # ---------------------------------------------------------------------------

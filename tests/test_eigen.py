@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from bayesdecide import (CorrelationMatrix, LossSpec, SolverPath, ValidationError,
-                         VectorPosterior, default_eigen_weights,
-                         eigenspace_decisions, epl_multivariate,
+from bayesdecide import (CorrelationMatrix, EigenDecomposition, LossSpec, SolverPath,
+                         ValidationError, VectorPosterior, default_eigen_weights, eigen,
+                         eigenspace_decisions, epl, epl_multivariate,
                          estimate_correlation, optimize, optimize_eigen, project,
                          spectral_decompose)
 
@@ -262,6 +262,82 @@ class TestEplMultivariate:
         with pytest.raises(ValidationError):
             epl_multivariate(d, post, [LossSpec.sel()] * 2, [1.0, 2.0],
                              weights=[1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_weight_rejected(self, bad):
+        # these once made the joint EPL nan or inf
+        post = VectorPosterior(np.ones((3, 2)) * [[1.0, 2.0]])
+        d = spectral_decompose(corr2())
+        with pytest.raises(ValidationError, match="finite and positive"):
+            epl_multivariate(d, post, [LossSpec.sel()] * 2, [1.0, 2.0],
+                             weights=[bad, 1.0])
+
+
+class TestOneProjectionPerEigenspace:
+    """optimize_eigen and epl_multivariate on one (decomposition, posterior)
+    pair project each eigenspace once, and answer as if each projected anew."""
+
+    @staticmethod
+    def _problem(seed=5, dim=6):
+        rng = np.random.default_rng(seed)
+        draws = rng.normal(size=(300, 2)) @ rng.normal(size=(dim, 2)).T + rng.normal(size=(300, dim))
+        losses = [LossSpec.qtl(0.2 + 0.1 * i) if i % 2 else LossSpec.sel() for i in range(dim)]
+        return spectral_decompose(estimate_correlation(draws)), draws, losses
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The eigenspace index of every ``eigen.project`` call, from a clear cache."""
+        made, orig = [], eigen.project
+
+        def counted(decomp, post, i):
+            made.append(i)
+            return orig(decomp, post, i)
+
+        monkeypatch.setattr(eigen, "project", counted)
+        monkeypatch.setattr(eigen, "_last_projections", [None])
+        return made
+
+    def test_a_pair_projects_each_eigenspace_once(self, calls):
+        decomp, draws, losses = self._problem()
+        post = VectorPosterior(draws)
+        action = optimize_eigen(decomp, post, losses)
+        epl_multivariate(decomp, post, losses, action)
+        eigenspace_decisions(decomp, post, losses)
+        assert calls == list(range(decomp.n))
+
+    def test_a_new_pair_projects_anew(self, calls):
+        decomp, draws, losses = self._problem()
+        post = VectorPosterior(draws)
+        optimize_eigen(decomp, post, losses)
+        other = VectorPosterior(draws + 1.0)
+        action = optimize_eigen(decomp, other, losses)
+        assert calls == 2 * list(range(decomp.n))
+        # a decomposition equal to the first, but another object
+        twin = EigenDecomposition(decomp.eigenvalues, decomp.eigenvectors)
+        epl_multivariate(twin, other, losses, action)
+        assert calls == 3 * list(range(decomp.n))
+
+    def test_results_equal_one_projection_per_call(self, calls):
+        decomp, draws, losses = self._problem(seed=6)
+        post = VectorPosterior(draws, np.random.default_rng(7).uniform(0.5, 1.5, 300))
+        action = optimize_eigen(decomp, post, losses)
+        value = epl_multivariate(decomp, post, losses, action, weights=[2.0] * decomp.n)
+        fresh = [eigen.project(decomp, post, i) for i in range(decomp.n)]
+        gammas = np.array([optimize(loss, p).action for loss, p in zip(losses, fresh)])
+        assert action.tobytes() == (decomp.eigenvectors @ gammas).tobytes()
+        want = 0.0
+        for i, (loss, p) in enumerate(zip(losses, fresh)):
+            want += 2.0 * epl(loss, p, float(decomp.eigenvectors[:, i] @ action))
+        assert value.hex() == want.hex()
+
+    def test_decomposition_arrays_are_read_only_copies(self):
+        vals, vecs = np.array([1.5, 0.5]), np.eye(2)
+        d = EigenDecomposition(vals, vecs)
+        vecs[0, 0] = 9.0
+        assert d.eigenvectors[0, 0] == 1.0
+        for arr in (d.eigenvalues, d.eigenvectors):
+            with pytest.raises(ValueError):
+                arr[0] = 3.0
 
 
 class TestEstimateCorrelation:

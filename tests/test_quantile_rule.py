@@ -326,9 +326,23 @@ def test_h_raising_at_an_extreme_node_keeps_quadpack_answer(fallbacks, a):
 def test_a_decision_reaches_the_fallback(fallbacks):
     # the rule's lowest nodes, about 35 sd below the mean, trip the LINEX
     # overflow guard at the search's actions; QUADPACK answers those EPLs
+    # (MTC(1.5) has no closed-form EPL, so the sum is integrated)
+    post = GaussianPosterior(0.0, 20.0)
+    spec = L.sum_of(L.mtc(1.5), L.linex(1.0))
+    decision = optimize(spec, post)
+    assert len(fallbacks) > 0
+    lossfn, a = compose(spec), decision.action
+    _assert_close(decision.epl, _oracle(post, lambda y: lossfn(a, y), (a,)))
+    for b in (a - 0.01, a + 0.01):
+        assert _oracle(post, lambda y: lossfn(b, y), (b,)) > decision.epl
+
+
+def test_a_sum_of_closed_forms_needs_no_quadrature(fallbacks):
+    # each part of QTL(0.3) + LINEX(1) has a closed-form EPL, so the sum's
+    # EPL is theirs: no rule, and so no fallback, at any of the search's actions
     post = GaussianPosterior(0.0, 20.0)
     decision = optimize(L.sum_of(L.qtl(0.3), L.linex(1.0)), post)
-    assert len(fallbacks) > 0
+    assert len(fallbacks) == 0
     a, z = decision.action, decision.action / 20.0
     pdf, cdf = math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi), 0.5 * math.erfc(-z / math.sqrt(2))
     # closed forms on N(0, 20^2): E QTL(0.3) and E LINEX(1) = e^(a + 200) - a - 1
