@@ -7,14 +7,22 @@ every posterior ``optimize`` accepts.  ``_EPLS`` maps (posterior type, loss
 key) to the expected posterior loss EPL(a) in closed form: on Gaussian,
 Gamma and Beta posteriors, and for SEL, MTC(1) and QTL on draws, where it
 is read off the cloud's running sums in O(log n).  A sum whose every part
-has a row is the sum of those rows.  So ``epl`` answers these without
+has a row is the sum of those rows.  A third table, ``_TILTS``, maps
+(posterior type, ``Weight.kind``) to a conjugate tilt: E w(Y) L(a, Y) =
+Z E_w L(a, Y), where Z = E w(Y) and the tilted posterior w p / Z stays in
+the family (Gaussian x exp(c), Gamma x exp(c < rate), Gamma x power(p)
+with shape + p > 1, Beta x power(p) with a + p > 0).  On those pairs a
+weighted loss is its base loss on the tilted posterior: ``optimize``
+takes the base's closed-form action (path ``tilted_<name>``) and ``epl``
+returns Z times the base's EPL.  So ``epl`` answers these without
 quadrature or a pass over the draws, whichever caller asks: ``optimize``,
 its numeric search, or the BMA mixture.  Every other EPL (the other
-losses on draws, other compositions, PTL, MTC(rho) with rho not in {1,
-2}) is ``post.expect`` of the loss: a weighted sum on draws, quadrature
-otherwise.  ``epl`` refuses an action that is not finite, and raises
-``NumericError`` when a closed form overflows, as the sum and the
-quadrature do.
+losses on draws, other compositions, weights without a tilt, PTL,
+MTC(rho) with rho not in {1, 2}) is ``post.expect`` of the loss: a
+weighted sum on draws, quadrature otherwise; weighted SEL without a tilt
+takes the reweighted mean E w(Y) Y / E w(Y).  ``epl`` refuses an action
+that is not finite, and raises ``NumericError`` when a closed form or Z
+overflows (or Z underflows), as the sum and the quadrature do.
 
 ``optimize`` minimizes the EPL numerically when no closed form applies,
 through ``minimize``: bracket by geometric expansion from the posterior
@@ -98,6 +106,15 @@ def epl(loss, post, a):
         raise ValidationError(f"action must be finite, got {a!r}")
     if lossfn.positive_domain and a <= 0:
         raise ValidationError(f"loss requires action > 0, got {a!r}")
+    try:
+        return _epl(lossfn, post, a)
+    except OverflowError as exc:  # a Python float op in a closed form, or exp(log Z)
+        raise NumericError(f"the closed-form EPL at a={a!r} overflows: {exc}") from exc
+
+
+def _epl(lossfn, post, a):
+    """``epl`` on a checked loss and action: a table row, a sum of rows, Z
+    times the base EPL on a tilted posterior, or else ``post.expect``."""
     spec = lossfn.spec
     closed = _EPLS.get((type(post), _loss_key(spec)))
     if closed is not None:
@@ -106,6 +123,14 @@ def epl(loss, post, a):
         rows = [(_EPLS.get((type(post), _loss_key(p))), p.params) for p in spec.components]
         if all(row is not None for row, _ in rows):
             return _finite(sum(row(post, prm, a) for row, prm in rows), a)
+    elif spec.compose == "weighted":
+        tilt = _tilt(spec, post)
+        if tilt is not None:
+            log_z, tilted = tilt
+            z = math.exp(log_z)
+            if not z >= sys.float_info.min:
+                raise NumericError(f"the weight's posterior mass exp({log_z!r}) underflows")
+            return _finite(z * _epl(compose(spec.components[0]), tilted, a), a)
     # a itself is a potential kink of y -> L(a, y) (absolute/pinball losses)
     return post.expect(lambda y: lossfn(a, y), breakpoints=(a,))
 
@@ -415,6 +440,72 @@ _EPLS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# closed forms: tilted posteriors
+#
+# E w(Y) L(a, Y) = Z E_w L(a, Y), where Z = E w(Y) and the tilted posterior
+# p_w(y) = w(y) p(y | z) / Z stays in the family for these weights
+# (Raiffa & Schlaifer 1961; Berger 1985).  Each row returns (log Z, p_w), or
+# None where p_w leaves the family or Z diverges.
+
+
+def _log_mgf(post, c):
+    """log E e^{cY}; 0 at c = 0, where ``log_mgf_neg`` refuses psi = 0."""
+    return post.log_mgf_neg(-c) if c else 0.0
+
+
+def _gaussian_exp_tilt(post, c):
+    # e^{cy} N(y; m, s^2) is proportional to N(y; m + c s^2, s^2)
+    return _log_mgf(post, c), GaussianPosterior(post.mean + c * post.sd ** 2, post.sd)
+
+
+def _gamma_exp_tilt(post, c):
+    # e^{cy} y^(k-1) e^{-ry} is a Gamma(k, r - c) kernel, integrable for c < r
+    if not c < post.rate:
+        return None
+    return _log_mgf(post, c), GammaPosterior(post.shape, post.rate - c)
+
+
+def _gamma_power_tilt(post, p):
+    # y^p y^(k-1) e^{-ry} is a Gamma(k + p, r) kernel; GammaPosterior needs
+    # shape > 1.  E Y^p = Gamma(k + p) / (Gamma(k) r^p)
+    k = post.shape + p
+    if not k > 1:
+        return None
+    return (math.lgamma(k) - math.lgamma(post.shape) - p * math.log(post.rate),
+            GammaPosterior(k, post.rate))
+
+
+def _beta_power_tilt(post, p):
+    # y^p y^(a-1) (1 - y)^(b-1) is a Beta(a + p, b) kernel, integrable for a + p > 0
+    a = post.a + p
+    if not a > 0:
+        return None
+    return (float(_special.betaln(a, post.b) - _special.betaln(post.a, post.b)),
+            BetaPosterior(a, post.b))
+
+
+# (posterior type, Weight.kind) -> tilt(post, Weight.param); draws are not
+# tilted: a reweighted cloud sorts its draws again, which costs more than
+# the weighted sum it would save
+_TILTS = {
+    (GaussianPosterior, "exp"): _gaussian_exp_tilt,
+    (GammaPosterior, "exp"): _gamma_exp_tilt,
+    (GammaPosterior, "power"): _gamma_power_tilt,
+    (BetaPosterior, "power"): _beta_power_tilt,
+}
+
+
+def _tilt(spec, post):
+    """(log Z, tilted posterior) of a weighted spec's weight on ``post``, or
+    None when no ``_TILTS`` row applies."""
+    w = spec.params["weight"]
+    row = _TILTS.get((type(post), w.kind))
+    if row is None or not math.isfinite(w.param):
+        return None
+    return row(post, w.param)
+
+
 def _loss_key(spec):
     """The table key of a leaf loss spec, or None; MTC(2) is SEL."""
     if not isinstance(spec, LossSpec) or spec.family is None:
@@ -438,6 +529,10 @@ def _closed_form(spec, post):
         w = spec.params["weight"]
         if base.family == "GAM" and w.name == "identity":
             return post.moments()[0], "posterior_mean"
+        tilt = _tilt(spec, post)
+        if tilt is not None:
+            hit = _closed_form(base, tilt[1])
+            return None if hit is None else (hit[0], f"tilted_{hit[1]}")
         if _loss_key(base) == "SEL":
             num = post.expect(lambda y: w(y) * y)
             den = post.expect(w)

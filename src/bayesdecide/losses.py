@@ -262,10 +262,18 @@ class Weight:
 
     ``name == "identity"`` marks w(y) = y, which the optimizer recognizes
     (e.g. identity-weighted GAM has the posterior mean as its optimum).
+    The constructors ``power(p)``, ``exp(c)`` and ``identity()`` (power 1)
+    also record the weight's ``kind``, "power" or "exp", and its exact
+    parameter ``param``.  On a Gaussian, Gamma or Beta posterior the engine
+    reads these to solve a weighted loss as its base loss on the tilted
+    posterior w(y) p(y | z) / E w(Y); a weight built from a bare callable
+    has neither, and its weighted loss is integrated as it stands.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     name: Optional[str] = None
+    kind: Optional[str] = None
+    param: Optional[float] = None
 
     def __call__(self, y):
         """w(y) as a float array; ValidationError unless every value is finite and > 0."""
@@ -278,15 +286,18 @@ class Weight:
 
     @staticmethod
     def identity():
-        return Weight(lambda y: np.asarray(y, dtype=float), name="identity")
+        return Weight(lambda y: np.asarray(y, dtype=float), name="identity",
+                      kind="power", param=1.0)
 
     @staticmethod
     def power(p):
-        return Weight(lambda y: np.asarray(y, dtype=float) ** p, name=f"power:{p}")
+        return Weight(lambda y: np.asarray(y, dtype=float) ** p, name=f"power:{p}",
+                      kind="power", param=p)
 
     @staticmethod
     def exp(c):
-        return Weight(lambda y: np.exp(c * np.asarray(y, dtype=float)), name=f"exp:{c}")
+        return Weight(lambda y: np.exp(c * np.asarray(y, dtype=float)), name=f"exp:{c}",
+                      kind="exp", param=c)
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,7 @@ def _ts_rule():
 
 
 def _check_finite(name, value):
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
@@ -108,7 +108,7 @@ class GaussianPosterior:
 
     def __post_init__(self):
         _check_finite("mean", self.mean)
-        if not (np.isfinite(self.sd) and self.sd > 0):
+        if not (math.isfinite(self.sd) and self.sd > 0):
             raise ValidationError(f"sd must be > 0, got {self.sd!r}")
         _check_moments(self, "sd")
 
@@ -162,9 +162,9 @@ class GammaPosterior:
     lower = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.shape) and self.shape > 1):
+        if not (math.isfinite(self.shape) and self.shape > 1):
             raise ValidationError(f"shape must be > 1, got {self.shape!r}")
-        if not (np.isfinite(self.rate) and self.rate > 0):
+        if not (math.isfinite(self.rate) and self.rate > 0):
             raise ValidationError(f"rate must be > 0, got {self.rate!r}")
         _check_moments(self, "shape", "rate")
 
@@ -528,12 +528,12 @@ Posterior = Union[GaussianPosterior, GammaPosterior, BetaPosterior, SamplePoster
 
 
 def _check_q(q):
-    if not (np.isfinite(q) and 0.0 < q < 1.0):
+    if not (math.isfinite(q) and 0.0 < q < 1.0):
         raise ValidationError(f"quantile level must lie in (0, 1), got {q!r}")
 
 
 def _check_psi(psi):
-    if psi == 0 or not np.isfinite(psi):
+    if psi == 0 or not math.isfinite(psi):
         raise ValidationError(f"psi must be finite and nonzero, got {psi!r}")
 
 

@@ -186,6 +186,28 @@ class TestValidation:
         post = SamplePosterior([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         assert abs(post.weights.sum() - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("wrap", [float, np.float64, np.array], ids=["float", "np.float64",
+                                                                     "0-d"])
+    def test_scalar_checks_accept_numpy_scalars(self, wrap):
+        g, k = GaussianPosterior(wrap(0.5), wrap(2.0)), GammaPosterior(wrap(3.0), wrap(1.5))
+        assert g.quantile(wrap(0.5)) == 0.5
+        assert k.log_mgf_neg(wrap(0.5)) == pytest.approx(-3.0 * math.log1p(0.5 / 1.5))
+
+    @pytest.mark.parametrize("wrap", [float, np.float64, np.array], ids=["float", "np.float64",
+                                                                     "0-d"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_scalar_checks_refuse_nonfinite_values(self, wrap, bad):
+        bad = wrap(bad)
+        for build, message in (
+                (lambda: GaussianPosterior(bad, 1.0), "mean must be finite"),
+                (lambda: GaussianPosterior(0.0, bad), "sd must be > 0"),
+                (lambda: GammaPosterior(bad, 1.0), "shape must be > 1"),
+                (lambda: GammaPosterior(3.0, bad), "rate must be > 0"),
+                (lambda: GaussianPosterior(0.0, 1.0).quantile(bad), "quantile level must lie"),
+                (lambda: GammaPosterior(3.0, 1.0).log_mgf_neg(bad), "psi must be finite")):
+            with pytest.raises(ValidationError, match=message):
+                build()
+
     def test_sample_posterior_immutable(self):
         post = SamplePosterior([1.0, 2.0])
         with pytest.raises(AttributeError, match="immutable"):
