@@ -19,9 +19,8 @@ from .eigen import (CorrelationMatrix, EigenDecomposition, VectorPosterior,
                     default_eigen_weights, eigenspace_decisions,
                     estimate_correlation, optimize_eigen, epl_multivariate, project,
                     spectral_decompose)
-from .engine import (OptimalDecision, SolverPath, TailRiskCurve, epl,
-                     lower_envelope, minimax, minimax_posterior, optimize,
-                     optimize_functional, tail_risk_curve, threshold_rule)
+from .engine import (OptimalDecision, SolverPath, TailRiskCurve, epl, lower_envelope,
+                     optimize, optimize_functional, tail_risk_curve)
 from .errors import DivergentMgfError, NumericError, ValidationError
 from .losses import (GeneralizedGaussian, LossFunction, LossSpec, Weight,
                      compose, eval_gam, eval_linex, eval_mtc, eval_potential,

@@ -6,23 +6,24 @@ median, mode, quantile, LINEX log-MGF, 1/E(1/Y)); each formula is valid on
 every posterior ``optimize`` accepts.  ``_EPLS`` maps (posterior type, loss
 key) to the expected posterior loss EPL(a) in closed form: on Gaussian,
 Gamma and Beta posteriors, and for SEL, MTC(1) and QTL on draws, where it
-is read off the cloud's running sums in O(log n).  A sum whose every part
-has a row is the sum of those rows.  A third table, ``_TILTS``, maps
-(posterior type, ``Weight.kind``) to a conjugate tilt: E w(Y) L(a, Y) =
-Z E_w L(a, Y), where Z = E w(Y) and the tilted posterior w p / Z stays in
-the family (Gaussian x exp(c), Gamma x exp(c < rate), Gamma x power(p)
-with shape + p > 1, Beta x power(p) with a + p > 0).  On those pairs a
-weighted loss is its base loss on the tilted posterior: ``optimize``
-takes the base's closed-form action (path ``tilted_<name>``) and ``epl``
-returns Z times the base's EPL.  So ``epl`` answers these without
-quadrature or a pass over the draws, whichever caller asks: ``optimize``,
-its numeric search, or the BMA mixture.  Every other EPL (the other
-losses on draws, other compositions, weights without a tilt, PTL,
-MTC(rho) with rho not in {1, 2}) is ``post.expect`` of the loss: a
-weighted sum on draws, quadrature otherwise; weighted SEL without a tilt
-takes the reweighted mean E w(Y) Y / E w(Y).  ``epl`` refuses an action
-that is not finite, and raises ``NumericError`` when a closed form or Z
-overflows (or Z underflows), as the sum and the quadrature do.
+is read off the cloud's running sums in O(log n); the absolute and pinball
+rows take the posterior's own linear-loss integrals, ``post.linear_loss``.
+A sum whose every part has a row is the sum of those rows.  The conjugate
+tilts live on the posteriors too: ``post.tilt(Weight.kind, Weight.param)``
+returns (log Z, the tilted posterior w p / Z), with Z = E w(Y), where the
+family is closed under the weight, and None otherwise (see
+``posteriors``).  Since E w(Y) L(a, Y) = Z E_w L(a, Y), a weighted loss on
+those pairs is its base loss on the tilted posterior: ``optimize`` takes
+the base's closed-form action (path ``tilted_<name>``) and ``epl`` returns
+Z times the base's EPL.  So ``epl`` answers these without quadrature or a
+pass over the draws, whichever caller asks: ``optimize``, its numeric
+search, or the BMA mixture.  Every other EPL (the other losses on draws,
+other compositions, weights without a tilt, PTL, MTC(rho) with rho not in
+{1, 2}) is ``post.expect`` of the loss: a weighted sum on draws,
+quadrature otherwise; weighted SEL without a tilt takes the reweighted
+mean E w(Y) Y / E w(Y).  ``epl`` refuses an action that is not finite, and
+raises ``NumericError`` when a closed form or Z overflows (or Z
+underflows), as the sum and the quadrature do.
 
 ``optimize`` minimizes the EPL numerically when no closed form applies,
 through ``minimize``: bracket by geometric expansion from the posterior
@@ -35,9 +36,8 @@ width.  A nonconvex loss on draws (MTC(rho < 1), 0-1) has a local minimum
 at every draw, so there the search is plain golden section, which
 interpolates nothing, down to the 1e-10 relative width.
 
-Also: minimax, plain or posterior-weighted (one search serves both),
-functional prediction, the lower envelope of tail-risk curves over actions
-(one action's curve is its one-action envelope) and the 0-1 threshold rule.
+Also: functional prediction, and the lower envelope of tail-risk curves
+over actions (one action's curve is its one-action envelope).
 """
 
 from __future__ import annotations
@@ -342,45 +342,14 @@ def _zero_one_epl(post, prm, a):
     return 1.0
 
 
-def _partials(post, a):
-    """(E(a - Y)^+, E(Y - a)^+), each from the special function of its own tail.
-
-    Gaussian: from the standard normal cdf and density at z = (a - m)/sd.
-    Gamma: from P(k, r a) and P(k + 1, r a), as E(Y I(Y < a)) = m P(k + 1, r a).
-    Beta: likewise, E(Y I(Y < a)) = m I_x(al + 1, be) at x = min(a, 1).
-    Draws: from the cloud's running sums, ``SamplePosterior.linear_loss``.
-    """
-    if isinstance(post, SamplePosterior):
-        return post.linear_loss(a)
-    if isinstance(post, GaussianPosterior):
-        z = (a - post.mean) / post.sd
-        phi = post.sd * post.pdf(float(a))  # standard normal density at z
-        return (post.sd * (z * float(_special.ndtr(z)) + phi),
-                post.sd * (phi - z * float(_special.ndtr(-z))))
-    m = post.moments()[0]
-    if a <= 0:
-        return 0.0, m - a
-    if isinstance(post, BetaPosterior):
-        al, be, x = post.a, post.b, min(a, 1.0)
-        return (a * float(_special.betainc(al, be, x))
-                - m * float(_special.betainc(al + 1.0, be, x)),
-                m * float(_special.betaincc(al + 1.0, be, x))
-                - a * float(_special.betaincc(al, be, x)))
-    k, x = post.shape, post.rate * a
-    return (a * float(_special.gammainc(k, x))
-            - m * float(_special.gammainc(k + 1.0, x)),
-            m * float(_special.gammaincc(k + 1.0, x))
-            - a * float(_special.gammaincc(k, x)))
-
-
 def _abs_epl(post, prm, a):
-    below, above = _partials(post, a)
+    below, above = post.linear_loss(a)
     return below + above
 
 
 def _qtl_epl(post, prm, a):
     # pinball loss: (1 - q) E(a - Y)^+ + q E(Y - a)^+
-    below, above = _partials(post, a)
+    below, above = post.linear_loss(a)
     q = prm["q"]
     return (1.0 - q) * below + q * above
 
@@ -440,70 +409,13 @@ _EPLS = {
 }
 
 
-# ---------------------------------------------------------------------------
-# closed forms: tilted posteriors
-#
-# E w(Y) L(a, Y) = Z E_w L(a, Y), where Z = E w(Y) and the tilted posterior
-# p_w(y) = w(y) p(y | z) / Z stays in the family for these weights
-# (Raiffa & Schlaifer 1961; Berger 1985).  Each row returns (log Z, p_w), or
-# None where p_w leaves the family or Z diverges.
-
-
-def _log_mgf(post, c):
-    """log E e^{cY}; 0 at c = 0, where ``log_mgf_neg`` refuses psi = 0."""
-    return post.log_mgf_neg(-c) if c else 0.0
-
-
-def _gaussian_exp_tilt(post, c):
-    # e^{cy} N(y; m, s^2) is proportional to N(y; m + c s^2, s^2)
-    return _log_mgf(post, c), GaussianPosterior(post.mean + c * post.sd ** 2, post.sd)
-
-
-def _gamma_exp_tilt(post, c):
-    # e^{cy} y^(k-1) e^{-ry} is a Gamma(k, r - c) kernel, integrable for c < r
-    if not c < post.rate:
-        return None
-    return _log_mgf(post, c), GammaPosterior(post.shape, post.rate - c)
-
-
-def _gamma_power_tilt(post, p):
-    # y^p y^(k-1) e^{-ry} is a Gamma(k + p, r) kernel; GammaPosterior needs
-    # shape > 1.  E Y^p = Gamma(k + p) / (Gamma(k) r^p)
-    k = post.shape + p
-    if not k > 1:
-        return None
-    return (math.lgamma(k) - math.lgamma(post.shape) - p * math.log(post.rate),
-            GammaPosterior(k, post.rate))
-
-
-def _beta_power_tilt(post, p):
-    # y^p y^(a-1) (1 - y)^(b-1) is a Beta(a + p, b) kernel, integrable for a + p > 0
-    a = post.a + p
-    if not a > 0:
-        return None
-    return (float(_special.betaln(a, post.b) - _special.betaln(post.a, post.b)),
-            BetaPosterior(a, post.b))
-
-
-# (posterior type, Weight.kind) -> tilt(post, Weight.param); draws are not
-# tilted: a reweighted cloud sorts its draws again, which costs more than
-# the weighted sum it would save
-_TILTS = {
-    (GaussianPosterior, "exp"): _gaussian_exp_tilt,
-    (GammaPosterior, "exp"): _gamma_exp_tilt,
-    (GammaPosterior, "power"): _gamma_power_tilt,
-    (BetaPosterior, "power"): _beta_power_tilt,
-}
-
-
 def _tilt(spec, post):
     """(log Z, tilted posterior) of a weighted spec's weight on ``post``, or
-    None when no ``_TILTS`` row applies."""
+    None when the weight has no kind or the posterior no tilt for it."""
     w = spec.params["weight"]
-    row = _TILTS.get((type(post), w.kind))
-    if row is None or not math.isfinite(w.param):
+    if w.kind is None or not math.isfinite(w.param):
         return None
-    return row(post, w.param)
+    return post.tilt(w.kind, w.param)
 
 
 def _loss_key(spec):
@@ -527,7 +439,7 @@ def _closed_form(spec, post):
     if spec.compose == "weighted":
         base = spec.components[0]
         w = spec.params["weight"]
-        if base.family == "GAM" and w.name == "identity":
+        if base.family == "GAM" and w.kind == "power" and w.param == 1.0:
             return post.moments()[0], "posterior_mean"
         tilt = _tilt(spec, post)
         if tilt is not None:
@@ -634,7 +546,7 @@ def optimize_functional(loss, post, g, force_numeric=False):
 
 
 # ---------------------------------------------------------------------------
-# minimax and tail risk
+# tail risk
 
 
 def _check_grid(grid, name):
@@ -644,44 +556,6 @@ def _check_grid(grid, name):
     if not np.all(np.isfinite(g)):
         raise ValidationError(f"{name} must be finite")
     return g
-
-
-def _minimax(loss, y_grid, a_grid, weight):
-    """argmin over a of max over y of L(a, y) * weight(y); ties to the smallest a."""
-    lossfn = compose(loss)
-    y = _check_grid(y_grid, "y_grid")
-    a = np.sort(_check_grid(a_grid, "a_grid"))
-    p = weight(y)
-    worst = np.array([float(np.max(lossfn(ai, y) * p)) for ai in a])
-    return float(a[int(np.argmin(worst))])
-
-
-def minimax(loss, y_grid, a_grid):
-    """argmin over a of max over y of L(a, y); ties to the smallest action."""
-    return _minimax(loss, y_grid, a_grid, lambda y: 1.0)
-
-
-def minimax_posterior(loss, post, y_grid, a_grid):
-    """argmin over a of max over y of L(a, y) * p(y | z).
-
-    For sample posteriors, p is the normalized mass of the histogram bin
-    containing y (zero outside the sampled range).
-    """
-    return _minimax(loss, y_grid, a_grid, lambda y: _posterior_weight_at(post, y))
-
-
-def _posterior_weight_at(post, y):
-    if isinstance(post, SamplePosterior):
-        lo, hi = post.support()
-        if hi == lo:
-            return (np.asarray(y) == lo).astype(float)
-        n = post.values.size
-        nbins = max(1, int(math.ceil(math.sqrt(n))))
-        hist, edges = np.histogram(post.values, bins=nbins, range=(lo, hi),
-                                   weights=post.weights)
-        idx = np.clip(np.searchsorted(edges, y, side="right") - 1, 0, nbins - 1)
-        return np.where((np.asarray(y) < lo) | (np.asarray(y) > hi), 0.0, hist[idx])
-    return post.pdf(y)
 
 
 def tail_risk_curve(loss, post, action, kappa_grid):
@@ -701,7 +575,3 @@ def lower_envelope(loss, post, kappa_grid, a_grid):
     return TailRiskCurve(tuple((float(k), post.tail_prob(k), float(v))
                                for k, v in zip(kappas, lv)))
 
-
-def threshold_rule(post, kappa):
-    """0-1-loss yes/no rule: 'yes' iff Pr(Y > kappa | z) >= 0.5."""
-    return "yes" if post.tail_prob(kappa) >= 0.5 else "no"

@@ -258,20 +258,19 @@ _COMPOSITIONS = {
 
 @dataclass(frozen=True)
 class Weight:
-    """A positive weight function of y, optionally named for dispatch.
+    """A positive weight function of y.
 
-    ``name == "identity"`` marks w(y) = y, which the optimizer recognizes
-    (e.g. identity-weighted GAM has the posterior mean as its optimum).
     The constructors ``power(p)``, ``exp(c)`` and ``identity()`` (power 1)
     also record the weight's ``kind``, "power" or "exp", and its exact
-    parameter ``param``.  On a Gaussian, Gamma or Beta posterior the engine
-    reads these to solve a weighted loss as its base loss on the tilted
-    posterior w(y) p(y | z) / E w(Y); a weight built from a bare callable
-    has neither, and its weighted loss is integrated as it stands.
+    parameter ``param``.  The engine reads these: w(y) = y (power 1) gives
+    weighted GAM the posterior mean as its optimum, and on a Gaussian,
+    Gamma or Beta posterior a weighted loss is solved as its base loss on
+    the tilted posterior w(y) p(y | z) / E w(Y).  A weight built from a
+    bare callable has neither, and its weighted loss is integrated as it
+    stands.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    name: Optional[str] = None
     kind: Optional[str] = None
     param: Optional[float] = None
 
@@ -286,18 +285,15 @@ class Weight:
 
     @staticmethod
     def identity():
-        return Weight(lambda y: np.asarray(y, dtype=float), name="identity",
-                      kind="power", param=1.0)
+        return Weight(lambda y: np.asarray(y, dtype=float), kind="power", param=1.0)
 
     @staticmethod
     def power(p):
-        return Weight(lambda y: np.asarray(y, dtype=float) ** p, name=f"power:{p}",
-                      kind="power", param=p)
+        return Weight(lambda y: np.asarray(y, dtype=float) ** p, kind="power", param=p)
 
     @staticmethod
     def exp(c):
-        return Weight(lambda y: np.exp(c * np.asarray(y, dtype=float)), name=f"exp:{c}",
-                      kind="exp", param=c)
+        return Weight(lambda y: np.exp(c * np.asarray(y, dtype=float)), kind="exp", param=c)
 
 
 @dataclass(frozen=True)

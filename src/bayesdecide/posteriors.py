@@ -7,15 +7,21 @@ across threads.
 
 All representations expose the same surface used by the decision
 machinery: ``moments``, ``quantile``, ``mode``, ``expect``, ``log_mgf_neg``
-(log E exp(-psi Y)), ``tail_prob`` and ``lower``, where the true support
-starts: -inf on a Gaussian, whatever ``support()`` truncates for
-quadrature, 0.0 on a Gamma or a Beta and the least draw on a cloud.
+(log E exp(-psi Y)), ``tail_prob``, ``linear_loss`` (Raiffa & Schlaifer's
+1961 integrals E(a - Y)^+ and E(Y - a)^+), ``tilt`` and ``lower``, where
+the true support starts: -inf on a Gaussian, whatever ``support()``
+truncates for quadrature, 0.0 on a Gamma or a Beta and the least draw on
+a cloud; the parametric ones also state ``upper``, inf or 1.0 on a Beta.
 ``almost_surely_positive`` (Y > 0 almost surely, as GAM and PWD need) is
-the one rule built on it.
+the one rule built on ``lower``.  ``tilt(Weight.kind, Weight.param)`` is
+(log Z, the tilted posterior w p / Z), Z = E w(Y), where the family is
+closed under the weight w: Gaussian x exp(c), Gamma x exp(c < rate),
+Gamma x power(p) with shape + p > 1 and Beta x power(p) with a + p > 0;
+otherwise, and always on draws, it is None.
 ``SamplePosterior`` additionally supports ``reweight`` (multiply the
 weights by a positive function of y and renormalize), and reads the
-expected squared and linear losses, E(a - Y)^2, E(a - Y)^+ and E(Y - a)^+,
-off sums it builds once (``squared_loss``, ``linear_loss``).
+expected squared and linear losses off sums it builds once
+(``squared_loss``, ``linear_loss``).
 
 The parametric densities, distribution functions and quantiles are
 written on ``scipy.special`` (``ndtr``, ``ndtri``, the regularized
@@ -104,7 +110,7 @@ class GaussianPosterior:
 
     mean: float
     sd: float
-    lower = -math.inf  # the whole line
+    lower, upper = -math.inf, math.inf  # the whole line
 
     def __post_init__(self):
         _check_finite("mean", self.mean)
@@ -147,6 +153,21 @@ class GaussianPosterior:
         _check_psi(psi)
         return -psi * self.mean + 0.5 * psi * psi * self.sd ** 2
 
+    def linear_loss(self, a):
+        """(E(a - Y)^+, E(Y - a)^+) from the standard normal cdf and density
+        at z = (a - m)/sd."""
+        z = (a - self.mean) / self.sd
+        phi = self.sd * self.pdf(float(a))  # standard normal density at z
+        return (self.sd * (z * float(_special.ndtr(z)) + phi),
+                self.sd * (phi - z * float(_special.ndtr(-z))))
+
+    def tilt(self, kind, c):
+        """(log E e^{cY}, N(m + c s^2, s^2)) for the weight e^{cy}, else None."""
+        if kind != "exp":
+            return None
+        return (self.log_mgf_neg(-c) if c else 0.0,  # log_mgf_neg refuses psi = 0
+                GaussianPosterior(self.mean + c * self.sd ** 2, self.sd))
+
 
 @dataclass(frozen=True)
 class GammaPosterior:
@@ -159,7 +180,7 @@ class GammaPosterior:
 
     shape: float
     rate: float
-    lower = 0.0
+    lower, upper = 0.0, math.inf
 
     def __post_init__(self):
         if not (math.isfinite(self.shape) and self.shape > 1):
@@ -218,6 +239,34 @@ class GammaPosterior:
             )
         return -self.shape * math.log1p(psi / self.rate)
 
+    def linear_loss(self, a):
+        """(E(a - Y)^+, E(Y - a)^+) from P(k, r a) and P(k + 1, r a), as
+        E(Y I(Y < a)) = m P(k + 1, r a)."""
+        m = self.moments()[0]
+        if a <= 0:
+            return 0.0, m - a
+        k, x = self.shape, self.rate * a
+        return (a * float(_special.gammainc(k, x))
+                - m * float(_special.gammainc(k + 1.0, x)),
+                m * float(_special.gammaincc(k + 1.0, x))
+                - a * float(_special.gammaincc(k, x)))
+
+    def tilt(self, kind, p):
+        """(log Z, tilted posterior) for the weight e^{py} or y^p, else None."""
+        if kind == "exp":
+            # e^{cy} y^(k-1) e^{-ry} is a Gamma(k, r - c) kernel, integrable for c < r
+            if p < self.rate:
+                return (self.log_mgf_neg(-p) if p else 0.0,
+                        GammaPosterior(self.shape, self.rate - p))
+        elif kind == "power":
+            # y^p y^(k-1) e^{-ry} is a Gamma(k + p, r) kernel; GammaPosterior
+            # needs shape > 1.  E Y^p = Gamma(k + p) / (Gamma(k) r^p)
+            k = self.shape + p
+            if k > 1:
+                return (math.lgamma(k) - math.lgamma(self.shape) - p * math.log(self.rate),
+                        GammaPosterior(k, self.rate))
+        return None
+
 
 @dataclass(frozen=True)
 class BetaPosterior:
@@ -230,7 +279,7 @@ class BetaPosterior:
 
     a: float
     b: float
-    lower = 0.0
+    lower, upper = 0.0, 1.0
 
     def __post_init__(self):
         if not (self.a > 0 and self.b > 0 and self.a + self.b < math.inf):  # NaN fails
@@ -284,6 +333,27 @@ class BetaPosterior:
         if not mgf < math.inf:
             raise NumericError(f"E(exp{{-psi*Y}}) on {self} with psi={psi}: 1F1 overflows")
         return shift + math.log(mgf)
+
+    def linear_loss(self, a):
+        """(E(a - Y)^+, E(Y - a)^+) as on a Gamma: E(Y I(Y < a)) = m I_x(al + 1, be)
+        at x = min(a, 1)."""
+        m = self.moments()[0]
+        if a <= 0:
+            return 0.0, m - a
+        al, be, x = self.a, self.b, min(a, 1.0)
+        return (a * float(_special.betainc(al, be, x))
+                - m * float(_special.betainc(al + 1.0, be, x)),
+                m * float(_special.betaincc(al + 1.0, be, x))
+                - a * float(_special.betaincc(al, be, x)))
+
+    def tilt(self, kind, p):
+        """(log Z, tilted posterior) for the weight y^p, else None."""
+        # y^p y^(a-1) (1 - y)^(b-1) is a Beta(a + p, b) kernel, integrable for a + p > 0
+        if kind != "power" or not self.a + p > 0:
+            return None
+        a = self.a + p
+        return (float(_special.betaln(a, self.b) - _special.betaln(self.a, self.b)),
+                BetaPosterior(a, self.b))
 
 
 def _hyp1f1_positive(a, c, z):
@@ -419,6 +489,11 @@ class SamplePosterior:
         below_w, below_wd = ((float(self._cumw[k - 1]), float(s.prefix_wd[k - 1])) if k
                              else (0.0, 0.0))
         return b * below_w - below_wd, (s.wd - below_wd) - b * (s.w - below_w)
+
+    def tilt(self, kind, param):
+        """None: draws are not tilted, since a reweighted cloud sorts its draws
+        again, which costs more than the weighted sum it would save."""
+        return None
 
     def quantile(self, q):
         """Left-continuous inverse CDF: smallest y with CDF(y) >= q."""
@@ -624,7 +699,9 @@ def _quadpack_expect(post, h, breakpoints=()):
     unbounded tail separately, so integrands with exponential growth
     (e.g. LINEX) keep their tail mass.  A Gamma's or Beta's bulk starts at
     ``lower``: an edge at its lower quantile would cut integrands such as
-    y^(shape - 2) (E(1/Y) with shape < 2) where they are steepest.  Known
+    y^(shape - 2) (E(1/Y) with shape < 2) where they are steepest.  A
+    Beta's ends at ``upper``: a piece from its upper quantile never samples
+    the mass below 1, and fails where that rounds to 1 - 9e-16.  Known
     kinks of h (e.g. the action of an absolute-displacement loss) are
     passed as ``breakpoints`` so the subdivision never straddles them.
     ``h`` and ``pdf`` receive scalar floats.  When QUADPACK reports a
@@ -635,10 +712,11 @@ def _quadpack_expect(post, h, breakpoints=()):
     from scipy import integrate  # only this fallback needs it
 
     lo, hi = post.support()
-    edges = [-np.inf, lo, hi, np.inf] if post.lower == -np.inf else [post.lower, hi, np.inf]
+    edges = (([-np.inf, lo] if post.lower == -np.inf else [post.lower])
+             + ([hi, np.inf] if post.upper == np.inf else [post.upper]))
     for p in breakpoints:
         p = float(p)
-        if np.isfinite(p) and edges[0] < p < np.inf and p not in edges:
+        if np.isfinite(p) and edges[0] < p < edges[-1] and p not in edges:
             edges.append(p)
     edges.sort()
 

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from bayesdecide import (EnsembleMember, GammaPosterior, GaussianPosterior,
                          GeneralizedGaussian, LossSpec, ModelEnsemble, NumericError,
                          SamplePosterior, TailRiskCurve, ValidationError, Weight,
-                         bma_predict_general, compose, epl, lower_envelope, minimax,
-                         minimax_posterior, optimize, optimize_functional,
-                         posteriors, tail_risk_curve, threshold_rule)
+                         bma_predict_general, compose, epl, lower_envelope, optimize,
+                         optimize_functional, posteriors, tail_risk_curve)
 from bayesdecide.engine import _bracket, _golden, minimize, unimodal_epl
 from bayesdecide.losses import EXP_LIMIT, CustomPotentialDensity
 
@@ -94,9 +93,11 @@ class TestOptimizeDispatch:
         assert d.method.name == "posterior_mean"
 
     def test_identity_weighted_gam_mean(self):
-        spec = LossSpec.weighted(Weight.identity(), LossSpec.gam(1, 2))
-        d = optimize(spec, GammaPosterior(3, 1))
-        assert d.action == pytest.approx(3.0)
+        # w(y) = y is read off the weight's kind and parameter, however built
+        for w in (Weight.identity(), Weight.power(1.0)):
+            d = optimize(LossSpec.weighted(w, LossSpec.gam(1, 2)), GammaPosterior(3, 1))
+            assert d.action == pytest.approx(3.0)
+            assert d.method.name == "posterior_mean"
 
     def test_weighted_sel_reweighted_mean(self):
         rng = np.random.default_rng(3)
@@ -504,66 +505,6 @@ class TestNumericEdges:
         assert epl(spec, post, a) == pytest.approx(want, rel=1e-12)
 
 
-class TestMinimax:
-    def test_sel_midpoint(self):
-        y = np.linspace(0, 10, 101)
-        a = np.linspace(0, 10, 101)
-        assert minimax(LossSpec.sel(), y, a) == pytest.approx(5.0)
-
-    def test_qtl_brute_force(self):
-        y = np.linspace(0, 1, 201)
-        a = np.linspace(0, 1, 2001)
-        got = minimax(LossSpec.qtl(0.97), y, a)
-        # brute-force oracle over the same grids
-        lossfn = compose(LossSpec.qtl(0.97))
-        worst = [max(float(np.max(lossfn(ai, y))), 0.0) for ai in a]
-        want = a[int(np.argmin(worst))]
-        assert got == want
-        assert got == pytest.approx(0.97, abs=0.01)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValidationError):
-            minimax(LossSpec.sel(), [], [1.0])
-
-    def test_minimax_posterior_degenerate(self):
-        post = SamplePosterior([2.5])
-        a = np.linspace(0, 5, 101)
-        got = minimax_posterior(LossSpec.sel(), post, a, a)
-        assert got == pytest.approx(2.5, abs=0.05)
-
-    @pytest.mark.parametrize("spec", [LossSpec.sel(), LossSpec.qtl(0.8)], ids=["sel", "qtl"])
-    def test_minimax_posterior_on_draws_brute_force(self, spec):
-        # 9 draws: 3 histogram bins of width 5/3 over [0, 5] with masses 4/14,
-        # 7/14 and 3/14; no y of the grid sits on a bin edge
-        draws = [0.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 4.0, 5.0]
-        weights = [1, 2, 1, 1, 2, 2, 2, 1, 2]
-        y = np.arange(-0.95, 6.0, 0.1)
-        a = np.linspace(-1.0, 6.0, 141)
-
-        def mass(v):
-            if not 0.0 <= v <= 5.0:
-                return 0.0
-            return (4 / 14, 7 / 14, 3 / 14)[min(int(v / (5 / 3)), 2)]
-
-        lossfn = compose(spec)
-        worst = [max(float(lossfn(ai, yi)) * mass(yi) for yi in y) for ai in a]
-        got = minimax_posterior(spec, SamplePosterior(draws, weights), y, a)
-        assert got == a[int(np.argmin(worst))]
-
-    def test_minimax_posterior_symmetric_gaussian(self):
-        post = GaussianPosterior(0, 1)
-        grid = np.linspace(-4, 4, 161)
-        got = minimax_posterior(LossSpec.sel(), post, grid, grid)
-        assert got == pytest.approx(0.0, abs=0.06)
-
-    def test_posterior_weighting_differs_from_plain_minimax(self):
-        post = GammaPosterior(3, 1)
-        y = np.linspace(0.05, 12, 240)
-        a = np.linspace(0.05, 12, 240)
-        assert minimax(LossSpec.sel(), y, a) != minimax_posterior(
-            LossSpec.sel(), post, y, a)
-
-
 class TestTailRisk:
     def test_below_support_prob_one(self):
         post = GaussianPosterior(0, 1)
@@ -603,16 +544,11 @@ class TestTailRisk:
         env = lower_envelope(LossSpec.sel(), post, kappas, a_grid)
         assert env.points[0][2] > 0.0
 
-
-class TestThresholdRule:
-    def test_far_below(self):
-        assert threshold_rule(GaussianPosterior(0, 1), -5.0) == "yes"
-
-    def test_boundary_is_yes(self):
-        assert threshold_rule(GaussianPosterior(0, 1), 0.0) == "yes"
-
-    def test_far_above(self):
-        assert threshold_rule(GaussianPosterior(0, 1), 2.0) == "no"
+    @pytest.mark.parametrize("name", ["kappa_grid", "a_grid"])
+    def test_empty_grid_rejected(self, name):
+        grids = {"kappa_grid": [1.0], "a_grid": [1.0], name: []}
+        with pytest.raises(ValidationError, match=f"{name} must be nonempty"):
+            lower_envelope(LossSpec.sel(), GaussianPosterior(0, 1), **grids)
 
 
 class TestOneHomePins:

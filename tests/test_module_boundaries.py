@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import types
 
 import pytest
 
@@ -111,15 +112,16 @@ def test_scipy_special_checker_allows_other_imports():
                                  "from . import _special\n") == []
 
 
-# posteriors answers "is Y > 0 almost surely?" (``lower``, ``almost_surely_positive``);
-# elsewhere a Gaussian or Gamma type test may only pick a closed form
-_PARAMETRIC_TYPES = {"GaussianPosterior", "GammaPosterior"}
-_CLOSED_FORM_HOMES = {("engine", "_partials"), ("engine", "_inverse_mean_reciprocal")}
+# posteriors answers "is Y > 0 almost surely?" (``lower``, ``almost_surely_positive``)
+# and owns each family's integrals and tilts (``linear_loss``, ``tilt``);
+# elsewhere a parametric type test may only pick a closed form
+_PARAMETRIC_TYPES = {"GaussianPosterior", "GammaPosterior", "BetaPosterior"}
+_CLOSED_FORM_HOMES = {("engine", "_inverse_mean_reciprocal")}
 
 
 def parametric_type_tests(source):
     """(line, enclosing function or None) of every ``isinstance`` call whose
-    class argument names GaussianPosterior or GammaPosterior."""
+    class argument names GaussianPosterior, GammaPosterior or BetaPosterior."""
     found = []
 
     def visit(node, func):
@@ -152,6 +154,7 @@ def test_parametric_type_tests_only_pick_closed_forms(module):
     ("def f(ps):\n    return [0.0 if isinstance(p, GammaPosterior) else 1.0 for p in ps]\n",
      "f"),
     ("GAMMA = isinstance(POST, GammaPosterior)\n", None),
+    ("def f(p):\n    return isinstance(p, BetaPosterior)\n", "f"),
 ])
 def test_parametric_type_checker_flags_type_tests(source, func):
     assert [f for _, f in parametric_type_tests(source)] == [func]
@@ -162,3 +165,30 @@ def test_parametric_type_checker_allows_other_type_uses():
               "TABLE = {(GaussianPosterior, 'SEL'): None}\n"
               "def g(p):\n    return p.lower > 0\n")
     assert parametric_type_tests(source) == []
+
+
+# every name ``import bayesdecide`` exports, so that adding or removing one is
+# a diff of this set
+PUBLIC_NAMES = {
+    "BetaPosterior", "CalibrationTarget", "CorrelationMatrix", "CostFunction",
+    "DecisionTable", "DiscretePosterior", "DivergentMgfError", "EigenDecomposition",
+    "EnsembleMember", "GammaPosterior", "GaussianPosterior", "GeneralizedGaussian",
+    "JointModel", "LossFunction", "LossSpec", "ModelEnsemble", "ModelEvidence",
+    "NumericError", "OptimalDecision", "Posterior", "SamplePosterior", "SolverPath",
+    "TailRiskCurve", "ValidationError", "VectorPosterior", "Weight", "bayes_factor",
+    "beta_bernoulli", "bma_predict_general", "bma_predict_sel", "calibrate_linex",
+    "calibrate_quantile", "choose_baf", "choose_epl", "compose", "default_eigen_weights",
+    "eigenspace_decisions", "epl", "epl_multivariate", "estimate_correlation", "eval_gam",
+    "eval_linex", "eval_mtc", "eval_potential", "eval_pwd", "eval_qtl", "eval_zero_one",
+    "expected_joint_loss", "gaussian_known_variance", "linex_action_approx",
+    "load_samples", "lower_envelope", "neg_posterior_variance", "optimal_sample_size",
+    "optimize", "optimize_eigen", "optimize_functional", "posterior_models", "project",
+    "spectral_decompose", "tail_risk_curve", "voi",
+}
+
+
+def test_public_names_are_pinned():
+    # submodules are attributes of the package too, once imported: not exports
+    exported = {name for name, value in vars(bayesdecide).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == PUBLIC_NAMES

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayesdecide import (DiscretePosterior, DivergentMgfError, GammaPosterior, GaussianPosterior,
-                         SamplePosterior, ValidationError, load_samples)
+from bayesdecide import (BetaPosterior, DiscretePosterior, DivergentMgfError, GammaPosterior,
+                         GaussianPosterior, SamplePosterior, ValidationError, load_samples)
 from bayesdecide.posteriors import almost_surely_positive
 
 # standard-normal 0.97 quantile, frozen from a bisection-on-erf oracle
@@ -106,6 +106,28 @@ class TestExpect:
         post = SamplePosterior([0.0, 1.0])
         with pytest.raises(Exception, match="y=0.0"), np.errstate(divide="ignore"):
             post.expect(lambda y: 1.0 / y)
+
+
+class TestLinearLoss:
+    CLOUD = SamplePosterior(np.random.default_rng(3).gamma(2.0, 1.5, 400),
+                            np.random.default_rng(4).uniform(0.5, 1.5, 400))
+
+    @pytest.mark.parametrize("post, a", [
+        (GaussianPosterior(0.3, 1.2), -2.0), (GaussianPosterior(0.3, 1.2), 0.3),
+        (GaussianPosterior(0.3, 1.2), 4.0), (GammaPosterior(3.5, 2.0), -0.5),
+        (GammaPosterior(3.5, 2.0), 0.0), (GammaPosterior(3.5, 2.0), 1.4),
+        (GammaPosterior(3.5, 2.0), 6.0), (BetaPosterior(2.5, 4.0), -0.2),
+        (BetaPosterior(2.5, 4.0), 0.0), (BetaPosterior(2.5, 4.0), 0.3),
+        (BetaPosterior(2.5, 4.0), 1.0), (BetaPosterior(2.5, 4.0), 1.5),
+        (CLOUD, -1.0), (CLOUD, 2.5), (CLOUD, 40.0),
+    ], ids=lambda x: f"{x:g}" if isinstance(x, float) else type(x).__name__)
+    def test_matches_the_expectation(self, post, a):
+        # Raiffa & Schlaifer's integrals E(a - Y)^+ and E(Y - a)^+
+        below, above = post.linear_loss(a)
+        want_below = post.expect(lambda y: np.maximum(a - y, 0.0), breakpoints=(a,))
+        want_above = post.expect(lambda y: np.maximum(y - a, 0.0), breakpoints=(a,))
+        assert below == pytest.approx(want_below, rel=1e-9, abs=1e-12)
+        assert above == pytest.approx(want_above, rel=1e-9, abs=1e-12)
 
 
 class TestLogMgfNeg:

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import expit, gammaincinv, ndtri
 
-from bayesdecide import (GammaPosterior, GaussianPosterior, GeneralizedGaussian,
-                         LossSpec as L, NumericError, compose, optimize,
-                         optimize_functional)
+from bayesdecide import (BetaPosterior, GammaPosterior, GaussianPosterior,
+                         GeneralizedGaussian, LossSpec as L, NumericError, Weight, compose,
+                         optimize, optimize_functional)
 from bayesdecide import posteriors
 
 REL = 1e-9
@@ -301,6 +301,22 @@ def test_scalar_only_h_falls_back(fallbacks):
     got = GaussianPosterior(0.0, 1.0).expect(math.exp)
     assert len(fallbacks) == 1
     _assert_close(got, math.exp(0.5))
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (2, 3), (0.5, 0.5), (30, 1.2), (5, 0.7), (0.7, 5),
+                                  (200, 300)])
+def test_the_fallback_keeps_a_betas_upper_mass(a, b):
+    # a piece from the 1 - 1e-10 quantile to inf never samples the mass below 1
+    got = posteriors._quadpack_expect(BetaPosterior(a, b), lambda y: 1.0)
+    assert abs(got - 1.0) <= 1e-12, got
+
+
+def test_a_beta_weight_the_rule_refuses_keeps_its_digits(fallbacks):
+    # Weight.__call__ refuses y^2 where it underflows to 0 at the rule's
+    # nodes near 0, so QUADPACK answers E Y^2 = a (a + 1) / ((a + b)(a + b + 1))
+    got = BetaPosterior(1, 2).expect(Weight.power(2.0))
+    assert len(fallbacks) == 1
+    assert abs(got - 1.0 / 6.0) <= 1e-12 / 6.0, got
 
 
 @pytest.mark.parametrize("a", [664.8, 670.0])

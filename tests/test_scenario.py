@@ -23,12 +23,12 @@ class TestWeights:
 
     def test_identity(self):
         w = parse_weight({"name": "identity"})
-        assert w.name == "identity"
+        assert (w.kind, w.param) == ("power", 1.0)
         assert np.array_equal(w.fn(self.Y), self.Y)
 
     def test_exp(self):
         w = parse_weight({"name": "exp", "c": 0.5})
-        assert w.name == "exp:0.5"
+        assert (w.kind, w.param) == ("exp", 0.5)
         assert np.array_equal(w.fn(self.Y), np.exp(0.5 * self.Y))
 
     def test_unknown_name(self):

@@ -1,9 +1,10 @@
 """Weighted losses on conjugate posteriors, solved on the tilted posterior.
 
 E w(Y) L(a, Y) = Z E_w L(a, Y), with Z = E w(Y) and the tilted posterior
-p_w = w p / Z.  Each ``engine._TILTS`` row is checked against the quadrature
-of w(y) L(a, y) over the untilted posterior; the pairs without a row keep
-the quadrature and the reweighted mean, digit for digit.
+p_w = w p / Z.  Each pair whose ``post.tilt`` returns a tilt (a row) is
+checked against the quadrature of w(y) L(a, y) over the untilted posterior;
+the pairs without a row keep the quadrature and the reweighted mean, digit
+for digit.
 """
 
 import math
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from bayesdecide import (BetaPosterior, GammaPosterior, GaussianPosterior, LossSpec,
                          NumericError, SamplePosterior, ValidationError, compose, epl,
                          optimize)
-from bayesdecide import engine, posteriors
+from bayesdecide import posteriors
 from bayesdecide.cli import main
 from bayesdecide.losses import Weight
 
@@ -39,7 +40,7 @@ def _check_row(post, weight, a):
     a weight that underflows to 0, as y^2 does at a Beta's nodes near 0 and
     e^{cy} at a Gamma's far nodes, and the QUADPACK fallback that would
     then answer is the less accurate one."""
-    log_z, tilted = engine._tilt(LossSpec.weighted(weight, LossSpec.sel()), post)
+    log_z, tilted = post.tilt(weight.kind, weight.param)
     assert type(tilted) is type(post)
     _assert_close(math.exp(log_z), post.expect(weight.fn))
     for base in BASES.values():
@@ -88,9 +89,9 @@ def test_beta_power_row_matches_quadrature(al, be, p, t):
 
 def test_identity_is_power_one():
     post = GammaPosterior(3.5, 2.0)
-    spec = LossSpec.weighted(Weight.identity(), LossSpec.qtl(0.7))
-    assert engine._tilt(spec, post) == engine._tilt(
-        LossSpec.weighted(Weight.power(1.0), LossSpec.qtl(0.7)), post)
+    identity, power = Weight.identity(), Weight.power(1.0)
+    spec = LossSpec.weighted(identity, LossSpec.qtl(0.7))
+    assert post.tilt(identity.kind, identity.param) == post.tilt(power.kind, power.param)
     assert optimize(spec, post).method.name == "tilted_posterior_quantile"
 
 
@@ -99,7 +100,7 @@ def test_identity_is_power_one():
 def test_a_zero_exp_weight_is_no_weight(post):
     # log_mgf_neg refuses psi = 0, where log Z is 0
     spec = LossSpec.weighted(Weight.exp(0.0), LossSpec.qtl(0.3))
-    assert engine._tilt(spec, post) == (0.0, post)
+    assert post.tilt("exp", 0.0) == (0.0, post)
     assert epl(spec, post, 1.2) == epl(LossSpec.qtl(0.3), post, 1.2)
 
 
@@ -121,7 +122,12 @@ TILT_CASES = {
 
 
 def test_every_tilt_is_tested():
-    assert set(engine._TILTS) == set(TILT_CASES)
+    # a parameter inside every row's domain: 0.5 < rate, shape + 0.5 > 1, a + 0.5 > 0
+    posts = [GaussianPosterior(0.4, 1.3), GammaPosterior(3.5, 2.0), BetaPosterior(2.5, 4.0),
+             SamplePosterior([0.5, 1.0, 2.0])]
+    rows = {(type(post), kind) for post in posts for kind in ("exp", "power")
+            if post.tilt(kind, 0.5) is not None}
+    assert rows == set(TILT_CASES)
 
 
 # every base with a closed-form action; the ratio losses need a Gamma
@@ -204,7 +210,7 @@ FALLBACKS = {
 def test_pairs_without_a_row_keep_their_path_and_digits(case):
     post, w = FALLBACKS[case]
     spec = LossSpec.weighted(w, LossSpec.sel())
-    assert engine._tilt(spec, post) is None
+    assert post.tilt(w.kind, w.param) is None
     d = optimize(spec, post)
     assert d.method.name == "reweighted_mean"
     assert d.action == _old_sel(post, w)
@@ -219,7 +225,7 @@ def test_an_exp_weight_at_or_past_the_gamma_rate_is_not_tilted():
     post = GammaPosterior(3.0, 2.0)
     for c in (2.0, 2.5):
         spec = LossSpec.weighted(Weight.exp(c), LossSpec.sel())
-        assert engine._tilt(spec, post) is None
+        assert post.tilt("exp", c) is None
         with pytest.raises(ValidationError, match="weight function must be finite and > 0"):
             optimize(spec, post)
 
