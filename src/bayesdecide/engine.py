@@ -8,7 +8,7 @@ key) to the expected posterior loss EPL(a) in closed form: on Gaussian,
 Gamma and Beta posteriors, and for SEL, MTC(1) and QTL on draws, where it
 is read off the cloud's running sums in O(log n); the absolute and pinball
 rows take the posterior's own linear-loss integrals, ``post.linear_loss``.
-A sum whose every part has a row is the sum of those rows.  The conjugate
+A sum's EPL is the sum of its parts' EPLs (linearity).  The conjugate
 tilts live on the posteriors too: ``post.tilt(Weight.kind, Weight.param)``
 returns (log Z, the tilted posterior w p / Z), with Z = E w(Y), where the
 family is closed under the weight, and None otherwise (see
@@ -113,24 +113,22 @@ def epl(loss, post, a):
 
 
 def _epl(lossfn, post, a):
-    """``epl`` on a checked loss and action: a table row, a sum of rows, Z
-    times the base EPL on a tilted posterior, or else ``post.expect``."""
+    """``epl`` on a checked loss and action: a sum of its parts' EPLs, Z times
+    the base EPL on a tilted posterior, a table row, or ``post.expect``."""
     spec = lossfn.spec
-    closed = _EPLS.get((type(post), _loss_key(spec)))
-    if closed is not None:
-        return _finite(closed(post, spec.params, a), a)
     if spec.compose == "sum":
-        rows = [(_EPLS.get((type(post), _loss_key(p))), p.params) for p in spec.components]
-        if all(row is not None for row, _ in rows):
-            return _finite(sum(row(post, prm, a) for row, prm in rows), a)
-    elif spec.compose == "weighted":
+        return _finite(sum(_epl(part, post, a) for part in lossfn.parts), a)
+    if spec.compose == "weighted":
         tilt = _tilt(spec, post)
         if tilt is not None:
             log_z, tilted = tilt
             z = math.exp(log_z)
             if not z >= sys.float_info.min:
                 raise NumericError(f"the weight's posterior mass exp({log_z!r}) underflows")
-            return _finite(z * _epl(compose(spec.components[0]), tilted, a), a)
+            return _finite(z * _epl(lossfn.parts[0], tilted, a), a)
+    closed = _EPLS.get((type(post), _loss_key(spec)))
+    if closed is not None:
+        return _finite(closed(post, spec.params, a), a)
     # a itself is a potential kink of y -> L(a, y) (absolute/pinball losses)
     return post.expect(lambda y: lossfn(a, y), breakpoints=(a,))
 
@@ -390,8 +388,8 @@ def _gamma_pwd_minus_epl(post, prm, a):
 
 
 # (posterior type, loss key) -> epl(post, params, a) in closed form; every
-# other pair uses post.expect (and so does a sum with a part outside the
-# table).  GAM and PWD, which need y > 0, never meet a Gaussian:
+# other pair uses post.expect, and a sum looks each of its parts up here on
+# its own.  GAM and PWD, which need y > 0, never meet a Gaussian:
 # _check_domain refuses it first
 _EPLS = {
     **{(kind, key): fn

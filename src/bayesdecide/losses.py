@@ -44,13 +44,14 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
+from . import _special
 from .errors import NumericError, ValidationError
 
 EXP_LIMIT = 700.0  # beyond this exp() overflows a double
 
-# Switch to the analytic limit formulas near the removable singularities
-# of (lam * (lam + 1))^-1.
-_PWD_LIMIT_TOL = 1e-6
+# Within this distance of a removable singularity of (lam * (lam + 1))^-1,
+# eval_pwd divides it out exactly through exprel.
+_PWD_EXPREL_BAND = 0.05
 
 # parameter name -> (test, rule text): each parameter's range, stated once
 _RANGES = {
@@ -166,15 +167,17 @@ def eval_pwd(lam, a, y):
     With r = a/y and phi_lam(r) = (r^(lam+1) - r + lam(1 - r)) / (lam(lam + 1)),
     y * phi_lam(r) is evaluated as (a r^lam - a + lam(y - a)) / (lam(lam + 1)),
     which never forms r^(lam+1): that power overflows for a draw near 0
-    while the term itself is representable.  Its limits are a log r + y - a
-    at lam = 0 and a - y - y log r at lam = -1.
+    while the term itself is representable.  Within 0.05 of lam = 0 or -1,
+    exprel(x) = (e^x - 1)/x keeps it exact at and near both limits.
     """
     _check(lam=lam)
     a, y, r = _ratio("PWD", a, y)
-    if abs(lam) < _PWD_LIMIT_TOL:
-        return a * np.log(r) + y - a
-    if abs(lam + 1.0) < _PWD_LIMIT_TOL:
-        return a - y - y * np.log(r)
+    if abs(lam) < _PWD_EXPREL_BAND:
+        log_r = np.log(r)
+        return (a * log_r * _special.exprel(lam * log_r) + y - a) / (lam + 1.0)
+    if abs(lam + 1.0) < _PWD_EXPREL_BAND:
+        log_r = np.log(r)
+        return (a - y - y * log_r * _special.exprel((lam + 1.0) * log_r)) / -lam
     c = 1.0 / (lam * (lam + 1.0))
     return c * ((a * r ** lam - a) + lam * (y - a))
 
@@ -402,6 +405,7 @@ class LossFunction:
     positive_domain: bool
     # L(., y) is convex for every y, so every EPL is convex in a
     convex: bool = False
+    parts: tuple = ()  # a composition's composed components; () for a family
 
     def __call__(self, a, y):
         return self.evaluate(a, y)
@@ -418,9 +422,9 @@ def compose(spec):
         return LossFunction(spec, evaluate, row.differentiable(prm), row.positive_domain,
                             row.convex(prm))
     row = _COMPOSITIONS[spec.compose]
-    parts = [compose(c) for c in spec.components]
+    parts = tuple(compose(c) for c in spec.components)
     evaluate = functools.partial(row.evaluate, parts, *(prm[k] for k in row.params))
     return LossFunction(spec, evaluate,
                         row.differentiable(prm) and all(p.differentiable for p in parts),
                         any(p.positive_domain for p in parts),
-                        row.convex(prm) and all(p.convex for p in parts))
+                        row.convex(prm) and all(p.convex for p in parts), parts)

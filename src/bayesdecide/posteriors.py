@@ -36,9 +36,9 @@ h(F^-1(u)) du by a fixed tanh-sinh rule in quantile space (see
 ``_quad_expect``), so ``h`` receives one float array of nodes, as it does
 on draws.  When the rule cannot certify its sum, adaptive QUADPACK
 quadrature against the density answers instead, or raises;
-``scipy.integrate`` is imported only then.  Decisions reach it too: a
-LINEX term on a wide Gaussian raises at the rule's lowest nodes, where
-psi (a - y) exceeds its overflow limit.
+``scipy.integrate`` is imported only then.  A decision reaches it only on
+a narrow posterior far from 0, a weight refused at far nodes, or LINEX in
+a product or power (never in a sum, whose closed-form parts stay closed).
 """
 
 from __future__ import annotations
@@ -691,10 +691,10 @@ def _rule_nodes(post, cuts):
 def _quadpack_expect(post, h, breakpoints=()):
     """Adaptive QUADPACK quadrature of h against a parametric density.
 
-    The fallback of ``_quad_expect`` for an ``h`` its rule cannot certify,
-    which decisions reach as well as library callers: MTC(1.5) + LINEX(1)
-    on N(0, 20^2) makes 25 calls, for the EPLs whose lowest rule nodes
-    trip the LINEX overflow guard.  The bulk between
+    The fallback of ``_quad_expect`` for an ``h`` its rule cannot certify:
+    a library caller's, or a decision's on a narrow posterior far from 0,
+    under a weight refused at far nodes, or of LINEX in a product or power
+    (a closed-form part of a sum is never integrated).  The bulk between
     the 1e-10 and 1-1e-10 quantiles is integrated directly and each
     unbounded tail separately, so integrands with exponential growth
     (e.g. LINEX) keep their tail mass.  A Gamma's or Beta's bulk starts at

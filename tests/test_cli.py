@@ -205,6 +205,17 @@ posterior: {kind: gaussian, mean: 0.0, sd: 1.0}
         assert result.output == ""
         assert (out / "predict.csv").exists()
 
+    def test_out_under_a_file_exits_2(self, runner, tmp_path):
+        scenario = write(tmp_path, "s.yaml", """
+posterior: {kind: gaussian, mean: 0.0, sd: 1.0}
+""")
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        result = runner.invoke(main, ["predict", "--scenario", scenario,
+                                      "--out", str(blocker / "out")])
+        assert result.exit_code == 2, result.output
+        assert "cannot make directory" in result.output
+
     def test_byte_identical_reruns(self, runner, tmp_path):
         scenario = write(tmp_path, "s.yaml", """
 posterior: {kind: gaussian, mean: 0.3, sd: 1.7}

@@ -71,6 +71,20 @@ class TestCorrelationValidation:
         with pytest.raises(ValidationError, match="64"):
             CorrelationMatrix(np.eye(65))
 
+    @pytest.mark.parametrize("entries", [np.eye(3)[:2], np.ones(3), np.ones((1, 2, 2))],
+                             ids=["2x3", "1-d", "3-d"])
+    def test_rejects_non_square(self, entries):
+        with pytest.raises(ValidationError, match="correlation matrix must be square"):
+            CorrelationMatrix(entries)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite(self, bad):
+        with pytest.raises(ValidationError, match="correlation entries must be finite"):
+            CorrelationMatrix([[1.0, bad], [bad, 1.0]])
+
+    def test_n_is_the_dimension(self):
+        assert CorrelationMatrix(np.eye(3)).n == 3
+
 
 class TestProjection:
     def _post(self, n=20_000, seed=1, rho=RHO):
@@ -104,6 +118,13 @@ class TestProjection:
         d = spectral_decompose(corr2())
         with pytest.raises(ValidationError):
             project(d, post, 2)
+
+    def test_dimension_mismatch(self):
+        post = VectorPosterior(np.ones((4, 3)))
+        d = spectral_decompose(corr2())
+        with pytest.raises(ValidationError,
+                           match="posterior dimension does not match the decomposition"):
+            project(d, post, 0)
 
 
 class TestOptimizeEigen:
@@ -148,6 +169,30 @@ class TestOptimizeEigen:
         d = spectral_decompose(corr2())
         with pytest.raises(ValidationError):
             optimize_eigen(d, post, [LossSpec.sel()])
+
+
+class TestVectorPosteriorValidation:
+    @pytest.mark.parametrize("draws", [np.empty((0, 2)), np.ones(3), [[]]],
+                             ids=["no-rows", "1-d", "no-columns"])
+    def test_rejects_empty_or_not_2d(self, draws):
+        with pytest.raises(ValidationError, match="draws must be a nonempty"):
+            VectorPosterior(draws)
+
+    def test_rejects_nonfinite_draws(self):
+        with pytest.raises(ValidationError, match="draws must be finite"):
+            VectorPosterior([[1.0, np.nan], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]],
+                             ids=["short", "long", "2-d"])
+    def test_rejects_misshaped_weights(self, weights):
+        with pytest.raises(ValidationError, match="weights must have one entry per draw"):
+            VectorPosterior(np.ones((2, 2)), weights)
+
+    @pytest.mark.parametrize("weights", [[1.0, 0.0], [1.0, -2.0], [1.0, np.nan],
+                                         [1.0, np.inf]], ids=["zero", "negative", "nan", "inf"])
+    def test_rejects_nonpositive_or_nonfinite_weights(self, weights):
+        with pytest.raises(ValidationError, match="weights must be finite and > 0"):
+            VectorPosterior(np.ones((2, 2)), weights)
 
 
 class TestVectorPosteriorStorage:
@@ -252,6 +297,18 @@ class TestEplMultivariate:
         doubled = epl_multivariate(d, post, losses, a, weights=[2.0, 2.0])
         assert doubled == pytest.approx(2.0 * plain)
 
+    def test_action_shape_checked(self):
+        post = VectorPosterior(np.ones((3, 2)) * [[1.0, 2.0]])
+        d = spectral_decompose(corr2())
+        with pytest.raises(ValidationError, match=r"action must have shape \(2,\)"):
+            epl_multivariate(d, post, [LossSpec.sel()] * 2, [1.0, 2.0, 3.0])
+
+    def test_loss_count_checked(self):
+        post = VectorPosterior(np.ones((3, 2)) * [[1.0, 2.0]])
+        d = spectral_decompose(corr2())
+        with pytest.raises(ValidationError, match="need 2 losses, got 3"):
+            epl_multivariate(d, post, [LossSpec.sel()] * 3, [1.0, 2.0])
+
     def test_default_weights_are_eigenvalues(self):
         d = spectral_decompose(corr2())
         assert np.allclose(default_eigen_weights(d), LAMBDAS_2X2)
@@ -352,6 +409,11 @@ class TestEstimateCorrelation:
         rng = np.random.default_rng(22)
         corr = estimate_correlation(rng.normal(size=(500, 4)))
         assert np.all(np.diag(corr.entries) == 1.0)
+
+    @pytest.mark.parametrize("draws", [np.ones(5), np.ones((2, 2, 2))], ids=["1-d", "3-d"])
+    def test_not_2d_rejected(self, draws):
+        with pytest.raises(ValidationError, match=r"draws must be an \(n, N\) array"):
+            estimate_correlation(draws)
 
     def test_too_few_draws(self):
         with pytest.raises(ValidationError):

@@ -557,9 +557,11 @@ class TestOneHomePins:
     CLOUD = SamplePosterior(np.random.default_rng(8).lognormal(0.3, 0.5, 500),
                             np.random.default_rng(9).uniform(0.5, 1.5, 500))
 
-    # SEL, QTL and a sum of them are read off the cloud's running sums, which
-    # round differently; a loss without such a row is the weighted sum itself
+    # SEL, QTL and a sum with either as a part are read, at least in part,
+    # off the cloud's running sums, which round differently; a loss without
+    # such a row is the weighted sum itself
     ROW_BACKED = (LossSpec.sel(), LossSpec.qtl(0.8),
+                  LossSpec.sum_of(LossSpec.qtl(0.3), LossSpec.linex(-1)),
                   LossSpec.sum_of(LossSpec.qtl(0.3), LossSpec.sel()))
 
     @pytest.mark.parametrize("spec", [LossSpec.sel(), LossSpec.mtc(0.5), LossSpec.qtl(0.8),
@@ -574,6 +576,15 @@ class TestOneHomePins:
                 assert abs(epl(spec, post, a) - want) <= 1e-12 * want
             else:
                 assert epl(spec, post, a) == want
+
+    @pytest.mark.parametrize("post", [CLOUD, GaussianPosterior(0.4, 1.1),
+                                      GammaPosterior(3.0, 1.2)], ids=["draws", "gaussian", "gamma"])
+    def test_a_sums_epl_is_the_sum_of_its_parts_epls(self, post):
+        # each part takes its own route: QTL a row, LINEX a row or the weighted
+        # sum, MTC(1.5) the weighted sum or quadrature
+        parts = (LossSpec.qtl(0.3), LossSpec.linex(-1), LossSpec.mtc(1.5))
+        for a in (0.4, 1.3, 3.0):
+            assert epl(LossSpec.sum_of(*parts), post, a) == sum(epl(p, post, a) for p in parts)
 
     def test_weighted_sel_on_draws_matches_reweight(self):
         w = Weight.power(0.5)

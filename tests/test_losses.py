@@ -25,6 +25,19 @@ def gam_definitional(alpha, nu, a, y):
     return log_kernel(x0) - log_kernel(x0 * (np.asarray(a, dtype=float) / y))
 
 
+def pwd_exact(lam, a, y):
+    """y phi_lam(a / y) in 50-digit arithmetic, as a float."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        lam, a, y = mpmath.mpf(lam), mpmath.mpf(a), mpmath.mpf(y)
+        if lam == 0:
+            return float(a * mpmath.log(a / y) + y - a)
+        if lam == -1:
+            return float(a - y - y * mpmath.log(a / y))
+        return float((a * (a / y) ** lam - a + lam * (y - a)) / (lam * (lam + 1)))
+
+
 class TestMtc:
     def test_squared_displacement(self):
         assert eval_mtc(2, 3, 1) == 4.0
@@ -109,12 +122,29 @@ class TestPwd:
             assert eval_pwd(lam, 3.0, 3.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_limit_at_zero(self):
-        want = 2 * math.log(2) - 1  # phi_0(2) = r log r + 1 - r
-        assert eval_pwd(1e-8, 2, 1) == pytest.approx(want, abs=1e-6)
+        # phi_0(2) = r log r + 1 - r, exactly
+        assert eval_pwd(0.0, 2, 1) == 2 * math.log(2) + 1 - 2
+        assert eval_pwd(1e-8, 2, 1) == pytest.approx(pwd_exact(1e-8, 2, 1), rel=2e-13, abs=0)
 
     def test_limit_at_minus_one(self):
-        want = 2 - 1 - math.log(2)  # phi_-1(2) = r - 1 - log r
-        assert eval_pwd(-1 + 1e-8, 2, 1) == pytest.approx(want, abs=1e-6)
+        # phi_-1(2) = r - 1 - log r, exactly
+        assert eval_pwd(-1.0, 2, 1) == 2 - 1 - math.log(2)
+        assert eval_pwd(-1 + 1e-8, 2, 1) == pytest.approx(pwd_exact(-1 + 1e-8, 2, 1),
+                                                          rel=2e-13, abs=0)
+
+    # from 1e-12 to 0.1 off both singularities, either side, just inside and
+    # outside the 0.05 bands, and the ordinary r^lam form
+    LAMS = sorted({s * 10.0 ** -k for k in range(1, 13) for s in (1, -1)}
+                  | {-1.0 + s * 10.0 ** -k for k in range(1, 13) for s in (1, -1)}
+                  | {0.0, 1.0, -1.0, 9.9e-7, 0.0499, 0.0501, -0.0499, -0.0501, -0.9501,
+                     -0.9499, -1.0499, -1.0501, 0.45, 0.5, 0.55, -0.5, 2.0, -2.0, -3.0})
+
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_matches_fifty_digits(self, lam):
+        # |a - y| > 0.3 y: the cancellation in a - y (near a = y) is not this test's
+        for a, y in ((2.0, 1.0), (0.5, 1.0), (3.7, 1.2), (1e-3, 5.0), (40.0, 0.3)):
+            want = pwd_exact(lam, a, y)
+            assert abs(eval_pwd(lam, a, y) - want) <= 2e-13 * want, (a, y)
 
     def test_positive_quadrant_only(self):
         with pytest.raises(ValidationError):

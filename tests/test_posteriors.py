@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bayesdecide import (BetaPosterior, DiscretePosterior, DivergentMgfError, GammaPosterior,
-                         GaussianPosterior, SamplePosterior, ValidationError, load_samples)
+                         GaussianPosterior, NumericError, SamplePosterior, ValidationError,
+                         load_samples)
 from bayesdecide.posteriors import almost_surely_positive
 
 # standard-normal 0.97 quantile, frozen from a bisection-on-erf oracle
@@ -144,6 +145,12 @@ class TestLogMgfNeg:
     def test_gamma_divergence(self):
         with pytest.raises(DivergentMgfError):
             GammaPosterior(3, 1).log_mgf_neg(-1.0)
+
+    @pytest.mark.parametrize("psi", [-800.0, 800.0])
+    def test_beta_overflow(self, psi):
+        # E e^{-psi Y} is about e^{|psi|} on either side: past the double range
+        with pytest.raises(NumericError, match="1F1 overflows"):
+            BetaPosterior(2.0, 3.0).log_mgf_neg(psi)
 
     @pytest.mark.parametrize("post", [GaussianPosterior(1, 2), GammaPosterior(4, 2)])
     def test_log_mgf_curvature_matches_variance(self, post):
@@ -407,6 +414,9 @@ class TestSupportStart:
     def test_lower_and_the_positive_rule(self, post, lower, positive):
         assert post.lower == lower
         assert almost_surely_positive(post) == positive
+
+    def test_draws_support_is_their_range(self):
+        assert SamplePosterior([2.0, -1.5, 0.5], [1.0, 2.0, 3.0]).support() == (-1.5, 2.0)
 
 
 class TestParameterRanges:

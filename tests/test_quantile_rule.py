@@ -141,6 +141,8 @@ def test_gaussian_grid_matches_quad(spec, mean, sd, t):
            st.floats(0.5, 3.0).map(lambda rho: L.product_of(L.mtc(rho), L.gam(1.0, 2.0)))),
        shape=st.floats(1.5, 30.0), rate=st.floats(0.1, 10.0), t=st.floats(0.02, 0.98))
 @settings(max_examples=80, deadline=None)
+# the noise of a cancelling r^lam - 1 near lam = 0 made QUADPACK warn of roundoff here
+@example(spec=L.pwd(1e-06), shape=6.0, rate=3.0, t=0.6875)
 def test_gamma_grid_matches_quad(spec, shape, rate, t):
     _check_against_quad(spec, GammaPosterior(shape, rate), t)
 
@@ -339,14 +341,14 @@ def test_h_raising_at_an_extreme_node_keeps_quadpack_answer(fallbacks, a):
     assert len(fallbacks) == 1
 
 
-def test_a_decision_reaches_the_fallback(fallbacks):
-    # the rule's lowest nodes, about 35 sd below the mean, trip the LINEX
-    # overflow guard at the search's actions; QUADPACK answers those EPLs
-    # (MTC(1.5) has no closed-form EPL, so the sum is integrated)
+def test_a_linex_sum_needs_no_fallback(fallbacks):
+    # the rule's lowest nodes, about 35 sd below the mean, would trip the
+    # LINEX overflow guard at the search's actions; but a sum's EPL is its
+    # parts' EPLs, so only MTC(1.5) is integrated and LINEX takes its row
     post = GaussianPosterior(0.0, 20.0)
     spec = L.sum_of(L.mtc(1.5), L.linex(1.0))
     decision = optimize(spec, post)
-    assert len(fallbacks) > 0
+    assert fallbacks == []
     lossfn, a = compose(spec), decision.action
     _assert_close(decision.epl, _oracle(post, lambda y: lossfn(a, y), (a,)))
     for b in (a - 0.01, a + 0.01):

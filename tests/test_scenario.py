@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from bayesdecide import ValidationError
-from bayesdecide.scenario import (load_scenario, load_vector_draws, parse_evidence,
-                                  parse_grid, parse_int_grid, parse_weight)
+from bayesdecide.scenario import (load_scenario, load_vector_draws, parse_ensemble,
+                                  parse_evidence, parse_functional, parse_grid,
+                                  parse_int_grid, parse_weight)
 
 
 def test_scenario_must_be_a_mapping(tmp_path):
@@ -34,6 +35,18 @@ class TestWeights:
     def test_unknown_name(self):
         with pytest.raises(ValidationError, match="weight: unknown name 'cube'"):
             parse_weight({"name": "cube"})
+
+
+def test_functional_unknown_name():
+    with pytest.raises(ValidationError, match="functional: unknown name 'cube'"):
+        parse_functional({"name": "cube"})
+
+
+def test_ensemble_needs_probabilities_or_models():
+    members = [{"label": "A", "posterior": {"kind": "gaussian", "mean": 0.0, "sd": 1.0}}]
+    with pytest.raises(ValidationError,
+                       match="ensemble: need probabilities or models evidence"):
+        parse_ensemble({"members": members})
 
 
 class TestGrids:
