@@ -167,11 +167,16 @@ def eval_pwd(lam, a, y):
     With r = a/y and phi_lam(r) = (r^(lam+1) - r + lam(1 - r)) / (lam(lam + 1)),
     y * phi_lam(r) is evaluated as (a r^lam - a + lam(y - a)) / (lam(lam + 1)),
     which never forms r^(lam+1): that power overflows for a draw near 0
-    while the term itself is representable.  Within 0.05 of lam = 0 or -1,
-    exprel(x) = (e^x - 1)/x keeps it exact at and near both limits.
+    while the term itself is representable.  Its limits are a log r + y - a
+    at lam = 0 and a - y - y log r at lam = -1; within 0.05 of either,
+    exprel(x) = (e^x - 1)/x keeps the term exact.
     """
     _check(lam=lam)
     a, y, r = _ratio("PWD", a, y)
+    if lam == 0.0:
+        return a * np.log(r) + y - a
+    if lam == -1.0:
+        return a - y - y * np.log(r)
     if abs(lam) < _PWD_EXPREL_BAND:
         log_r = np.log(r)
         return (a * log_r * _special.exprel(lam * log_r) + y - a) / (lam + 1.0)
@@ -406,6 +411,11 @@ class LossFunction:
     # L(., y) is convex for every y, so every EPL is convex in a
     convex: bool = False
     parts: tuple = ()  # a composition's composed components; () for a family
+
+    def __post_init__(self):
+        if len(self.parts) != len(self.spec.components):  # _epl sums or tilts these
+            raise ValidationError(f"LossFunction needs one composed part per component of "
+                                  f"its spec: {len(self.spec.components)}, got {len(self.parts)}")
 
     def __call__(self, a, y):
         return self.evaluate(a, y)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayesdecide import (GeneralizedGaussian, LossSpec, ValidationError,
-                         Weight, compose, eval_gam, eval_linex, eval_mtc,
+from bayesdecide import (GaussianPosterior, GeneralizedGaussian, LossFunction, LossSpec,
+                         ValidationError, Weight, compose, epl, eval_gam, eval_linex, eval_mtc,
                          eval_potential, eval_pwd, eval_qtl, eval_zero_one)
 from bayesdecide.losses import CustomPotentialDensity
 
@@ -185,6 +185,24 @@ class TestCompose:
         assert loss(3.0, 3.0) == 0.0
         eps = 1e-3
         assert loss(3.0 + eps, 3.0) == pytest.approx(eps ** 2 + 1.0)
+
+    @pytest.mark.parametrize("spec", [LossSpec.sum_of(LossSpec.sel(), LossSpec.linex(1.0)),
+                                      LossSpec.weighted(Weight.power(1), LossSpec.sel())],
+                             ids=["sum", "weighted"])
+    def test_a_composition_built_without_its_parts_is_refused(self, spec):
+        # epl sums (or tilts) a composition's parts: without them a sum would
+        # read 0 and a weight would fail on parts[0]
+        with pytest.raises(ValidationError, match=r"one composed part per component of "
+                                                  r"its spec: \d, got 0"):
+            LossFunction(spec, compose(spec).evaluate, True, False)
+
+    def test_a_composition_built_with_its_parts_matches_compose(self):
+        spec = LossSpec.sum_of(LossSpec.sel(), LossSpec.linex(1.0))
+        parts = tuple(compose(c) for c in spec.components)
+        loss = LossFunction(spec, compose(spec).evaluate, True, False, True, parts)
+        post = GaussianPosterior(0.3, 1.2)
+        assert compose(loss) is loss
+        assert epl(loss, post, 0.7) == epl(spec, post, 0.7)
 
     def test_product_of_pinballs(self):
         loss = compose(LossSpec.product_of(LossSpec.qtl(0.5), LossSpec.qtl(0.5)))

@@ -355,6 +355,20 @@ def test_a_linex_sum_needs_no_fallback(fallbacks):
         assert _oracle(post, lambda y: lossfn(b, y), (b,)) > decision.epl
 
 
+def test_a_linex_product_reaches_the_fallback(fallbacks):
+    # a product has no closed-form EPL, so the whole loss is integrated; the
+    # rule's lowest nodes trip the LINEX overflow guard at the search's
+    # actions, and QUADPACK answers those EPLs
+    post = GaussianPosterior(0.0, 20.0)
+    spec = L.product_of(L.mtc(1.5), L.linex(1.0))
+    decision = optimize(spec, post)
+    assert len(fallbacks) > 0
+    lossfn, a = compose(spec), decision.action
+    _assert_close(decision.epl, _oracle(post, lambda y: lossfn(a, y), (a,)))
+    for b in (a - 0.01, a + 0.01):
+        assert _oracle(post, lambda y: lossfn(b, y), (b,)) > decision.epl
+
+
 def test_a_sum_of_closed_forms_needs_no_quadrature(fallbacks):
     # each part of QTL(0.3) + LINEX(1) has a closed-form EPL, so the sum's
     # EPL is theirs: no rule, and so no fallback, at any of the search's actions
