@@ -142,7 +142,7 @@ def predict(scenario_path, out_dir, seed, fmt):
     doc = _load(scenario_path, seed)
     base = doc["_base_dir"]
     post = sc.parse_posterior(doc.get("posterior") or {}, base)
-    spec = sc.parse_loss(doc.get("loss") or {"family": "SEL"})
+    spec = sc.parse_loss(doc.get("loss"))
     if "functional" in doc:
         g = sc.parse_functional(doc["functional"])
         decision = engine.optimize_functional(spec, post, g)
@@ -195,7 +195,7 @@ def multivar(scenario_path, out_dir, seed, fmt):
     else:
         corr = eigen_mod.estimate_correlation(vp.draws)
     decomp = eigen_mod.spectral_decompose(corr)
-    losses_block = sc.read(block, "losses", "multivar", list, [{"family": "SEL"}])
+    losses_block = sc.read(block, "losses", "multivar", list, [None])
     if len(losses_block) == 1:
         losses = [sc.parse_loss(losses_block[0])] * decomp.n
     else:
@@ -278,7 +278,7 @@ def risk_curve(scenario_path, out_dir, seed, fmt):
     doc = _load(scenario_path, seed)
     base = doc["_base_dir"]
     post = sc.parse_posterior(doc.get("posterior") or {}, base)
-    spec = sc.parse_loss(doc.get("loss") or {"family": "SEL"})
+    spec = sc.parse_loss(doc.get("loss"))
     block = doc.get("risk_curve") or {}
     kappas = sc.parse_grid(sc.read(block, "kappa_grid", "risk_curve"),
                            "risk_curve.kappa_grid")
@@ -307,7 +307,7 @@ def design_n(scenario_path, out_dir, seed, fmt):
     doc = _load(scenario_path, seed)
     block = doc.get("design") or {}
     model = sc.parse_joint_model(block, "design")
-    spec = sc.parse_loss(block.get("loss", doc.get("loss", {"family": "SEL"})))
+    spec = sc.parse_loss(block.get("loss", doc.get("loss")))
     tau = sc.read(block, "tau", "design", float)
     cost = sc.parse_cost(block.get("cost"))
     n_grid = sc.parse_int_grid(sc.read(block, "n_grid", "design"), "design.n_grid")

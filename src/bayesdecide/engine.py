@@ -506,7 +506,7 @@ def _jumps(g, y, gy):
     return cuts
 
 
-def optimize_functional(loss, post, g, force_numeric=False):
+def optimize_functional(loss, post, g):
     """Minimize E(L(a, g(Y)) | z): the optimal decision about g(Y).
 
     ``g`` maps a float array of y values to g(y) elementwise.  On a
@@ -522,7 +522,7 @@ def optimize_functional(loss, post, g, force_numeric=False):
     if isinstance(post, SamplePosterior):
         gv = np.asarray(g(post.values), dtype=float)
         pushed = SamplePosterior(gv, post.weights)
-        return optimize(lossfn, pushed, force_numeric=force_numeric)
+        return optimize(lossfn, pushed)
     h = lambda a: lambda y: lossfn(a, np.asarray(g(y), dtype=float))
     lo, hi = post.support()
     reach = _NODE_REACH * (hi - lo)
@@ -534,7 +534,7 @@ def optimize_functional(loss, post, g, force_numeric=False):
         gy = np.asarray(g(y), dtype=float)
         jumps = _jumps(g, y, gy)
     x0 = post.expect(lambda y: np.asarray(g(y), dtype=float), breakpoints=jumps)
-    if not force_numeric and _loss_key(lossfn.spec) == "SEL":
+    if _loss_key(lossfn.spec) == "SEL":
         # squared error has no kink at g(y) = a: its one EPL needs no more cuts
         return OptimalDecision(float(x0), post.expect(h(x0), breakpoints=jumps),
                                SolverPath("closed_form", "pushforward_mean"))

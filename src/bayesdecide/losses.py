@@ -268,14 +268,13 @@ _COMPOSITIONS = {
 class Weight:
     """A positive weight function of y.
 
-    The constructors ``power(p)``, ``exp(c)`` and ``identity()`` (power 1)
-    also record the weight's ``kind``, "power" or "exp", and its exact
-    parameter ``param``.  The engine reads these: w(y) = y (power 1) gives
-    weighted GAM the posterior mean as its optimum, and on a Gaussian,
-    Gamma or Beta posterior a weighted loss is solved as its base loss on
-    the tilted posterior w(y) p(y | z) / E w(Y).  A weight built from a
-    bare callable has neither, and its weighted loss is integrated as it
-    stands.
+    The constructors ``power(p)`` and ``exp(c)`` also record the weight's
+    ``kind``, "power" or "exp", and its exact parameter ``param``.  The
+    engine reads these: w(y) = y (``power(1.0)``) gives weighted GAM the
+    posterior mean as its optimum, and on a Gaussian, Gamma or Beta
+    posterior a weighted loss is solved as its base loss on the tilted
+    posterior w(y) p(y | z) / E w(Y).  A weight built from a bare callable
+    has neither, and its weighted loss is integrated as it stands.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -290,10 +289,6 @@ class Weight:
         if not (wy.min(initial=math.inf) > 0.0 and wy.max(initial=0.0) < math.inf):
             raise ValidationError("loss weight function must be finite and > 0")
         return wy
-
-    @staticmethod
-    def identity():
-        return Weight(lambda y: np.asarray(y, dtype=float), kind="power", param=1.0)
 
     @staticmethod
     def power(p):

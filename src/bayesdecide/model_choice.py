@@ -6,7 +6,7 @@ prior, equivalently argmax likelihood) and the decision-table rule
 zero diagonal).  Under a 0-1 table and a uniform prior the two rules
 coincide; otherwise they can disagree.
 
-Evidence is accepted on the log scale and exponentiated with a max-shift
+Evidence is read on the log scale only and exponentiated with a max-shift,
 so marginal likelihoods that underflow a double still normalize.
 """
 
@@ -22,27 +22,16 @@ from .posteriors import DiscretePosterior
 
 
 class ModelEvidence:
-    """Marginal likelihoods Pr(z | M_k) and a prior over models."""
+    """Log marginal likelihoods log Pr(z | M_k) and a prior over models."""
 
     __slots__ = ("log_likelihoods", "prior", "labels")
 
-    def __init__(self, likelihoods=None, prior=None, labels=None,
-                 log_likelihoods=None):
-        if (likelihoods is None) == (log_likelihoods is None):
-            raise ValidationError("supply exactly one of likelihoods / log_likelihoods")
-        if likelihoods is not None:
-            lik = np.asarray(likelihoods, dtype=float)
-            if lik.size == 0:
-                raise ValidationError("need at least one model")
-            if not np.all(np.isfinite(lik)) or np.any(lik <= 0):
-                raise ValidationError("likelihoods must be finite and > 0")
-            ll = np.log(lik)
-        else:
-            ll = np.asarray(log_likelihoods, dtype=float)
-            if ll.size == 0:
-                raise ValidationError("need at least one model")
-            if not np.all(np.isfinite(ll)):
-                raise ValidationError("log-likelihoods must be finite")
+    def __init__(self, *, log_likelihoods, prior=None, labels=None):
+        ll = np.asarray(log_likelihoods, dtype=float)
+        if ll.size == 0:
+            raise ValidationError("need at least one model")
+        if not np.all(np.isfinite(ll)):
+            raise ValidationError("log-likelihoods must be finite")
         m = ll.size
         if prior is None:
             pr = np.full(m, 1.0 / m)

@@ -18,10 +18,9 @@ the one rule built on ``lower``.  ``tilt(Weight.kind, Weight.param)`` is
 closed under the weight w: Gaussian x exp(c), Gamma x exp(c < rate),
 Gamma x power(p) with shape + p > 1 and Beta x power(p) with a + p > 0;
 otherwise, and always on draws, it is None.
-``SamplePosterior`` additionally supports ``reweight`` (multiply the
-weights by a positive function of y and renormalize), and reads the
-expected squared and linear losses off sums it builds once
-(``squared_loss``, ``linear_loss``).
+``SamplePosterior`` additionally reads the expected squared and linear
+losses off sums it builds once (``squared_loss``, ``linear_loss``); a
+cloud reweighted by w(y) is ``SamplePosterior(values, weights * w(values))``.
 
 The parametric densities, distribution functions and quantiles are
 written on ``scipy.special`` (``ndtr``, ``ndtri``, the regularized
@@ -548,24 +547,6 @@ class SamplePosterior:
     def log_mgf_neg(self, psi):
         _check_psi(psi)
         return float(_special.logsumexp(-psi * self.values, b=self.weights))
-
-    def reweight(self, w):
-        """Return the posterior proportional to w(y) * p(y|z)."""
-        wv = np.asarray(w(self.values), dtype=float)
-        if wv.shape != self.values.shape:
-            wv = np.broadcast_to(wv, self.values.shape)
-        if not np.all(np.isfinite(wv)) or np.any(wv < 0):
-            raise ValidationError("reweight function must be finite and >= 0 on all draws")
-        if wv.size and np.all(wv == wv[0]):
-            # constant weight: renormalization is the identity, keep it exact
-            if wv[0] <= 0:
-                raise ValidationError("reweight produced all-zero weights")
-            return SamplePosterior(self.values, self.weights)
-        new_w = self.weights * wv
-        total = new_w.sum()
-        if total <= 0:
-            raise ValidationError("reweight produced all-zero weights")
-        return SamplePosterior(self.values, new_w)
 
 
 @dataclass(frozen=True)

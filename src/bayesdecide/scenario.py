@@ -5,8 +5,8 @@ names mirror the library's types.  Blocks:
 
 ``posterior``      {kind: gaussian, mean, sd} | {kind: gamma, shape, rate}
                    | {kind: samples, path}
-``loss``           {family, params} leaf (PTL takes params: {omega}, the
-                   generalized Gaussian exponent) or a composition:
+``loss``           absent or null: SEL; else a {family, params} leaf (PTL takes
+                   params: {omega}, the generalized Gaussian exponent) or a composition:
                    {compose: sum|product, components: [...]}, or one of
                    {compose: weighted, weight: {name: identity|power|exp, ...}, base: ...},
                    {compose: power, p: ..., base: ...},
@@ -139,7 +139,7 @@ def parse_posterior(block, base_dir="."):
 def parse_weight(block):
     name = read(block, "name", "weight")
     if name == "identity":
-        return Weight.identity()
+        return Weight.power(1.0)
     if name == "power":
         return Weight.power(read(block, "p", "weight", float))
     if name == "exp":
@@ -148,6 +148,8 @@ def parse_weight(block):
 
 
 def parse_loss(block):
+    if block is None:
+        return LossSpec.sel()
     kind = read(block, "compose", "loss", str, None)
     if kind is not None:
         if kind in ("sum", "product"):
@@ -237,8 +239,7 @@ def parse_ensemble(block, base_dir="."):
             label=str(read(m, "label", f"ensemble.members[{i}]", default=f"M{i + 1}")),
             posterior=parse_posterior(read(m, "posterior", f"ensemble.members[{i}]"),
                                       base_dir),
-            loss=parse_loss(read(m, "loss", f"ensemble.members[{i}]",
-                                 default={"family": "SEL"})),
+            loss=parse_loss(read(m, "loss", f"ensemble.members[{i}]", default=None)),
         )
         for i, m in enumerate(members_block)
     ]

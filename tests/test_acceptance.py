@@ -226,7 +226,7 @@ def test_criterion_4_model_selection():
     # constructed counterexample: likelihoods (0.6, 0.4), prior (0.3, 0.7);
     # products (0.18, 0.28) flip the posterior argmax away from the
     # likelihood argmax
-    ev = ModelEvidence(likelihoods=[0.6, 0.4], prior=[0.3, 0.7])
+    ev = ModelEvidence(log_likelihoods=np.log([0.6, 0.4]), prior=[0.3, 0.7])
     assert choose_baf(ev) == 0
     assert choose_epl(ev, DecisionTable.zero_one(2))[0] == 1
     _ok(4, f"{agree} uniform-prior instances agree; counterexample and "

@@ -174,7 +174,10 @@ def test_every_analytic_pair_is_tested():
     assert pairs == want
 
 
-@pytest.mark.parametrize("post,key", _analytic_pairs(), ids=str)
+# ids from the posterior's type and the key, e.g. SamplePosterior-SEL: a
+# cloud's repr holds its memory address, which changes from run to run
+@pytest.mark.parametrize("post,key", _analytic_pairs(),
+                         ids=lambda v: v if isinstance(v, str) else type(v).__name__)
 def test_registry_pairs_need_no_quadrature(monkeypatch, post, key):
     def no_quadrature(*args, **kwargs):
         raise AssertionError("quadrature or a sum over draws on an analytic pair")

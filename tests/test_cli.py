@@ -205,6 +205,17 @@ posterior: {kind: gaussian, mean: 0.0, sd: 1.0}
         assert result.output == ""
         assert (out / "predict.csv").exists()
 
+    def test_format_csv_without_out_exits_2(self, runner, tmp_path):
+        scenario = write(tmp_path, "s.yaml", """
+posterior: {kind: gaussian, mean: 0.0, sd: 1.0}
+""")
+        before = sorted(tmp_path.rglob("*"))
+        result = runner.invoke(main, ["predict", "--scenario", scenario, "--format", "csv"])
+        assert result.exit_code == 2, result.output
+        assert "--format csv needs --out" in result.output
+        assert "action" not in result.output  # the verb never ran
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_out_under_a_file_exits_2(self, runner, tmp_path):
         scenario = write(tmp_path, "s.yaml", """
 posterior: {kind: gaussian, mean: 0.0, sd: 1.0}
@@ -726,6 +737,71 @@ class TestMalformedInputs:
             assert result.exit_code == 0, result.output
             outputs.append(result.output)
         assert outputs[0] == outputs[1]
+
+
+def _loss_key(value, indent=""):
+    """A ``loss:`` line holding ``value``, or no line when ``value`` is None."""
+    return "" if value is None else f"{indent}loss: {value}\n"
+
+
+_DESIGN = ("design:\n  template: gaussian-known-variance\n  tau: 50.0\n"
+           "  n_grid: [1, 4]\n  n_mc: 40\n")
+# each place a loss is read: (verb, CSV it writes, scenario with the loss
+# given as the YAML text ``value``, or absent when ``value`` is None)
+_LOSS_SITES = {
+    "predict": ("predict", "predict.csv",
+                lambda value: GAUSS + _loss_key(value)),
+    "risk-curve": ("risk-curve", "risk_curve.csv",
+                   lambda value: GAUSS + "risk_curve: {kappa_grid: [0, 1], a_grid: [0, 1]}\n"
+                   + _loss_key(value)),
+    "design-n": ("design-n", "design_n.csv", lambda value: _DESIGN + _loss_key(value)),
+    "design-n-design.loss": ("design-n", "design_n.csv",
+                             lambda value: _DESIGN + _loss_key(value, "  ")),
+    "bma-member": ("bma", "bma.csv", lambda value: (
+        "ensemble:\n  members:\n    - label: a\n"
+        "      posterior: {kind: gaussian, mean: 0.0, sd: 1.0}\n" + _loss_key(value, "      ")
+        + "    - {label: b, posterior: {kind: gaussian, mean: 4.0, sd: 2.0}}\n"
+        "  probabilities: [0.3, 0.7]\n")),
+    "multivar-losses-entry": ("multivar", "multivar.csv", lambda value: (
+        "multivar: {draws: {path: draws.csv}%s}\n"
+        % ("" if value is None else f", losses: [{value}]"))),
+}
+
+
+class TestDefaultLoss:
+    """An absent or null loss is SEL wherever a loss is read; any other value
+    is parsed as written."""
+
+    @staticmethod
+    def _run(runner, tmp_path, site, value, out=None):
+        verb, _, scenario = _LOSS_SITES[site]
+        write(tmp_path, "draws.csv", DRAWS_CSV)
+        path = write(tmp_path, "s.yaml", scenario(value))
+        return runner.invoke(main, [verb, "--scenario", path]
+                             + ([] if out is None else ["--out", str(tmp_path / out)]))
+
+    @pytest.mark.parametrize("site", list(_LOSS_SITES))
+    def test_absent_and_null_write_the_sel_bytes(self, runner, tmp_path, site):
+        name = _LOSS_SITES[site][1]
+        texts = []
+        for i, value in enumerate(["{family: SEL}", None, "null"]):
+            result = self._run(runner, tmp_path, site, value, out=f"out{i}")
+            assert result.exit_code == 0, result.output
+            texts.append(read_csv(tmp_path / f"out{i}", name))
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+
+    @pytest.mark.parametrize("value, message", [
+        ("{}", "loss: missing required field 'family'"),
+        ("0", "loss: expected a mapping, got 0"),
+        ("false", "loss: expected a mapping, got False"),
+    ], ids=["empty-mapping", "zero", "false"])
+    @pytest.mark.parametrize("site", list(_LOSS_SITES))
+    def test_other_values_exit_2_naming_the_field(self, runner, tmp_path, site, value,
+                                                  message):
+        result = self._run(runner, tmp_path, site, value)
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert message in result.output
 
 
 def _run_python(args, **kwargs):

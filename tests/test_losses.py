@@ -171,7 +171,7 @@ class TestGam:
 
 class TestCompose:
     def test_weighted_identity_over_sel(self):
-        loss = compose(LossSpec.weighted(Weight.identity(), LossSpec.sel()))
+        loss = compose(LossSpec.weighted(Weight.power(1.0), LossSpec.sel()))
         assert loss(2, 1.0) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("y", [-1.0, 0.0])
@@ -367,7 +367,7 @@ def test_power_without_exponent_rejected_when_built():
 
 
 @pytest.mark.parametrize("kind, params", [
-    ("weighted", {"weight": Weight.identity()}), ("power", {"p": 2.0}),
+    ("weighted", {"weight": Weight.power(1.0)}), ("power", {"p": 2.0}),
     ("exp_minus_one", {})])
 def test_single_base_compositions_take_exactly_one_component(kind, params):
     # a second part used to be ignored, yet its GAM still demanded y > 0

@@ -12,12 +12,12 @@ from bayesdecide import (DecisionTable, ModelEvidence, ValidationError,
 
 class TestEvidence:
     def test_posterior_hand_computed(self):
-        ev = ModelEvidence(likelihoods=[0.2, 0.6], prior=[0.5, 0.5])
+        ev = ModelEvidence(log_likelihoods=np.log([0.2, 0.6]), prior=[0.5, 0.5])
         post = posterior_models(ev)
         assert post.probabilities == (pytest.approx(0.25), pytest.approx(0.75))
 
     def test_prior_defaults_to_uniform(self):
-        ev = ModelEvidence(likelihoods=[1.0, 1.0, 2.0])
+        ev = ModelEvidence(log_likelihoods=np.log([1.0, 1.0, 2.0]))
         assert np.allclose(ev.prior, 1 / 3)
 
     def test_log_scale_underflow_is_safe(self):
@@ -29,41 +29,35 @@ class TestEvidence:
 
     def test_prior_shift_moves_posterior(self):
         lik = [0.2, 0.6]
-        flat = posterior_models(ModelEvidence(likelihoods=lik, prior=[0.5, 0.5]))
-        tilted = posterior_models(ModelEvidence(likelihoods=lik, prior=[0.9, 0.1]))
+        flat = posterior_models(ModelEvidence(log_likelihoods=np.log(lik), prior=[0.5, 0.5]))
+        tilted = posterior_models(ModelEvidence(log_likelihoods=np.log(lik), prior=[0.9, 0.1]))
         assert tilted.probabilities[0] > flat.probabilities[0]
 
-    def test_exactly_one_evidence_form(self):
-        with pytest.raises(ValidationError):
-            ModelEvidence(likelihoods=[1.0], log_likelihoods=[0.0])
-        with pytest.raises(ValidationError):
-            ModelEvidence()
-
-    def test_nonpositive_likelihood_rejected(self):
-        with pytest.raises(ValidationError):
-            ModelEvidence(likelihoods=[1.0, 0.0])
+    def test_positional_evidence_is_refused(self):
+        # evidence is read on the log scale only, and by keyword: a positional
+        # list (say of linear likelihoods) is never taken as logs
+        with pytest.raises(TypeError):
+            ModelEvidence([0.2, 0.6])
 
     def test_bad_prior_rejected(self):
         with pytest.raises(ValidationError):
-            ModelEvidence(likelihoods=[1.0, 2.0], prior=[0.7, 0.7])
+            ModelEvidence(log_likelihoods=np.log([1.0, 2.0]), prior=[0.7, 0.7])
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"likelihoods": []}, "at least one model"),
-        ({"likelihoods": [1.0, math.inf]}, "likelihoods must be finite and > 0"),
         ({"log_likelihoods": []}, "at least one model"),
         ({"log_likelihoods": [0.0, math.nan]}, "log-likelihoods must be finite"),
-        ({"likelihoods": [1.0, 2.0], "prior": [1.0]}, "prior must match"),
-        ({"likelihoods": [1.0, 2.0], "prior": [1.5, -0.5]}, "nonnegative and sum to 1"),
-        ({"likelihoods": [1.0, 2.0], "prior": [math.nan, math.nan]}, "nonnegative and sum to 1"),
-        ({"likelihoods": [1.0, 2.0], "prior": [math.nan, 1.0]}, "nonnegative and sum to 1"),
-        ({"likelihoods": [1.0, 2.0], "labels": ["only"]}, "labels must match"),
+        ({"log_likelihoods": np.log([1.0, 2.0]), "prior": [1.0]}, "prior must match"),
+        ({"log_likelihoods": np.log([1.0, 2.0]), "prior": [1.5, -0.5]}, "nonnegative and sum to 1"),
+        ({"log_likelihoods": np.log([1.0, 2.0]), "prior": [math.nan, math.nan]}, "nonnegative and sum to 1"),
+        ({"log_likelihoods": np.log([1.0, 2.0]), "prior": [math.nan, 1.0]}, "nonnegative and sum to 1"),
+        ({"log_likelihoods": np.log([1.0, 2.0]), "labels": ["only"]}, "labels must match"),
     ])
     def test_malformed_evidence_rejected(self, kwargs, message):
         with pytest.raises(ValidationError, match=message):
             ModelEvidence(**kwargs)
 
     def test_labels_kept(self):
-        ev = ModelEvidence(likelihoods=[1.0, 2.0], labels=["a", "b"])
+        ev = ModelEvidence(log_likelihoods=np.log([1.0, 2.0]), labels=["a", "b"])
         assert ev.labels == ("a", "b")
         assert posterior_models(ev).labels == ("a", "b")
 
@@ -74,14 +68,14 @@ class TestEvidence:
             posterior_models(ev)
 
     def test_immutable(self):
-        ev = ModelEvidence(likelihoods=[1.0, 2.0])
+        ev = ModelEvidence(log_likelihoods=np.log([1.0, 2.0]))
         with pytest.raises(AttributeError, match="immutable"):
             ev.prior = np.array([1.0, 0.0])
 
 
 class TestBayesFactor:
     def test_ratio(self):
-        ev = ModelEvidence(likelihoods=[0.2, 0.6])
+        ev = ModelEvidence(log_likelihoods=np.log([0.2, 0.6]))
         assert bayes_factor(ev, 1, 0) == pytest.approx(3.0)
         assert bayes_factor(ev, 0, 1) == pytest.approx(1.0 / 3.0)
 
@@ -90,29 +84,29 @@ class TestBayesFactor:
         assert bayes_factor(ev, 0, 0) == 1.0
 
     def test_index_out_of_range(self):
-        ev = ModelEvidence(likelihoods=[1.0, 2.0])
+        ev = ModelEvidence(log_likelihoods=np.log([1.0, 2.0]))
         with pytest.raises(ValidationError):
             bayes_factor(ev, 2, 0)
 
 
 class TestChooseBaf:
     def test_argmax_likelihood(self):
-        ev = ModelEvidence(likelihoods=[0.2, 0.6, 0.1])
+        ev = ModelEvidence(log_likelihoods=np.log([0.2, 0.6, 0.1]))
         assert choose_baf(ev) == 1
 
     def test_ignores_prior(self):
         # the likelihood-ratio rule is prior-free by construction
-        ev = ModelEvidence(likelihoods=[0.2, 0.6], prior=[0.99, 0.01])
+        ev = ModelEvidence(log_likelihoods=np.log([0.2, 0.6]), prior=[0.99, 0.01])
         assert choose_baf(ev) == 1
 
     def test_tie_goes_to_smallest_index(self):
-        ev = ModelEvidence(likelihoods=[0.5, 0.5, 0.2])
+        ev = ModelEvidence(log_likelihoods=np.log([0.5, 0.5, 0.2]))
         assert choose_baf(ev) == 0
 
 
 class TestChooseEpl:
     def test_zero_one_table_matches_map(self):
-        ev = ModelEvidence(likelihoods=[0.2, 0.6, 0.1], prior=[0.3, 0.3, 0.4])
+        ev = ModelEvidence(log_likelihoods=np.log([0.2, 0.6, 0.1]), prior=[0.3, 0.3, 0.4])
         k, epl_vec = choose_epl(ev, DecisionTable.zero_one(3))
         post = posterior_models(ev)
         assert k == post.argmax()
@@ -123,14 +117,14 @@ class TestChooseEpl:
     def test_asymmetric_table_overrides_likelihood(self):
         # model 2 is more likely, but mistaking it for model 1 is cheap
         # while the reverse mistake is ruinous
-        ev = ModelEvidence(likelihoods=[0.4, 0.6])
+        ev = ModelEvidence(log_likelihoods=np.log([0.4, 0.6]))
         table = DecisionTable([[0.0, 1.0], [100.0, 0.0]])
         k, _ = choose_epl(ev, table)
         assert choose_baf(ev) == 1
         assert k == 0
 
     def test_epl_vector_hand_computed(self):
-        ev = ModelEvidence(likelihoods=[0.25, 0.75])
+        ev = ModelEvidence(log_likelihoods=np.log([0.25, 0.75]))
         table = DecisionTable([[0.0, 4.0], [2.0, 0.0]])
         k, epl_vec = choose_epl(ev, table)
         assert epl_vec[0] == pytest.approx(3.0)   # 4 * 0.75
@@ -138,7 +132,7 @@ class TestChooseEpl:
         assert k == 1
 
     def test_dimension_mismatch(self):
-        ev = ModelEvidence(likelihoods=[1.0, 2.0])
+        ev = ModelEvidence(log_likelihoods=np.log([1.0, 2.0]))
         with pytest.raises(ValidationError):
             choose_epl(ev, DecisionTable.zero_one(3))
 

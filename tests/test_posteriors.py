@@ -160,40 +160,6 @@ class TestLogMgfNeg:
         assert second == pytest.approx(post.moments()[1], abs=1e-4)
 
 
-class TestReweight:
-    def test_identity_weight(self):
-        post = SamplePosterior([1.0, 3.0], [0.5, 0.5])
-        out = post.reweight(lambda y: np.ones_like(y))
-        assert np.allclose(out.weights, post.weights)
-
-    def test_hand_normalization(self):
-        post = SamplePosterior([1.0, 3.0], [0.5, 0.5])
-        out = post.reweight(lambda y: y)
-        assert np.allclose(out.weights, [0.25, 0.75])
-
-    def test_size_biased_gamma_mean(self):
-        rng = np.random.default_rng(11)
-        post = SamplePosterior(rng.gamma(3.0, 1.0, size=200_000))
-        mean = post.reweight(lambda y: y).moments()[0]
-        assert mean == pytest.approx(4.0, abs=0.05)  # shape+1 over rate
-
-    @given(st.floats(0.1, 10.0))
-    @settings(max_examples=50, deadline=None)
-    def test_constant_weight_is_identity(self, c):
-        post = SamplePosterior([1.0, 2.0, 5.0], [0.2, 0.3, 0.5])
-        out = post.reweight(lambda y: np.full_like(y, c))
-        assert np.array_equal(out.weights, post.weights)
-
-    def test_all_zero_rejected(self):
-        post = SamplePosterior([1.0, 2.0])
-        with pytest.raises(ValidationError):
-            post.reweight(lambda y: np.zeros_like(y))
-
-    def test_scalar_weight_is_broadcast(self):
-        post = SamplePosterior([1.0, 2.0, 5.0], [0.2, 0.3, 0.5])
-        assert np.array_equal(post.reweight(lambda y: 2.0).weights, post.weights)
-
-
 class TestValidation:
     def test_gaussian_sd_positive(self):
         with pytest.raises(ValidationError):
@@ -447,13 +413,7 @@ class TestParameterRanges:
         (lambda: SamplePosterior([1.0, math.nan]), "draw values must be finite"),
         (lambda: SamplePosterior([1.0, 2.0], [1.0]), "weights must match values"),
         (lambda: GaussianPosterior(0.0, 1.0).log_mgf_neg(0.0), "psi must be finite"),
-        (lambda: SamplePosterior([1.0, 2.0]).reweight(lambda y: 1.5 - y),
-         "finite and >= 0 on all draws"),
-        # each product of weight and w(y) underflows to 0
-        (lambda: SamplePosterior([1.0, 2.0]).reweight(lambda y: np.where(y > 1.5, 5e-324, 0.0)),
-         "all-zero weights"),
-    ], ids=["mean-nan", "rate-0", "rate-inf", "draw-nan", "weights-shape", "psi-0",
-            "reweight-negative", "reweight-underflow"])
+    ], ids=["mean-nan", "rate-0", "rate-inf", "draw-nan", "weights-shape", "psi-0"])
     def test_refused(self, make, message):
         with pytest.raises(ValidationError, match=message):
             make()

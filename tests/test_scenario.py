@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from bayesdecide import ValidationError
+from bayesdecide import LossSpec, ValidationError
 from bayesdecide.scenario import (load_scenario, load_vector_draws, parse_ensemble,
                                   parse_evidence, parse_functional, parse_grid,
-                                  parse_int_grid, parse_weight)
+                                  parse_int_grid, parse_loss, parse_weight)
 
 
 def test_scenario_must_be_a_mapping(tmp_path):
@@ -35,6 +35,13 @@ class TestWeights:
     def test_unknown_name(self):
         with pytest.raises(ValidationError, match="weight: unknown name 'cube'"):
             parse_weight({"name": "cube"})
+
+
+def test_no_loss_is_sel():
+    assert parse_loss(None) == LossSpec.sel()
+    # a composition's parts are losses too
+    block = {"compose": "sum", "components": [None, {"family": "MTC", "params": {"rho": 1}}]}
+    assert parse_loss(block) == LossSpec.sum_of(LossSpec.sel(), LossSpec.mtc(1))
 
 
 def test_functional_unknown_name():

@@ -87,14 +87,6 @@ def test_beta_power_row_matches_quadrature(al, be, p, t):
     _check_row(BetaPosterior(al, be), Weight.power(p), t)
 
 
-def test_identity_is_power_one():
-    post = GammaPosterior(3.5, 2.0)
-    identity, power = Weight.identity(), Weight.power(1.0)
-    spec = LossSpec.weighted(identity, LossSpec.qtl(0.7))
-    assert post.tilt(identity.kind, identity.param) == post.tilt(power.kind, power.param)
-    assert optimize(spec, post).method.name == "tilted_posterior_quantile"
-
-
 @pytest.mark.parametrize("post", [GaussianPosterior(0.4, 1.3), GammaPosterior(3.5, 2.0)],
                          ids=str)
 def test_a_zero_exp_weight_is_no_weight(post):
@@ -107,7 +99,6 @@ def test_a_zero_exp_weight_is_no_weight(post):
 def test_weights_record_kind_and_parameter():
     assert (Weight.power(0.7).kind, Weight.power(0.7).param) == ("power", 0.7)
     assert (Weight.exp(-2.5).kind, Weight.exp(-2.5).param) == ("exp", -2.5)
-    assert (Weight.identity().kind, Weight.identity().param) == ("power", 1.0)
     bare = Weight(lambda y: 1.0 + y * y)
     assert (bare.kind, bare.param) == (None, None)
 
