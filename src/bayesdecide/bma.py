@@ -4,7 +4,7 @@ Under squared-error loss for every member, the optimal action is the
 posterior-probability-weighted combination of member means (closed
 form).  With arbitrary per-member losses, the mixture expected posterior
 loss is evaluated member-by-member, probability-weighted, and minimized
-numerically.
+numerically.  ``bma_predict`` picks between the two.
 """
 
 from __future__ import annotations
@@ -63,6 +63,15 @@ def bma_predict_sel(ens):
     value = _mixture_epl(ens, [sel] * len(ens.members), action)
     return engine.OptimalDecision(float(action), float(value),
                                   engine.SolverPath("closed_form", "bma_weighted_mean"))
+
+
+def bma_predict(ens):
+    """The BMA decision: ``bma_predict_sel`` when every member's loss is
+    squared error as ``engine.optimize`` reads it (MTC(2) is SEL), else
+    ``bma_predict_general``."""
+    if all(engine.loss_key(compose(m.loss).spec) == "SEL" for m in ens.members):
+        return bma_predict_sel(ens)
+    return bma_predict_general(ens)
 
 
 def bma_predict_general(ens):

@@ -221,10 +221,7 @@ def bma(scenario_path, out_dir, seed, fmt):
     """Bayesian-model-averaged prediction."""
     doc = _load(scenario_path, seed)
     ens = sc.parse_ensemble(doc.get("ensemble") or {}, doc["_base_dir"])
-    all_sel = all(m.loss.family == "SEL" for m in ens.members)
-    decision = (bma_mod.bma_predict_sel(ens) if all_sel
-                else bma_mod.bma_predict_general(ens))
-    _emit_decision(fmt, decision, doc["seed"], out_dir, "bma.csv")
+    _emit_decision(fmt, bma_mod.bma_predict(ens), doc["seed"], out_dir, "bma.csv")
 
 
 @main.command()

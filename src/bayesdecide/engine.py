@@ -1,43 +1,49 @@
 """Expected posterior loss and optimal decisions.
 
 Two flat tables hold the closed forms.  ``_ACTIONS`` maps a leaf loss key
-(see ``_loss_key``) to the name and formula of its optimal action (mean,
-median, mode, quantile, LINEX log-MGF, 1/E(1/Y)); each formula is valid on
-every posterior ``optimize`` accepts.  ``_EPLS`` maps (posterior type, loss
-key) to the expected posterior loss EPL(a) in closed form: on Gaussian,
-Gamma and Beta posteriors, and for SEL, MTC(1) and QTL on draws, where it
-is read off the cloud's running sums in O(log n); the absolute and pinball
-rows take the posterior's own linear-loss integrals, ``post.linear_loss``.
-A sum's EPL is the sum of its parts' EPLs (linearity).  The conjugate
-tilts live on the posteriors too: ``post.tilt(Weight.kind, Weight.param)``
-returns (log Z, the tilted posterior w p / Z), with Z = E w(Y), where the
-family is closed under the weight, and None otherwise (see
-``posteriors``).  Since E w(Y) L(a, Y) = Z E_w L(a, Y), a weighted loss on
-those pairs is its base loss on the tilted posterior: ``optimize`` takes
-the base's closed-form action (path ``tilted_<name>``) and ``epl`` returns
-Z times the base's EPL.  So ``epl`` answers these without quadrature or a
-pass over the draws, whichever caller asks: ``optimize``, its numeric
-search, or the BMA mixture.  Every other EPL (the other losses on draws,
-other compositions, weights without a tilt, PTL, MTC(rho) with rho not in
-{1, 2}) is ``post.expect`` of the loss: a weighted sum on draws,
-quadrature otherwise; weighted SEL without a tilt takes the reweighted
-mean E w(Y) Y / E w(Y).  ``epl`` refuses an action that is not finite, and
-raises ``NumericError`` when a closed form or Z overflows (or Z
-underflows), as the sum and the quadrature do.
+(see ``loss_key``) to the name and formula of its optimal action (mean,
+median, mode, quantile, LINEX log-MGF, 1/E(1/Y), PWD's power mean
+(E Y^-lam)^(-1/lam) from the posterior's ``log_moment`` and ``mean_log``,
+with the rows ``PWD+1`` and ``PWD-1`` for lam = 1 and -1); each formula
+is valid on every posterior ``optimize`` accepts.  ``_EPLS`` maps
+(posterior type, loss key) to the expected posterior loss EPL(a) in
+closed form: on Gaussian, Gamma and Beta posteriors, and for SEL, MTC(1)
+and QTL on draws, where it is read off the cloud's running sums in
+O(log n); the absolute and pinball rows take the posterior's own
+linear-loss integrals, ``post.linear_loss``.  A sum's EPL is the sum of
+its parts' EPLs (linearity).  The conjugate tilts live on the posteriors
+too: ``post.tilt(Weight.kind, Weight.param)`` returns (log Z, the tilted
+posterior w p / Z), with Z = E w(Y), where the family is closed under
+the weight, and None otherwise (see ``posteriors``).  Since
+E w(Y) L(a, Y) = Z E_w L(a, Y), a weighted loss on those pairs is its
+base loss on the tilted posterior: ``optimize`` takes the base's
+closed-form action (path ``tilted_<name>``) and ``epl`` returns Z times
+the base's EPL.  So ``epl`` answers these without quadrature or a pass
+over the draws, whichever caller asks: ``optimize``, its numeric search,
+or the BMA mixture.  Every other EPL (the other losses on draws, other
+compositions, weights without a tilt, PTL, MTC(rho) with rho not in {1,
+2}, PWD(lam) with lam not in {1, -1}) is ``post.expect`` of the loss: a
+weighted sum on draws, quadrature otherwise; weighted SEL without a tilt
+takes the reweighted mean E w(Y) Y / E w(Y).  ``epl`` refuses an action
+that is not finite, and raises ``NumericError`` when a closed form or Z
+overflows (or Z underflows), as the sum and the quadrature do.
 
-``optimize`` minimizes the EPL numerically when no closed form applies,
-through ``minimize``: bracket by geometric expansion from the posterior
-median, then search the bracket.  The search is Brent's method
-(parabolic interpolation guarded by golden-section steps) whenever
-the EPL is unimodal: on a parametric posterior, and on draws for a
-convex loss (``LossFunction.convex``).  It stops once a short step finds an
-EPL tied to rounding with the best one, or else at a 1e-10 relative
-width.  A nonconvex loss on draws (MTC(rho < 1), 0-1) has a local minimum
-at every draw, so there the search is plain golden section, which
-interpolates nothing, down to the 1e-10 relative width.
+A radial loss (``LossFunction.radial``) without a row takes the centre of
+a symmetric unimodal posterior, ``post.symmetric_centre()`` (Anderson
+1955).  Otherwise ``optimize`` minimizes the EPL numerically, through
+``minimize``: bracket by geometric expansion from the posterior median,
+then search the bracket.  The search is Brent's method (parabolic
+interpolation guarded by golden-section steps) whenever the EPL is
+unimodal: on a parametric posterior, and on draws for a convex loss
+(``LossFunction.convex``).  It stops once a short step finds an EPL tied
+to rounding with the best one, or else at a 1e-10 relative width.  A
+nonconvex loss on draws (MTC(rho < 1), 0-1) has a local minimum at every
+draw, so there the search is plain golden section, which interpolates
+nothing, down to the 1e-10 relative width.
 
-Also: functional prediction, and the lower envelope of tail-risk curves
-over actions (one action's curve is its one-action envelope).
+Also: functional prediction (the quantile of a monotone g(Y) in closed
+form), and the lower envelope of tail-risk curves over actions (one
+action's curve is its one-action envelope).
 """
 
 from __future__ import annotations
@@ -126,7 +132,7 @@ def _epl(lossfn, post, a):
             if not z >= sys.float_info.min:
                 raise NumericError(f"the weight's posterior mass exp({log_z!r}) underflows")
             return _finite(z * _epl(lossfn.parts[0], tilted, a), a)
-    closed = _EPLS.get((type(post), _loss_key(spec)))
+    closed = _EPLS.get((type(post), loss_key(spec)))
     if closed is not None:
         return _finite(closed(post, spec.params, a), a)
     # a itself is a potential kink of y -> L(a, y) (absolute/pinball losses)
@@ -310,6 +316,19 @@ def _inverse_mean_reciprocal(post, prm):
     return 1.0 / post.expect(lambda y: 1.0 / np.asarray(y, dtype=float))
 
 
+def _power_mean(post, prm):
+    """The PWD(lam) action (E Y^-lam)^(-1/lam), exp(E log Y) at lam = 0.
+
+    The EPL's derivative in a is E((a/Y)^lam - 1)/lam, which vanishes there
+    (Cressie & Read 1984).  At lam = 1 and -1 the rows ``PWD+1`` and
+    ``PWD-1`` take it as 1/E(1/Y) and E Y.
+    """
+    lam = prm["lam"]
+    if abs(lam) < 1e-30:  # the next term, lam Var(log Y) / 2, is below rounding
+        return math.exp(post.mean_log())
+    return math.exp(post.log_moment(-lam) / -lam)
+
+
 # the optimal action of each loss key, valid on every posterior type:
 # (SolverPath name, action(post, params))
 _ACTIONS = {
@@ -322,6 +341,7 @@ _ACTIONS = {
     "GAM": ("inverse_mean_reciprocal", _inverse_mean_reciprocal),
     "PWD+1": ("inverse_mean_reciprocal", _inverse_mean_reciprocal),
     "PWD-1": ("posterior_mean", lambda post, prm: post.moments()[0]),
+    "PWD": ("power_mean", _power_mean),
 }
 
 
@@ -416,21 +436,23 @@ def _tilt(spec, post):
     return post.tilt(w.kind, w.param)
 
 
-def _loss_key(spec):
-    """The table key of a leaf loss spec, or None; MTC(2) is SEL."""
+def loss_key(spec):
+    """The table key of a leaf loss spec, or None; MTC(2) is SEL, and PWD
+    at lam = 1 and -1 has its own rows."""
     if not isinstance(spec, LossSpec) or spec.family is None:
         return None
     fam, prm = spec.family, spec.params
     if fam == "MTC":
         return {2.0: "SEL", 1.0: "MTC1"}.get(prm.get("rho"))
     if fam == "PWD":
-        return {1.0: "PWD+1", -1.0: "PWD-1"}.get(prm.get("lam"))
+        return {1.0: "PWD+1", -1.0: "PWD-1"}.get(prm["lam"], "PWD")
     return fam if fam in _ACTIONS else None
 
 
-def _closed_form(spec, post):
-    """Return (action, name) when the spec has a known optimal predictor."""
-    key = _loss_key(spec)
+def _closed_form(lossfn, post):
+    """Return (action, name) when the loss has a known optimal predictor."""
+    spec = lossfn.spec
+    key = loss_key(spec)
     if key is not None:
         name, action = _ACTIONS[key]
         return action(post, spec.params), name
@@ -441,14 +463,20 @@ def _closed_form(spec, post):
             return post.moments()[0], "posterior_mean"
         tilt = _tilt(spec, post)
         if tilt is not None:
-            hit = _closed_form(base, tilt[1])
+            hit = _closed_form(lossfn.parts[0], tilt[1])
             return None if hit is None else (hit[0], f"tilted_{hit[1]}")
-        if _loss_key(base) == "SEL":
+        if loss_key(base) == "SEL":
             num = post.expect(lambda y: w(y) * y)
             den = post.expect(w)
             if den <= 0:
                 raise NumericError("weight function has nonpositive posterior mass")
             return num / den, "reweighted_mean"
+    if lossfn.radial:
+        # E phi(|a - Y|) is least at the centre of a symmetric unimodal
+        # posterior (Anderson 1955)
+        centre = post.symmetric_centre()
+        if centre is not None:
+            return centre, "symmetric_centre"
     return None
 
 
@@ -457,7 +485,7 @@ def optimize(loss, post, force_numeric=False):
     lossfn = compose(loss)
     _check_domain(lossfn, post)
     if not force_numeric:
-        hit = _closed_form(lossfn.spec, post)
+        hit = _closed_form(lossfn, post)
         if hit is not None:
             action, name = hit
             return OptimalDecision(float(action), epl(lossfn, post, action),
@@ -511,12 +539,15 @@ def optimize_functional(loss, post, g):
 
     ``g`` maps a float array of y values to g(y) elementwise.  On a
     parametric posterior, g is evaluated once on a fixed grid over
-    ``post.support()``, widened to the quadrature's outermost nodes.  Every
-    ``post.expect`` (the start E g(Y), which is SEL's answer, and each EPL)
-    is cut at the jumps of g the grid shows (``_jumps``), and each EPL but
-    SEL's also where g(y) = a: at each sign change of g - a on the grid,
-    refined by bisection.  The search is Brent's, as for every loss on a
-    parametric posterior.
+    ``post.support()``, widened to the quadrature's outermost nodes.  Where
+    the grid shows no jump of g, and g finite and strictly monotone at every
+    grid point, QTL(q) and MTC(1) take the quantile of g(Y): g(F^-1(q)), or
+    g(F^-1(1 - q)) for a decreasing g, with one EPL cut at that quantile
+    (path ``pushforward_quantile``).  Otherwise every ``post.expect`` (the
+    start E g(Y), which is SEL's answer, and each EPL) is cut at the jumps
+    of g the grid shows (``_jumps``), and each EPL but SEL's also where g(y)
+    = a: at each sign change of g - a on the grid, refined by bisection.
+    The search is Brent's, as for every loss on a parametric posterior.
     """
     lossfn = compose(loss)
     if isinstance(post, SamplePosterior):
@@ -533,8 +564,18 @@ def optimize_functional(loss, post, g):
     with np.errstate(all="ignore"):
         gy = np.asarray(g(y), dtype=float)
         jumps = _jumps(g, y, gy)
+    key = loss_key(lossfn.spec)
+    if key in ("QTL", "MTC1") and not jumps:
+        rise = np.diff(gy)
+        if np.all(np.isfinite(gy)) and (np.all(rise > 0) or np.all(rise < 0)):
+            # a quantile commutes with a monotone map
+            q = lossfn.spec.params["q"] if key == "QTL" else 0.5
+            y_q = post.quantile(q if rise[0] > 0 else 1.0 - q)
+            a = float(np.asarray(g(np.array([y_q])), dtype=float)[0])
+            return OptimalDecision(a, post.expect(h(a), breakpoints=(y_q,)),
+                                   SolverPath("closed_form", "pushforward_quantile"))
     x0 = post.expect(lambda y: np.asarray(g(y), dtype=float), breakpoints=jumps)
-    if _loss_key(lossfn.spec) == "SEL":
+    if key == "SEL":
         # squared error has no kink at g(y) = a: its one EPL needs no more cuts
         return OptimalDecision(float(x0), post.expect(h(x0), breakpoints=jumps),
                                SolverPath("closed_form", "pushforward_mean"))

@@ -23,6 +23,13 @@ minimizer interpolate (``LossFunction.convex``).  Convex: SEL, MTC(rho
 convex parts.  Not convex: MTC(rho < 1), ZERO_ONE, a custom potential
 density, power(p < 1).
 
+Each row also says whether L(a, y) is radial, phi(|a - y|) with phi
+nondecreasing (``LossFunction.radial``): under such a loss the Bayes
+action on a symmetric unimodal posterior is its centre (Anderson 1955).
+Radial: MTC, SEL, ZERO_ONE and PTL of a generalized Gaussian; and sum,
+product, power and exp_minus_one of radial parts.  Not radial: QTL, LNX,
+PWD, GAM, a custom potential density and every weighted loss.
+
 Two tables, ``_FAMILIES`` and ``_COMPOSITIONS``, give each family and
 composition one row: parameter names, evaluator and metadata.  ``_RANGES``
 states each parameter's range once.  A ``LossSpec`` is checked against its
@@ -207,8 +214,9 @@ def _weighted(parts, weight, a, y):
 # ---------------------------------------------------------------------------
 # the two tables
 
-_Family = namedtuple("_Family", "params evaluate differentiable convex positive_domain")
-_Composition = namedtuple("_Composition", "count params evaluate differentiable convex")
+_Family = namedtuple("_Family",
+                     "params evaluate differentiable convex positive_domain radial")
+_Composition = namedtuple("_Composition", "count params evaluate differentiable convex radial")
 _ALWAYS, _NEVER = (lambda prm: True), (lambda prm: False)
 
 
@@ -220,20 +228,23 @@ def _gg_omega(prm):
 
 # family -> (parameter names in evaluator order, evaluate(*params, a, y),
 #            differentiable(params), convex(params) in a for every y,
-#            positive_domain)
+#            positive_domain, radial(params))
 _FAMILIES = {
     "MTC": _Family(("rho",), eval_mtc, lambda prm: prm["rho"] > 1,
-                   lambda prm: prm["rho"] >= 1, False),
-    "SEL": _Family((), functools.partial(eval_mtc, 2.0), _ALWAYS, _ALWAYS, False),
-    "ZERO_ONE": _Family((), eval_zero_one, _NEVER, _NEVER, False),
-    "QTL": _Family(("q",), eval_qtl, _NEVER, _ALWAYS, False),
-    "LNX": _Family(("psi",), eval_linex, _ALWAYS, _ALWAYS, False),
+                   lambda prm: prm["rho"] >= 1, False, _ALWAYS),
+    "SEL": _Family((), functools.partial(eval_mtc, 2.0), _ALWAYS, _ALWAYS, False, _ALWAYS),
+    "ZERO_ONE": _Family((), eval_zero_one, _NEVER, _NEVER, False, _ALWAYS),
+    "QTL": _Family(("q",), eval_qtl, _NEVER, _ALWAYS, False, _NEVER),
+    "LNX": _Family(("psi",), eval_linex, _ALWAYS, _ALWAYS, False, _NEVER),
+    # |a - y|^omega for a generalized Gaussian; a custom density need not be
+    # symmetric or decreasing in |u|
     "PTL": _Family(("density",), eval_potential,
-                   lambda prm: _gg_omega(prm) > 1, lambda prm: _gg_omega(prm) >= 1, False),
+                   lambda prm: _gg_omega(prm) > 1, lambda prm: _gg_omega(prm) >= 1, False,
+                   lambda prm: _gg_omega(prm) > 0),
     # y phi_lam(a / y) has second derivative (a / y)^(lam - 1) / y > 0 in a
-    "PWD": _Family(("lam",), eval_pwd, _ALWAYS, _ALWAYS, True),
+    "PWD": _Family(("lam",), eval_pwd, _ALWAYS, _ALWAYS, True, _NEVER),
     # (nu - 1) / a^2 > 0, as nu > 1
-    "GAM": _Family(("alpha", "nu"), eval_gam, _ALWAYS, _ALWAYS, True),
+    "GAM": _Family(("alpha", "nu"), eval_gam, _ALWAYS, _ALWAYS, True, _NEVER),
 }
 
 # composition -> (component count, None for one or more; parameter names;
@@ -241,22 +252,24 @@ _FAMILIES = {
 #                 convex(params), each when every part is).  Every convex leaf
 # is >= 0, is 0 at a = y and is monotone on each side of y, and so is every
 # convex composition; so on each side of y two parts f, g have f'g' >= 0, and
-# their product (fg)'' = f''g + 2f'g' + fg'' >= 0 stays convex
+# their product (fg)'' = f''g + 2f'g' + fg'' >= 0 stays convex.  Sums,
+# products, powers and expm1 of nonnegative nondecreasing phi(|a - y|) are
+# too, so they keep radial parts radial; a weight w(y) does not
 _COMPOSITIONS = {
-    "weighted": _Composition(1, ("weight",), _weighted, _ALWAYS, _ALWAYS),
+    "weighted": _Composition(1, ("weight",), _weighted, _ALWAYS, _ALWAYS, _NEVER),
     "sum": _Composition(None, (), lambda parts, a, y: sum(p(a, y) for p in parts),
-                        _ALWAYS, _ALWAYS),
+                        _ALWAYS, _ALWAYS, _ALWAYS),
     "product": _Composition(None, (), lambda parts, a, y: functools.reduce(
-        operator.mul, (p(a, y) for p in parts)), _ALWAYS, _ALWAYS),
+        operator.mul, (p(a, y) for p in parts)), _ALWAYS, _ALWAYS, _ALWAYS),
     # (L)^p with p < 1 has an unbounded derivative where L = 0, and is
     # concave on each side of y when L is linear there.  A loss is >= 0, but
     # PWD rounds to about -eps * a near a = y, and a fractional power of that
     # is NaN, so the base is clamped at 0
     "power": _Composition(1, ("p",),
                           lambda parts, p, a, y: np.maximum(parts[0](a, y), 0.0) ** p,
-                          lambda prm: prm["p"] >= 1, lambda prm: prm["p"] >= 1),
+                          lambda prm: prm["p"] >= 1, lambda prm: prm["p"] >= 1, _ALWAYS),
     "exp_minus_one": _Composition(1, (), lambda parts, a, y: np.expm1(parts[0](a, y)),
-                                  _ALWAYS, _ALWAYS),
+                                  _ALWAYS, _ALWAYS, _ALWAYS),
 }
 
 
@@ -406,6 +419,8 @@ class LossFunction:
     # L(., y) is convex for every y, so every EPL is convex in a
     convex: bool = False
     parts: tuple = ()  # a composition's composed components; () for a family
+    # L(a, y) = phi(|a - y|) with phi nondecreasing
+    radial: bool = False
 
     def __post_init__(self):
         if len(self.parts) != len(self.spec.components):  # _epl sums or tilts these
@@ -425,11 +440,12 @@ def compose(spec):
         row = _FAMILIES[spec.family]
         evaluate = functools.partial(row.evaluate, *(prm[k] for k in row.params))
         return LossFunction(spec, evaluate, row.differentiable(prm), row.positive_domain,
-                            row.convex(prm))
+                            row.convex(prm), radial=row.radial(prm))
     row = _COMPOSITIONS[spec.compose]
     parts = tuple(compose(c) for c in spec.components)
     evaluate = functools.partial(row.evaluate, parts, *(prm[k] for k in row.params))
     return LossFunction(spec, evaluate,
                         row.differentiable(prm) and all(p.differentiable for p in parts),
                         any(p.positive_domain for p in parts),
-                        row.convex(prm) and all(p.convex for p in parts), parts)
+                        row.convex(prm) and all(p.convex for p in parts), parts,
+                        row.radial(prm) and all(p.radial for p in parts))

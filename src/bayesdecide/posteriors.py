@@ -17,7 +17,14 @@ the one rule built on ``lower``.  ``tilt(Weight.kind, Weight.param)`` is
 (log Z, the tilted posterior w p / Z), Z = E w(Y), where the family is
 closed under the weight w: Gaussian x exp(c), Gamma x exp(c < rate),
 Gamma x power(p) with shape + p > 1 and Beta x power(p) with a + p > 0;
-otherwise, and always on draws, it is None.
+otherwise, and always on draws, it is None.  The posteriors that live on
+y > 0 (Gamma, Beta, draws) state ``log_moment(p)``, log E Y^p, and
+``mean_log()``, E log Y, which PWD's power-mean action reads and the power
+tilt takes its log Z from; ``log_moment`` raises ``NumericError`` where
+E Y^p diverges (p <= -shape on a Gamma, p <= -a on a Beta).
+``symmetric_centre()`` is the centre of a symmetric unimodal density (a
+Gaussian's mean, 0.5 for Beta(a, a) with a >= 1), or None: there a radial
+loss takes its Bayes action (Anderson 1955).
 ``SamplePosterior`` additionally reads the expected squared and linear
 losses off sums it builds once (``squared_loss``, ``linear_loss``); a
 cloud reweighted by w(y) is ``SamplePosterior(values, weights * w(values))``.
@@ -62,6 +69,14 @@ _TS_T = np.arange(-96, 97) / 16.0
 _TS_LOWER = _TS_T < 0.0  # nodes placed from the lower end
 # The rule's acceptance tolerance, the QUADPACK fallback's epsabs and epsrel.
 _EPSABS, _EPSREL = 1e-13, 1e-11
+# log Gamma(x + p) - log Gamma(x) is the plain lgamma difference while x and
+# both values lie within _LGAMMA_SPAN |p|: then neither their rounding nor
+# that of x + p comes to 1e-13 |p|
+_LGAMMA_SPAN = 200.0
+# Stirling's series log Gamma(x) = (x - 1/2) log x - x + log(2 pi) / 2 +
+# sum_j c_j x^(1 - 2j) with c_j = B_2j / (2j (2j - 1)), j = 1..7: at x >= 10
+# the first term left out is below 3e-17
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 
 
 @functools.cache
@@ -96,6 +111,40 @@ def _check_moments(post, *names):
     if not finite:
         given = ", ".join(f"{n}={getattr(post, n)!r}" for n in names)
         raise ValidationError(f"the mean or variance is not a finite float for {given}")
+
+
+def _log_rising(x, p):
+    """log Gamma(x + p) - log Gamma(x) for x > 0 and x + p > 0.
+
+    Where x or the two lgamma values are large against p (a large shape, or
+    p near 0), their difference cancels and x + p rounds off digits of p;
+    scipy's ``poch`` is that difference below x = 1e4.  There the recurrence
+    log Gamma(x + p) - log Gamma(x) = log Gamma(x + 1 + p) - log Gamma(x + 1)
+    - log((x + p) / x) moves x and x + p up to at least 10, and Stirling's
+    series is differenced term by term: (x - 1/2) log1p(p/x) - p + p log(x +
+    p), and c_j x^(1 - 2j) expm1((1 - 2j) log1p(p/x)).  No term cancels, so
+    the result is within a few eps of max(|p|, its value).
+    """
+    lo, hi = math.lgamma(x), math.lgamma(x + p)
+    if max(abs(lo), abs(hi), x) <= _LGAMMA_SPAN * abs(p):
+        return hi - lo
+    total = 0.0
+    while x + min(p, 0.0) < 10.0:
+        # x + p is exact where |p| >= x / 2 and p < 0, and then log1p(p / x)
+        # would lose digits to the rounding of p / x near -1
+        total -= math.log1p(p / x) if abs(p) < 0.5 * x else math.log((x + p) / x)
+        x += 1.0
+    step = math.log1p(p / x)
+    total += (x - 0.5) * step - p + p * math.log(x + p)
+    for j, c in enumerate(_STIRLING, start=1):
+        total += c * x ** (1 - 2 * j) * math.expm1((1 - 2 * j) * step)
+    return total
+
+
+def _check_moment(post, p, first):
+    """Refuse p where E Y^p diverges, that is where ``first`` + p <= 0."""
+    if not first + p > 0:
+        raise NumericError(f"E(Y^{p!r}) diverges on {post}: p must exceed {-first!r}")
 
 
 def almost_surely_positive(post):
@@ -147,6 +196,10 @@ class GaussianPosterior:
 
     def expect(self, h, breakpoints=()):
         return _quad_expect(self, h, breakpoints)
+
+    def symmetric_centre(self):
+        """The mean: the density is symmetric and unimodal about it."""
+        return self.mean
 
     def log_mgf_neg(self, psi):
         _check_psi(psi)
@@ -238,6 +291,19 @@ class GammaPosterior:
             )
         return -self.shape * math.log1p(psi / self.rate)
 
+    def log_moment(self, p):
+        """log E Y^p = log(Gamma(k + p) / Gamma(k)) - p log r."""
+        _check_moment(self, p, self.shape)
+        return _log_rising(self.shape, p) - p * math.log(self.rate)
+
+    def mean_log(self):
+        """E log Y = digamma(k) - log r."""
+        return float(_special.digamma(self.shape)) - math.log(self.rate)
+
+    def symmetric_centre(self):
+        """None: a Gamma density is skewed."""
+        return None
+
     def linear_loss(self, a):
         """(E(a - Y)^+, E(Y - a)^+) from P(k, r a) and P(k + 1, r a), as
         E(Y I(Y < a)) = m P(k + 1, r a)."""
@@ -259,11 +325,10 @@ class GammaPosterior:
                         GammaPosterior(self.shape, self.rate - p))
         elif kind == "power":
             # y^p y^(k-1) e^{-ry} is a Gamma(k + p, r) kernel; GammaPosterior
-            # needs shape > 1.  E Y^p = Gamma(k + p) / (Gamma(k) r^p)
+            # needs shape > 1
             k = self.shape + p
             if k > 1:
-                return (math.lgamma(k) - math.lgamma(self.shape) - p * math.log(self.rate),
-                        GammaPosterior(k, self.rate))
+                return self.log_moment(p), GammaPosterior(k, self.rate)
         return None
 
 
@@ -333,6 +398,20 @@ class BetaPosterior:
             raise NumericError(f"E(exp{{-psi*Y}}) on {self} with psi={psi}: 1F1 overflows")
         return shift + math.log(mgf)
 
+    def log_moment(self, p):
+        """log E Y^p = log(B(a + p, b) / B(a, b)), as (Gamma(a + p) / Gamma(a))
+        / (Gamma(a + b + p) / Gamma(a + b))."""
+        _check_moment(self, p, self.a)
+        return _log_rising(self.a, p) - _log_rising(self.a + self.b, p)
+
+    def mean_log(self):
+        """E log Y = digamma(a) - digamma(a + b)."""
+        return float(_special.digamma(self.a) - _special.digamma(self.a + self.b))
+
+    def symmetric_centre(self):
+        """0.5 for Beta(a, a) with a >= 1; a U-shaped Beta(a, a) is bimodal."""
+        return 0.5 if self.a == self.b and self.a >= 1 else None
+
     def linear_loss(self, a):
         """(E(a - Y)^+, E(Y - a)^+) as on a Gamma: E(Y I(Y < a)) = m I_x(al + 1, be)
         at x = min(a, 1)."""
@@ -350,9 +429,7 @@ class BetaPosterior:
         # y^p y^(a-1) (1 - y)^(b-1) is a Beta(a + p, b) kernel, integrable for a + p > 0
         if kind != "power" or not self.a + p > 0:
             return None
-        a = self.a + p
-        return (float(_special.betaln(a, self.b) - _special.betaln(self.a, self.b)),
-                BetaPosterior(a, self.b))
+        return self.log_moment(p), BetaPosterior(self.a + p, self.b)
 
 
 def _hyp1f1_positive(a, c, z):
@@ -493,6 +570,33 @@ class SamplePosterior:
         """None: draws are not tilted, since a reweighted cloud sorts its draws
         again, which costs more than the weighted sum it would save."""
         return None
+
+    def symmetric_centre(self):
+        """None: between draws a nonconvex loss has a local minimum at each."""
+        return None
+
+    def _log_draws(self):
+        """(log y - m, m), m the weighted mean of log y; every draw must be > 0."""
+        if not self.lower > 0:
+            raise ValidationError(f"log y needs draws > 0, the least is {self.lower!r}")
+        log_y = np.log(self.values)
+        m = float(np.dot(self.weights, log_y))
+        return log_y - m, m
+
+    def log_moment(self, p):
+        """log E Y^p = p m + log sum w e^(p d), d = log y - m about the weighted
+        mean m of log y: while every p d <= 1, as log1p(sum w expm1(p d)),
+        which keeps its digits as p nears 0; otherwise as a log-sum-exp
+        shifted by the largest p d, whose rounding is then below eps |p| max d."""
+        d, m = self._log_draws()
+        z = p * d
+        top = float(z.max())
+        if top <= 1.0:
+            return p * m + math.log1p(float(np.dot(self.weights, np.expm1(z))))
+        return p * m + top + math.log(float(np.dot(self.weights, np.exp(z - top))))
+
+    def mean_log(self):
+        return self._log_draws()[1]
 
     def quantile(self, q):
         """Left-continuous inverse CDF: smallest y with CDF(y) >= q."""

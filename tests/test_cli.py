@@ -162,7 +162,7 @@ loss: {family: PWD, params: {lam: 2.0}}
         assert result.exit_code == 3, (result.output, result.exception)
         assert "Traceback" not in result.output
         assert "numeric failure" in result.output
-        assert "quadrature of h on" in result.output
+        assert "E(Y^-2.0) diverges" in result.output
 
     @pytest.mark.parametrize("loss", ["{family: GAM, params: {alpha: 1, nu: 2}}",
                                       "{family: PWD, params: {lam: 0.5}}"])
@@ -373,6 +373,24 @@ ensemble:
         action = float(result.output.splitlines()[0].split()[1])
         assert action == pytest.approx(2.8)
         assert "bma_weighted_mean" in result.output
+
+    def test_mtc_two_members_take_the_weighted_mean(self, runner, tmp_path):
+        # MTC(2) is squared error, as optimize reads it
+        scenario = write(tmp_path, "s.yaml", """
+ensemble:
+  members:
+    - label: a
+      posterior: {kind: gaussian, mean: 0.0, sd: 1.0}
+      loss: {family: MTC, params: {rho: 2.0}}
+    - label: b
+      posterior: {kind: gaussian, mean: 4.0, sd: 2.0}
+      loss: {family: MTC, params: {rho: 2}}
+  probabilities: [0.3, 0.7]
+""")
+        result = runner.invoke(main, ["bma", "--scenario", scenario])
+        assert result.exit_code == 0, result.output
+        assert float(result.output.splitlines()[0].split()[1]) == pytest.approx(2.8)
+        assert "closed_form(bma_weighted_mean)" in result.output
 
     def test_general_path_for_mixed_losses(self, runner, tmp_path):
         scenario = write(tmp_path, "s.yaml", """

@@ -320,9 +320,10 @@ class TestBrent:
 
     def test_numeric_optimize_reports_brent_and_its_epl(self):
         post = GammaPosterior(3.0, 1.5)
-        for spec in (LossSpec.mtc(1.5), LossSpec.pwd(0.5),
-                     LossSpec.power_of(LossSpec.qtl(0.6), 1.5)):
-            d = optimize(spec, post)
+        # PWD(0.5) has its power mean in closed form, so its search is forced
+        for spec, force in ((LossSpec.mtc(1.5), False), (LossSpec.pwd(0.5), True),
+                            (LossSpec.power_of(LossSpec.qtl(0.6), 1.5), False)):
+            d = optimize(spec, post, force_numeric=force)
             assert d.method.name == "brent"
             assert d.epl == epl(spec, post, d.action)
 
@@ -344,7 +345,10 @@ class TestGoldenPath:
         assert (d.action, d.epl) == (action, value)
 
     def test_same_loss_on_a_gaussian_uses_brent(self):
-        assert optimize(LossSpec.mtc(0.5), GaussianPosterior(1.0, 2.0)).method.name == "brent"
+        # unforced, a radial loss takes the Gaussian's centre
+        post = GaussianPosterior(1.0, 2.0)
+        assert optimize(LossSpec.mtc(0.5), post).method.name == "symmetric_centre"
+        assert optimize(LossSpec.mtc(0.5), post, force_numeric=True).method.name == "brent"
 
 
 def _positive_weighted(spec):
@@ -462,12 +466,12 @@ class TestNumericEdges:
 
     @pytest.mark.parametrize("y", [1e-3, 2.5, 1234.5678])
     def test_single_draw_under_pwd_returns_the_draw(self, y):
-        # near a = y the loss is a difference of terms of size a, so its
-        # value carries a rounding error of about eps * a and its zero is
-        # resolved to about sqrt(eps) * y
+        # the power mean of one draw is exp(log y); near a = y the loss is a
+        # difference of terms of size a, so its value carries a rounding
+        # error of about eps * a
         d = optimize(LossSpec.pwd(0.5), SamplePosterior([y]))
-        assert d.method.name == "brent"
-        assert abs(d.action - y) <= 1e-7 * y
+        assert d.method.name == "power_mean"
+        assert abs(d.action - y) <= 4e-16 * y
         assert abs(d.epl) <= 1e-15 * y
 
     PARETO = SamplePosterior(1.0 + np.random.default_rng(7).pareto(1.2, 3000),

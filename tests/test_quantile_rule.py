@@ -171,7 +171,8 @@ def test_inverse_mean_on_gamma_matches_closed_form(shape, rate):
     (L.mtc(1.5), GammaPosterior(1.5, 2.0)),
 ], ids=["mtc-half", "ptl", "pwd-half", "sum", "product", "power", "mtc-gamma"])
 def test_numeric_search_needs_no_fallback(fallbacks, spec, post):
-    decision = optimize(spec, post)
+    # forced: PWD takes its power mean, and a radial loss the Gaussian's centre
+    decision = optimize(spec, post, force_numeric=True)
     assert decision.method.kind == "numeric"
     assert fallbacks == []
     lossfn = compose(spec)
