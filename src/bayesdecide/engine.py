@@ -1,16 +1,17 @@
 """Expected posterior loss and optimal decisions.
 
 Two flat tables hold the closed forms.  ``_ACTIONS`` maps a leaf loss key
-(see ``loss_key``) to the name and formula of its optimal action (mean,
-median, mode, quantile, LINEX log-MGF, 1/E(1/Y), PWD's power mean
-(E Y^-lam)^(-1/lam) from the posterior's ``log_moment`` and ``mean_log``,
-with the rows ``PWD+1`` and ``PWD-1`` for lam = 1 and -1); each formula
-is valid on every posterior ``optimize`` accepts.  ``_EPLS`` maps
-(posterior type, loss key) to the expected posterior loss EPL(a) in
-closed form: on Gaussian, Gamma and Beta posteriors, and for SEL, MTC(1)
-and QTL on draws, where it is read off the cloud's running sums in
-O(log n); the absolute and pinball rows take the posterior's own
-linear-loss integrals, ``post.linear_loss``.  A sum's EPL is the sum of
+(see ``loss_key``) to the name and formula of its optimal action: mean,
+median, mode, quantile, LINEX log-MGF, 1/E(1/Y) (one weighted pass on
+draws, else from the posterior's ``log_moment``) and PWD's power mean
+(E Y^-lam)^(-1/lam) from ``log_moment`` and ``mean_log``, with the rows
+``PWD+1`` and ``PWD-1`` for lam = 1 and -1.  Each formula is valid on
+every posterior ``optimize`` accepts.  ``_EPLS`` maps (posterior type,
+loss key) to the expected posterior loss EPL(a) in closed form: on
+Gaussian, Gamma and Beta posteriors, and for SEL, MTC(1) and QTL on
+draws, where it is read off the cloud's running sums in O(log n); the
+absolute and pinball rows take the posterior's own linear-loss integrals,
+``post.linear_loss``.  A sum's EPL is the sum of
 its parts' EPLs (linearity).  The conjugate tilts live on the posteriors
 too: ``post.tilt(Weight.kind, Weight.param)`` returns (log Z, the tilted
 posterior w p / Z), with Z = E w(Y), where the family is closed under
@@ -309,11 +310,12 @@ def minimize(f, x0, positive, unimodal=True):
 
 
 def _inverse_mean_reciprocal(post, prm):
-    """1 / E(1/Y | z): in closed form on a Gamma, E(1/Y) = rate / (shape - 1)."""
-    if isinstance(post, GammaPosterior):
-        return (post.shape - 1.0) / post.rate
-    # every caller passed _check_domain, so the draws are all > 0 here
-    return 1.0 / post.expect(lambda y: 1.0 / np.asarray(y, dtype=float))
+    """1 / E(1/Y | z) from ``log_moment``, which raises where E(1/Y) diverges;
+    on draws one weighted pass, 1 / sum w/y, at half ``log_moment``'s cost."""
+    if isinstance(post, SamplePosterior):
+        # every caller passed _check_domain, so the draws are all > 0 here
+        return 1.0 / post.expect(lambda y: 1.0 / y)
+    return math.exp(-post.log_moment(-1.0))
 
 
 def _power_mean(post, prm):

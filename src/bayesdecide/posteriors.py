@@ -19,7 +19,7 @@ closed under the weight w: Gaussian x exp(c), Gamma x exp(c < rate),
 Gamma x power(p) with shape + p > 1 and Beta x power(p) with a + p > 0;
 otherwise, and always on draws, it is None.  The posteriors that live on
 y > 0 (Gamma, Beta, draws) state ``log_moment(p)``, log E Y^p, and
-``mean_log()``, E log Y, which PWD's power-mean action reads and the power
+``mean_log()``, E log Y, which the GAM and PWD actions read and the power
 tilt takes its log Z from; ``log_moment`` raises ``NumericError`` where
 E Y^p diverges (p <= -shape on a Gamma, p <= -a on a Beta).
 ``symmetric_centre()`` is the centre of a symmetric unimodal density (a
@@ -69,10 +69,6 @@ _TS_T = np.arange(-96, 97) / 16.0
 _TS_LOWER = _TS_T < 0.0  # nodes placed from the lower end
 # The rule's acceptance tolerance, the QUADPACK fallback's epsabs and epsrel.
 _EPSABS, _EPSREL = 1e-13, 1e-11
-# log Gamma(x + p) - log Gamma(x) is the plain lgamma difference while x and
-# both values lie within _LGAMMA_SPAN |p|: then neither their rounding nor
-# that of x + p comes to 1e-13 |p|
-_LGAMMA_SPAN = 200.0
 # Stirling's series log Gamma(x) = (x - 1/2) log x - x + log(2 pi) / 2 +
 # sum_j c_j x^(1 - 2j) with c_j = B_2j / (2j (2j - 1)), j = 1..7: at x >= 10
 # the first term left out is below 3e-17
@@ -116,18 +112,15 @@ def _check_moments(post, *names):
 def _log_rising(x, p):
     """log Gamma(x + p) - log Gamma(x) for x > 0 and x + p > 0.
 
-    Where x or the two lgamma values are large against p (a large shape, or
-    p near 0), their difference cancels and x + p rounds off digits of p;
-    scipy's ``poch`` is that difference below x = 1e4.  There the recurrence
-    log Gamma(x + p) - log Gamma(x) = log Gamma(x + 1 + p) - log Gamma(x + 1)
-    - log((x + p) / x) moves x and x + p up to at least 10, and Stirling's
-    series is differenced term by term: (x - 1/2) log1p(p/x) - p + p log(x +
-    p), and c_j x^(1 - 2j) expm1((1 - 2j) log1p(p/x)).  No term cancels, so
-    the result is within a few eps of max(|p|, its value).
+    The plain lgamma difference cancels where x or the two values are large
+    against p (a large shape, or p near 0), and x + p rounds off digits of
+    p; scipy's ``poch`` is that difference below x = 1e4.  Instead the
+    recurrence log Gamma(x + p) - log Gamma(x) = log Gamma(x + 1 + p) - log
+    Gamma(x + 1) - log((x + p) / x) moves x and x + p up to at least 10, and
+    Stirling's series is differenced term by term: (x - 1/2) log1p(p/x) - p
+    + p log(x + p), and c_j x^(1 - 2j) expm1((1 - 2j) log1p(p/x)).  No term
+    cancels, so the result is within a few eps of max(|p|, its value).
     """
-    lo, hi = math.lgamma(x), math.lgamma(x + p)
-    if max(abs(lo), abs(hi), x) <= _LGAMMA_SPAN * abs(p):
-        return hi - lo
     total = 0.0
     while x + min(p, 0.0) < 10.0:
         # x + p is exact where |p| >= x / 2 and p < 0, and then log1p(p / x)
@@ -136,8 +129,10 @@ def _log_rising(x, p):
         x += 1.0
     step = math.log1p(p / x)
     total += (x - 0.5) * step - p + p * math.log(x + p)
+    power, inv_x2 = 1.0 / x, 1.0 / (x * x)  # x^(1 - 2j), stepped, not raised
     for j, c in enumerate(_STIRLING, start=1):
-        total += c * x ** (1 - 2 * j) * math.expm1((1 - 2 * j) * step)
+        total += c * power * math.expm1((1 - 2 * j) * step)
+        power *= inv_x2
     return total
 
 
@@ -637,7 +632,8 @@ class SamplePosterior:
         return float(self.values[0]), float(self.values[-1])
 
     def expect(self, h, breakpoints=()):
-        hv = np.asarray(h(self.values), dtype=float)
+        with np.errstate(all="ignore"):  # a non-finite term raises below instead
+            hv = np.asarray(h(self.values), dtype=float)
         total = float(np.dot(self.weights, hv))
         # a non-finite term makes the sum inf or nan, so only then look for one
         # (a sum of finite terms may still overflow, and is returned as it is)
@@ -813,8 +809,9 @@ def _quadpack_expect(post, h, breakpoints=()):
 
     value = 0.0
     for a, b in zip(edges, edges[1:]):
-        piece, abserr, *problem = integrate.quad(
-            integrand, a, b, limit=200, epsabs=_EPSABS, epsrel=_EPSREL, full_output=1)
+        with np.errstate(all="ignore"):  # an overflow shows in QUADPACK's report or the sum
+            piece, abserr, *problem = integrate.quad(
+                integrand, a, b, limit=200, epsabs=_EPSABS, epsrel=_EPSREL, full_output=1)
         if len(problem) > 1:  # (infodict, message, ...) when QUADPACK complains
             raise NumericError(
                 f"quadrature of h on [{a}, {b}] failed: "

@@ -823,12 +823,13 @@ class TestDefaultLoss:
 
 
 def _run_python(args, **kwargs):
-    """Run a fresh interpreter that imports this checkout's package."""
+    """Run a fresh interpreter that imports this checkout's package, with a
+    RuntimeWarning an error, as pytest's own filter makes it in process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(bayesdecide.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=120, **kwargs)
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args], env=env,
+                          capture_output=True, text=True, timeout=120, **kwargs)
 
 
 class TestProcess:
@@ -842,6 +843,20 @@ loss: {family: LNX, params: {psi: -2.0}}
         assert result.returncode == 3, result.stderr
         assert "Traceback" not in result.stdout + result.stderr
         assert "numeric failure" in result.stdout + result.stderr
+
+    def test_overflowing_loss_exits_3_without_a_warning(self, tmp_path):
+        # E exp((a - Y)^2) - 1 diverges on N(0, 1): QUADPACK's integrand
+        # overflows, and numpy must not warn on the way to the NumericError
+        scenario = write(tmp_path, "s.yaml", """
+posterior: {kind: gaussian, mean: 0, sd: 1}
+loss: {compose: exp_minus_one, base: {family: SEL}}
+""")
+        result = _run_python(["-m", "bayesdecide.cli", "predict",
+                              "--scenario", scenario], cwd=str(tmp_path))
+        output = result.stdout + result.stderr
+        assert result.returncode == 3, output
+        assert "numeric failure" in output
+        assert "Warning" not in output and "Traceback" not in output
 
     @pytest.mark.parametrize("block", [
         "draws: {path: missing.csv}",

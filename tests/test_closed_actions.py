@@ -1,7 +1,8 @@
 """Bayes actions with a formula, which no search has to find.
 
 - PWD(lam) takes the power mean (E Y^-lam)^(-1/lam), exp(E log Y) at lam = 0,
-  checked against a 50-digit oracle (``_oracle_mp``).
+  checked against a 50-digit oracle (``_oracle_mp``), as is ``log_moment``
+  itself; GAM and PWD(1) take 1/E(1/Y) from it.
 - A radial loss phi(|a - y|) takes the centre of a symmetric unimodal
   posterior (Anderson 1955), checked by metamorphic relations: shifting the
   posterior shifts the action, and everything else still searches.
@@ -11,6 +12,7 @@ Each closed form is also checked against the numeric search on its EPL.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -111,6 +113,54 @@ def test_power_mean_agrees_with_the_search(post, lam):
 def test_power_mean_refuses_a_divergent_moment(post, lam):
     with pytest.raises(NumericError, match=rf"E\(Y\^{-lam!r}\) diverges"):
         optimize(L.pwd(lam), post)
+
+
+def _cancelling_lgamma_region(seed, n):
+    """n points (x, p), x > 1, 0.01 <= |p| <= 3, where x and log Gamma(x) and
+    log Gamma(x + p) all lie within 200 |p|: there the lgamma difference
+    keeps only about 1e-13 of max(|p|, its value)."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < n:
+        p = rng.choice([-1.0, 1.0]) * math.exp(rng.uniform(math.log(0.01), math.log(3.0)))
+        x = math.exp(rng.uniform(0.0, math.log(200.0 * abs(p))))
+        if (x > 1.0 and x + p > 0.0
+                and max(abs(math.lgamma(x)), abs(math.lgamma(x + p))) <= 200.0 * abs(p)):
+            points.append((x, p))
+    return points
+
+
+@pytest.mark.parametrize("family", ["gamma", "beta"])
+def test_log_moment_matches_fifty_digits_where_lgamma_cancels(family):
+    rng = np.random.default_rng(8)
+    worst = 0.0
+    for x, p in _cancelling_lgamma_region(7, 400):
+        if family == "gamma":
+            got, moment = GammaPosterior(x, 1.0).log_moment(p), mp.gamma_moment(x, 1.0, p)
+        else:
+            b = math.exp(rng.uniform(math.log(0.1), math.log(1e3)))
+            got, moment = BetaPosterior(x, b).log_moment(p), mp.beta_moment(x, b, p)
+        with mpmath.workdps(mp.DPS):
+            want = float(mpmath.log(moment))
+        worst = max(worst, abs(got - want) / max(abs(p), abs(want)))
+    assert worst <= 5e-15
+
+
+@pytest.mark.parametrize("spec", [L.gam(1.0, 2.0), L.pwd(1.0)], ids=["gam", "pwd+1"])
+@pytest.mark.parametrize("a, b", [(1.05, 2.0), (200.0, 300.0), (3e4, 2.0)])
+def test_beta_inverse_mean_reciprocal_matches_its_formula(spec, a, b):
+    # 1/E(1/Y) on Beta(a, b) is (a - 1)/(a + b - 1), read off log_moment(-1)
+    d = optimize(spec, BetaPosterior(a, b))
+    want = (a - 1.0) / (a + b - 1.0)
+    assert d.method.name == "inverse_mean_reciprocal"
+    assert _rel(d.action, want) <= 2e-15, (d.action, want)
+
+
+@pytest.mark.parametrize("spec", [L.gam(1.0, 2.0), L.pwd(1.0)], ids=["gam", "pwd+1"])
+def test_beta_inverse_mean_reciprocal_refuses_a_divergent_moment(spec):
+    # E(1/Y) is infinite on Beta(a, b) with a <= 1
+    with pytest.raises(NumericError, match="diverges"):
+        optimize(spec, BetaPosterior(0.8, 2.0))
 
 
 def test_power_tilt_reads_the_same_moment():
@@ -214,9 +264,16 @@ def test_everything_else_still_searches(spec, post):
 
 def test_a_centre_whose_epl_diverges_raises():
     # E exp(|a - Y|^2) - 1 is infinite on N(0, 1) at every a; the loss
-    # overflows on the way there, as it does for the search
-    with np.errstate(over="ignore"), pytest.raises(NumericError):
+    # overflows on the way there, as it does for the search, and no numpy
+    # warning escapes first
+    with pytest.raises(NumericError):
         optimize(L.exp_minus_one(L.sel()), GaussianPosterior(0.0, 1.0))
+
+
+def test_an_overflowing_loss_on_draws_raises():
+    # expm1((a - y)^2) overflows at the far draws; no numpy warning escapes
+    with pytest.raises(NumericError, match="not finite"):
+        optimize(L.exp_minus_one(L.sel()), SamplePosterior(np.linspace(-40.0, 40.0, 101)))
 
 
 # ---------------------------------------------------------------------------

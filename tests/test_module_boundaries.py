@@ -113,10 +113,9 @@ def test_scipy_special_checker_allows_other_imports():
 
 
 # posteriors answers "is Y > 0 almost surely?" (``lower``, ``almost_surely_positive``)
-# and owns each family's integrals and tilts (``linear_loss``, ``tilt``);
-# elsewhere a parametric type test may only pick a closed form
+# and owns each family's integrals, moments and tilts (``linear_loss``,
+# ``log_moment``, ``tilt``); no other module tests for a parametric type
 _PARAMETRIC_TYPES = {"GaussianPosterior", "GammaPosterior", "BetaPosterior"}
-_CLOSED_FORM_HOMES = {("engine", "_inverse_mean_reciprocal")}
 
 
 def parametric_type_tests(source):
@@ -141,9 +140,7 @@ def parametric_type_tests(source):
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "posteriors"])
 def test_parametric_type_tests_only_pick_closed_forms(module):
-    found = parametric_type_tests((PKG_DIR / f"{module}.py").read_text())
-    assert [(line, func) for line, func in found
-            if (module, func) not in _CLOSED_FORM_HOMES] == []
+    assert parametric_type_tests((PKG_DIR / f"{module}.py").read_text()) == []
 
 
 @pytest.mark.parametrize("source, func", [
