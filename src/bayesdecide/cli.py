@@ -9,7 +9,7 @@ its method tag (closed_form or numeric) and every scenario verb its seed,
 so a run can be reproduced without the original command line.  Of the
 Monte Carlo verbs, only ``voi`` prints a standard error.
 
-Exit codes: 0 success, 2 validation error, 3 numeric failure.
+Exit codes: 0 success, 2 invalid input (or too large for memory), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ def _emit_decision(fmt, decision, seed, out_dir, name):
 
 def _output_options(fn):
     """``--out`` and ``--format``, checked before the verb runs, and the exit
-    codes of its errors.  The verb gets ``out_dir`` made, or None when it is to
-    write no CSV."""
+    codes of its errors (a ``MemoryError`` is the input's).  The verb gets
+    ``out_dir`` made, or None when it is to write no CSV."""
     @click.option("--out", "out_dir", type=click.Path(file_okay=False),
                   help="Directory for CSV artifacts.")
     @click.option("--format", "fmt", type=click.Choice(["table", "csv", "both"]),
@@ -86,12 +86,11 @@ def _output_options(fn):
                                      param_hint="'--out'")
         try:
             return fn(*args, out_dir=None if fmt == "table" else out_dir, fmt=fmt, **kwargs)
-        except ValidationError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except NumericError as exc:
-            click.echo(f"numeric failure: {exc}", err=True)
-            sys.exit(3)
+        except (ValidationError, MemoryError, NumericError) as exc:
+            code, label = ((3, "numeric failure") if isinstance(exc, NumericError)
+                           else (2, "error"))
+            click.echo(f"{label}: {str(exc) or 'out of memory'}", err=True)
+            sys.exit(code)
     return run
 
 

@@ -11,7 +11,8 @@ loss key) to the expected posterior loss EPL(a) in closed form: on
 Gaussian, Gamma and Beta posteriors, and for SEL, MTC(1) and QTL on
 draws, where it is read off the cloud's running sums in O(log n); the
 absolute and pinball rows take the posterior's own linear-loss integrals,
-``post.linear_loss``.  A sum's EPL is the sum of
+``post.linear_loss``, and the Gamma GAM and PWD(-1) rows sum digamma(x) -
+log x by ``digamma_gap``, with no cancellation.  A sum's EPL is the sum of
 its parts' EPLs (linearity).  The conjugate tilts live on the posteriors
 too: ``post.tilt(Weight.kind, Weight.param)`` returns (log Z, the tilted
 posterior w p / Z), with Z = E w(Y), where the family is closed under
@@ -56,11 +57,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import _special
 from .errors import NumericError, ValidationError
 from .losses import EXP_LIMIT, LossSpec, compose
 from .posteriors import (BetaPosterior, GammaPosterior, GaussianPosterior,
-                         SamplePosterior, almost_surely_positive)
+                         SamplePosterior, almost_surely_positive, digamma_gap)
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 _CGOLD = 1.0 - _GOLD  # Brent's golden step, as a fraction of the larger side
@@ -388,10 +388,10 @@ def _linex_epl(post, prm, a):
 
 def _gamma_gam_epl(post, prm, a):
     # (nu - 1)[a E(1/Y) - 1 - log a + E log Y], E log Y = digamma(k) - log r;
-    # with t = a E(1/Y) both brackets below are nonnegative
+    # with t = a E(1/Y) both brackets below are nonnegative; the second does not cancel
     k, t = post.shape, a / _inverse_mean_reciprocal(post, prm)
     return (prm["nu"] - 1.0) * ((t - 1.0 - math.log(t))
-                                + (float(_special.digamma(k)) - math.log(k - 1.0)))
+                                + (digamma_gap(k) - math.log1p(-1.0 / k)))
 
 
 def _gamma_pwd_plus_epl(post, prm, a):
@@ -403,10 +403,10 @@ def _gamma_pwd_plus_epl(post, prm, a):
 
 def _gamma_pwd_minus_epl(post, prm, a):
     # y phi_-1(a/y) = a - y - y log a + y log y, E(Y log Y) = m (digamma(k + 1)
-    # - log r); with t = a/m both brackets below are nonnegative
+    # - log r); with t = a/m both brackets below are nonnegative; the second does not cancel
     k, m = post.shape, post.moments()[0]
     t = a / m
-    return m * ((t - 1.0 - math.log(t)) + (float(_special.digamma(k + 1.0)) - math.log(k)))
+    return m * ((t - 1.0 - math.log(t)) + (digamma_gap(k + 1.0) + math.log1p(1.0 / k)))
 
 
 # (posterior type, loss key) -> epl(post, params, a) in closed form; every
@@ -482,16 +482,15 @@ def _closed_form(lossfn, post):
     return None
 
 
-def optimize(loss, post, force_numeric=False):
-    """Minimize E(L(a, Y) | z) over actions a."""
+def optimize(loss, post):
+    """Minimize E(L(a, Y) | z) over actions a: a closed form, else the search."""
     lossfn = compose(loss)
     _check_domain(lossfn, post)
-    if not force_numeric:
-        hit = _closed_form(lossfn, post)
-        if hit is not None:
-            action, name = hit
-            return OptimalDecision(float(action), epl(lossfn, post, action),
-                                   SolverPath("closed_form", name))
+    hit = _closed_form(lossfn, post)
+    if hit is not None:
+        action, name = hit
+        return OptimalDecision(float(action), epl(lossfn, post, action),
+                               SolverPath("closed_form", name))
     action, value, path = minimize(lambda a: epl(lossfn, post, a), post.quantile(0.5),
                                    lossfn.positive_domain, unimodal_epl(lossfn, post))
     return OptimalDecision(float(action), value, path)

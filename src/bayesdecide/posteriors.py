@@ -136,6 +136,25 @@ def _log_rising(x, p):
     return total
 
 
+# the digamma series' coefficients (2j - 1) c_j, highest j first
+_DIGAMMA = tuple((2 * j - 1) * c for j, c in enumerate(_STIRLING, start=1))[::-1]
+
+
+def digamma_gap(x):
+    """digamma(x) - log x for x > 0, about -1/(2x), with no cancellation:
+    psi(x) - log x = [psi(x + 1) - log(x + 1)] + log1p(1/x) - 1/x moves x up
+    to at least 10, then Stirling's series -1/(2x) - sum_j (2j - 1) c_j x^(-2j)."""
+    total = 0.0
+    while x < 10.0:
+        inv = 1.0 / x
+        total += math.log1p(inv) - inv
+        x += 1.0
+    inv_x2, series = 1.0 / (x * x), 0.0
+    for c in _DIGAMMA:  # Horner's rule in 1/x^2
+        series = series * inv_x2 + c
+    return total - 0.5 / x - series * inv_x2
+
+
 def _check_moment(post, p, first):
     """Refuse p where E Y^p diverges, that is where ``first`` + p <= 0."""
     if not first + p > 0:

@@ -70,3 +70,19 @@ def power_mean(moment, mean_log, lam):
         if lam == 0:
             return float(mpmath.exp(mean_log()))
         return float(moment(-lam) ** (-1 / mpmath.mpf(lam)))
+
+
+def gamma_ratio_epl(key, shape, rate, a, nu):
+    """The expected GAM(., nu), PWD(1) or PWD(-1) loss at action a on
+    Gamma(k, r), from E Y = k/r, E(1/Y) = r/(k - 1), E log Y = digamma(k) -
+    log r and E(Y log Y) = E Y (digamma(k + 1) - log r)."""
+    with mpmath.workdps(DPS):
+        k, r, a = mpmath.mpf(shape), mpmath.mpf(rate), mpmath.mpf(a)
+        mean, inv_mean = k / r, r / (k - 1)
+        if key == "GAM":  # (nu - 1)[a/y - 1 - log a + log y]
+            return (nu - 1) * (a * inv_mean - 1 - mpmath.log(a)
+                               + mpmath.digamma(k) - mpmath.log(r))
+        if key == "PWD+1":  # (a - y)^2 / (2y)
+            return (a * a * inv_mean - 2 * a + mean) / 2
+        # PWD-1: a - y - y log a + y log y
+        return a - mean - mean * mpmath.log(a) + mean * (mpmath.digamma(k + 1) - mpmath.log(r))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from _search import searched
 from bayesdecide import (CalibrationTarget, CorrelationMatrix, DecisionTable,
                          DivergentMgfError, EnsembleMember, GammaPosterior,
                          GaussianPosterior, LossSpec, ModelEvidence,
@@ -166,13 +167,13 @@ def test_criterion_2_closed_form_vs_numeric():
                     optimize(spec, post)
                 continue
             closed = action_fn(post)
-            numeric = optimize(spec, post, force_numeric=True)
+            numeric = searched(spec, post)
             assert numeric.method.kind == "numeric"
             assert abs(numeric.action - closed) <= 1e-6 * (1 + abs(closed)), \
                 f"{label} on {post}: parametric numeric {numeric.action} " \
                 f"vs closed {closed}"
             cloud = SamplePosterior(draws)
-            sample_numeric = optimize(spec, cloud, force_numeric=True)
+            sample_numeric = searched(spec, cloud)
             tol = 3.0 * se_fn(post, draws) + 1e-6
             assert abs(sample_numeric.action - closed) <= tol, \
                 f"{label} on {post}: sample numeric {sample_numeric.action} " \

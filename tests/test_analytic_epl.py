@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+import _oracle_mp as mp
+from _search import searched
 from bayesdecide import (BetaPosterior, DivergentMgfError, GammaPosterior,
                          GaussianPosterior, LossSpec, NumericError, SamplePosterior,
                          ValidationError, compose, epl, optimize)
@@ -122,7 +124,7 @@ def _beta_quadrature(spec, post, t):
 def test_beta_closed_forms_match_the_numeric_search(key, al, be):
     post = BetaPosterior(al, be)
     closed = optimize(_spec(key, psi=-3.0), post)
-    numeric = optimize(_spec(key, psi=-3.0), post, force_numeric=True)
+    numeric = searched(_spec(key, psi=-3.0), post)
     assert (closed.method.kind, numeric.method.kind) == ("closed_form", "numeric")
     assert abs(closed.action - numeric.action) <= 1e-8
     assert abs(closed.epl - numeric.epl) <= 1e-8
@@ -153,6 +155,20 @@ def test_ratio_losses_near_shape_one(key, shape, f):
         lambda t: float(lossfn(a, math.exp(t))) * post.pdf(math.exp(t)) * math.exp(t),
         t_lo, t_hi, points=[math.log(a)], limit=400, epsabs=0.0, epsrel=1e-12)
     _assert_close(epl(spec, post, a), want)
+
+
+@pytest.mark.parametrize("key", ["GAM", "PWD+1", "PWD-1"])
+@pytest.mark.parametrize("shape, rate", [(1.5, 2.0), (3.7, 1e-3), (42.0, 1e3), (2.5e4, 0.37),
+                                         (9.75e6, 1e-3), (9.86e6, 3.1), (1e8, 250.0)])
+def test_gamma_ratio_rows_match_fifty_digits_at_large_shapes(key, shape, rate):
+    # at the action the EPL is about 1/(2k) times its scale, from digamma(k) -
+    # log(k - 1) or digamma(k + 1) - log k, two numbers near log k
+    post = GammaPosterior(shape, rate)
+    spec = _spec(key, nu=3.0)
+    action, sd = optimize(spec, post).action, math.sqrt(post.moments()[1])
+    for a in (action, action - 0.3 * sd, action + 0.3 * sd, action + 2.0 * sd):
+        want = float(mp.gamma_ratio_epl(key, shape, rate, a, 3.0))
+        assert abs(epl(spec, post, a) - want) <= 2e-11 * want, (a, want)
 
 
 def _analytic_pairs():
@@ -189,13 +205,13 @@ def test_registry_pairs_need_no_quadrature(monkeypatch, post, key):
     assert d.method.kind == "closed_form"
     assert math.isfinite(d.epl)
     assert epl(spec, post, d.action * 1.1) >= d.epl
-    numeric = optimize(spec, post, force_numeric=True)
+    numeric = searched(spec, post)
     assert numeric.method.kind == "numeric"
 
 
 def test_flat_zero_one_epl_is_searched_not_reported_unbounded():
     # on a continuous posterior the 0-1 EPL is 1 at every action
-    d = optimize(LossSpec.zero_one(), GaussianPosterior(0, 1), force_numeric=True)
+    d = searched(LossSpec.zero_one(), GaussianPosterior(0, 1))
     assert d.method.kind == "numeric"
     assert math.isfinite(d.action)
     assert d.epl == 1.0

@@ -871,6 +871,28 @@ loss: {compose: exp_minus_one, base: {family: SEL}}
         assert "Traceback" not in result.stdout + result.stderr
         assert "missing.csv" in result.stderr
 
+    # 1e17 elements, 711 PiB or more, exceed even a 57-bit address space, so
+    # each allocation is refused at once and takes no memory
+    BB = "template: beta-bernoulli, params: {a: 2, b: 3}, tau: 1"
+    BIG = 10 ** 17
+
+    @pytest.mark.parametrize("verb, text", [
+        ("risk-curve", "posterior: {kind: gaussian, mean: 0, sd: 1}\n"
+                       f"risk_curve: {{kappa_grid: {{start: 0, stop: 1, num: {BIG}}}}}"),
+        ("design-n", f"design: {{{BB}, n_grid: {{start: 0, stop: {BIG}}}, n_mc: 2}}"),
+        ("design-n", f"design: {{{BB}, n_grid: [0, 1], n_mc: {BIG}}}"),
+        ("design-n", f"design: {{{BB}, n_grid: [0, {BIG}], n_mc: 2}}"),
+        ("voi", f"voi: {{{BB}, n_mc: {BIG}}}"),
+    ], ids=["kappa_grid-num", "n_grid-range", "design-n_mc", "n_grid-entry", "voi-n_mc"])
+    def test_a_size_too_large_for_memory_exits_2_without_traceback(self, tmp_path, verb,
+                                                                    text):
+        scenario = write(tmp_path, "s.yaml", text + "\n")
+        result = _run_python(["-m", "bayesdecide.cli", verb, "--scenario", scenario],
+                             cwd=str(tmp_path))
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.stdout + result.stderr
+
     def test_cli_import_leaves_scipy_stats_unloaded(self):
         result = _run_python(["-c", "import sys, bayesdecide.cli; "
                                     "print('scipy.stats' in sys.modules)"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from _search import searched
 from bayesdecide import (EnsembleMember, GammaPosterior, GaussianPosterior,
                          GeneralizedGaussian, LossSpec, ModelEnsemble, NumericError,
                          SamplePosterior, TailRiskCurve, ValidationError, Weight,
@@ -157,7 +158,7 @@ class TestNumericAgreement:
                                       GammaPosterior(3, 1)])
     def test_matches_closed_form(self, spec, post):
         closed = optimize(spec, post)
-        numeric = optimize(spec, post, force_numeric=True)
+        numeric = searched(spec, post)
         assert numeric.method.kind == "numeric"
         lo, hi = numeric.method.bracket
         assert lo <= numeric.action <= hi
@@ -182,7 +183,7 @@ class TestNumericAgreement:
         evil = type(bad)(bad.spec, lambda a, y: np.asarray(-a + 0 * y, dtype=float),
                          True, False)
         with pytest.raises(NumericError):
-            optimize(evil, post, force_numeric=True)
+            searched(evil, post)
 
 
 class TestOrderingProperties:
@@ -321,9 +322,9 @@ class TestBrent:
     def test_numeric_optimize_reports_brent_and_its_epl(self):
         post = GammaPosterior(3.0, 1.5)
         # PWD(0.5) has its power mean in closed form, so its search is forced
-        for spec, force in ((LossSpec.mtc(1.5), False), (LossSpec.pwd(0.5), True),
-                            (LossSpec.power_of(LossSpec.qtl(0.6), 1.5), False)):
-            d = optimize(spec, post, force_numeric=force)
+        for spec, solve in ((LossSpec.mtc(1.5), optimize), (LossSpec.pwd(0.5), searched),
+                            (LossSpec.power_of(LossSpec.qtl(0.6), 1.5), optimize)):
+            d = solve(spec, post)
             assert d.method.name == "brent"
             assert d.epl == epl(spec, post, d.action)
 
@@ -348,7 +349,7 @@ class TestGoldenPath:
         # unforced, a radial loss takes the Gaussian's centre
         post = GaussianPosterior(1.0, 2.0)
         assert optimize(LossSpec.mtc(0.5), post).method.name == "symmetric_centre"
-        assert optimize(LossSpec.mtc(0.5), post, force_numeric=True).method.name == "brent"
+        assert searched(LossSpec.mtc(0.5), post).method.name == "brent"
 
 
 def _positive_weighted(spec):
@@ -485,7 +486,7 @@ class TestNumericEdges:
     def test_heavy_tailed_cloud_matches_golden_section(self, spec):
         lossfn = compose(spec)
         f = lambda a: epl(lossfn, self.PARETO, a)
-        d = optimize(spec, self.PARETO, force_numeric=True)
+        d = searched(spec, self.PARETO)
         xg, _ = _golden(f, *d.method.bracket)
         assert d.method.name == "brent"
         assert d.epl <= f(xg) * (1.0 + 1e-14)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import expit, gammaincinv, ndtri
 
+from _search import searched
 from bayesdecide import (BetaPosterior, GammaPosterior, GaussianPosterior,
                          GeneralizedGaussian, LossSpec as L, NumericError, Weight, compose,
                          optimize, optimize_functional)
@@ -172,7 +173,7 @@ def test_inverse_mean_on_gamma_matches_closed_form(shape, rate):
 ], ids=["mtc-half", "ptl", "pwd-half", "sum", "product", "power", "mtc-gamma"])
 def test_numeric_search_needs_no_fallback(fallbacks, spec, post):
     # forced: PWD takes its power mean, and a radial loss the Gaussian's centre
-    decision = optimize(spec, post, force_numeric=True)
+    decision = searched(spec, post)
     assert decision.method.kind == "numeric"
     assert fallbacks == []
     lossfn = compose(spec)

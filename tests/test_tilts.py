@@ -15,6 +15,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _search import searched
 from bayesdecide import (BetaPosterior, GammaPosterior, GaussianPosterior, LossSpec,
                          NumericError, SamplePosterior, ValidationError, compose, epl,
                          optimize)
@@ -142,7 +143,7 @@ def test_tilted_pairs_need_no_quadrature(monkeypatch, row):
         assert d.method.name.startswith("tilted_"), base
         assert math.isfinite(d.epl)
         assert epl(spec, post, d.action * 1.1 + 0.01) >= d.epl
-        numeric = optimize(spec, post, force_numeric=True)
+        numeric = searched(spec, post)
         assert numeric.method.kind == "numeric"
 
 
@@ -151,7 +152,7 @@ def test_tilted_actions_match_the_numeric_search(row):
     post, weight = TILT_CASES[row]
     for base in (LossSpec.sel(), LossSpec.mtc(1), LossSpec.qtl(0.8), LossSpec.linex(-0.7)):
         spec = LossSpec.weighted(weight, base)
-        closed, numeric = optimize(spec, post), optimize(spec, post, force_numeric=True)
+        closed, numeric = optimize(spec, post), searched(spec, post)
         assert abs(closed.action - numeric.action) <= 1e-7
         assert numeric.epl >= closed.epl * (1.0 - 1e-12)
 
