@@ -1,13 +1,13 @@
 """Scenario-driven command line.
 
 Verbs: predict, compare-models, multivar, bma, calibrate, risk-curve,
-design-n, voi.  Each verb reads a scenario document (see
-``bayesdecide.scenario``), prints a human-readable result table on
-stdout, and writes machine-readable CSV artifacts under ``--out`` when
-given (``--format csv`` needs ``--out``).  Every numeric result carries
-its method tag (closed_form or numeric) and every scenario verb its seed,
-so a run can be reproduced without the original command line.  Of the
-Monte Carlo verbs, only ``voi`` prints a standard error.
+design-n, voi.  Each verb reads its inputs from a scenario document alone
+(``--scenario``, see ``bayesdecide.scenario``), prints a human-readable
+result table on stdout, and writes machine-readable CSV artifacts if and
+only if ``--out`` is given.  Every numeric result carries its method tag
+(closed_form or numeric) and every verb but ``calibrate`` its seed, so a
+run can be reproduced without the original command line.  Of the Monte
+Carlo verbs, only ``voi`` prints a standard error.
 
 Exit codes: 0 success, 2 invalid input (or too large for memory), 3 numeric failure.
 """
@@ -46,15 +46,14 @@ def _echo_rows(rows):
         click.echo(f"{str(k):<{width}}  {v}")
 
 
-def _emit(fmt, rows, out_dir, name, header, csv_rows):
-    """Print the table unless ``fmt`` is csv; write the CSV when given ``out_dir``."""
-    if fmt != "csv":
-        _echo_rows(rows)
+def _emit(rows, out_dir, name, header, csv_rows):
+    """Print the table; write the CSV when given ``out_dir``."""
+    _echo_rows(rows)
     if out_dir is not None:
         _write_csv(out_dir, name, header, csv_rows)
 
 
-def _emit_decision(fmt, decision, seed, out_dir, name):
+def _emit_decision(decision, seed, out_dir, name):
     """Emit an ``OptimalDecision``: one table row and one CSV column per field."""
     rows = [
         ("action", decision.action),
@@ -62,30 +61,25 @@ def _emit_decision(fmt, decision, seed, out_dir, name):
         ("method", _method_tag(decision)),
         ("seed", seed),
     ]
-    _emit(fmt, rows, out_dir, name, [k for k, _ in rows], [[v for _, v in rows]])
+    _emit(rows, out_dir, name, [k for k, _ in rows], [[v for _, v in rows]])
 
 
 def _output_options(fn):
-    """``--out`` and ``--format``, checked before the verb runs, and the exit
-    codes of its errors (a ``MemoryError`` is the input's).  The verb gets
-    ``out_dir`` made, or None when it is to write no CSV."""
+    """``--out``, made before the verb runs, and the exit codes of the verb's
+    errors (a ``MemoryError`` is the input's).  The verb gets ``out_dir``
+    made, or None when it is to write no CSV."""
     @click.option("--out", "out_dir", type=click.Path(file_okay=False),
                   help="Directory for CSV artifacts.")
-    @click.option("--format", "fmt", type=click.Choice(["table", "csv", "both"]),
-                  default="both", help="Emit the stdout table, the CSV artifacts "
-                                       "(needs --out), or both.")
     @functools.wraps(fn)
-    def run(*args, out_dir, fmt, **kwargs):
-        if out_dir is None and fmt == "csv":
-            raise click.UsageError("--format csv needs --out")
+    def run(*args, out_dir, **kwargs):
         try:
-            if out_dir is not None and fmt != "table":
+            if out_dir is not None:
                 os.makedirs(out_dir, exist_ok=True)
         except OSError as exc:  # as click reports an --out that is a file
             raise click.BadParameter(f"cannot make directory {out_dir!r}: {exc.strerror}",
                                      param_hint="'--out'")
         try:
-            return fn(*args, out_dir=None if fmt == "table" else out_dir, fmt=fmt, **kwargs)
+            return fn(*args, out_dir=out_dir, **kwargs)
         except (ValidationError, MemoryError, NumericError) as exc:
             code, label = ((3, "numeric failure") if isinstance(exc, NumericError)
                            else (2, "error"))
@@ -94,13 +88,15 @@ def _output_options(fn):
     return run
 
 
+_scenario_option = click.option("--scenario", "scenario_path", required=True,
+                                type=click.Path(exists=True, dir_okay=False),
+                                help="Scenario YAML document.")
+
+
 def _common_options(fn):
-    fn = click.option("--scenario", "scenario_path", required=True,
-                      type=click.Path(exists=True, dir_okay=False),
-                      help="Scenario YAML document.")(fn)
     # an unsigned integer, as a scenario's own seed must be
     fn = click.option("--seed", default=None, type=click.IntRange(min=0),
-                      help="Override the scenario seed.")(fn)
+                      help="Override the scenario seed.")(_scenario_option(fn))
     return _output_options(fn)
 
 
@@ -136,7 +132,7 @@ def main():
 
 @main.command()
 @_common_options
-def predict(scenario_path, out_dir, seed, fmt):
+def predict(scenario_path, out_dir, seed):
     """Optimal action minimizing expected posterior loss."""
     doc = _load(scenario_path, seed)
     base = doc["_base_dir"]
@@ -147,7 +143,7 @@ def predict(scenario_path, out_dir, seed, fmt):
         decision = engine.optimize_functional(spec, post, g)
     else:
         decision = engine.optimize(spec, post)
-    _emit_decision(fmt, decision, doc["seed"], out_dir, "predict.csv")
+    _emit_decision(decision, doc["seed"], out_dir, "predict.csv")
 
 
 def _labelled(labels, values):
@@ -157,7 +153,7 @@ def _labelled(labels, values):
 
 @main.command("compare-models")
 @_common_options
-def compare_models(scenario_path, out_dir, seed, fmt):
+def compare_models(scenario_path, out_dir, seed):
     """Model choice by Bayes factor and by decision-table expected loss."""
     doc = _load(scenario_path, seed)
     ev, table = sc.parse_evidence(doc.get("model_choice") or {})
@@ -175,13 +171,13 @@ def compare_models(scenario_path, out_dir, seed, fmt):
         csv_rows = [(ev.labels[k], post.probabilities[k], float(epl_vec[k]),
                      ev.labels[choice]) for k in range(ev.m)]
     rows.append(("seed", doc["seed"]))
-    _emit(fmt, rows, out_dir, "model_choice.csv",
+    _emit(rows, out_dir, "model_choice.csv",
           ["label", "posterior_prob", "epl", "chosen"], csv_rows)
 
 
 @main.command()
 @_common_options
-def multivar(scenario_path, out_dir, seed, fmt):
+def multivar(scenario_path, out_dir, seed):
     """Eigenspace predictor for a vector predictand."""
     doc = _load(scenario_path, seed)
     base = doc["_base_dir"]
@@ -209,67 +205,46 @@ def multivar(scenario_path, out_dir, seed, fmt):
         ("method", _eigenspace_tag(decisions)),
         ("seed", doc["seed"]),
     ]
-    _emit(fmt, rows, out_dir, "multivar.csv", ["component", "action", "eigenvalue"],
+    _emit(rows, out_dir, "multivar.csv", ["component", "action", "eigenvalue"],
           [(i + 1, float(action[i]), float(decomp.eigenvalues[i]))
            for i in range(decomp.n)])
 
 
 @main.command()
 @_common_options
-def bma(scenario_path, out_dir, seed, fmt):
+def bma(scenario_path, out_dir, seed):
     """Bayesian-model-averaged prediction."""
     doc = _load(scenario_path, seed)
     ens = sc.parse_ensemble(doc.get("ensemble") or {}, doc["_base_dir"])
-    _emit_decision(fmt, bma_mod.bma_predict(ens), doc["seed"], out_dir, "bma.csv")
+    _emit_decision(bma_mod.bma_predict(ens), doc["seed"], out_dir, "bma.csv")
 
 
 @main.command()
-@click.option("--prevention-share", type=float, default=None,
-              help="Share of disaster spending that goes to prevention.")
-@click.option("--gaussian-multiple", type=float, default=None,
-              help="Target Gaussian quantile multiple z_q.")
-@click.option("--sigma", type=float, default=1.0,
-              help="Posterior standard deviation.")
-@click.option("--paper-exact", is_flag=True,
-              help="Use the two-decimal multiple (0.97 tail -> 1.88).")
-@click.option("--scenario", "scenario_path", default=None,
-              type=click.Path(exists=True, dir_okay=False))
 @_output_options
-def calibrate(prevention_share, gaussian_multiple, sigma, paper_exact,
-              scenario_path, out_dir, fmt):
+@_scenario_option
+def calibrate(scenario_path, out_dir):
     """Calibrate pinball level q and LINEX psi from a cost asymmetry."""
-    if scenario_path is not None:
-        block = sc.load_scenario(scenario_path).get("calibrate") or {}
-        prevention_share = sc.read(block, "prevention_share", "calibrate", float,
-                                   prevention_share)
-        gaussian_multiple = sc.read(block, "gaussian_multiple", "calibrate", float,
-                                    gaussian_multiple)
-        sigma = sc.read(block, "sigma", "calibrate", float, sigma)
-        paper_exact = sc.read(block, "paper_exact", "calibrate", bool, paper_exact)
-    if prevention_share is None and gaussian_multiple is None:
-        raise ValidationError("give --prevention-share or --gaussian-multiple")
-    rows = []
-    q = None
-    if prevention_share is not None:
-        q = calibrate_quantile(prevention_share)
-        rows.append(("q", q))
-        target = CalibrationTarget(posterior_sd=sigma,
-                                   tail_mass=prevention_share,
-                                   rounded=paper_exact)
-    else:
-        target = CalibrationTarget(posterior_sd=sigma,
-                                   gaussian_multiple=gaussian_multiple,
-                                   rounded=paper_exact)
-    psi = calibrate_linex(target)
+    block = sc.load_scenario(scenario_path).get("calibrate") or {}
+    share = sc.read(block, "prevention_share", "calibrate", float, None)
+    multiple = sc.read(block, "gaussian_multiple", "calibrate", float, None)
+    sigma = sc.read(block, "sigma", "calibrate", float, 1.0)
+    paper_exact = sc.read(block, "paper_exact", "calibrate", bool, False)
+    if (share is None) == (multiple is None):
+        raise ValidationError(
+            "calibrate: give exactly one of prevention_share and gaussian_multiple")
+    q = None if share is None else calibrate_quantile(share)
+    psi = calibrate_linex(CalibrationTarget(posterior_sd=sigma, gaussian_multiple=multiple,
+                                            tail_mass=share, rounded=paper_exact))
+    rows = [] if q is None else [("q", q)]
     rows += [("psi", psi), ("sigma", sigma),
              ("method", "closed_form(back_of_envelope)")]
-    _emit(fmt, rows, out_dir, "calibrate.csv", ["q", "psi", "sigma"],
+    _emit(rows, out_dir, "calibrate.csv", ["q", "psi", "sigma"],
           [("" if q is None else q, psi, sigma)])
 
 
 @main.command("risk-curve")
 @_common_options
-def risk_curve(scenario_path, out_dir, seed, fmt):
+def risk_curve(scenario_path, out_dir, seed):
     """Tail-risk curve for an action, plus the lower envelope."""
     doc = _load(scenario_path, seed)
     base = doc["_base_dir"]
@@ -278,6 +253,8 @@ def risk_curve(scenario_path, out_dir, seed, fmt):
     block = doc.get("risk_curve") or {}
     kappas = sc.parse_grid(sc.read(block, "kappa_grid", "risk_curve"),
                            "risk_curve.kappa_grid")
+    a_grid = (sc.parse_grid(block["a_grid"], "risk_curve.a_grid")
+              if "a_grid" in block else None)
     if "action" in block:
         action = sc.read(block, "action", "risk_curve", float)
         method = "fixed_action"
@@ -289,16 +266,15 @@ def risk_curve(scenario_path, out_dir, seed, fmt):
     rows = [("action", action), ("method", method), ("seed", doc["seed"]),
             ("points", len(curve.points))]
     header = ["kappa", "tail_prob", "loss"]
-    _emit(fmt, rows, out_dir, "risk_curve.csv", header, curve.points)
-    if out_dir is not None and "a_grid" in block:
-        a_grid = sc.parse_grid(block["a_grid"], "risk_curve.a_grid")
+    _emit(rows, out_dir, "risk_curve.csv", header, curve.points)
+    if out_dir is not None and a_grid is not None:
         env = engine.lower_envelope(spec, post, kappas, a_grid)
         _write_csv(out_dir, "risk_envelope.csv", header, env.points)
 
 
 @main.command("design-n")
 @_common_options
-def design_n(scenario_path, out_dir, seed, fmt):
+def design_n(scenario_path, out_dir, seed):
     """Cost-aware optimal sample size over an explicit n grid."""
     doc = _load(scenario_path, seed)
     block = doc.get("design") or {}
@@ -312,12 +288,12 @@ def design_n(scenario_path, out_dir, seed, fmt):
         model, spec, tau, cost, n_grid, n_mc, doc["seed"])
     rows = [("n_star", n_star), ("seed", doc["seed"]), ("n_mc", n_mc),
             ("method", "numeric(monte_carlo_grid)")]
-    _emit(fmt, rows, out_dir, "design_n.csv", ["n", "objective", "e_jl", "cost"], curve)
+    _emit(rows, out_dir, "design_n.csv", ["n", "objective", "e_jl", "cost"], curve)
 
 
 @main.command()
 @_common_options
-def voi(scenario_path, out_dir, seed, fmt):
+def voi(scenario_path, out_dir, seed):
     """Monte Carlo value of information of an extra data arm."""
     doc = _load(scenario_path, seed)
     block = doc.get("voi") or {}
@@ -330,7 +306,7 @@ def voi(scenario_path, out_dir, seed, fmt):
                              n_mc, doc["seed"])
     rows = [("voi", est), ("std_err", se), ("n_mc", n_mc),
             ("seed", doc["seed"]), ("method", "numeric(monte_carlo)")]
-    _emit(fmt, rows, out_dir, "voi.csv", ["voi", "std_err", "n_mc", "seed"],
+    _emit(rows, out_dir, "voi.csv", ["voi", "std_err", "n_mc", "seed"],
           [(est, se, n_mc, doc["seed"])])
 
 

@@ -20,6 +20,7 @@ joint EPL project each eigenspace once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,8 @@ class CorrelationMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
+# compared and hashed by identity, as the arrays give no value equality
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Eigenvalues in decreasing order with orthonormal eigenvector columns,
     stored as read-only copies."""
@@ -151,20 +153,12 @@ def project(decomp, post, i):
     return SamplePosterior(scalar, post.weights)
 
 
-# (decomposition, posterior, projections) of the latest _projections call:
 # optimize_eigen and epl_multivariate on one pair need the same projections.
-# Both keys are immutable and held here, so an identity match is the pair
-_last_projections = [None]
-
-
+# Both keys are immutable and hash by identity, so a hit is the same pair
+@functools.lru_cache(maxsize=1)
 def _projections(decomp, post):
     """``project(decomp, post, i)`` for every eigenspace i, built once per pair."""
-    last = _last_projections[0]
-    if last is not None and last[0] is decomp and last[1] is post:
-        return last[2]
-    projections = tuple(project(decomp, post, i) for i in range(decomp.n))
-    _last_projections[0] = (decomp, post, projections)
-    return projections
+    return tuple(project(decomp, post, i) for i in range(decomp.n))
 
 
 def eigenspace_decisions(decomp, post, losses):

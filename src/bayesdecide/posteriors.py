@@ -733,7 +733,7 @@ def _quad_expect(post, h, breakpoints=()):
     array (a ``NumericError`` or ``ValidationError``, or the ``TypeError``
     or ``ValueError`` of an ``h`` written for scalars), the answer, or the
     error, is ``_quadpack_expect``'s.  The nodes come from
-    ``_rule_nodes``, which keeps the latest posterior's and cut set's.
+    ``_rule_nodes``, which keeps the nodes of the latest posterior and cut set.
     """
     cuts = tuple(sorted({float(b) for b in breakpoints
                          if np.isfinite(b) and float(b) > post.lower}))
@@ -756,20 +756,15 @@ def _quad_expect(post, h, breakpoints=()):
     return _quadpack_expect(post, h, breakpoints)
 
 
-# (posterior, cuts, nodes) of the latest _rule_nodes call: one decision often
-# takes several expectations with one cut set (a pushforward mean and its
-# EPL, a reweighted mean's two sums), and the nodes' quantiles are most of
-# the rule's cost.  The nodes are a pure function of the key, so sharing
-# this one entry between callers changes no result
-_last_nodes = [None]
-
-
+# one decision often takes several expectations with one cut set (a
+# pushforward mean and its EPL, a reweighted mean's two sums), and the nodes'
+# quantiles are most of the rule's cost.  The nodes are a pure function of
+# the posterior's value and the cuts, so sharing the one entry between
+# callers, and between equal posteriors, changes no result
+@functools.lru_cache(maxsize=1)
 def _rule_nodes(post, cuts):
     """The rule's nodes y, weights w and usable-node mask on ``post`` cut at
     the sorted tuple ``cuts``, as read-only arrays of one row per panel."""
-    last = _last_nodes[0]
-    if last is not None and last[0] is post and last[1] == cuts:
-        return last[2]
     u = np.array([0.0] + [float(post.cdf(b)) for b in cuts] + [1.0])
     v = np.array([1.0] + [post.tail_prob(b) for b in cuts] + [0.0])
     u_lo, u_hi, v_lo, v_hi = (e[:, None] for e in (u[:-1], u[1:], v[:-1], v[1:]))
@@ -784,7 +779,6 @@ def _rule_nodes(post, cuts):
         keep = (w > 0.0) & np.isfinite(y) & (y > post.lower)
     for arr in (y, w, keep):
         arr.flags.writeable = False
-    _last_nodes[0] = (post, cuts, (y, w, keep))
     return y, w, keep
 
 

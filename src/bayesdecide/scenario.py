@@ -19,7 +19,7 @@ names mirror the library's types.  Blocks:
 ``risk_curve``     action (optional), kappa_grid, a_grid
 ``design``         template, params, tau, cost: {c0, per_unit}, n_grid, n_mc
 ``voi``            template, params, n_existing, n_extra, n_mc
-``calibrate``      prevention_share | gaussian_multiple, sigma, paper_exact
+``calibrate``      prevention_share xor gaussian_multiple, sigma (1.0), paper_exact (false)
 ``seed``           unsigned integer, defaults to DEFAULT_SEED
 
 Number fields never take true/false, integer fields take whole int64
@@ -187,15 +187,19 @@ def parse_functional(block):
 
 def parse_grid(block, name="grid"):
     if isinstance(block, (list, tuple)):
-        return np.asarray(_as(block, [float], name))
-    if isinstance(block, dict):
+        grid = np.asarray(_as(block, [float], name))
+    elif isinstance(block, dict):
         start = read(block, "start", name, float)
         stop = read(block, "stop", name, float)
         num = read(block, "num", name, int)
         if num < 1:
             raise ValidationError(f"{name}: num must be >= 1")
-        return np.linspace(start, stop, num)
-    raise ValidationError(f"{name}: expected a list or start/stop/num mapping")
+        grid = np.linspace(start, stop, num)
+    else:
+        raise ValidationError(f"{name}: expected a list or start/stop/num mapping")
+    if not (grid.size and np.all(np.isfinite(grid))):
+        raise ValidationError(f"{name} must be nonempty and finite")
+    return grid
 
 
 def parse_int_grid(block, name="n_grid"):

@@ -184,38 +184,6 @@ loss: {family: PWD, params: {lam: 2.0}}
         assert "Traceback" not in result.output
         assert "loss weight function must be finite and > 0" in result.output
 
-    def test_format_table_writes_no_csv(self, runner, tmp_path):
-        scenario = write(tmp_path, "s.yaml", """
-posterior: {kind: gaussian, mean: 0.0, sd: 1.0}
-""")
-        out = tmp_path / "out"
-        result = runner.invoke(main, ["predict", "--scenario", scenario,
-                                      "--out", str(out), "--format", "table"])
-        assert result.exit_code == 0
-        assert not (out / "predict.csv").exists()
-
-    def test_format_csv_writes_no_table(self, runner, tmp_path):
-        scenario = write(tmp_path, "s.yaml", """
-posterior: {kind: gaussian, mean: 0.0, sd: 1.0}
-""")
-        out = tmp_path / "out"
-        result = runner.invoke(main, ["predict", "--scenario", scenario,
-                                      "--out", str(out), "--format", "csv"])
-        assert result.exit_code == 0
-        assert result.output == ""
-        assert (out / "predict.csv").exists()
-
-    def test_format_csv_without_out_exits_2(self, runner, tmp_path):
-        scenario = write(tmp_path, "s.yaml", """
-posterior: {kind: gaussian, mean: 0.0, sd: 1.0}
-""")
-        before = sorted(tmp_path.rglob("*"))
-        result = runner.invoke(main, ["predict", "--scenario", scenario, "--format", "csv"])
-        assert result.exit_code == 2, result.output
-        assert "--format csv needs --out" in result.output
-        assert "action" not in result.output  # the verb never ran
-        assert sorted(tmp_path.rglob("*")) == before
-
     def test_out_under_a_file_exits_2(self, runner, tmp_path):
         scenario = write(tmp_path, "s.yaml", """
 posterior: {kind: gaussian, mean: 0.0, sd: 1.0}
@@ -436,8 +404,10 @@ ensemble:
 
 class TestCalibrate:
     def test_flags_paper_exact(self, runner, tmp_path):
-        result = runner.invoke(main, ["calibrate", "--prevention-share", "0.03",
-                                      "--sigma", "1.0", "--paper-exact",
+        scenario = write(tmp_path, "s.yaml", """
+calibrate: {prevention_share: 0.03, sigma: 1.0, paper_exact: true}
+""")
+        result = runner.invoke(main, ["calibrate", "--scenario", scenario,
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
         assert "q       0.97" in result.output
@@ -446,7 +416,8 @@ class TestCalibrate:
         assert csv.splitlines()[1] == "0.97,-3.76,1.0"
 
     def test_unrounded_multiple(self, runner, tmp_path):
-        result = runner.invoke(main, ["calibrate", "--prevention-share", "0.03"])
+        scenario = write(tmp_path, "s.yaml", "calibrate: {prevention_share: 0.03}\n")
+        result = runner.invoke(main, ["calibrate", "--scenario", scenario])
         assert result.exit_code == 0, result.output
         psi = float([l for l in result.output.splitlines()
                      if l.startswith("psi")][0].split()[1])
@@ -465,6 +436,16 @@ calibrate: {gaussian_multiple: 1.88, sigma: 2.0}
     def test_no_input_exits_2(self, runner):
         result = runner.invoke(main, ["calibrate"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("block", ["{prevention_share: 0.03, gaussian_multiple: 1.0}",
+                                       "{sigma: 2.0}"], ids=["both", "neither"])
+    def test_exactly_one_target_or_exit_2(self, runner, tmp_path, block):
+        scenario = write(tmp_path, "s.yaml", f"calibrate: {block}\n")
+        result = runner.invoke(main, ["calibrate", "--scenario", scenario])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert ("calibrate: give exactly one of prevention_share and gaussian_multiple"
+                in result.output)
+        assert "psi" not in result.output
 
 
 class TestRiskCurve:
@@ -498,6 +479,23 @@ risk_curve:
         result = runner.invoke(main, ["risk-curve", "--scenario", scenario])
         assert result.exit_code == 0, result.output
         assert "fixed_action" in result.output
+
+    @pytest.mark.parametrize("out", [False, True], ids=["no-out", "out"])
+    @pytest.mark.parametrize("a_grid, message", [
+        ("[]", "risk_curve.a_grid must be nonempty"),
+        ("{start: 0, stop: 1, num: 0}", "risk_curve.a_grid: num must be >= 1"),
+        ("[0, .inf]", "risk_curve.a_grid must be nonempty and finite"),
+    ], ids=["empty", "num-0", "inf"])
+    def test_malformed_a_grid_exits_2_before_any_work(self, runner, tmp_path, a_grid,
+                                                       message, out):
+        scenario = write(tmp_path, "s.yaml",
+                         GAUSS + f"risk_curve: {{kappa_grid: [0, 1], a_grid: {a_grid}}}\n")
+        args = ["risk-curve", "--scenario", scenario]
+        result = runner.invoke(main, args + ["--out", str(tmp_path / "out")] if out else args)
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert message in result.output
+        assert "points" not in result.output  # the table was never printed
+        assert not list(tmp_path.rglob("*.csv"))
 
 
 class TestDesignN:
@@ -965,9 +963,9 @@ loss: {compose: exp_minus_one, base: {family: SEL}}
         ("predict", ["--scenario", "."]),
         ("calibrate", ["--scenario", "."]),
         ("voi", ["--scenario", "voi.yaml", "--out", "voi.yaml"]),
-        ("calibrate", ["--prevention-share", "0.03", "--out", "voi.yaml"]),
+        ("calibrate", ["--scenario", "calibrate.yaml", "--out", "voi.yaml"]),
         ("voi", ["--scenario", "voi.yaml", "--out", "voi.yaml/sub"]),
-        ("calibrate", ["--prevention-share", "0.03", "--out", "voi.yaml/sub"]),
+        ("calibrate", ["--scenario", "calibrate.yaml", "--out", "voi.yaml/sub"]),
         ("predict", ["--scenario", "predict.yaml", "--seed", "-1"]),
         ("design-n", ["--scenario", "design_n.yaml", "--seed", "-1"]),
         ("voi", ["--scenario", "voi.yaml", "--seed", "-1"]),
@@ -987,18 +985,6 @@ loss: {compose: exp_minus_one, base: {family: SEL}}
         assert result.stdout == ""  # rejected before the verb's work
         assert f"'{bad_value}'" in result.stderr or f" {bad_value} " in result.stderr
         assert sorted(tmp_path.rglob("*")) == before  # no CSV, no --out directory
-
-    def test_format_csv_without_out_exits_2(self, tmp_path):
-        _copy_fixtures(tmp_path)
-        before = sorted(tmp_path.rglob("*"))
-        result = _run_python(["-m", "bayesdecide.cli", "compare-models",
-                              "--scenario", "compare_models.yaml", "--format", "csv"],
-                             cwd=str(tmp_path))
-        assert result.returncode == 2, result.stderr
-        assert "Traceback" not in result.stdout + result.stderr
-        assert result.stdout == ""
-        assert "--format csv needs --out" in result.stderr
-        assert sorted(tmp_path.rglob("*")) == before
 
 
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -1118,16 +1104,6 @@ class TestNonFiniteAndBooleanNumbers:
         assert "Traceback" not in result.output
         assert message in result.output
 
-    @pytest.mark.parametrize("flags", [
-        ["--prevention-share", "0.03", "--sigma", "inf"],
-        ["--gaussian-multiple", "inf"],
-    ])
-    def test_calibrate_flags_exit_2(self, runner, flags):
-        result = runner.invoke(main, ["calibrate", *flags])
-        assert result.exit_code == 2, (result.output, result.exception)
-        assert "Traceback" not in result.output
-        assert "must be finite" in result.output
-
 
 class TestOutOfRangeNumbers:
     """Finite numbers whose posterior moments overflow, and NaN model
@@ -1173,3 +1149,41 @@ def test_compare_models_prints_plain_floats(runner, tmp_path):
     assert rows["epl_vector"] == " ".join(f"{label}={float(v)!r}" for label, v in
                                           zip(["simple", "rich"], epl_vec))
     assert "np." not in result.output
+
+
+# each verb's options, pinned so that a new knob shows up as a diff here
+VERB_OPTIONS = {
+    **{verb: {"--scenario", "--seed", "--out"}
+       for verb in ("predict", "compare-models", "multivar", "bma", "risk-curve",
+                    "design-n", "voi")},
+    "calibrate": {"--scenario", "--out"},
+}
+
+
+class TestSurface:
+    def test_each_verb_takes_its_pinned_options(self):
+        assert {name: {opt for param in cmd.params for opt in param.opts}
+                for name, cmd in main.commands.items()} == VERB_OPTIONS
+
+    @pytest.mark.parametrize("verb", sorted(VERB_OPTIONS))
+    def test_format_is_no_option(self, runner, verb):
+        result = runner.invoke(main, [verb, "--format", "csv"])
+        assert result.exit_code == 2, result.output
+        assert "No such option" in result.output
+
+    def test_readme_cli_examples_run(self, runner, tmp_path, monkeypatch):
+        """Each ``bayesdecide <verb> ...`` line of the README's CLI block, with
+        ``s.yaml`` the verb's benchmark fixture, run in a directory of fixtures."""
+        with open(os.path.join(os.path.dirname(os.path.dirname(FIXTURES)), "README.md")) as fh:
+            text = fh.read()
+        block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line.split() for line in block.splitlines() if line.strip()]
+        assert {words[1] for words in lines} == set(VERB_OPTIONS)
+        _copy_fixtures(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        for words in lines:
+            assert words[0] == "bayesdecide", words
+            fixture = words[1].replace("-", "_") + ".yaml"
+            args = [fixture if w == "s.yaml" else w for w in words[1:]]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, (words, result.output, result.exception)

@@ -351,7 +351,7 @@ class TestOneProjectionPerEigenspace:
             return orig(decomp, post, i)
 
         monkeypatch.setattr(eigen, "project", counted)
-        monkeypatch.setattr(eigen, "_last_projections", [None])
+        eigen._projections.cache_clear()
         return made
 
     def test_a_pair_projects_each_eigenspace_once(self, calls):
