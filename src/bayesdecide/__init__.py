@@ -9,7 +9,7 @@ loss calibration, tail-risk curves, and value-of-information / sample
 size design on top.
 """
 
-from .bma import EnsembleMember, ModelEnsemble, bma_predict_general, bma_predict_sel
+from .bma import EnsembleMember, ModelEnsemble, bma_predict, bma_predict_general
 from .calibrate import (CalibrationTarget, calibrate_linex, calibrate_quantile,
                         linex_action_approx)
 from .design import (CostFunction, JointModel, beta_bernoulli,
@@ -22,9 +22,7 @@ from .eigen import (CorrelationMatrix, EigenDecomposition, VectorPosterior,
 from .engine import (OptimalDecision, SolverPath, TailRiskCurve, epl, lower_envelope,
                      optimize, optimize_functional, tail_risk_curve)
 from .errors import DivergentMgfError, NumericError, ValidationError
-from .losses import (GeneralizedGaussian, LossFunction, LossSpec, Weight,
-                     compose, eval_gam, eval_linex, eval_mtc, eval_potential,
-                     eval_pwd, eval_qtl, eval_zero_one)
+from .losses import GeneralizedGaussian, LossFunction, LossSpec, Weight, compose
 from .model_choice import (DecisionTable, ModelEvidence, bayes_factor,
                            choose_baf, choose_epl, posterior_models)
 from .posteriors import (BetaPosterior, DiscretePosterior, GammaPosterior,

@@ -55,23 +55,19 @@ def _mixture_epl(ens, lossfns, a):
     )
 
 
-def bma_predict_sel(ens):
-    """Closed-form BMA action under squared-error loss for every member."""
+def bma_predict(ens):
+    """The BMA decision.  When every member's loss is squared error as
+    ``engine.optimize`` reads it (MTC(2) is SEL), the closed form: the
+    probability-weighted sum of the members' optimal actions, their
+    posterior means.  Otherwise ``bma_predict_general``."""
+    if not all(engine.loss_key(compose(m.loss).spec) == "SEL" for m in ens.members):
+        return bma_predict_general(ens)
     p = ens.model_posterior.probabilities
-    action = sum(pk * m.posterior.moments()[0] for pk, m in zip(p, ens.members))
-    sel = compose(LossSpec.sel())
-    value = _mixture_epl(ens, [sel] * len(ens.members), action)
+    action = sum(pk * engine.optimize(m.loss, m.posterior).action
+                 for pk, m in zip(p, ens.members))
+    value = _mixture_epl(ens, [compose(LossSpec.sel())] * len(ens.members), action)
     return engine.OptimalDecision(float(action), float(value),
                                   engine.SolverPath("closed_form", "bma_weighted_mean"))
-
-
-def bma_predict(ens):
-    """The BMA decision: ``bma_predict_sel`` when every member's loss is
-    squared error as ``engine.optimize`` reads it (MTC(2) is SEL), else
-    ``bma_predict_general``."""
-    if all(engine.loss_key(compose(m.loss).spec) == "SEL" for m in ens.members):
-        return bma_predict_sel(ens)
-    return bma_predict_general(ens)
 
 
 def bma_predict_general(ens):

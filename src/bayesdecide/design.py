@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -58,13 +59,16 @@ class JointModel:
 
 @dataclass(frozen=True)
 class CostFunction:
-    """Sampling cost c(n) = c0 + per_unit * n, or an explicit table."""
+    """Sampling cost c(n) = c0 + per_unit * n, or an explicit table, which
+    is stored as a read-only copy."""
 
     c0: float = 0.0
     per_unit: float = 0.0
-    table: Optional[dict] = None
+    table: Optional[Mapping] = None
 
     def __post_init__(self):
+        if self.table is not None:
+            object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
         if not (0 <= self.c0 < math.inf and 0 <= self.per_unit < math.inf):
             raise ValidationError("costs must be finite and nonnegative")
         vals = [self.table[n] for n in sorted(self.table or {})]

@@ -7,33 +7,34 @@ Families
 - ``ZERO_ONE``      I(a != y), the rho -> 0+ limit of MTC
 - ``QTL(q)``        (a - y)(I(a - y > 0) - q), pinball loss, q in (0, 1)
 - ``LNX(psi)``      exp{psi(a - y)} - psi(a - y) - 1, psi != 0
-- ``PTL(density)``  potential loss of a bounded density; the generalized
-                    Gaussian member equals |a - y|^omega exactly
+- ``PTL(density)``  -log f(a - y) + log f(0) for a custom bounded density f;
+                    ``LossSpec.potential`` of a generalized Gaussian,
+                    f(u) ~ exp{-|u|^omega}, gives the same loss, MTC(omega)
 - ``PWD(lam)``      y * phi_lam(a / y), ratio-based power-divergence, a, y > 0
 - ``GAM(alpha,nu)`` (nu - 1)[(a/y) - 1 - log(a/y)], ratio-based, a, y > 0
 
 Compositions: weighted(weight), sum, product, power(p), exp_minus_one.
+Only ``Weight.power`` and ``Weight.exp`` give a weight a kind (a tilt).
 A composed loss is marked differentiable only when every part is.
 
 Each row also says whether L(a, y) is convex in a for every y, which
 makes every expected posterior loss convex in a and so lets the
 minimizer interpolate (``LossFunction.convex``).  Convex: SEL, MTC(rho
->= 1), QTL, LNX, PWD, GAM and PTL of a generalized Gaussian with omega
->= 1; and weighted, sum, product, exp_minus_one and power(p >= 1) of
-convex parts.  Not convex: MTC(rho < 1), ZERO_ONE, a custom potential
-density, power(p < 1).
+>= 1), QTL, LNX, PWD and GAM; and weighted, sum, product, exp_minus_one
+and power(p >= 1) of convex parts.  Not convex: MTC(rho < 1), ZERO_ONE,
+PTL, power(p < 1).
 
 Each row also says whether L(a, y) is radial, phi(|a - y|) with phi
 nondecreasing (``LossFunction.radial``): under such a loss the Bayes
 action on a symmetric unimodal posterior is its centre (Anderson 1955).
-Radial: MTC, SEL, ZERO_ONE and PTL of a generalized Gaussian; and sum,
-product, power and exp_minus_one of radial parts.  Not radial: QTL, LNX,
-PWD, GAM, a custom potential density and every weighted loss.
+Radial: MTC, SEL, ZERO_ONE, and sums, products, powers and exp_minus_one
+of radial parts; not QTL, LNX, PTL, PWD, GAM or any weighted loss.
 
 Two tables, ``_FAMILIES`` and ``_COMPOSITIONS``, give each family and
 composition one row: parameter names, evaluator and metadata.  ``_RANGES``
 states each parameter's range once.  A ``LossSpec`` is checked against its
-row when it is built, so ``compose`` only looks rows up.
+row when it is built, so ``compose`` only looks rows up and the private row
+evaluators check nothing again: ``compose(spec)(a, y)`` evaluates a loss.
 
 Evaluators are vectorized over y so expected-loss sums over large sample
 clouds stay cheap.
@@ -57,7 +58,7 @@ from .errors import NumericError, ValidationError
 EXP_LIMIT = 700.0  # beyond this exp() overflows a double
 
 # Within this distance of a removable singularity of (lam * (lam + 1))^-1,
-# eval_pwd divides it out exactly through exprel.
+# _pwd divides it out exactly through exprel.
 _PWD_EXPREL_BAND = 0.05
 
 # parameter name -> (test, rule text): each parameter's range, stated once
@@ -71,7 +72,7 @@ _RANGES = {
     "omega": (lambda v: math.isfinite(v) and v > 0, "be > 0"),
     "p": (lambda v: math.isfinite(v) and v > 0, "be > 0"),
     "density": (lambda d: callable(getattr(d, "neg_log_ratio", None)),
-                "be a potential density"),
+                "be a potential density (PTL of a generalized Gaussian is MTC(omega))"),
     "weight": (lambda w: isinstance(w, Weight), "be a Weight"),
 }
 
@@ -97,27 +98,24 @@ def _ratio(family, a, y):
 # leaf evaluators
 
 
-def eval_mtc(rho, a, y):
+def _mtc(rho, a, y):
     """|a - y|^rho."""
-    _check(rho=rho)
     return np.abs(np.asarray(a) - y) ** rho
 
 
-def eval_zero_one(a, y):
+def _zero_one(a, y):
     """I(a != y)."""
     return (np.asarray(a) != np.asarray(y)).astype(float)
 
 
-def eval_qtl(q, a, y):
+def _qtl(q, a, y):
     """(a - y)(I(a - y > 0) - q): the pinball loss."""
-    _check(q=q)
     d = np.asarray(a, dtype=float) - y
     return d * ((d > 0).astype(float) - q)
 
 
-def eval_linex(psi, a, y):
+def _linex(psi, a, y):
     """exp{psi(a - y)} - psi(a - y) - 1."""
-    _check(psi=psi)
     u = psi * (np.asarray(a, dtype=float) - y)
     if np.max(u, initial=-np.inf) > EXP_LIMIT:
         raise NumericError(
@@ -129,16 +127,13 @@ def eval_linex(psi, a, y):
 
 @dataclass(frozen=True)
 class GeneralizedGaussian:
-    """Bounded density f(u; omega) proportional to exp{-|u|^omega}."""
+    """Bounded density f(u; omega) ~ exp{-|u|^omega}, whose potential loss is
+    |a - y|^omega: ``LossSpec.potential`` of it is ``LossSpec.mtc(omega)``."""
 
     omega: float
 
     def __post_init__(self):
         _check(omega=self.omega)
-
-    def neg_log_ratio(self, u):
-        # -log f(u) + log f(0) collapses to |u|^omega exactly
-        return np.abs(u) ** self.omega
 
 
 @dataclass(frozen=True)
@@ -163,12 +158,12 @@ class CustomPotentialDensity:
         return np.log(f0) - np.log(np.asarray(self.pdf(np.asarray(u, dtype=float))))
 
 
-def eval_potential(density, a, y):
+def _potential(density, a, y):
     """-log f(a - y) + log f(0) for a bounded, mode-at-zero density."""
     return density.neg_log_ratio(np.asarray(a, dtype=float) - y)
 
 
-def eval_pwd(lam, a, y):
+def _pwd(lam, a, y):
     """y * phi_lam(a / y): ratio-based power-divergence loss, a, y > 0.
 
     With r = a/y and phi_lam(r) = (r^(lam+1) - r + lam(1 - r)) / (lam(lam + 1)),
@@ -178,7 +173,6 @@ def eval_pwd(lam, a, y):
     at lam = 0 and a - y - y log r at lam = -1; within 0.05 of either,
     exprel(x) = (e^x - 1)/x keeps the term exact.
     """
-    _check(lam=lam)
     a, y, r = _ratio("PWD", a, y)
     if lam == 0.0:
         return a * np.log(r) + y - a
@@ -194,14 +188,13 @@ def eval_pwd(lam, a, y):
     return c * ((a * r ** lam - a) + lam * (y - a))
 
 
-def eval_gam(alpha, nu, a, y):
+def _gam(alpha, nu, a, y):
     """(nu - 1)[(a/y) - 1 - log(a/y)], independent of alpha.
 
     The simplified closed form of the definition, log f(x0) - log f(x0 a/y)
     for the Gamma(nu, alpha) density f and its mode x0 = (nu - 1)/alpha;
     the tests check one against the other.
     """
-    _check(alpha=alpha, nu=nu)
     *_, r = _ratio("GAM", a, y)
     return (nu - 1.0) * (r - 1.0 - np.log(r))
 
@@ -219,32 +212,23 @@ _Family = namedtuple("_Family",
 _Composition = namedtuple("_Composition", "count params evaluate differentiable convex radial")
 _ALWAYS, _NEVER = (lambda prm: True), (lambda prm: False)
 
-
-def _gg_omega(prm):
-    """omega of a generalized Gaussian potential density, 0 for any other."""
-    d = prm["density"]
-    return d.omega if isinstance(d, GeneralizedGaussian) else 0.0
-
-
 # family -> (parameter names in evaluator order, evaluate(*params, a, y),
 #            differentiable(params), convex(params) in a for every y,
 #            positive_domain, radial(params))
 _FAMILIES = {
-    "MTC": _Family(("rho",), eval_mtc, lambda prm: prm["rho"] > 1,
+    "MTC": _Family(("rho",), _mtc, lambda prm: prm["rho"] > 1,
                    lambda prm: prm["rho"] >= 1, False, _ALWAYS),
-    "SEL": _Family((), functools.partial(eval_mtc, 2.0), _ALWAYS, _ALWAYS, False, _ALWAYS),
-    "ZERO_ONE": _Family((), eval_zero_one, _NEVER, _NEVER, False, _ALWAYS),
-    "QTL": _Family(("q",), eval_qtl, _NEVER, _ALWAYS, False, _NEVER),
-    "LNX": _Family(("psi",), eval_linex, _ALWAYS, _ALWAYS, False, _NEVER),
-    # |a - y|^omega for a generalized Gaussian; a custom density need not be
-    # symmetric or decreasing in |u|
-    "PTL": _Family(("density",), eval_potential,
-                   lambda prm: _gg_omega(prm) > 1, lambda prm: _gg_omega(prm) >= 1, False,
-                   lambda prm: _gg_omega(prm) > 0),
+    "SEL": _Family((), functools.partial(_mtc, 2.0), _ALWAYS, _ALWAYS, False, _ALWAYS),
+    "ZERO_ONE": _Family((), _zero_one, _NEVER, _NEVER, False, _ALWAYS),
+    "QTL": _Family(("q",), _qtl, _NEVER, _ALWAYS, False, _NEVER),
+    "LNX": _Family(("psi",), _linex, _ALWAYS, _ALWAYS, False, _NEVER),
+    # a custom density only (the generalized Gaussian one is MTC), which need
+    # not be smooth, symmetric or decreasing in |u|
+    "PTL": _Family(("density",), _potential, _NEVER, _NEVER, False, _NEVER),
     # y phi_lam(a / y) has second derivative (a / y)^(lam - 1) / y > 0 in a
-    "PWD": _Family(("lam",), eval_pwd, _ALWAYS, _ALWAYS, True, _NEVER),
+    "PWD": _Family(("lam",), _pwd, _ALWAYS, _ALWAYS, True, _NEVER),
     # (nu - 1) / a^2 > 0, as nu > 1
-    "GAM": _Family(("alpha", "nu"), eval_gam, _ALWAYS, _ALWAYS, True, _NEVER),
+    "GAM": _Family(("alpha", "nu"), _gam, _ALWAYS, _ALWAYS, True, _NEVER),
 }
 
 # composition -> (component count, None for one or more; parameter names;
@@ -281,18 +265,19 @@ _COMPOSITIONS = {
 class Weight:
     """A positive weight function of y.
 
-    The constructors ``power(p)`` and ``exp(c)`` also record the weight's
-    ``kind``, "power" or "exp", and its exact parameter ``param``.  The
-    engine reads these: w(y) = y (``power(1.0)``) gives weighted GAM the
-    posterior mean as its optimum, and on a Gaussian, Gamma or Beta
-    posterior a weighted loss is solved as its base loss on the tilted
-    posterior w(y) p(y | z) / E w(Y).  A weight built from a bare callable
-    has neither, and its weighted loss is integrated as it stands.
+    Only the constructors ``power(p)`` and ``exp(c)`` give a weight a
+    ``kind``, "power" or "exp", and its exact parameter ``param``, so a
+    kind always matches its ``fn``.  The engine reads these: w(y) = y
+    (``power(1.0)``) gives weighted GAM the posterior mean as its optimum,
+    and on a Gaussian, Gamma or Beta posterior a weighted loss is solved as
+    its base loss on the tilted posterior w(y) p(y | z) / E w(Y).  A weight
+    built from a bare callable, ``Weight(fn)``, has neither, and its
+    weighted loss is integrated as it stands.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    kind: Optional[str] = None
-    param: Optional[float] = None
+    kind: Optional[str] = field(default=None, init=False)
+    param: Optional[float] = field(default=None, init=False)
 
     def __call__(self, y):
         """w(y) as a float array; ValidationError unless every value is finite and > 0."""
@@ -303,13 +288,17 @@ class Weight:
             raise ValidationError("loss weight function must be finite and > 0")
         return wy
 
+    def _of_kind(self, kind, param):
+        self.__dict__.update(kind=kind, param=param)  # past the frozen __setattr__
+        return self
+
     @staticmethod
     def power(p):
-        return Weight(lambda y: np.asarray(y, dtype=float) ** p, kind="power", param=p)
+        return Weight(lambda y: np.asarray(y, dtype=float) ** p)._of_kind("power", p)
 
     @staticmethod
     def exp(c):
-        return Weight(lambda y: np.exp(c * np.asarray(y, dtype=float)), kind="exp", param=c)
+        return Weight(lambda y: np.exp(c * np.asarray(y, dtype=float)))._of_kind("exp", c)
 
 
 @dataclass(frozen=True)
@@ -376,6 +365,9 @@ class LossSpec:
 
     @staticmethod
     def potential(density):
+        """PTL of a custom density; of a generalized Gaussian, MTC(omega)."""
+        if isinstance(density, GeneralizedGaussian):
+            return LossSpec.mtc(density.omega)
         return LossSpec(family="PTL", params={"density": density})
 
     @staticmethod

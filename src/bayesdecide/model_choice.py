@@ -22,12 +22,13 @@ from .posteriors import DiscretePosterior
 
 
 class ModelEvidence:
-    """Log marginal likelihoods log Pr(z | M_k) and a prior over models."""
+    """Log marginal likelihoods log Pr(z | M_k) and a prior over models, kept
+    as read-only copies: a later edit of the caller's arrays undoes no check."""
 
     __slots__ = ("log_likelihoods", "prior", "labels")
 
     def __init__(self, *, log_likelihoods, prior=None, labels=None):
-        ll = np.asarray(log_likelihoods, dtype=float)
+        ll = np.array(log_likelihoods, dtype=float)
         if ll.size == 0:
             raise ValidationError("need at least one model")
         if not np.all(np.isfinite(ll)):
@@ -36,7 +37,7 @@ class ModelEvidence:
         if prior is None:
             pr = np.full(m, 1.0 / m)
         else:
-            pr = np.asarray(prior, dtype=float)
+            pr = np.array(prior, dtype=float)
             if pr.shape != (m,):
                 raise ValidationError("prior must match the number of models")
             # a NaN fails: every comparison with NaN is false
@@ -48,6 +49,7 @@ class ModelEvidence:
             labels = tuple(labels)
             if len(labels) != m:
                 raise ValidationError("labels must match the number of models")
+        ll.flags.writeable = pr.flags.writeable = False
         object.__setattr__(self, "log_likelihoods", ll)
         object.__setattr__(self, "prior", pr)
         object.__setattr__(self, "labels", labels)
@@ -66,18 +68,20 @@ class ModelEvidence:
 
 @dataclass(frozen=True)
 class DecisionTable:
-    """m-by-m losses L[j, k] for choosing model j when model k is correct."""
+    """m-by-m losses L[j, k] for choosing model j when model k is correct,
+    stored as a read-only copy."""
 
     losses: np.ndarray
 
     def __init__(self, losses):
-        arr = np.asarray(losses, dtype=float)
+        arr = np.array(losses, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError("decision table must be a square matrix")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0):
             raise ValidationError("decision-table entries must be finite and >= 0")
         if np.any(np.diag(arr) != 0):
             raise ValidationError("decision table must have a zero diagonal")
+        arr.flags.writeable = False
         object.__setattr__(self, "losses", arr)
 
     @property

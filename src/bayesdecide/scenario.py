@@ -6,11 +6,13 @@ names mirror the library's types.  Blocks:
 ``posterior``      {kind: gaussian, mean, sd} | {kind: gamma, shape, rate}
                    | {kind: samples, path}
 ``loss``           absent or null: SEL; else a {family, params} leaf (PTL takes
-                   params: {omega}, the generalized Gaussian exponent) or a composition:
+                   params: {omega}, the generalized Gaussian exponent, and
+                   builds MTC(omega), the same loss) or a composition:
                    {compose: sum|product, components: [...]}, or one of
-                   {compose: weighted, weight: {name: identity|power|exp, ...}, base: ...},
-                   {compose: power, p: ..., base: ...},
-                   {compose: exp_minus_one, base: ...}, each with exactly one base
+                   {compose: weighted, weight: {name: identity|power|exp, ...}, base: ...}
+                   (each weight built by ``Weight.power`` or ``Weight.exp``),
+                   {compose: power, p: ..., base: ...}, {compose: exp_minus_one, base: ...},
+                   each with exactly one base; ``compose(parse_loss(block))(a, y)`` evaluates it
 ``functional``     optional g(Y): {name: square|exp|indicator_above|affine, ...}
 ``model_choice``   models: [{label, log_likelihood, prior}], optional
                    decision_table (row-major)
@@ -163,9 +165,11 @@ def parse_loss(block):
     family = str(read(block, "family", "loss")).upper()
     raw = read(block, "params", "loss", dict, {})
     params = {k: read(raw, k, "loss.params", float) for k in raw}
-    if family == "PTL":  # a scenario names the generalized Gaussian density by omega
-        params["density"] = GeneralizedGaussian(read(params, "omega", "loss.params"))
-        del params["omega"]
+    if family == "PTL":  # the generalized Gaussian density by omega: MTC(omega)
+        extra = [k for k in params if k != "omega"]
+        if extra:
+            raise ValidationError(f"loss.params: PTL loss takes no parameter {extra[0]!r}")
+        return LossSpec.potential(GeneralizedGaussian(read(params, "omega", "loss.params")))
     return LossSpec(family=family, params=params)
 
 

@@ -86,3 +86,63 @@ def gamma_ratio_epl(key, shape, rate, a, nu):
             return (a * a * inv_mean - 2 * a + mean) / 2
         # PWD-1: a - y - y log a + y log y
         return a - mean - mean * mpmath.log(a) + mean * (mpmath.digamma(k + 1) - mpmath.log(r))
+
+
+# the series below take more terms than mpmath's default cap at shapes near
+# 1e6; betainc and gammainc themselves fail to converge there (a Beta with
+# a + b near 1e4, a Gamma at shape 1e6 past 8 sd above its mean)
+MAXTERMS = 10 ** 6
+
+
+def gamma_p(s, x):
+    """The regularized lower incomplete gamma P(s, x) = x^s e^-x / Gamma(s + 1)
+    1F1(1; s + 1; x), a series of positive terms."""
+    s, x = mpmath.mpf(s), mpmath.mpf(x)
+    return (mpmath.exp(s * mpmath.log(x) - x - mpmath.loggamma(s + 1))
+            * mpmath.hyp1f1(1, s + 1, x, maxterms=MAXTERMS))
+
+
+def beta_i(x, a, b):
+    """The regularized incomplete beta I_x(a, b) = x^a (1 - x)^b / (a B(a, b))
+    2F1(a + b, 1; a + 1; x)."""
+    x, a, b = mpmath.mpf(x), mpmath.mpf(a), mpmath.mpf(b)
+    log_beta = mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b)
+    return (mpmath.exp(a * mpmath.log(x) + b * mpmath.log1p(-x) - mpmath.log(a) - log_beta)
+            * mpmath.hyp2f1(a + b, 1, a + 1, x, maxterms=MAXTERMS))
+
+
+def linear_loss(family, p1, p2, a):
+    """(E(a - Y)^+, E(Y - a)^+) at action a on Gaussian(mean p1, sd p2),
+    Gamma(shape p1, rate p2) or Beta(p1, p2), as mpf.  E(a - Y)^+ is
+    a F(a) - m F1(a), where F1 is the cdf of the size-biased law m^-1 y f(y)
+    (Gamma(k + 1, r), Beta(al + 1, be)); on a Gaussian it is sd (z Phi(z) +
+    phi(z)).  E(Y - a)^+ is E(a - Y)^+ - (a - m)."""
+    with mpmath.workdps(DPS):
+        p1, p2, a = mpmath.mpf(p1), mpmath.mpf(p2), mpmath.mpf(a)
+        if family == "gaussian":
+            m, z = p1, (a - p1) / p2
+            below = p2 * (z * mpmath.ncdf(z) + mpmath.npdf(z))
+        elif family == "gamma":
+            m = p1 / p2
+            below = (a * gamma_p(p1, p2 * a) - m * gamma_p(p1 + 1, p2 * a)) if a > 0 else 0
+        else:
+            m, x = p1 / (p1 + p2), min(a, 1)
+            below = (a * beta_i(x, p1, p2) - m * beta_i(x, p1 + 1, p2)) if a > 0 else 0
+        return below, below - (a - m)
+
+
+def log_mgf_neg(family, p1, p2, psi):
+    """log E e^(-psi Y) on the same families: -psi m + psi^2 sd^2 / 2,
+    -k log(1 + psi / r) and log 1F1(al; al + be; -psi), as mpf.  For psi > 0
+    the last is -psi + log 1F1(be; al + be; psi) (Kummer), a series of
+    positive terms, as mpmath's own route to a large negative argument
+    takes minutes at shapes near 1e6."""
+    with mpmath.workdps(DPS):
+        p1, p2, psi = mpmath.mpf(p1), mpmath.mpf(p2), mpmath.mpf(psi)
+        if family == "gaussian":
+            return -psi * p1 + psi * psi * p2 * p2 / 2
+        if family == "gamma":
+            return -p1 * mpmath.log1p(psi / p2)
+        if psi > 0:
+            return -psi + mpmath.log(mpmath.hyp1f1(p2, p1 + p2, psi, maxterms=MAXTERMS))
+        return mpmath.log(mpmath.hyp1f1(p1, p1 + p2, -psi, maxterms=MAXTERMS))

@@ -18,10 +18,9 @@ from bayesdecide import (CalibrationTarget, CorrelationMatrix, DecisionTable,
                          DivergentMgfError, EnsembleMember, GammaPosterior,
                          GaussianPosterior, LossSpec, ModelEvidence,
                          ModelEnsemble, SamplePosterior, ValidationError,
-                         Weight, bma_predict_general, bma_predict_sel,
+                         Weight, bma_predict, bma_predict_general,
                          calibrate_linex, calibrate_quantile, choose_baf,
-                         choose_epl, compose, epl, eval_linex, eval_mtc,
-                         eval_potential, eval_pwd, eval_qtl,
+                         choose_epl, compose, epl,
                          gaussian_known_variance, optimal_sample_size,
                          optimize, optimize_eigen, spectral_decompose,
                          CostFunction, JointModel, VectorPosterior,
@@ -274,9 +273,9 @@ def test_criterion_6_bma():
         EnsembleMember("m1", GaussianPosterior(0.0, 1.0), LossSpec.sel()),
         EnsembleMember("m2", GaussianPosterior(2.0, 1.0), LossSpec.sel()),
     ]
-    even = bma_predict_sel(ModelEnsemble(members, [0.5, 0.5]))
+    even = bma_predict(ModelEnsemble(members, [0.5, 0.5]))
     assert abs(even.action - 1.0) <= 1e-12
-    skew = bma_predict_sel(ModelEnsemble(members, [0.8, 0.2]))
+    skew = bma_predict(ModelEnsemble(members, [0.8, 0.2]))
     assert abs(skew.action - 0.4) <= 1e-12
 
     general = bma_predict_general(ModelEnsemble(members, [0.8, 0.2]))
@@ -355,8 +354,8 @@ def test_criterion_8_loss_property_suite():
         d = rng.uniform(0.01, 3)
         q = rng.uniform(0.51, 0.99)
         psi = -rng.uniform(0.01, 3)
-        assert eval_qtl(q, y - d, y) > eval_qtl(q, y + d, y)
-        assert eval_linex(psi, y - d, y) > eval_linex(psi, y + d, y)
+        assert compose(LossSpec.qtl(q))(y - d, y) > compose(LossSpec.qtl(q))(y + d, y)
+        assert compose(LossSpec.linex(psi))(y - d, y) > compose(LossSpec.linex(psi))(y + d, y)
         cases += 2
 
     # analytic-limit continuity of the ratio family at lambda in {0, -1}
@@ -364,16 +363,17 @@ def test_criterion_8_loss_property_suite():
         a = rng.uniform(0.1, 10)
         y = rng.uniform(0.1, 10)
         for lam in (0.0, -1.0):
-            exact = eval_pwd(lam, a, y)
-            near = eval_pwd(lam + 1e-7, a, y)
+            exact = compose(LossSpec.pwd(lam))(a, y)
+            near = compose(LossSpec.pwd(lam + 1e-7))(a, y)
             assert abs(exact - near) <= 1e-6 * (1 + abs(exact))
         cases += 2
 
-    # potential loss under a generalized Gaussian is exactly |d|^omega
+    # potential loss under a generalized Gaussian is MTC(omega), exactly |d|^omega
     grid = rng.uniform(-10, 10, size=1000)
     for omega in (0.5, 1.0, 2.0, 3.3):
-        got = eval_potential(GeneralizedGaussian(omega), grid, 0.0)
-        assert np.max(np.abs(got - eval_mtc(omega, grid, 0.0))) <= 1e-12
+        spec = LossSpec.potential(GeneralizedGaussian(omega))
+        assert spec == LossSpec.mtc(omega)
+        assert np.max(np.abs(compose(spec)(grid, 0.0) - np.abs(grid) ** omega)) <= 1e-12
         cases += 1000
     assert cases >= 10_000
     _ok(8, f"{cases} randomized loss-property cases passed")

@@ -171,6 +171,99 @@ def test_gamma_ratio_rows_match_fifty_digits_at_large_shapes(key, shape, rate):
         assert abs(epl(spec, post, a) - want) <= 2e-11 * want, (a, want)
 
 
+EPS = 2.0 ** -52
+_FAMILY = {"gaussian": GaussianPosterior, "gamma": GammaPosterior, "beta": BetaPosterior}
+# shapes 0.5 (a Gamma's above 1) to 1e6.  A Beta with both shapes large stops
+# at a + b = 4e4: past it scipy's betainc is itself about 1e-13 relative off
+# (1.5e-13 at Beta(1e6, 1e6)), which linear_loss, a difference of terms of
+# size a, carries as 83 eps (a + m) there
+_ORACLE_POSTS = [
+    ("gaussian", 0.0, 1.0), ("gaussian", 1e6, 3.0), ("gaussian", -40.0, 1e-3),
+    ("gaussian", 2.5, 1e4), ("gamma", 1.01, 2.0), ("gamma", 1.5, 0.3),
+    ("gamma", 9745.0, 1.3), ("gamma", 1e6, 1e-3), ("gamma", 1e6, 7.0), ("beta", 0.5, 0.5),
+    ("beta", 0.5, 3.0), ("beta", 200.0, 700.0), ("beta", 1e4, 3e4), ("beta", 1e6, 0.5),
+    ("beta", 0.5, 1e6)]
+_ORACLE_IDS = [f"{f}-{p1:g}-{p2:g}" for f, p1, p2 in _ORACLE_POSTS]
+
+
+def _oracle_post(family, p1, p2):
+    post = _FAMILY[family](p1, p2)
+    mean, var = post.moments()
+    return post, mean, math.sqrt(var)
+
+
+def test_incomplete_function_oracles_agree_with_mpmath():
+    # the series forms of P(s, x) and I_x(a, b) that the oracle takes where
+    # mpmath's gammainc and betainc do not converge agree with them where they do
+    with mp.mpmath.workdps(mp.DPS):
+        for s, x in ((1.01, 0.3), (3.0, 5.0), (97.0, 80.0), (9745.0, 9500.0), (9745.0, 10100.0)):
+            want = mp.mpmath.gammainc(s, 0, x, regularized=True)
+            assert abs(mp.gamma_p(s, x) / want - 1) < 1e-40, (s, x)
+        for x, a, b in ((0.3, 0.5, 0.5), (0.9, 0.5, 3.0), (0.2, 200.0, 700.0),
+                        (0.26, 2000.0, 6000.0), (0.24, 2000.0, 6000.0)):
+            want = mp.mpmath.betainc(a, b, 0, x, regularized=True)
+            assert abs(mp.beta_i(x, a, b) / want - 1) < 1e-40, (x, a, b)
+
+
+@pytest.mark.parametrize("family, p1, p2", _ORACLE_POSTS, ids=_ORACLE_IDS)
+def test_linear_loss_matches_fifty_digits(family, p1, p2):
+    # each part is a difference of terms of size |a| and m, so a few eps
+    # (|a| + m + sd) is as close as the rounding of a and m allows
+    post, m, sd = _oracle_post(family, p1, p2)
+    for z in (-8.0, -3.0, -1.0, -0.1, 0.0, 0.5, 2.0, 8.0):
+        a = m + z * sd
+        if not post.lower < a < post.upper:
+            continue
+        bound = 8.0 * EPS * (abs(a) + abs(m) + sd)
+        for got, want in zip(post.linear_loss(a), mp.linear_loss(family, p1, p2, a)):
+            assert abs(got - want) <= bound, (a, got, float(want))
+
+
+@pytest.mark.parametrize("family, p1, p2", _ORACLE_POSTS, ids=_ORACLE_IDS)
+def test_log_mgf_neg_matches_fifty_digits(family, p1, p2):
+    # about -psi m, so a few eps |psi| (m + sd); the 1 is the rounding of a
+    # Beta's 1F1 near 1, whose log is the value for a small psi
+    post, m, sd = _oracle_post(family, p1, p2)
+    for t in (-8.0, -3.0, -0.5, -1e-3, 1e-3, 0.5, 3.0, 8.0):
+        psi = t / sd
+        if family == "gamma" and psi <= -p2:
+            continue  # E e^(-psi Y) diverges
+        # the Beta row sums e^max(psi, 0) E e^(-psi Y) >= e^(max(psi, 0) - psi m)
+        # as a 1F1 series, which overflows past e^709.8
+        overflows = family == "beta" and max(psi, 0.0) - psi * m > 710.0
+        want = None if overflows else mp.log_mgf_neg(family, p1, p2, psi)
+        if overflows or family == "beta" and max(psi, 0.0) + want > 710.0:
+            with pytest.raises(NumericError, match="1F1 overflows"):
+                post.log_mgf_neg(psi)
+            continue
+        got = post.log_mgf_neg(psi)
+        assert abs(got - want) <= 8.0 * EPS * (1.0 + abs(psi) * (abs(m) + sd)), (psi, got)
+
+
+@pytest.mark.parametrize("family, p1, p2, psi", [
+    ("gamma", 1e7, 1e-3, 2e-3), ("gamma", 1e7, 250.0, 30.0), ("gamma", 1e7, 3.1, 0.5),
+    ("gamma", 1e7, 1.0, -0.5), ("gamma", 1e4, 1.0, 0.3), ("gamma", 1.5, 2.0, -1.0),
+    ("gamma", 3.0, 0.5, 4.0), ("gaussian", 0.0, 1.0, 1.0), ("gaussian", 1e6, 2.0, 0.7),
+    ("gaussian", -3e4, 1e-2, -30.0), ("gaussian", 5.0, 1e3, 1e-3)])
+def test_linex_rows_match_fifty_digits(family, p1, p2, psi):
+    # The EPL is e^u - psi (a - m) - 1 with u = psi a + log E e^(-psi Y).  A
+    # float a is known to eps |a|, which moves u by eps |psi a|, so the EPL
+    # is known to about (1 + |psi a|) eps relative, and at shape 1e7 the row
+    # is that close: a rewrite of u as psi (a - m) - k (log1p(psi / r) -
+    # psi / r) measured no better at the worst case
+    post, m, _ = _oracle_post(family, p1, p2)
+    spec = LossSpec.linex(psi)
+    star = optimize(spec, post).action
+    for u in (-8.0, -1.0, 1.0, 3.0, 100.0, 600.0):
+        a = star + u / psi
+        with mp.mpmath.workdps(mp.DPS):
+            x = mp.mpmath.mpf(a)
+            want = (mp.mpmath.exp(psi * x + mp.log_mgf_neg(family, p1, p2, psi))
+                    - psi * (x - mp.mpmath.mpf(p1 if family == "gaussian" else p1 / p2)) - 1)
+        got = epl(spec, post, a)
+        assert abs(got - want) <= 4.0 * (1.0 + abs(psi * a)) * EPS * want, (u, got, float(want))
+
+
 def _analytic_pairs():
     rng = np.random.default_rng(4)
     posts = {GaussianPosterior: GaussianPosterior(0.4, 1.3),

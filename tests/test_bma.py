@@ -4,8 +4,8 @@ import pytest
 from bayesdecide import engine
 from bayesdecide import (DiscretePosterior, EnsembleMember, GammaPosterior,
                          GaussianPosterior, LossSpec, ModelEnsemble, SamplePosterior,
-                         ValidationError, bma_predict_general,
-                         bma_predict_sel, epl, optimize)
+                         ValidationError, bma_predict, bma_predict_general,
+                         epl, optimize)
 
 
 def gaussian_pair(p1=0.3, m1=0.0, m2=4.0):
@@ -19,14 +19,14 @@ def gaussian_pair(p1=0.3, m1=0.0, m2=4.0):
 class TestSelClosedForm:
     def test_weighted_mean(self):
         ens = gaussian_pair(p1=0.3)
-        d = bma_predict_sel(ens)
+        d = bma_predict(ens)
         assert d.action == pytest.approx(0.3 * 0.0 + 0.7 * 4.0)
         assert d.method.kind == "closed_form"
 
     def test_epl_is_mixture_variance_plus_bias(self):
         # mixture SEL EPL at a: sum p_k (var_k + (a - mean_k)^2)
         ens = gaussian_pair(p1=0.5, m1=0.0, m2=2.0)
-        d = bma_predict_sel(ens)
+        d = bma_predict(ens)
         want = 0.5 * (1.0 + 1.0) + 0.5 * (4.0 + 1.0)
         assert d.epl == pytest.approx(want)
 
@@ -34,11 +34,11 @@ class TestSelClosedForm:
         post = GaussianPosterior(1.7, 0.4)
         ens = ModelEnsemble(
             [EnsembleMember("only", post, LossSpec.sel())], [1.0])
-        assert bma_predict_sel(ens).action == pytest.approx(1.7)
+        assert bma_predict(ens).action == pytest.approx(1.7)
 
     def test_sel_grid_optimality(self):
         ens = gaussian_pair(p1=0.4)
-        d = bma_predict_sel(ens)
+        d = bma_predict(ens)
         sel = LossSpec.sel()
         p = ens.model_posterior.probabilities
         for a in np.linspace(-2, 6, 33):
@@ -50,7 +50,7 @@ class TestSelClosedForm:
 class TestGeneral:
     def test_matches_closed_form_when_all_sel(self):
         ens = gaussian_pair(p1=0.3)
-        closed = bma_predict_sel(ens)
+        closed = bma_predict(ens)
         numeric = bma_predict_general(ens)
         assert numeric.action == pytest.approx(closed.action, abs=1e-7)
 

@@ -1070,6 +1070,8 @@ class TestYamlCompositions:
         ("{compose: sum, p: 2, components: [{family: SEL}]}", "takes no parameter 'p'"),
         ("{family: SEL, params: {q: 0.5}}", "takes no parameter 'q'"),
         ("{family: PTL, params: {omega: 0}}", "omega must be > 0"),
+        ("{family: PTL, params: {omega: 1.5, rho: 2}}", "PTL loss takes no parameter 'rho'"),
+        ("{family: PTL}", "loss.params: missing required field 'omega'"),
     ])
     def test_malformed_composition_exits_2(self, runner, tmp_path, loss, message):
         scenario = write(tmp_path, "s.yaml", GAUSS + f"loss: {loss}\n")
@@ -1187,3 +1189,32 @@ class TestSurface:
             args = [fixture if w == "s.yaml" else w for w in words[1:]]
             result = runner.invoke(main, args)
             assert result.exit_code == 0, (words, result.output, result.exception)
+
+    def test_readme_library_quick_start_runs(self):
+        """Each line of the README's library quick start runs, and each one
+        ending in a ``# value`` comment gives that value to the digits shown."""
+        with open(os.path.join(os.path.dirname(os.path.dirname(FIXTURES)), "README.md")) as fh:
+            text = fh.read()
+        block = text.split("## Quick start (library)", 1)[1]
+        block = block.split("```python\n", 1)[1].split("```", 1)[0]
+        # a statement continued on the next line ends once its brackets close
+        statements, pending = [], ""
+        for line in block.splitlines():
+            pending += line + "\n"
+            if pending.count("(") == pending.count(")"):
+                statements.append(pending.strip())
+                pending = ""
+        namespace, checked = {}, 0
+        for statement in filter(None, statements):
+            code, _, comment = statement.partition(" # ")
+            if not comment:
+                exec(code, namespace)
+                continue
+            got, want = eval(code, namespace), comment.split()[0]
+            if want in ("True", "False"):
+                assert got is (want == "True"), statement
+            else:
+                digits = len(want.partition(".")[2])
+                assert round(got, digits) == float(want), (statement, got)
+            checked += 1
+        assert checked == 6

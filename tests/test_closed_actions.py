@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 import _oracle_mp as mp
 from _search import searched
 from bayesdecide import (BetaPosterior, GammaPosterior, GaussianPosterior, GeneralizedGaussian,
-                         LossSpec, NumericError, SamplePosterior, Weight, compose, epl,
-                         optimize, optimize_functional)
+                         LossSpec, NumericError, SamplePosterior, SolverPath, Weight, compose,
+                         epl, optimize, optimize_functional)
 # the action alone: optimize also integrates the EPL at it, and a narrow
 # posterior far from 0 is not these tests' subject
 from bayesdecide.engine import _power_mean, minimize
@@ -252,6 +252,19 @@ def test_the_centre_agrees_with_the_search(spec, post):
     sd = math.sqrt(post.moments()[1])
     assert abs(closed.action - numeric.action) <= 1e-7 * sd
     assert closed.epl <= numeric.epl * (1.0 + 1e-13)
+
+
+@pytest.mark.parametrize("post", [
+    GammaPosterior(5.2, 1.05),
+    SamplePosterior(np.random.default_rng(5).gamma(5.2, 1.0 / 1.05, size=401)),
+], ids=["gamma", "draws"])
+@pytest.mark.parametrize("omega, name", [(1.0, "posterior_median"), (2.0, "posterior_mean")])
+def test_ptl_of_a_generalized_gaussian_takes_the_mtc_rows(post, omega, name):
+    # PTL(GG 2) on this Gamma used to be searched to 4.95238095209709, off
+    # its mean 4.9523809523809526
+    d = optimize(L.potential(GeneralizedGaussian(omega)), post)
+    assert d == optimize(L.mtc(omega), post)
+    assert d.method == SolverPath("closed_form", name)
 
 
 @pytest.mark.parametrize("spec, post", [

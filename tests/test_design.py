@@ -32,6 +32,15 @@ class TestCostFunction:
         with pytest.raises(ValidationError):
             c(7)
 
+    def test_table_is_a_read_only_copy(self):
+        # an entry set to -7 after construction used to be returned as the cost
+        table = {0: 0.0, 1: 2.0}
+        c = CostFunction(table=table)
+        table[1] = -7.0
+        assert c(1) == 2.0
+        with pytest.raises(TypeError):
+            c.table[1] = -7.0
+
     def test_table_must_be_nondecreasing(self):
         with pytest.raises(ValidationError):
             CostFunction(table={0: 5.0, 1: 2.0})

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bayesdecide import (GaussianPosterior, GeneralizedGaussian, LossFunction, LossSpec,
-                         ValidationError, Weight, compose, epl, eval_gam, eval_linex, eval_mtc,
-                         eval_potential, eval_pwd, eval_qtl, eval_zero_one)
+                         ValidationError, Weight, compose, epl)
 from bayesdecide.losses import CustomPotentialDensity
 
 
@@ -40,68 +39,68 @@ def pwd_exact(lam, a, y):
 
 class TestMtc:
     def test_squared_displacement(self):
-        assert eval_mtc(2, 3, 1) == 4.0
+        assert compose(LossSpec.mtc(2))(3, 1) == 4.0
 
     def test_absolute(self):
-        assert eval_mtc(1, -1, 1) == 2.0
+        assert compose(LossSpec.mtc(1))(-1, 1) == 2.0
 
     def test_root(self):
-        assert eval_mtc(0.5, 5, 1) == pytest.approx(2.0)
+        assert compose(LossSpec.mtc(0.5))(5, 1) == pytest.approx(2.0)
 
     def test_zero_one_limit(self):
         for a, y in [(3.0, 1.0), (0.2, -5.0)]:
-            assert eval_mtc(1e-6, a, y) == pytest.approx(1.0, abs=1e-4)
+            assert compose(LossSpec.mtc(1e-6))(a, y) == pytest.approx(1.0, abs=1e-4)
 
 
 class TestZeroOne:
     def test_match(self):
-        assert eval_zero_one(2, 2) == 0.0
+        assert compose(LossSpec.zero_one())(2, 2) == 0.0
 
     def test_mismatch(self):
-        assert eval_zero_one(2, 2.0001) == 1.0
+        assert compose(LossSpec.zero_one())(2, 2.0001) == 1.0
 
 
 class TestQtl:
     def test_underprediction(self):
-        assert eval_qtl(0.97, 0, 1) == pytest.approx(0.97)
+        assert compose(LossSpec.qtl(0.97))(0, 1) == pytest.approx(0.97)
 
     def test_overprediction(self):
-        assert eval_qtl(0.97, 1, 0) == pytest.approx(0.03)
+        assert compose(LossSpec.qtl(0.97))(1, 0) == pytest.approx(0.03)
 
     def test_median_case_is_half_absolute(self):
         for a, y in [(2, 5), (-1, 4), (3, 3), (7, -2)]:
-            assert eval_qtl(0.5, a, y) == 0.5 * eval_mtc(1, a, y)
+            assert compose(LossSpec.qtl(0.5))(a, y) == 0.5 * compose(LossSpec.mtc(1))(a, y)
 
 
 class TestLinex:
     def test_zero_at_truth(self):
-        assert eval_linex(2.5, 4, 4) == 0.0
+        assert compose(LossSpec.linex(2.5))(4, 4) == 0.0
 
     def test_unit_displacement(self):
-        assert eval_linex(1, 2, 1) == pytest.approx(math.e - 2)
+        assert compose(LossSpec.linex(1))(2, 1) == pytest.approx(math.e - 2)
 
     def test_small_psi_is_nearly_quadratic(self):
-        got = eval_linex(0.01, 1, 0)
+        got = compose(LossSpec.linex(0.01))(1, 0)
         assert got == pytest.approx(0.5 * 0.01 ** 2, rel=0.01)
 
     def test_overflow_reported(self):
         with pytest.raises(Exception, match="overflow"):
-            eval_linex(10, 100, 0)
+            compose(LossSpec.linex(10))(100, 0)
 
 
 class TestPotential:
     def test_generalized_gaussian_reduces_to_power(self):
-        assert eval_potential(GeneralizedGaussian(2), 4, 1) == pytest.approx(9.0)
+        assert compose(LossSpec.potential(GeneralizedGaussian(2)))(4, 1) == 9.0
 
     def test_zero_at_truth(self):
-        assert eval_potential(GeneralizedGaussian(1.3), 2, 2) == 0.0
+        assert compose(LossSpec.potential(GeneralizedGaussian(1.3)))(2, 2) == 0.0
 
     def test_matches_mtc_on_grid(self):
         grid = np.linspace(-5, 5, 41)
         for omega in (0.5, 1.0, 2.0, 3.7):
-            got = eval_potential(GeneralizedGaussian(omega), grid, 0.0)
-            want = eval_mtc(omega, grid, 0.0)
-            assert np.max(np.abs(got - want)) <= 1e-12
+            spec = LossSpec.potential(GeneralizedGaussian(omega))
+            assert spec == LossSpec.mtc(omega)
+            np.testing.assert_array_equal(compose(spec)(grid, 0.0), np.abs(grid) ** omega)
 
     def test_unbounded_density_rejected(self):
         with pytest.raises(ValidationError):
@@ -115,21 +114,21 @@ class TestPotential:
 class TestPwd:
     def test_lambda_one_is_half_squared_ratio(self):
         # phi_1(r) = (r - 1)^2 / 2
-        assert eval_pwd(1, 2, 1) == pytest.approx(0.5)
+        assert compose(LossSpec.pwd(1))(2, 1) == pytest.approx(0.5)
 
     def test_zero_at_truth(self):
         for lam in (-2.0, -1.0, 0.0, 0.5, 1.0, 3.0):
-            assert eval_pwd(lam, 3.0, 3.0) == pytest.approx(0.0, abs=1e-12)
+            assert compose(LossSpec.pwd(lam))(3.0, 3.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_limit_at_zero(self):
         # phi_0(2) = r log r + 1 - r, exactly
-        assert eval_pwd(0.0, 2, 1) == 2 * math.log(2) + 1 - 2
-        assert eval_pwd(1e-8, 2, 1) == pytest.approx(pwd_exact(1e-8, 2, 1), rel=2e-13, abs=0)
+        assert compose(LossSpec.pwd(0.0))(2, 1) == 2 * math.log(2) + 1 - 2
+        assert compose(LossSpec.pwd(1e-8))(2, 1) == pytest.approx(pwd_exact(1e-8, 2, 1), rel=2e-13, abs=0)
 
     def test_limit_at_minus_one(self):
         # phi_-1(2) = r - 1 - log r, exactly
-        assert eval_pwd(-1.0, 2, 1) == 2 - 1 - math.log(2)
-        assert eval_pwd(-1 + 1e-8, 2, 1) == pytest.approx(pwd_exact(-1 + 1e-8, 2, 1),
+        assert compose(LossSpec.pwd(-1.0))(2, 1) == 2 - 1 - math.log(2)
+        assert compose(LossSpec.pwd(-1 + 1e-8))(2, 1) == pytest.approx(pwd_exact(-1 + 1e-8, 2, 1),
                                                           rel=2e-13, abs=0)
 
     # from 1e-12 to 0.1 off both singularities, either side, just inside and
@@ -144,27 +143,27 @@ class TestPwd:
         # |a - y| > 0.3 y: the cancellation in a - y (near a = y) is not this test's
         for a, y in ((2.0, 1.0), (0.5, 1.0), (3.7, 1.2), (1e-3, 5.0), (40.0, 0.3)):
             want = pwd_exact(lam, a, y)
-            assert abs(eval_pwd(lam, a, y) - want) <= 2e-13 * want, (a, y)
+            assert abs(compose(LossSpec.pwd(lam))(a, y) - want) <= 2e-13 * want, (a, y)
 
     def test_positive_quadrant_only(self):
         with pytest.raises(ValidationError):
-            eval_pwd(1, -1, 1)
+            compose(LossSpec.pwd(1))(-1, 1)
 
 
 class TestGam:
     def test_zero_at_truth(self):
-        assert eval_gam(2.5, 4, 7, 7) == pytest.approx(0.0, abs=1e-12)
+        assert compose(LossSpec.gam(2.5, 4))(7, 7) == pytest.approx(0.0, abs=1e-12)
 
     def test_simplified_form(self):
-        assert eval_gam(1, 2, 2, 1) == pytest.approx(1 - math.log(2))
+        assert compose(LossSpec.gam(1, 2))(2, 1) == pytest.approx(1 - math.log(2))
 
     def test_alpha_invariance(self):
         a, y, nu = 3.0, 1.5, 4.0
-        assert eval_gam(1.0, nu, a, y) == eval_gam(7.0, nu, a, y)
+        assert compose(LossSpec.gam(1.0, nu))(a, y) == compose(LossSpec.gam(7.0, nu))(a, y)
 
     def test_simplified_matches_definitional(self):
         grid = np.linspace(0.2, 8.0, 25)
-        got = eval_gam(2.0, 3.0, grid, 1.7)
+        got = compose(LossSpec.gam(2.0, 3.0))(grid, 1.7)
         want = gam_definitional(2.0, 3.0, grid, 1.7)
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -220,7 +219,7 @@ class TestCompose:
     def test_power_clamps_a_base_rounded_below_zero(self):
         # PWD is a difference of terms of size a, which rounds below 0 here
         a, y = 1.733759351509418, 1.7337593549769368
-        assert eval_pwd(0.5, a, y) < 0
+        assert compose(LossSpec.pwd(0.5))(a, y) < 0
         assert compose(LossSpec.power_of(LossSpec.pwd(0.5), 0.5))(a, y) == 0.0
 
     def test_weight_returns_its_values(self):
@@ -300,20 +299,20 @@ def test_nonnegative_and_zero_at_truth_positive_quadrant(spec):
 @given(st.floats(0.51, 0.99), st.floats(0.01, 10), st.floats(-5, 5))
 @settings(max_examples=200, deadline=None)
 def test_qtl_asymmetry_underprediction_costs_more(q, d, y):
-    assert eval_qtl(q, y - d, y) > eval_qtl(q, y + d, y)
+    assert compose(LossSpec.qtl(q))(y - d, y) > compose(LossSpec.qtl(q))(y + d, y)
 
 
 @given(st.floats(-4, -0.01), st.floats(0.01, 10), st.floats(-5, 5))
 @settings(max_examples=200, deadline=None)
 def test_linex_asymmetry_for_negative_psi(psi, d, y):
-    assert eval_linex(psi, y - d, y) > eval_linex(psi, y + d, y)
+    assert compose(LossSpec.linex(psi))(y - d, y) > compose(LossSpec.linex(psi))(y + d, y)
 
 
 @given(st.floats(-3, -0.2), st.floats(1, 10), st.floats(0.01, 0.99))
 @settings(max_examples=200, deadline=None)
 def test_pwd_asymmetry_for_negative_lambda(lam, y, frac):
     d = frac * y
-    assert eval_pwd(lam, y - d, y) > eval_pwd(lam, y + d, y)
+    assert compose(LossSpec.pwd(lam))(y - d, y) > compose(LossSpec.pwd(lam))(y + d, y)
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +324,6 @@ _GOOD = {"MTC": {"rho": 1.5}, "QTL": {"q": 0.5}, "LNX": {"psi": 1.0},
 _BAD = {"rho": (0.0, -1.0, NAN, INF), "q": (0.0, 1.0, -0.5, 1.5, NAN, INF),
         "psi": (0.0, NAN, INF, -INF), "lam": (NAN, INF, -INF),
         "alpha": (0.0, -1.0, NAN, INF), "nu": (1.0, 0.5, NAN, INF)}
-# every public evaluator that takes the family's parameters, at a valid (a, y)
-_EVALUATORS = {
-    "MTC": [lambda rho: eval_mtc(rho, 2.0, 1.0)],
-    "QTL": [lambda q: eval_qtl(q, 2.0, 1.0)],
-    "LNX": [lambda psi: eval_linex(psi, 2.0, 1.0)],
-    "PWD": [lambda lam: eval_pwd(lam, 2.0, 1.0)],
-    "GAM": [lambda alpha, nu: eval_gam(alpha, nu, 2.0, 1.0)],
-}
 _OUT_OF_RANGE = [(family, name, value) for family, good in _GOOD.items()
                  for name in good for value in _BAD[name]]
 
@@ -342,9 +333,6 @@ def test_out_of_range_parameter_rejected_when_built(family, name, value):
     params = dict(_GOOD[family], **{name: value})
     with pytest.raises(ValidationError, match=f"{name} must"):
         LossSpec(family=family, params=params)
-    for evaluate in _EVALUATORS[family]:
-        with pytest.raises(ValidationError, match=f"{name} must"):
-            evaluate(**params)
 
 
 @pytest.mark.parametrize("p", [0.0, -1.0, NAN, INF])
@@ -395,6 +383,9 @@ def test_spec_sets_exactly_one_of_family_and_compose(kwargs):
     ({"family": "PTL"}, "PTL loss is missing parameter 'density'"),
     ({"family": "PTL", "params": {"density": None}}, "density must be a potential density"),
     ({"compose": "max", "components": (LossSpec.sel(),)}, "unknown composition 'max'"),
+    # its potential loss is MTC(omega), which LossSpec.potential builds
+    ({"family": "PTL", "params": {"density": GeneralizedGaussian(1.5)}},
+     r"density must be a potential density \(PTL of a generalized Gaussian is MTC\(omega\)\)"),
 ])
 def test_malformed_spec_rejected_when_built(kwargs, message):
     with pytest.raises(ValidationError, match=message):
@@ -428,6 +419,16 @@ def test_spec_round_trips_through_pickle_and_deepcopy(spec, clone):
         twin.params["x"] = 1.0
     y = np.linspace(-2.0, 3.0, 11)
     np.testing.assert_array_equal(compose(twin)(0.4, y), compose(spec)(0.4, y))
+
+
+def test_weight_kind_comes_only_from_its_constructors():
+    # a stated kind that fn does not have would tilt the posterior wrongly
+    with pytest.raises(TypeError):
+        Weight(np.exp, kind="power", param=2.0)
+    assert (Weight.power(2.0).kind, Weight.power(2.0).param) == ("power", 2.0)
+    assert (Weight.exp(-0.5).kind, Weight.exp(-0.5).param) == ("exp", -0.5)
+    bare = Weight(np.exp)
+    assert (bare.kind, bare.param) == (None, None)
 
 
 def test_custom_density_spec_composes():

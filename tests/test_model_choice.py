@@ -72,6 +72,17 @@ class TestEvidence:
         with pytest.raises(AttributeError, match="immutable"):
             ev.prior = np.array([1.0, 0.0])
 
+    def test_keeps_read_only_copies(self):
+        # a NaN written into the caller's array used to pass the finiteness check
+        ll, prior = np.log([1.0, 2.0]), np.array([0.5, 0.5])
+        ev = ModelEvidence(log_likelihoods=ll, prior=prior)
+        ll[0], prior[:] = math.nan, (2.0, -1.0)
+        assert np.array_equal(ev.log_likelihoods, np.log([1.0, 2.0]))
+        assert np.array_equal(ev.prior, [0.5, 0.5])
+        for arr in (ev.log_likelihoods, ev.prior):
+            with pytest.raises(ValueError):
+                arr[0] = math.nan
+
 
 class TestBayesFactor:
     def test_ratio(self):
@@ -158,3 +169,12 @@ class TestDecisionTable:
     def test_negative_entries_rejected(self):
         with pytest.raises(ValidationError):
             DecisionTable([[0.0, -1.0], [1.0, 0.0]])
+
+    def test_keeps_a_read_only_copy(self):
+        # L[0, 0] = 5 after construction used to leave a diagonal of 5
+        losses = np.ones((2, 2)) - np.eye(2)
+        table = DecisionTable(losses)
+        losses[0, 0] = 5.0
+        assert table.losses[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            table.losses[0, 0] = 5.0

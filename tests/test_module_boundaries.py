@@ -173,10 +173,9 @@ PUBLIC_NAMES = {
     "JointModel", "LossFunction", "LossSpec", "ModelEnsemble", "ModelEvidence",
     "NumericError", "OptimalDecision", "Posterior", "SamplePosterior", "SolverPath",
     "TailRiskCurve", "ValidationError", "VectorPosterior", "Weight", "bayes_factor",
-    "beta_bernoulli", "bma_predict_general", "bma_predict_sel", "calibrate_linex",
+    "beta_bernoulli", "bma_predict", "bma_predict_general", "calibrate_linex",
     "calibrate_quantile", "choose_baf", "choose_epl", "compose", "default_eigen_weights",
-    "eigenspace_decisions", "epl", "epl_multivariate", "estimate_correlation", "eval_gam",
-    "eval_linex", "eval_mtc", "eval_potential", "eval_pwd", "eval_qtl", "eval_zero_one",
+    "eigenspace_decisions", "epl", "epl_multivariate", "estimate_correlation",
     "expected_joint_loss", "gaussian_known_variance", "linex_action_approx",
     "load_samples", "lower_envelope", "neg_posterior_variance", "optimal_sample_size",
     "optimize", "optimize_eigen", "optimize_functional", "posterior_models", "project",
