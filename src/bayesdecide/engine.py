@@ -7,18 +7,17 @@ draws, else from the posterior's ``log_moment``) and PWD's power mean
 (E Y^-lam)^(-1/lam) from ``log_moment`` and ``mean_log``, with the rows
 ``PWD+1`` and ``PWD-1`` for lam = 1 and -1.  Each formula is valid on
 every posterior ``optimize`` accepts.  ``_EPLS`` maps (posterior type,
-loss key) to the expected posterior loss EPL(a) in closed form: on
-Gaussian, Gamma and Beta posteriors, and for SEL, MTC(1) and QTL on
-draws, where it is read off the cloud's running sums in O(log n); the
-absolute and pinball rows take the posterior's own linear-loss integrals,
-``post.linear_loss``, and the Gamma GAM and PWD(-1) rows sum digamma(x) -
-log x by ``digamma_gap``, with no cancellation.  A sum's EPL is the sum of
-its parts' EPLs (linearity).  The conjugate tilts live on the posteriors
-too: ``post.tilt(Weight.kind, Weight.param)`` returns (log Z, the tilted
-posterior w p / Z), with Z = E w(Y), where the family is closed under
-the weight, and None otherwise (see ``posteriors``).  Since
-E w(Y) L(a, Y) = Z E_w L(a, Y), a weighted loss on those pairs is its
-base loss on the tilted posterior: ``optimize`` takes the base's
+loss key) to the expected posterior loss EPL(a) in closed form.  SEL,
+MTC(1) and QTL take ``post.squared_loss`` and ``post.linear_loss`` on all
+four posterior types (O(log n) on draws), ZERO_ONE and LNX have rows on
+Gaussian, Gamma and Beta posteriors, and the Gamma GAM and PWD(-1) rows
+sum digamma(x) - log x by ``digamma_gap``, with no cancellation.  A sum's
+EPL is the sum of its parts' EPLs (linearity).  The conjugate tilts live
+on the posteriors too: ``post.tilt(Weight.kind, Weight.param)`` returns
+(log Z, the tilted posterior w p / Z), with Z = E w(Y), where the family
+is closed under the weight, and None otherwise (see ``posteriors``).
+Since E w(Y) L(a, Y) = Z E_w L(a, Y), a weighted loss on those pairs is
+its base loss on the tilted posterior: ``optimize`` takes the base's
 closed-form action (path ``tilted_<name>``) and ``epl`` returns Z times
 the base's EPL.  So ``epl`` answers these without quadrature or a pass
 over the draws, whichever caller asks: ``optimize``, its numeric search,
@@ -145,7 +144,7 @@ def _finite(value, a):
     weighted sum and the quadrature raise when theirs do."""
     value = float(value)
     if not math.isfinite(value):
-        raise NumericError(f"the closed-form EPL at a={a!r} is not finite")
+        raise NumericError(f"the closed-form EPL at a={a!r} overflows: it is not finite")
     return value
 
 
@@ -351,26 +350,18 @@ _ACTIONS = {
 # closed forms: expected posterior loss EPL(a)
 
 
-def _sel_epl(post, prm, a):
-    # E((a - Y)^2 | z) = Var(Y | z) + (a - E(Y | z))^2
-    mean, var = post.moments()
-    return var + (a - mean) ** 2
-
-
 def _zero_one_epl(post, prm, a):
     # a single point carries no mass under a continuous posterior
     return 1.0
 
 
 def _abs_epl(post, prm, a):
-    below, above = post.linear_loss(a)
-    return below + above
+    return sum(post.linear_loss(a))
 
 
 def _qtl_epl(post, prm, a):
     # pinball loss: (1 - q) E(a - Y)^+ + q E(Y - a)^+
-    below, above = post.linear_loss(a)
-    q = prm["q"]
+    q, (below, above) = prm["q"], post.linear_loss(a)
     return (1.0 - q) * below + q * above
 
 
@@ -415,17 +406,15 @@ def _gamma_pwd_minus_epl(post, prm, a):
 # _check_domain refuses it first
 _EPLS = {
     **{(kind, key): fn
+       for kind in (GaussianPosterior, GammaPosterior, BetaPosterior, SamplePosterior)
+       for key, fn in (("SEL", lambda post, prm, a: post.squared_loss(a)),
+                       ("MTC1", _abs_epl), ("QTL", _qtl_epl))},
+    **{(kind, key): fn
        for kind in (GaussianPosterior, GammaPosterior, BetaPosterior)
-       for key, fn in (("SEL", _sel_epl), ("MTC1", _abs_epl),
-                       ("ZERO_ONE", _zero_one_epl), ("QTL", _qtl_epl),
-                       ("LNX", _linex_epl))},
+       for key, fn in (("ZERO_ONE", _zero_one_epl), ("LNX", _linex_epl))},
     (GammaPosterior, "GAM"): _gamma_gam_epl,
     (GammaPosterior, "PWD+1"): _gamma_pwd_plus_epl,
     (GammaPosterior, "PWD-1"): _gamma_pwd_minus_epl,
-    # on draws about the median draw, not the mean (see SamplePosterior)
-    (SamplePosterior, "SEL"): lambda post, prm, a: post.squared_loss(a),
-    (SamplePosterior, "MTC1"): _abs_epl,
-    (SamplePosterior, "QTL"): _qtl_epl,
 }
 
 

@@ -7,9 +7,10 @@ across threads.
 
 All representations expose the same surface used by the decision
 machinery: ``moments``, ``quantile``, ``mode``, ``expect``, ``log_mgf_neg``
-(log E exp(-psi Y)), ``tail_prob``, ``linear_loss`` (Raiffa & Schlaifer's
-1961 integrals E(a - Y)^+ and E(Y - a)^+), ``tilt`` and ``lower``, where
-the true support starts: -inf on a Gaussian, whatever ``support()``
+(log E exp(-psi Y)), ``tail_prob``, ``squared_loss`` and ``linear_loss``
+(E(a - Y)^2 and Raiffa & Schlaifer's 1961 E(a - Y)^+ and E(Y - a)^+, all
+written once in ``_LossIntegrals``), ``tilt`` and ``lower``, where the
+true support starts: -inf on a Gaussian, whatever ``support()``
 truncates for quadrature, 0.0 on a Gamma or a Beta and the least draw on
 a cloud; the parametric ones also state ``upper``, inf or 1.0 on a Beta.
 ``almost_surely_positive`` (Y > 0 almost surely, as GAM and PWD need) is
@@ -24,10 +25,8 @@ tilt takes its log Z from; ``log_moment`` raises ``NumericError`` where
 E Y^p diverges (p <= -shape on a Gamma, p <= -a on a Beta).
 ``symmetric_centre()`` is the centre of a symmetric unimodal density (a
 Gaussian's mean, 0.5 for Beta(a, a) with a >= 1), or None: there a radial
-loss takes its Bayes action (Anderson 1955).
-``SamplePosterior`` additionally reads the expected squared and linear
-losses off sums it builds once (``squared_loss``, ``linear_loss``); a
-cloud reweighted by w(y) is ``SamplePosterior(values, weights * w(values))``.
+loss takes its Bayes action (Anderson 1955).  A cloud reweighted by w(y)
+is ``SamplePosterior(values, weights * w(values))``.
 
 The parametric densities, distribution functions and quantiles are
 written on ``scipy.special`` (``ndtr``, ``ndtri``, the regularized
@@ -62,6 +61,7 @@ from .errors import DivergentMgfError, NumericError, ValidationError
 
 # Mass left in each tail when truncating a parametric support for quadrature.
 _QUAD_TAIL = 1e-10
+_LOG_2PI = math.log(2.0 * math.pi)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Tanh-sinh rule on one panel of unit width: t = k/16 for |t| <= 6.
@@ -155,6 +155,29 @@ def digamma_gap(x):
     return total - 0.5 / x - series * inv_x2
 
 
+def _log_peak(x):
+    """log(x^x e^-x / Gamma(x)) for x > 0, with the shift of ``digamma_gap``:
+    the value at x is the one at x + 1 plus 1 - (x + 1) log1p(1/x), and at
+    x >= 10 Stirling's series gives (log x - log 2 pi)/2 - sum_j c_j x^(1 - 2j)."""
+    total = 0.0
+    while x < 10.0:
+        total += 1.0 - (x + 1.0) * math.log1p(1.0 / x)
+        x += 1.0
+    inv_x2, series = 1.0 / (x * x), 0.0
+    for c in reversed(_STIRLING):  # Horner's rule in 1/x^2
+        series = series * inv_x2 + c
+    return total + 0.5 * (math.log(x) - _LOG_2PI) - series / x
+
+
+def _log_kernel(k, x):
+    """log(x^k e^-x / Gamma(k)) for k, x > 0, as ``_log_peak(k)`` - k (u -
+    log1p u) with u = x/k - 1, the bracket taken as x - k - k log(x/k) where
+    |u| >= 1/2: neither form cancels where it is used."""
+    u = (x - k) / k  # x - k is exact where |u| < 1/2
+    return _log_peak(k) - (k * (u - math.log1p(u)) if abs(u) < 0.5
+                           else x - k - k * math.log(x / k))
+
+
 def _check_moment(post, p, first):
     """Refuse p where E Y^p diverges, that is where ``first`` + p <= 0."""
     if not first + p > 0:
@@ -166,8 +189,36 @@ def almost_surely_positive(post):
     return post.lower > 0 or post.lower == 0 and post.cdf(0.0) == 0
 
 
+class _LossIntegrals:
+    """E(a - Y)^2 and Raiffa & Schlaifer's (1961) E(a - Y)^+ and E(Y - a)^+
+    about a centre c.  ``_centre()`` is (c, W, S1, S2), the totals of w,
+    w(y - c) and w(y - c)^2: (mean, 1, 0, var) here, about the median draw
+    on a cloud.  ``_split(a)`` is (F, W - F, L, U): the weight at or below a
+    and above it, and the sums of w(y - c) over each.  On a parametric
+    posterior U = -L = tau(a) f(a), tau its Stein kernel (Diaconis & Zabell
+    1991)."""
+
+    __slots__ = ()
+
+    def _centre(self):
+        mean, var = self.moments()
+        return mean, 1.0, 0.0, var
+
+    def squared_loss(self, a):
+        """E(a - Y)^2 = S2 + d (d W - 2 S1), d = a - c."""
+        c, w, s1, s2 = self._centre()
+        d = a - c
+        return s2 + d * (d * w - 2.0 * s1)
+
+    def linear_loss(self, a):
+        """(E(a - Y)^+, E(Y - a)^+) = (d F - L, U - d (W - F)), d = a - c."""
+        d = a - self._centre()[0]
+        f, g, low, up = self._split(a)
+        return d * f - low, up - d * g
+
+
 @dataclass(frozen=True)
-class GaussianPosterior:
+class GaussianPosterior(_LossIntegrals):
     """Gaussian posterior with mean ``mean`` and standard deviation ``sd``."""
 
     mean: float
@@ -219,13 +270,11 @@ class GaussianPosterior:
         _check_psi(psi)
         return -psi * self.mean + 0.5 * psi * psi * self.sd ** 2
 
-    def linear_loss(self, a):
-        """(E(a - Y)^+, E(Y - a)^+) from the standard normal cdf and density
-        at z = (a - m)/sd."""
+    def _split(self, a):
+        """U = -L = sd phi(z) at z = (a - m)/sd."""
         z = (a - self.mean) / self.sd
-        phi = self.sd * self.pdf(float(a))  # standard normal density at z
-        return (self.sd * (z * float(_special.ndtr(z)) + phi),
-                self.sd * (phi - z * float(_special.ndtr(-z))))
+        up = self.sd * _INV_SQRT_2PI * math.exp(-0.5 * z * z)
+        return float(_special.ndtr(z)), float(_special.ndtr(-z)), -up, up
 
     def tilt(self, kind, c):
         """(log E e^{cY}, N(m + c s^2, s^2)) for the weight e^{cy}, else None."""
@@ -236,7 +285,7 @@ class GaussianPosterior:
 
 
 @dataclass(frozen=True)
-class GammaPosterior:
+class GammaPosterior(_LossIntegrals):
     """Gamma posterior with shape ``shape`` (> 1) and rate ``rate`` (> 0).
 
     The shape restriction keeps E(1/Y) finite and the mode
@@ -318,17 +367,13 @@ class GammaPosterior:
         """None: a Gamma density is skewed."""
         return None
 
-    def linear_loss(self, a):
-        """(E(a - Y)^+, E(Y - a)^+) from P(k, r a) and P(k + 1, r a), as
-        E(Y I(Y < a)) = m P(k + 1, r a)."""
-        m = self.moments()[0]
-        if a <= 0:
-            return 0.0, m - a
+    def _split(self, a):
+        """U = -L = m (P(k, x) - P(k + 1, x)) = x^k e^-x / (r Gamma(k)) at x = r a."""
         k, x = self.shape, self.rate * a
-        return (a * float(_special.gammainc(k, x))
-                - m * float(_special.gammainc(k + 1.0, x)),
-                m * float(_special.gammaincc(k + 1.0, x))
-                - a * float(_special.gammaincc(k, x)))
+        if not x > 0:
+            return 0.0, 1.0, 0.0, 0.0
+        up = math.exp(_log_kernel(k, x)) / self.rate if x < math.inf else 0.0
+        return float(_special.gammainc(k, x)), float(_special.gammaincc(k, x)), -up, up
 
     def tilt(self, kind, p):
         """(log Z, tilted posterior) for the weight e^{py} or y^p, else None."""
@@ -347,7 +392,7 @@ class GammaPosterior:
 
 
 @dataclass(frozen=True)
-class BetaPosterior:
+class BetaPosterior(_LossIntegrals):
     """Beta posterior with shapes ``a`` and ``b`` (> 0, with a finite sum).
 
     The mode is (a - 1) / (a + b - 2) when a, b > 1, else the end where the
@@ -407,10 +452,10 @@ class BetaPosterior:
         # the one with a positive argument is a sum of positive terms
         _check_psi(psi)
         first, shift = (self.b, -psi) if psi > 0 else (self.a, 0.0)
-        mgf = _hyp1f1_positive(first, self.a + self.b, abs(psi))
-        if not mgf < math.inf:
+        excess = _hyp1f1_positive(first, self.a + self.b, abs(psi))
+        if not excess < math.inf:
             raise NumericError(f"E(exp{{-psi*Y}}) on {self} with psi={psi}: 1F1 overflows")
-        return shift + math.log(mgf)
+        return shift + math.log1p(excess)
 
     def log_moment(self, p):
         """log E Y^p = log(B(a + p, b) / B(a, b)), as (Gamma(a + p) / Gamma(a))
@@ -426,17 +471,14 @@ class BetaPosterior:
         """0.5 for Beta(a, a) with a >= 1; a U-shaped Beta(a, a) is bimodal."""
         return 0.5 if self.a == self.b and self.a >= 1 else None
 
-    def linear_loss(self, a):
-        """(E(a - Y)^+, E(Y - a)^+) as on a Gamma: E(Y I(Y < a)) = m I_x(al + 1, be)
-        at x = min(a, 1)."""
-        m = self.moments()[0]
-        if a <= 0:
-            return 0.0, m - a
-        al, be, x = self.a, self.b, min(a, 1.0)
-        return (a * float(_special.betainc(al, be, x))
-                - m * float(_special.betainc(al + 1.0, be, x)),
-                m * float(_special.betaincc(al + 1.0, be, x))
-                - a * float(_special.betaincc(al, be, x)))
+    def _split(self, a):
+        """U = -L = m (I_a(al, be) - I_a(al + 1, be)) = a^al (1 - a)^be / (n B(al,
+        be)), n = al + be, as the Gamma kernels at n a and n (1 - a) over the
+        peak at n (0 outside (0, 1))."""
+        al, be, n, x = self.a, self.b, self.a + self.b, min(max(a, 0.0), 1.0)
+        up = (math.exp(_log_kernel(al, n * a) + _log_kernel(be, n * (1.0 - a))
+                       - _log_peak(n)) / n if 0.0 < a < 1.0 else 0.0)
+        return float(_special.betainc(al, be, x)), float(_special.betaincc(al, be, x)), -up, up
 
     def tilt(self, kind, p):
         """(log Z, tilted posterior) for the weight y^p, else None."""
@@ -447,7 +489,8 @@ class BetaPosterior:
 
 
 def _hyp1f1_positive(a, c, z):
-    """1F1(a; c; z) for 0 < a < c and z > 0, by summing its series.
+    """1F1(a; c; z) - 1 for 0 < a < c and z > 0, by summing its series
+    without its leading 1, so that log1p of it keeps the digits of a small z.
 
     Every term is positive, so nothing cancels: the sum is within 1e-15
     relative at z <= 10 and 1e-14 at z <= 100, where ``scipy.special.hyp1f1``
@@ -455,8 +498,7 @@ def _hyp1f1_positive(a, c, z):
     a small LINEX EPL turns into 1e-9.  Past term n > z each term is below z / (n + 1) times the
     last, so the sum ends; one that overflows ends at once and is inf.
     """
-    total = term = 1.0
-    n = 0
+    total, term, n = 0.0, 1.0, 0
     while total < math.inf:
         term *= (a + n) / (c + n) * z / (n + 1)
         n += 1
@@ -479,13 +521,13 @@ def _stable_sort(values):
     return out
 
 
-# what a cloud's moments and its squared and linear losses are read from,
-# about its median draw c: with d = y - c, the totals of w, w d and w d^2 and
-# the running sum of w d over the sorted draws (read-only)
+# what a cloud's moments, centre and split are read from, about its median
+# draw c: with d = y - c, the totals of w, w d and w d^2 and the running sum
+# of w d over the sorted draws (read-only)
 _DrawSums = namedtuple("_DrawSums", "mean var centre w wd wd2 prefix_wd")
 
 
-class SamplePosterior:
+class SamplePosterior(_LossIntegrals):
     """Weighted posterior draws.
 
     Draws are stored sorted by value with normalized weights, in read-only
@@ -495,12 +537,12 @@ class SamplePosterior:
     permuting equal weights changes none of them.  A single draw
     (degenerate posterior) is legal everywhere; its variance is 0.
 
-    The moments, and the sums ``squared_loss`` and ``linear_loss`` read,
-    are built in O(n) on first use and kept; ``squared_loss`` is then
-    O(1) and ``linear_loss`` O(log n).  The sums are taken about the median draw
-    c, not about 0: (a - c) and (y - c) are exact for a and y near c, so
-    a narrow cloud far from 0 keeps its digits.  Uncentred, var + (a -
-    mean)^2 is 2e-7 relative off on N(1e9, 1) draws.
+    The moments and the sums ``_centre`` and ``_split`` read are built in
+    O(n) on first use and kept, so ``squared_loss`` is O(1) and
+    ``linear_loss`` O(log n).  The sums are taken about the median draw c,
+    not 0: (a - c) and (y - c) are exact for a and y near c, so a narrow
+    cloud far from 0 keeps its digits; uncentred, var + (a - mean)^2 is
+    2e-7 relative off on N(1e9, 1) draws.
     """
 
     __slots__ = ("values", "weights", "_cumw", "lower", "_draw_sums")
@@ -560,25 +602,16 @@ class SamplePosterior:
         sums = self._sums()
         return sums.mean, sums.var
 
-    def squared_loss(self, a):
-        """E (a - Y)^2, as sum w d^2 - 2 b sum w d + b^2 sum w with b = a - c."""
+    def _centre(self):
         s = self._sums()
-        b = a - s.centre
-        return s.wd2 + b * (b * s.w - 2.0 * s.wd)
+        return s.centre, s.w, s.wd, s.wd2
 
-    def linear_loss(self, a):
-        """(E(a - Y)^+, E(Y - a)^+), Raiffa & Schlaifer's linear-loss integrals.
-
-        With b = a - c, the draws y <= a give b W - S and the others
-        (sum w d - S) - b (sum w - W), where W and S are the running sums of
-        w and w d up to the last of them, found by one binary search.
-        """
+    def _split(self, a):
+        """The running sums of w and w d to the last draw y <= a, by one search."""
         s = self._sums()
-        b = a - s.centre
         k = int(np.searchsorted(self.values, a, side="right"))
-        below_w, below_wd = ((float(self._cumw[k - 1]), float(s.prefix_wd[k - 1])) if k
-                             else (0.0, 0.0))
-        return b * below_w - below_wd, (s.wd - below_wd) - b * (s.w - below_w)
+        f, low = (float(self._cumw[k - 1]), float(s.prefix_wd[k - 1])) if k else (0.0, 0.0)
+        return f, s.w - f, low, s.wd - low
 
     def tilt(self, kind, param):
         """None: draws are not tilted, since a reweighted cloud sorts its draws

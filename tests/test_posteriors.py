@@ -131,6 +131,36 @@ class TestLinearLoss:
         assert above == pytest.approx(want_above, rel=1e-9, abs=1e-12)
 
 
+class TestLossIntegrals:
+    """E(a - Y)^2, E(a - Y)^+ and E(Y - a)^+ are written once, about each
+    posterior's centre and its split at a."""
+
+    POSTS = [GaussianPosterior(0.3, 1.2), GammaPosterior(3.5, 2.0), BetaPosterior(2.5, 4.0),
+             TestLinearLoss.CLOUD]
+
+    @settings(max_examples=60, deadline=None)
+    @given(i=st.integers(0, 3), z=st.floats(-8.0, 8.0))
+    def test_match_the_expectation(self, i, z):
+        post = self.POSTS[i]
+        mean, var = post.moments()
+        a = mean + z * math.sqrt(var)
+        scale = abs(a - mean) + math.sqrt(var)
+        below, above = post.linear_loss(a)
+        for got, h, size in ((post.squared_loss(a), lambda y: (a - y) ** 2, scale * scale),
+                             (below, lambda y: np.maximum(a - y, 0.0), scale),
+                             (above, lambda y: np.maximum(y - a, 0.0), scale)):
+            assert abs(got - post.expect(h, breakpoints=(a,))) <= 1e-9 * size
+        assert abs((below - above) - (a - mean)) <= 1e-9 * scale
+
+    def test_a_gamma_split_where_r_a_overflows(self):
+        # x = r a is inf: all the mass lies below a, and none above it
+        assert GammaPosterior(3.0, 1e150).linear_loss(1e160) == (1e160, 0.0)
+
+    def test_no_posterior_writes_its_own(self):
+        for cls in (GaussianPosterior, GammaPosterior, BetaPosterior, SamplePosterior):
+            assert not {"linear_loss", "squared_loss"} & set(vars(cls)), cls
+
+
 class TestLogMgfNeg:
     def test_gaussian_closed_form(self):
         assert GaussianPosterior(0, 1).log_mgf_neg(-2) == pytest.approx(2.0)
