@@ -47,12 +47,9 @@ class ModelEnsemble:
         raise AttributeError("ModelEnsemble is immutable")
 
 
-def _mixture_epl(ens, lossfns, a):
+def _mixture_epl(ens, a):
     p = ens.model_posterior.probabilities
-    return sum(
-        pk * engine.epl(lf, member.posterior, a)
-        for pk, member, lf in zip(p, ens.members, lossfns)
-    )
+    return sum(pk * engine.epl(m.loss, m.posterior, a) for pk, m in zip(p, ens.members))
 
 
 def bma_predict(ens):
@@ -60,12 +57,12 @@ def bma_predict(ens):
     ``engine.optimize`` reads it (MTC(2) is SEL), the closed form: the
     probability-weighted sum of the members' optimal actions, their
     posterior means.  Otherwise ``bma_predict_general``."""
-    if not all(engine.loss_key(compose(m.loss).spec) == "SEL" for m in ens.members):
+    if not all(engine.loss_key(compose(m.loss)) == "SEL" for m in ens.members):
         return bma_predict_general(ens)
     p = ens.model_posterior.probabilities
     action = sum(pk * engine.optimize(m.loss, m.posterior).action
                  for pk, m in zip(p, ens.members))
-    value = _mixture_epl(ens, [compose(LossSpec.sel())] * len(ens.members), action)
+    value = _mixture_epl(ens, action)
     return engine.OptimalDecision(float(action), float(value),
                                   engine.SolverPath("closed_form", "bma_weighted_mean"))
 
@@ -77,10 +74,10 @@ def bma_predict_general(ens):
     if a ratio-based member loss needs a > 0 the whole search is carried
     out on the positive half-line.
     """
-    lossfns = [compose(m.loss) for m in ens.members]
-    positive = any(lf.positive_domain for lf in lossfns)
-    for lf, m in zip(lossfns, ens.members):
-        if lf.positive_domain and not almost_surely_positive(m.posterior):
+    losses = [compose(m.loss) for m in ens.members]
+    positive = any(loss.positive_domain for loss in losses)
+    for loss, m in zip(losses, ens.members):
+        if loss.positive_domain and not almost_surely_positive(m.posterior):
             raise ValidationError(
                 f"member {m.label!r} pairs a positive-domain loss with a posterior "
                 f"whose support reaches {m.posterior.lower}; action domain is empty")
@@ -91,11 +88,11 @@ def bma_predict_general(ens):
     if p[top] == 1.0:
         return engine.optimize(ens.members[top].loss, ens.members[top].posterior)
 
-    f = lambda a: _mixture_epl(ens, lossfns, a)
+    f = lambda a: _mixture_epl(ens, a)
     x0 = sum(pk * m.posterior.quantile(0.5) for pk, m in zip(p, ens.members))
     if positive and x0 <= 0:
         x0 = max(m.posterior.quantile(0.5) for m in ens.members)
-    unimodal = all(engine.unimodal_epl(lf, m.posterior)
-                   for lf, m in zip(lossfns, ens.members))
+    unimodal = all(engine.unimodal_epl(loss, m.posterior)
+                   for loss, m in zip(losses, ens.members))
     action, value, path = engine.minimize(f, x0, positive, unimodal)
     return engine.OptimalDecision(float(action), value, path)

@@ -118,7 +118,7 @@ def _joint_losses(model, loss, ns, n_mc, seed, max_n):
         raise ValidationError(f"n_mc must be >= 1, got {n_mc}")
     if max_n < max(ns):
         raise ValidationError(f"max_n must be >= n, got max_n={max_n} for n={max(ns)}")
-    lossfn = compose(loss)
+    loss = compose(loss)
     losses = np.empty((len(ns), n_mc))
     for r in range(n_mc):
         rng = np.random.default_rng((int(seed), r))
@@ -129,8 +129,8 @@ def _joint_losses(model, loss, ns, n_mc, seed, max_n):
             draws.flags.writeable = False
         for i, n in enumerate(ns):
             post = model.posterior_builder(draws[:n] if n > 0 else None, None)
-            action = engine.optimize(lossfn, post).action
-            value = float(np.asarray(lossfn(action, y)))
+            action = engine.optimize(loss, post).action
+            value = float(np.asarray(loss(action, y)))
             if not np.isfinite(value):
                 raise NumericError(
                     f"non-finite loss in replicate {r} (seed {seed}, n={n})")

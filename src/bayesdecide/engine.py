@@ -27,16 +27,18 @@ compositions, weights without a tilt, PTL, MTC(rho) with rho not in {1,
 weighted sum on draws, quadrature otherwise; weighted SEL without a tilt
 takes the reweighted mean E w(Y) Y / E w(Y).  ``epl`` refuses an action
 that is not finite, and raises ``NumericError`` when a closed form or Z
-overflows (or Z underflows), as the sum and the quadrature do.
+overflows (or Z underflows), as the sum and the quadrature do.  Every entry
+point reads the loss's family, params, composition, components and tags off
+the ``LossSpec`` itself, and ``compose`` refuses anything else.
 
-A radial loss (``LossFunction.radial``) without a row takes the centre of
+A radial loss (``LossSpec.radial``) without a row takes the centre of
 a symmetric unimodal posterior, ``post.symmetric_centre()`` (Anderson
 1955).  Otherwise ``optimize`` minimizes the EPL numerically, through
 ``minimize``: bracket by geometric expansion from the posterior median,
 then search the bracket.  The search is Brent's method (parabolic
 interpolation guarded by golden-section steps) whenever the EPL is
 unimodal: on a parametric posterior, and on draws for a convex loss
-(``LossFunction.convex``).  It stops once a short step finds an EPL tied
+(``LossSpec.convex``).  It stops once a short step finds an EPL tied
 to rounding with the best one, or else at a 1e-10 relative width.  A
 nonconvex loss on draws (MTC(rho < 1), 0-1) has a local minimum at every
 draw, so there the search is plain golden section, which interpolates
@@ -57,7 +59,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .losses import EXP_LIMIT, LossSpec, compose
+from .losses import EXP_LIMIT, compose
 from .posteriors import (BetaPosterior, GammaPosterior, GaussianPosterior,
                          SamplePosterior, almost_surely_positive, digamma_gap)
 
@@ -98,45 +100,44 @@ class TailRiskCurve:
             raise ValidationError("tail probabilities must be nonincreasing in kappa")
 
 
-def _check_domain(lossfn, post):
-    if lossfn.positive_domain and not almost_surely_positive(post):
+def _check_domain(loss, post):
+    if loss.positive_domain and not almost_surely_positive(post):
         raise ValidationError("loss requires y > 0 but the posterior support reaches "
                               f"down to {post.lower}")
 
 
 def epl(loss, post, a):
     """Expected posterior loss E(L(a, Y) | z)."""
-    lossfn = compose(loss)
-    _check_domain(lossfn, post)
+    loss = compose(loss)
+    _check_domain(loss, post)
     if not math.isfinite(a):
         raise ValidationError(f"action must be finite, got {a!r}")
-    if lossfn.positive_domain and a <= 0:
+    if loss.positive_domain and a <= 0:
         raise ValidationError(f"loss requires action > 0, got {a!r}")
     try:
-        return _epl(lossfn, post, a)
+        return _epl(loss, post, a)
     except OverflowError as exc:  # a Python float op in a closed form, or exp(log Z)
         raise NumericError(f"the closed-form EPL at a={a!r} overflows: {exc}") from exc
 
 
-def _epl(lossfn, post, a):
+def _epl(loss, post, a):
     """``epl`` on a checked loss and action: a sum of its parts' EPLs, Z times
     the base EPL on a tilted posterior, a table row, or ``post.expect``."""
-    spec = lossfn.spec
-    if spec.compose == "sum":
-        return _finite(sum(_epl(part, post, a) for part in lossfn.parts), a)
-    if spec.compose == "weighted":
-        tilt = _tilt(spec, post)
+    if loss.compose == "sum":
+        return _finite(sum(_epl(part, post, a) for part in loss.components), a)
+    if loss.compose == "weighted":
+        tilt = _tilt(loss, post)
         if tilt is not None:
             log_z, tilted = tilt
             z = math.exp(log_z)
             if not z >= sys.float_info.min:
                 raise NumericError(f"the weight's posterior mass exp({log_z!r}) underflows")
-            return _finite(z * _epl(lossfn.parts[0], tilted, a), a)
-    closed = _EPLS.get((type(post), loss_key(spec)))
+            return _finite(z * _epl(loss.components[0], tilted, a), a)
+    closed = _EPLS.get((type(post), loss_key(loss)))
     if closed is not None:
-        return _finite(closed(post, spec.params, a), a)
+        return _finite(closed(post, loss.params, a), a)
     # a itself is a potential kink of y -> L(a, y) (absolute/pinball losses)
-    return post.expect(lambda y: lossfn(a, y), breakpoints=(a,))
+    return post.expect(lambda y: loss(a, y), breakpoints=(a,))
 
 
 def _finite(value, a):
@@ -271,14 +272,14 @@ def _brent(f, lo, hi, x, fx):
             return x, fx, iterations
 
 
-def unimodal_epl(lossfn, post):
-    """Whether Brent's method may search the EPL of ``lossfn`` on ``post``.
+def unimodal_epl(loss, post):
+    """Whether Brent's method may search the EPL of ``loss`` on ``post``.
 
     A convex loss has a convex EPL, and a parametric posterior smooths
     a nonconvex one; but on draws a nonconvex loss (MTC(rho < 1),
     0-1) has a local minimum at every draw.
     """
-    return lossfn.convex or not isinstance(post, SamplePosterior)
+    return loss.convex or not isinstance(post, SamplePosterior)
 
 
 def minimize(f, x0, positive, unimodal=True):
@@ -418,21 +419,19 @@ _EPLS = {
 }
 
 
-def _tilt(spec, post):
-    """(log Z, tilted posterior) of a weighted spec's weight on ``post``, or
+def _tilt(loss, post):
+    """(log Z, tilted posterior) of a weighted loss's weight on ``post``, or
     None when the weight has no kind or the posterior no tilt for it."""
-    w = spec.params["weight"]
+    w = loss.params["weight"]
     if w.kind is None or not math.isfinite(w.param):
         return None
     return post.tilt(w.kind, w.param)
 
 
-def loss_key(spec):
-    """The table key of a leaf loss spec, or None; MTC(2) is SEL, and PWD
-    at lam = 1 and -1 has its own rows."""
-    if not isinstance(spec, LossSpec) or spec.family is None:
-        return None
-    fam, prm = spec.family, spec.params
+def loss_key(loss):
+    """The table key of a leaf loss, or None; MTC(2) is SEL, and PWD at
+    lam = 1 and -1 has its own rows."""
+    fam, prm = loss.family, loss.params
     if fam == "MTC":
         return {2.0: "SEL", 1.0: "MTC1"}.get(prm.get("rho"))
     if fam == "PWD":
@@ -440,21 +439,20 @@ def loss_key(spec):
     return fam if fam in _ACTIONS else None
 
 
-def _closed_form(lossfn, post):
+def _closed_form(loss, post):
     """Return (action, name) when the loss has a known optimal predictor."""
-    spec = lossfn.spec
-    key = loss_key(spec)
+    key = loss_key(loss)
     if key is not None:
         name, action = _ACTIONS[key]
-        return action(post, spec.params), name
-    if spec.compose == "weighted":
-        base = spec.components[0]
-        w = spec.params["weight"]
+        return action(post, loss.params), name
+    if loss.compose == "weighted":
+        base = loss.components[0]
+        w = loss.params["weight"]
         if base.family == "GAM" and w.kind == "power" and w.param == 1.0:
             return post.moments()[0], "posterior_mean"
-        tilt = _tilt(spec, post)
+        tilt = _tilt(loss, post)
         if tilt is not None:
-            hit = _closed_form(lossfn.parts[0], tilt[1])
+            hit = _closed_form(base, tilt[1])
             return None if hit is None else (hit[0], f"tilted_{hit[1]}")
         if loss_key(base) == "SEL":
             num = post.expect(lambda y: w(y) * y)
@@ -462,7 +460,7 @@ def _closed_form(lossfn, post):
             if den <= 0:
                 raise NumericError("weight function has nonpositive posterior mass")
             return num / den, "reweighted_mean"
-    if lossfn.radial:
+    if loss.radial:
         # E phi(|a - Y|) is least at the centre of a symmetric unimodal
         # posterior (Anderson 1955)
         centre = post.symmetric_centre()
@@ -473,15 +471,15 @@ def _closed_form(lossfn, post):
 
 def optimize(loss, post):
     """Minimize E(L(a, Y) | z) over actions a: a closed form, else the search."""
-    lossfn = compose(loss)
-    _check_domain(lossfn, post)
-    hit = _closed_form(lossfn, post)
+    loss = compose(loss)
+    _check_domain(loss, post)
+    hit = _closed_form(loss, post)
     if hit is not None:
         action, name = hit
-        return OptimalDecision(float(action), epl(lossfn, post, action),
+        return OptimalDecision(float(action), epl(loss, post, action),
                                SolverPath("closed_form", name))
-    action, value, path = minimize(lambda a: epl(lossfn, post, a), post.quantile(0.5),
-                                   lossfn.positive_domain, unimodal_epl(lossfn, post))
+    action, value, path = minimize(lambda a: epl(loss, post, a), post.quantile(0.5),
+                                   loss.positive_domain, unimodal_epl(loss, post))
     return OptimalDecision(float(action), value, path)
 
 
@@ -539,12 +537,12 @@ def optimize_functional(loss, post, g):
     = a: at each sign change of g - a on the grid, refined by bisection.
     The search is Brent's, as for every loss on a parametric posterior.
     """
-    lossfn = compose(loss)
+    loss = compose(loss)
     if isinstance(post, SamplePosterior):
         gv = np.asarray(g(post.values), dtype=float)
         pushed = SamplePosterior(gv, post.weights)
-        return optimize(lossfn, pushed)
-    h = lambda a: lambda y: lossfn(a, np.asarray(g(y), dtype=float))
+        return optimize(loss, pushed)
+    h = lambda a: lambda y: loss(a, np.asarray(g(y), dtype=float))
     lo, hi = post.support()
     reach = _NODE_REACH * (hi - lo)
     y = np.empty(_UNIT_GRID.size + 2)
@@ -554,12 +552,12 @@ def optimize_functional(loss, post, g):
     with np.errstate(all="ignore"):
         gy = np.asarray(g(y), dtype=float)
         jumps = _jumps(g, y, gy)
-    key = loss_key(lossfn.spec)
+    key = loss_key(loss)
     if key in ("QTL", "MTC1") and not jumps:
         rise = np.diff(gy)
         if np.all(np.isfinite(gy)) and (np.all(rise > 0) or np.all(rise < 0)):
             # a quantile commutes with a monotone map
-            q = lossfn.spec.params["q"] if key == "QTL" else 0.5
+            q = loss.params["q"] if key == "QTL" else 0.5
             y_q = post.quantile(q if rise[0] > 0 else 1.0 - q)
             a = float(np.asarray(g(np.array([y_q])), dtype=float)[0])
             return OptimalDecision(a, post.expect(h(a), breakpoints=(y_q,)),
@@ -570,7 +568,7 @@ def optimize_functional(loss, post, g):
         return OptimalDecision(float(x0), post.expect(h(x0), breakpoints=jumps),
                                SolverPath("closed_form", "pushforward_mean"))
     f = lambda a: post.expect(h(a), breakpoints=_crossings(g, y, gy, a) + jumps)
-    action, value, path = minimize(f, x0, lossfn.positive_domain)
+    action, value, path = minimize(f, x0, loss.positive_domain)
     return OptimalDecision(float(action), value, path)
 
 
@@ -594,13 +592,13 @@ def tail_risk_curve(loss, post, action, kappa_grid):
 
 def lower_envelope(loss, post, kappa_grid, a_grid):
     """Pointwise minimum over actions of the tail-risk curves."""
-    lossfn = compose(loss)
+    loss = compose(loss)
     kappas = _check_grid(kappa_grid, "kappa_grid")
     if np.any(np.diff(kappas) < 0):
         raise ValidationError("kappa_grid must be sorted ascending")
     a = _check_grid(a_grid, "a_grid")
     # one loss evaluation on the whole actions x kappas grid
-    lv = np.asarray(lossfn(a[:, None], kappas[None, :]), dtype=float).min(axis=0)
+    lv = np.asarray(loss(a[:, None], kappas[None, :]), dtype=float).min(axis=0)
     return TailRiskCurve(tuple((float(k), post.tail_prob(k), float(v))
                                for k, v in zip(kappas, lv)))
 

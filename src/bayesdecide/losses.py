@@ -19,13 +19,13 @@ A composed loss is marked differentiable only when every part is.
 
 Each row also says whether L(a, y) is convex in a for every y, which
 makes every expected posterior loss convex in a and so lets the
-minimizer interpolate (``LossFunction.convex``).  Convex: SEL, MTC(rho
+minimizer interpolate (``LossSpec.convex``).  Convex: SEL, MTC(rho
 >= 1), QTL, LNX, PWD and GAM; and weighted, sum, product, exp_minus_one
 and power(p >= 1) of convex parts.  Not convex: MTC(rho < 1), ZERO_ONE,
 PTL, power(p < 1).
 
 Each row also says whether L(a, y) is radial, phi(|a - y|) with phi
-nondecreasing (``LossFunction.radial``): under such a loss the Bayes
+nondecreasing (``LossSpec.radial``): under such a loss the Bayes
 action on a symmetric unimodal posterior is its centre (Anderson 1955).
 Radial: MTC, SEL, ZERO_ONE, and sums, products, powers and exp_minus_one
 of radial parts; not QTL, LNX, PTL, PWD, GAM or any weighted loss.
@@ -33,8 +33,9 @@ of radial parts; not QTL, LNX, PTL, PWD, GAM or any weighted loss.
 Two tables, ``_FAMILIES`` and ``_COMPOSITIONS``, give each family and
 composition one row: parameter names, evaluator and metadata.  ``_RANGES``
 states each parameter's range once.  A ``LossSpec`` is checked against its
-row when it is built, so ``compose`` only looks rows up and the private row
-evaluators check nothing again: ``compose(spec)(a, y)`` evaluates a loss.
+row and compiled when it is built: it holds its row's evaluator and tags, so
+the private row evaluators check nothing again, ``spec(a, y)`` evaluates a
+loss, and ``compose(spec)``, every decision's entry check, returns the spec.
 
 Evaluators are vectorized over y so expected-loss sums over large sample
 clouds stay cheap.
@@ -303,18 +304,29 @@ class Weight:
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Declarative description of a loss: a family leaf or a composition.
+    """A loss: a family leaf or a composition, compiled when it is built.
 
     Built only when ``params`` holds exactly its row's parameters, each in
-    range, and ``components`` has the row's count (none for a family).
-    ``params`` is stored as a read-only copy, so a checked spec stays
-    checked; pickling and ``copy.deepcopy`` rebuild it from a plain dict.
+    range, and ``components`` has the row's count of loss specs (none for a
+    family).  ``params`` is stored as a read-only copy, so a checked spec
+    stays checked; pickling and ``copy.deepcopy`` rebuild it from a plain
+    dict.  The build then derives, from the row and the components, the
+    evaluator behind ``spec(a, y)`` and the tags the engine reads; equality
+    and ``repr`` ignore them.
     """
 
     family: Optional[str] = None
     params: Mapping = field(default_factory=dict)
     compose: Optional[str] = None
     components: tuple = ()
+    evaluate: Callable = field(init=False, compare=False, repr=False)
+    differentiable: bool = field(init=False, compare=False, repr=False)
+    # a > 0 and y > 0 only
+    positive_domain: bool = field(init=False, compare=False, repr=False)
+    # L(., y) is convex for every y, so every EPL is convex in a
+    convex: bool = field(init=False, compare=False, repr=False)
+    # L(a, y) = phi(|a - y|) with phi nondecreasing
+    radial: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if (self.family is None) == (self.compose is None):
@@ -331,12 +343,27 @@ class LossSpec:
                 raise ValidationError(f"{kind} loss {fault} parameter "
                                       + ", ".join(repr(k) for k in names))
         _check(**self.params)
+        parts = self.components
         want = 0 if leaf else row.count  # None: one or more
-        n = len(self.components)
-        if (n == 0) if want is None else (n != want):
+        if (len(parts) == 0) if want is None else (len(parts) != want):
             want = "one or more" if want is None else want
-            raise ValidationError(f"{kind} loss takes {want} component(s), got {n}")
-        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+            raise ValidationError(f"{kind} loss takes {want} component(s), got {len(parts)}")
+        for part in parts:
+            if not isinstance(part, LossSpec):
+                raise ValidationError(f"{kind} loss component must be a LossSpec, got {part!r}")
+        prm = MappingProxyType(dict(self.params))
+        args = [prm[k] for k in row.params]
+        self.__dict__.update(  # past the frozen __setattr__
+            params=prm,
+            evaluate=functools.partial(row.evaluate, *args) if leaf
+            else functools.partial(row.evaluate, parts, *args),
+            differentiable=row.differentiable(prm) and all(p.differentiable for p in parts),
+            positive_domain=(leaf and row.positive_domain) or any(p.positive_domain for p in parts),
+            convex=row.convex(prm) and all(p.convex for p in parts),
+            radial=row.radial(prm) and all(p.radial for p in parts))
+
+    def __call__(self, a, y):
+        return self.evaluate(a, y)
 
     def __reduce__(self):
         return LossSpec, (self.family, dict(self.params), self.compose, self.components)
@@ -400,44 +427,13 @@ class LossSpec:
         return LossSpec(compose="exp_minus_one", components=(base,))
 
 
-@dataclass(frozen=True)
-class LossFunction:
-    """Evaluator for a LossSpec with conservatively derived metadata."""
-
-    spec: LossSpec
-    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    differentiable: bool
-    positive_domain: bool
-    # L(., y) is convex for every y, so every EPL is convex in a
-    convex: bool = False
-    parts: tuple = ()  # a composition's composed components; () for a family
-    # L(a, y) = phi(|a - y|) with phi nondecreasing
-    radial: bool = False
-
-    def __post_init__(self):
-        if len(self.parts) != len(self.spec.components):  # _epl sums or tilts these
-            raise ValidationError(f"LossFunction needs one composed part per component of "
-                                  f"its spec: {len(self.spec.components)}, got {len(self.parts)}")
-
-    def __call__(self, a, y):
-        return self.evaluate(a, y)
+def compose(loss):
+    """The entry check of every decision: ``loss`` itself, which was compiled
+    when it was built, or ValidationError when it is not a ``LossSpec``."""
+    if not isinstance(loss, LossSpec):
+        raise ValidationError(f"loss must be a LossSpec, got {loss!r}")
+    return loss
 
 
-def compose(spec):
-    """Build a ``LossFunction`` from a ``LossSpec`` through its table row."""
-    if isinstance(spec, LossFunction):
-        return spec
-    prm = spec.params
-    if spec.family is not None:
-        row = _FAMILIES[spec.family]
-        evaluate = functools.partial(row.evaluate, *(prm[k] for k in row.params))
-        return LossFunction(spec, evaluate, row.differentiable(prm), row.positive_domain,
-                            row.convex(prm), radial=row.radial(prm))
-    row = _COMPOSITIONS[spec.compose]
-    parts = tuple(compose(c) for c in spec.components)
-    evaluate = functools.partial(row.evaluate, parts, *(prm[k] for k in row.params))
-    return LossFunction(spec, evaluate,
-                        row.differentiable(prm) and all(p.differentiable for p in parts),
-                        any(p.positive_domain for p in parts),
-                        row.convex(prm) and all(p.convex for p in parts), parts,
-                        row.radial(prm) and all(p.radial for p in parts))
+# the earlier name of a compiled loss, which perfbench/tracing.py still reads
+LossFunction = LossSpec

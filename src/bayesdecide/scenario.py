@@ -12,7 +12,7 @@ names mirror the library's types.  Blocks:
                    {compose: weighted, weight: {name: identity|power|exp, ...}, base: ...}
                    (each weight built by ``Weight.power`` or ``Weight.exp``),
                    {compose: power, p: ..., base: ...}, {compose: exp_minus_one, base: ...},
-                   each with exactly one base; ``compose(parse_loss(block))(a, y)`` evaluates it
+                   each with exactly one base; ``parse_loss(block)(a, y)`` evaluates it
 ``functional``     optional g(Y): {name: square|exp|indicator_above|affine, ...}
 ``model_choice``   models: [{label, log_likelihood, prior}], optional
                    decision_table (row-major)

@@ -158,15 +158,20 @@ def test_ratio_losses_near_shape_one(key, shape, f):
 
 
 @pytest.mark.parametrize("key", ["GAM", "PWD+1", "PWD-1"])
-@pytest.mark.parametrize("shape, rate", [(1.5, 2.0), (3.7, 1e-3), (42.0, 1e3), (2.5e4, 0.37),
-                                         (9.75e6, 1e-3), (9.86e6, 3.1), (1e8, 250.0)])
+@pytest.mark.parametrize("shape, rate", [(1.0000001, 5.0), (1.001, 1.0), (1.01, 2.0),
+                                         (1.03, 1.0), (1.1, 0.3), (1.5, 2.0), (3.7, 1e-3),
+                                         (42.0, 1e3), (2.5e4, 0.37), (9.75e6, 1e-3),
+                                         (9.86e6, 3.1), (1e8, 250.0)])
 def test_gamma_ratio_rows_match_fifty_digits_at_large_shapes(key, shape, rate):
     # at the action the EPL is about 1/(2k) times its scale, from digamma(k) -
-    # log(k - 1) or digamma(k + 1) - log k, two numbers near log k
+    # log(k - 1) or digamma(k + 1) - log k, two numbers near log k.  Near
+    # shape 1 the action (k - 1)/r is near 0, below 0.3 sd, so the point
+    # below it is half of it there
     post = GammaPosterior(shape, rate)
     spec = _spec(key, nu=3.0)
     action, sd = optimize(spec, post).action, math.sqrt(post.moments()[1])
-    for a in (action, action - 0.3 * sd, action + 0.3 * sd, action + 2.0 * sd):
+    below = action / 2.0 if shape < 1.2 else action - 0.3 * sd
+    for a in (action, below, action + 0.3 * sd, action + 2.0 * sd):
         want = float(mp.gamma_ratio_epl(key, shape, rate, a, 3.0))
         assert abs(epl(spec, post, a) - want) <= 2e-11 * want, (a, want)
 
@@ -216,6 +221,16 @@ def test_linear_loss_matches_fifty_digits(family, p1, p2):
             assert abs(got - want) <= bound, (a, got, float(want))
 
 
+def _log_mgf_oracle(family, p1, p2, psi):
+    """log E e^(-psi Y) to 50 digits, or None where the Beta row overflows:
+    it sums e^max(psi, 0) E e^(-psi Y) >= e^(max(psi, 0) - psi m) as a 1F1
+    series, which overflows past e^709.8."""
+    if family == "beta" and max(psi, 0.0) - psi * p1 / (p1 + p2) > 710.0:
+        return None
+    want = mp.log_mgf_neg(family, p1, p2, psi)
+    return None if family == "beta" and max(psi, 0.0) + want > 710.0 else want
+
+
 @pytest.mark.parametrize("family, p1, p2", _ORACLE_POSTS, ids=_ORACLE_IDS)
 def test_log_mgf_neg_matches_fifty_digits(family, p1, p2):
     # about -psi m, so a few eps |psi| (m + sd)
@@ -224,11 +239,8 @@ def test_log_mgf_neg_matches_fifty_digits(family, p1, p2):
         psi = t / sd
         if family == "gamma" and psi <= -p2:
             continue  # E e^(-psi Y) diverges
-        # the Beta row sums e^max(psi, 0) E e^(-psi Y) >= e^(max(psi, 0) - psi m)
-        # as a 1F1 series, which overflows past e^709.8
-        overflows = family == "beta" and max(psi, 0.0) - psi * m > 710.0
-        want = None if overflows else mp.log_mgf_neg(family, p1, p2, psi)
-        if overflows or family == "beta" and max(psi, 0.0) + want > 710.0:
+        want = _log_mgf_oracle(family, p1, p2, psi)
+        if want is None:
             with pytest.raises(NumericError, match="1F1 overflows"):
                 post.log_mgf_neg(psi)
             continue
@@ -240,22 +252,33 @@ def test_log_mgf_neg_matches_fifty_digits(family, p1, p2):
     ("gamma", 1e7, 1e-3, 2e-3), ("gamma", 1e7, 250.0, 30.0), ("gamma", 1e7, 3.1, 0.5),
     ("gamma", 1e7, 1.0, -0.5), ("gamma", 1e4, 1.0, 0.3), ("gamma", 1.5, 2.0, -1.0),
     ("gamma", 3.0, 0.5, 4.0), ("gaussian", 0.0, 1.0, 1.0), ("gaussian", 1e6, 2.0, 0.7),
-    ("gaussian", -3e4, 1e-2, -30.0), ("gaussian", 5.0, 1e3, 1e-3)])
+    ("gaussian", -3e4, 1e-2, -30.0), ("gaussian", 5.0, 1e3, 1e-3), ("beta", 0.5, 0.5, 1.0),
+    ("beta", 0.5, 3.0, -2.0), ("beta", 2.5, 4.0, 3.0), ("beta", 200.0, 700.0, -20.0),
+    ("beta", 200.0, 700.0, 50.0), ("beta", 1e4, 3e4, 100.0), ("beta", 1e6, 0.5, -5.0),
+    ("beta", 1e6, 1e6, 300.0), ("beta", 0.5, 1e6, 1000.0), ("beta", 3.0, 1e7, 1e4)])
 def test_linex_rows_match_fifty_digits(family, p1, p2, psi):
     # The EPL is e^u - psi (a - m) - 1 with u = psi a + log E e^(-psi Y).  A
     # float a is known to eps |a|, which moves u by eps |psi a|, so the EPL
     # is known to about (1 + |psi a|) eps relative, and at shape 1e7 the row
     # is that close: a rewrite of u as psi (a - m) - k (log1p(psi / r) -
-    # psi / r) measured no better at the worst case
-    post, m, _ = _oracle_post(family, p1, p2)
+    # psi / r) measured no better at the worst case.  Where the Beta row's
+    # 1F1 overflows, the action raises
+    post = _FAMILY[family](p1, p2)
     spec = LossSpec.linex(psi)
+    log_mgf = _log_mgf_oracle(family, p1, p2, psi)
+    if log_mgf is None:
+        with pytest.raises(NumericError, match="1F1 overflows"):
+            optimize(spec, post)
+        return
     star = optimize(spec, post).action
+    with mp.mpmath.workdps(mp.DPS):
+        p1, p2 = mp.mpmath.mpf(p1), mp.mpmath.mpf(p2)
+        m = {"gaussian": p1, "gamma": p1 / p2, "beta": p1 / (p1 + p2)}[family]
     for u in (-8.0, -1.0, 1.0, 3.0, 100.0, 600.0):
         a = star + u / psi
         with mp.mpmath.workdps(mp.DPS):
             x = mp.mpmath.mpf(a)
-            want = (mp.mpmath.exp(psi * x + mp.log_mgf_neg(family, p1, p2, psi))
-                    - psi * (x - mp.mpmath.mpf(p1 if family == "gaussian" else p1 / p2)) - 1)
+            want = mp.mpmath.exp(psi * x + log_mgf) - psi * (x - m) - 1
         got = epl(spec, post, a)
         assert abs(got - want) <= 4.0 * (1.0 + abs(psi * a)) * EPS * want, (u, got, float(want))
 

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +11,9 @@ from _search import searched
 from bayesdecide import (EnsembleMember, GammaPosterior, GaussianPosterior,
                          GeneralizedGaussian, LossSpec, ModelEnsemble, NumericError,
                          SamplePosterior, TailRiskCurve, ValidationError, Weight,
-                         bma_predict_general, compose, epl, lower_envelope, optimize,
-                         optimize_functional, posteriors, tail_risk_curve)
+                         bma_predict, bma_predict_general, compose, epl, losses,
+                         lower_envelope, optimize, optimize_functional, posteriors,
+                         tail_risk_curve)
 from bayesdecide.engine import _bracket, _golden, minimize, unimodal_epl
 from bayesdecide.losses import EXP_LIMIT, CustomPotentialDensity
 
@@ -174,16 +177,11 @@ class TestNumericAgreement:
             assert d.epl <= epl(spec, post, d.action - delta) + 1e-12
 
     def test_unbounded_epl_reported(self):
-        # loss decreasing in a without bound: not a real loss, but the
-        # bracket expansion must diagnose it rather than spin.  It borrows
-        # the spec of MTC(1.5), which has no closed-form EPL on draws, so
-        # every EPL is the weighted sum of its evaluator
-        post = SamplePosterior([0.0, 1.0])
-        bad = compose(LossSpec.mtc(1.5))
-        evil = type(bad)(bad.spec, lambda a, y: np.asarray(-a + 0 * y, dtype=float),
-                         True, False)
-        with pytest.raises(NumericError):
-            searched(evil, post)
+        # an objective decreasing without bound on either side: no EPL is,
+        # but the bracket expansion must diagnose it rather than spin
+        for slope, side in ((1.0, "left"), (-1.0, "right")):
+            with pytest.raises(NumericError, match=rf"\({side}\): EPL appears unbounded below"):
+                minimize(lambda a: slope * a, 0.5, False)
 
 
 class TestOrderingProperties:
@@ -374,6 +372,56 @@ SPECS = st.recursive(LEAVES, lambda parts: st.one_of(
     parts.map(LossSpec.exp_minus_one),
     parts.map(_positive_weighted),
 ), max_leaves=4)
+
+
+class TestCompiledSpec:
+    """A spec is compiled when built; its derived evaluator and tags are not
+    part of its value."""
+
+    GRID_A = np.linspace(0.2, 4.0, 9)[:, None]
+    GRID_Y = np.linspace(0.3, 5.0, 7)[None, :]
+    TAGS = ("differentiable", "positive_domain", "convex", "radial")
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=SPECS)
+    def test_a_compiled_spec_is_a_value(self, spec):
+        twin = copy.deepcopy(spec)  # rebuilt, components and all
+        assert twin == spec and repr(twin) == repr(spec)
+        assert twin.evaluate is not spec.evaluate
+        assert [getattr(twin, t) for t in self.TAGS] == [getattr(spec, t) for t in self.TAGS]
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(twin(self.GRID_A, self.GRID_Y),
+                                          spec(self.GRID_A, self.GRID_Y))
+        assert compose(spec) is spec
+
+    def test_equality_and_repr_read_only_the_declared_fields(self):
+        declared = ["family", "params", "compose", "components"]
+        assert [f.name for f in dataclasses.fields(LossSpec) if f.compare] == declared
+        assert [f.name for f in dataclasses.fields(LossSpec) if f.repr] == declared
+        assert "evaluate" not in repr(LossSpec.sum_of(LossSpec.sel(), LossSpec.qtl(0.3)))
+
+    def test_the_names_perfbench_traces_stay(self):
+        assert losses.LossFunction is LossSpec
+        assert "__call__" in vars(LossSpec)
+        assert LossSpec.gam(1.0, 2.0).differentiable
+
+
+GAUSS = GaussianPosterior(0.0, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: optimize("SEL", GAUSS),
+    lambda: epl(None, GAUSS, 0.0),
+    lambda: lower_envelope(3, GAUSS, [0.0], [0.0]),
+    lambda: optimize_functional(2.0, GAUSS, np.exp),
+    lambda: LossSpec.sum_of("SEL"),
+    lambda: bma_predict(ModelEnsemble(
+        [EnsembleMember("a", GAUSS, LossSpec.sel()), EnsembleMember("b", GAUSS, "SEL")],
+        [0.5, 0.5])),
+], ids=["optimize", "epl", "lower_envelope", "optimize_functional", "sum_of", "bma_predict"])
+def test_a_non_loss_is_an_input_error(call):
+    with pytest.raises(ValidationError, match="must be a LossSpec"):
+        call()
 
 
 class TestConvexTag:
