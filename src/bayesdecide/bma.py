@@ -23,6 +23,9 @@ class EnsembleMember:
     posterior: object
     loss: LossSpec
 
+    def __post_init__(self):
+        compose(self.loss)  # a non-loss is refused here, not at bma_predict
+
 
 class ModelEnsemble:
     """Members (label, posterior, loss) plus a posterior over models."""

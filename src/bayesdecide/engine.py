@@ -58,7 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import DivergentMgfError, NumericError, ValidationError
 from .losses import EXP_LIMIT, compose
 from .posteriors import (BetaPosterior, GammaPosterior, GaussianPosterior,
                          SamplePosterior, almost_surely_positive, digamma_gap)
@@ -421,11 +421,22 @@ _EPLS = {
 
 def _tilt(loss, post):
     """(log Z, tilted posterior) of a weighted loss's weight on ``post``, or
-    None when the weight has no kind or the posterior no tilt for it."""
+    None when the weight has no kind or the posterior no tilt for it.
+
+    ``ValidationError`` where Z = E e^{cY} diverges, as for c >= rate on a
+    Gamma: the quadrature's nodes stop short of where that shows."""
     w = loss.params["weight"]
     if w.kind is None or not math.isfinite(w.param):
         return None
-    return post.tilt(w.kind, w.param)
+    tilt = post.tilt(w.kind, w.param)
+    if (tilt is None and w.kind == "exp" and not isinstance(post, SamplePosterior)
+            and post.upper == math.inf):
+        try:
+            post.log_mgf_neg(-w.param)
+        except DivergentMgfError as exc:
+            raise ValidationError("loss weight function must be finite and > 0 with a "
+                                  f"finite mass: {exc}") from exc
+    return tilt
 
 
 def loss_key(loss):

@@ -311,8 +311,8 @@ class LossSpec:
     family).  ``params`` is stored as a read-only copy, so a checked spec
     stays checked; pickling and ``copy.deepcopy`` rebuild it from a plain
     dict.  The build then derives, from the row and the components, the
-    evaluator behind ``spec(a, y)`` and the tags the engine reads; equality
-    and ``repr`` ignore them.
+    evaluator behind ``spec(a, y)`` and the tags the engine reads; equality,
+    ``hash`` and ``repr`` ignore them, so equal specs can key one dict entry.
     """
 
     family: Optional[str] = None
@@ -367,6 +367,10 @@ class LossSpec:
 
     def __reduce__(self):
         return LossSpec, (self.family, dict(self.params), self.compose, self.components)
+
+    def __hash__(self):  # over what equality reads; a mappingproxy is unhashable
+        return hash((self.family, tuple(sorted(self.params.items())), self.compose,
+                     self.components))
 
     # convenience constructors ------------------------------------------------
 

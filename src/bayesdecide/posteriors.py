@@ -11,7 +11,7 @@ machinery: ``moments``, ``quantile``, ``mode``, ``expect``, ``log_mgf_neg``
 (E(a - Y)^2 and Raiffa & Schlaifer's 1961 E(a - Y)^+ and E(Y - a)^+, all
 written once in ``_LossIntegrals``), ``tilt`` and ``lower``, where the
 true support starts: -inf on a Gaussian, whatever ``support()``
-truncates for quadrature, 0.0 on a Gamma or a Beta and the least draw on
+truncates, 0.0 on a Gamma or a Beta and the least draw on
 a cloud; the parametric ones also state ``upper``, inf or 1.0 on a Beta.
 ``almost_surely_positive`` (Y > 0 almost surely, as GAM and PWD need) is
 the one rule built on ``lower``.  ``tilt(Weight.kind, Weight.param)`` is
@@ -37,13 +37,10 @@ a decision that calls none of these, say a quantile of draws, never pays
 for its import.
 
 ``expect`` on a parametric posterior computes E h(Y) = integral over (0, 1) of
-h(F^-1(u)) du by a fixed tanh-sinh rule in quantile space (see
-``_quad_expect``), so ``h`` receives one float array of nodes, as it does
-on draws.  When the rule cannot certify its sum, adaptive QUADPACK
-quadrature against the density answers instead, or raises;
-``scipy.integrate`` is imported only then.  A decision reaches it only on
-a narrow posterior far from 0, a weight refused at far nodes, or LINEX in
-a product or power (never in a sum, whose closed-form parts stay closed).
+h(F^-1(u)) du by a tanh-sinh rule in quantile space (see ``_quad_expect``),
+so ``h`` receives one float array of nodes, as it does on draws.  When the
+rule's first pass cannot certify its sum, the rule refines itself
+(``_refine``) until it does, or raises: it is the one integrator.
 """
 
 from __future__ import annotations
@@ -59,15 +56,12 @@ import numpy as np
 from . import _special
 from .errors import DivergentMgfError, NumericError, ValidationError
 
-# Mass left in each tail when truncating a parametric support for quadrature.
+# Mass left in each tail by ``support()`` (the grid of optimize_functional).
 _QUAD_TAIL = 1e-10
 _LOG_2PI = math.log(2.0 * math.pi)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# Tanh-sinh rule on one panel of unit width: t = k/16 for |t| <= 6.
-_TS_T = np.arange(-96, 97) / 16.0
-_TS_LOWER = _TS_T < 0.0  # nodes placed from the lower end
-# The rule's acceptance tolerance, the QUADPACK fallback's epsabs and epsrel.
+# The rule's acceptance tolerance: max(_EPSABS, _EPSREL |sum|).
 _EPSABS, _EPSREL = 1e-13, 1e-11
 # Stirling's series log Gamma(x) = (x - 1/2) log x - x + log(2 pi) / 2 +
 # sum_j c_j x^(1 - 2j) with c_j = B_2j / (2j (2j - 1)), j = 1..7: at x >= 10
@@ -76,8 +70,9 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 /
 
 
 @functools.cache
-def _ts_rule():
-    """(from_lo, from_hi, w) of the tanh-sinh rule at ``_TS_T``, read-only.
+def _ts_rule(n=16):
+    """(from_lo, from_hi, w) of the tanh-sinh rule on one panel of unit
+    width at t = k/n, |t| <= 6, read-only.
 
     A node sits the fraction from_lo = expit(pi sinh t) of the panel above
     its lower end and from_hi = expit(-pi sinh t) below its upper end; both
@@ -85,9 +80,10 @@ def _ts_rule():
     Built on the first call rather than at import, because ``expit`` needs
     ``scipy.special``.
     """
-    from_lo = _special.expit(np.pi * np.sinh(_TS_T))
-    from_hi = _special.expit(-np.pi * np.sinh(_TS_T))
-    w = np.pi * np.cosh(_TS_T) * from_lo * from_hi / 16.0
+    t = np.arange(-6 * n, 6 * n + 1) / n
+    from_lo = _special.expit(np.pi * np.sinh(t))
+    from_hi = _special.expit(-np.pi * np.sinh(t))
+    w = np.pi * np.cosh(t) * from_lo * from_hi / n
     for arr in (from_lo, from_hi, w):
         arr.flags.writeable = False
     return from_lo, from_hi, w
@@ -763,9 +759,7 @@ def _quad_expect(post, h, breakpoints=()):
     even nodes (step 1/8) by no more, and no panel's outermost term
     exceeds it, which catches a truncated endpoint singularity such as
     y^(shape - 2) near shape 1.  Otherwise, and when ``h`` raises on the
-    array (a ``NumericError`` or ``ValidationError``, or the ``TypeError``
-    or ``ValueError`` of an ``h`` written for scalars), the answer, or the
-    error, is ``_quadpack_expect``'s.  The nodes come from
+    array, the rule refines itself (``_refine``).  The nodes come from
     ``_rule_nodes``, which keeps the nodes of the latest posterior and cut set.
     """
     cuts = tuple(sorted({float(b) for b in breakpoints
@@ -776,7 +770,7 @@ def _quad_expect(post, h, breakpoints=()):
             terms = np.zeros_like(y)
             terms[keep] = w[keep] * np.asarray(h(y[keep]), dtype=float)
     except (NumericError, TypeError, ValueError):  # ValidationError too
-        return _quadpack_expect(post, h, breakpoints)
+        return _refine(post, h, cuts)
     if np.all(np.isfinite(terms)):
         value = float(terms.sum())
         tol = max(_EPSABS, _EPSREL * abs(value))
@@ -786,7 +780,26 @@ def _quad_expect(post, h, breakpoints=()):
         outer = np.abs(np.concatenate((terms[rows, first], terms[rows, last])))
         if abs(value - 2.0 * float(terms[:, ::2].sum())) <= tol and np.all(outer <= tol):
             return value
-    return _quadpack_expect(post, h, breakpoints)
+    return _refine(post, h, cuts)
+
+
+def _nodes(post, cuts, n):
+    """The nodes y, weights w and usable-node mask of the rule at t = k/n
+    on ``post`` cut at the sorted tuple ``cuts``, one row per panel."""
+    u = np.array([0.0] + [float(post.cdf(b)) for b in cuts] + [1.0])
+    v = np.array([1.0] + [post.tail_prob(b) for b in cuts] + [0.0])
+    u_lo, u_hi, v_lo, v_hi = (e[:, None] for e in (u[:-1], u[1:], v[:-1], v[1:]))
+    # a panel's width from whichever mass its lower edge has less of
+    width = np.where(u_lo < 0.5, u_hi - u_lo, v_lo - v_hi)
+    from_lo, from_hi, ts_w = _ts_rule(n)
+    lower = np.arange(from_lo.size) < 6 * n  # t < 0: placed from the lower edge
+    nu = np.where(lower, u_lo + width * from_lo, u_hi - width * from_hi)
+    nv = np.where(lower, v_lo - width * from_lo, v_hi + width * from_hi)
+    w = width * ts_w
+    with np.errstate(all="ignore"):
+        y = post._quantiles(nu, nv)
+        keep = (w > 0.0) & np.isfinite(y) & (y > post.lower)
+    return y, w, keep
 
 
 # one decision often takes several expectations with one cut set (a
@@ -796,76 +809,122 @@ def _quad_expect(post, h, breakpoints=()):
 # callers, and between equal posteriors, changes no result
 @functools.lru_cache(maxsize=1)
 def _rule_nodes(post, cuts):
-    """The rule's nodes y, weights w and usable-node mask on ``post`` cut at
-    the sorted tuple ``cuts``, as read-only arrays of one row per panel."""
-    u = np.array([0.0] + [float(post.cdf(b)) for b in cuts] + [1.0])
-    v = np.array([1.0] + [post.tail_prob(b) for b in cuts] + [0.0])
-    u_lo, u_hi, v_lo, v_hi = (e[:, None] for e in (u[:-1], u[1:], v[:-1], v[1:]))
-    # a panel's width from whichever mass its lower edge has less of
-    width = np.where(u_lo < 0.5, u_hi - u_lo, v_lo - v_hi)
-    from_lo, from_hi, ts_w = _ts_rule()
-    nu = np.where(_TS_LOWER, u_lo + width * from_lo, u_hi - width * from_hi)
-    nv = np.where(_TS_LOWER, v_lo - width * from_lo, v_hi + width * from_hi)
-    w = width * ts_w
-    with np.errstate(all="ignore"):
-        y = post._quantiles(nu, nv)
-        keep = (w > 0.0) & np.isfinite(y) & (y > post.lower)
-    for arr in (y, w, keep):
+    """``_nodes`` at t = k/16, as read-only arrays."""
+    nodes = _nodes(post, cuts, 16)
+    for arr in nodes:
         arr.flags.writeable = False
-    return y, w, keep
+    return nodes
 
 
-def _quadpack_expect(post, h, breakpoints=()):
-    """Adaptive QUADPACK quadrature of h against a parametric density.
+# the refined rule: step 1/64 in t, at most 12 cuts, the reaches tried
+_FINE, _MAX_CUTS, _REACHES = 64, 12, (6.0, 5.5, 5.0, 4.5, 4.0)
 
-    The fallback of ``_quad_expect`` for an ``h`` its rule cannot certify:
-    a library caller's, or a decision's on a narrow posterior far from 0,
-    under a weight refused at far nodes, or of LINEX in a product or power
-    (a closed-form part of a sum is never integrated).  The bulk between
-    the 1e-10 and 1-1e-10 quantiles is integrated directly and each
-    unbounded tail separately, so integrands with exponential growth
-    (e.g. LINEX) keep their tail mass.  A Gamma's or Beta's bulk starts at
-    ``lower``: an edge at its lower quantile would cut integrands such as
-    y^(shape - 2) (E(1/Y) with shape < 2) where they are steepest.  A
-    Beta's ends at ``upper``: a piece from its upper quantile never samples
-    the mass below 1, and fails where that rounds to 1 - 9e-16.  Known
-    kinks of h (e.g. the action of an absolute-displacement loss) are
-    passed as ``breakpoints`` so the subdivision never straddles them.
-    ``h`` and ``pdf`` receive scalar floats.  When QUADPACK reports a
-    problem on a piece (say, a divergent integral exhausting its
-    subdivisions), a ``NumericError`` names the piece, QUADPACK's message
-    and its error estimate instead of returning the sum.
+
+def _refine(post, h, cuts):
+    """E h(Y) once the first pass fails: the rule refines itself until it
+    certifies its sum on the same tests, or raises.
+
+    1. The step in t halves twice, to 1/64, and the even nodes (step 1/32)
+       are the nested check.  While that fails, up to 12 times, the panel
+       that fails it most is cut where its terms bend most (the largest
+       second difference), so a kink that no breakpoint names comes to lie
+       by a panel's end, where the nodes crowd.
+    2. While ``h`` raises on the nodes or is not finite at one, the reach
+       |t| <= 6 shrinks by 0.5, down to 4.
+    3. Each end of a panel passes the outermost-term test or continues as
+       a power law (``_end``).
+    When no reach certifies a sum, the error is what ``h`` raised, else a
+    ``NumericError``.  ``h`` must take a float array: a scalar-only ``h``
+    raises its own ``TypeError``.
     """
-    from scipy import integrate  # only this fallback needs it
+    raised = None
+    for reach in _REACHES:
+        panel_cuts = list(cuts)
+        try:
+            for cut in range(_MAX_CUTS + 1):
+                fine, coarse, ends, bend = _fine_sums(post, h, tuple(panel_cuts), reach)
+                gap, tol = abs(fine.sum() - coarse.sum()), max(_EPSABS, _EPSREL * abs(fine.sum()))
+                if gap <= tol or cut == _MAX_CUTS:
+                    break
+                panel_cuts = sorted(panel_cuts + [bend[np.argmax(np.abs(fine - coarse))]])
+        except (NumericError, TypeError, ValueError) as exc:  # h raised, or was not finite
+            raised = raised or exc
+            continue
+        if gap <= tol and ends.max() <= tol:
+            return float(fine.sum())
+        if raised is None:
+            raise NumericError(f"the tanh-sinh rule cannot certify E h(Y) on {post}: the nested "
+                               f"difference {gap:.3g} or an end's residual {ends.max():.3g} "
+                               f"exceeds {tol:.3g}")
+        break
+    raise raised
 
-    lo, hi = post.support()
-    edges = (([-np.inf, lo] if post.lower == -np.inf else [post.lower])
-             + ([hi, np.inf] if post.upper == np.inf else [post.upper]))
-    for p in breakpoints:
-        p = float(p)
-        if np.isfinite(p) and edges[0] < p < edges[-1] and p not in edges:
-            edges.append(p)
-    edges.sort()
 
-    def integrand(y):
-        p = post.pdf(y)
-        if p == 0.0:
-            return 0.0
-        return h(y) * p
+def _fine_sums(post, h, cuts, reach):
+    """Per panel: the sums at steps 1/64 and 1/32 on the nodes |t| <= reach,
+    the ends' residual, and the y where the terms bend most."""
+    y, w, keep = _nodes(post, cuts, _FINE)
+    keep &= np.abs(np.arange(-6 * _FINE, 6 * _FINE + 1)) <= reach * _FINE
+    hv = np.zeros_like(y)
+    with np.errstate(all="ignore"):
+        hv[keep] = h(y[keep])
+        terms = w * hv
+    if not np.all(np.isfinite(terms)):
+        raise NumericError(f"the tanh-sinh rule cannot certify E h(Y) on {post}: h(y) "
+                           f"is not finite at y={float(y[~np.isfinite(terms)][0])!r}")
+    fine, coarse, ends = terms.sum(axis=1), 2.0 * terms[:, ::2].sum(axis=1), np.zeros(len(y))
+    for row in np.flatnonzero(keep.any(axis=1)):
+        for side in (1, -1):  # the upper end as a lower one: t -> -t keeps weights and parity
+            change = _end(*(a[row, ::side] for a in (w, hv, y, keep)))
+            fine[row], coarse[row] = fine[row] + change[0], coarse[row] + change[1]
+            ends[row] = max(ends[row], change[2])
+    bend = np.abs(terms[:, 1:-1] - 0.5 * (terms[:, :-2] + terms[:, 2:]))
+    return fine, coarse, ends, y[np.arange(len(y)), 1 + np.argmax(bend, axis=1)]
 
-    value = 0.0
-    for a, b in zip(edges, edges[1:]):
-        with np.errstate(all="ignore"):  # an overflow shows in QUADPACK's report or the sum
-            piece, abserr, *problem = integrate.quad(
-                integrand, a, b, limit=200, epsabs=_EPSABS, epsrel=_EPSREL, full_output=1)
-        if len(problem) > 1:  # (infodict, message, ...) when QUADPACK complains
-            raise NumericError(
-                f"quadrature of h on [{a}, {b}] failed: "
-                f"{problem[1].splitlines()[0].strip()} (error estimate {abserr:.3g})")
-        value += piece
-    if not np.isfinite(value):
-        raise NumericError(f"quadrature of h produced a non-finite value on the support")
-    return float(value)
+
+def _end(w, hv, y, keep):
+    """(change to the sum at step 1/64, at step 1/32, residual) at the lower
+    end of a panel.
+
+    Unchanged, the residual is the outermost term, plus the mass of the
+    outermost nodes whose y rounds to one float (onto 1.0 by a Beta's upper
+    end, say) times the change of h to the next y.  The change takes h(F^-1)
+    = c d^-b by the end, d a node's mass above it: from an anchor among the
+    next 48 nodes, b is fitted on each of the three pairs of neighbours
+    inward, and virtual nodes out to t = -12, summed in logs since d
+    underflows, replace those beyond the anchor: at t = k/64, x = pi sinh t,
+    L = log(cosh t expit(x) expit(-x)) is a node's log weight but for the
+    panel's width, and D = log expit(x) its log d but for that width.  Its
+    residual is the fits' spread or the outermost virtual term, whichever
+    is larger.  The anchor with the least residual is taken, if that is
+    the smaller.
+    """
+    idx = np.flatnonzero(keep)  # outermost first
+    terms = w[idx] * hv[idx]
+    flat = int(np.argmax(y[idx] != y[idx[0]]))  # the nodes on the outermost y
+    best = (0.0, 0.0, abs(float(terms[0]))
+            + float(np.dot(w[idx[:flat]], np.abs(hv[idx[:flat]] - hv[idx[flat]]))))
+    if best[2] <= _EPSABS:
+        return best
+    t = np.arange(-12 * _FINE, 6 * _FINE + 1) / _FINE
+    x = np.pi * np.sinh(t)
+    D = _special.log_expit(x)
+    L = np.log(np.cosh(t)) + D + _special.log_expit(-x)
+    e = idx + 6 * _FINE  # a node's index in L and D
+    for j in range(flat, min(idx.size, flat + 48) - 3):
+        four = idx[j:j + 4]
+        if np.any(np.diff(y[four]) == 0) or abs(np.sign(hv[four]).sum()) != 4:
+            continue  # h cannot tell the nodes apart, or changes sign
+        v = np.arange(e[j])  # the virtual nodes beyond the anchor
+        with np.errstate(all="ignore"):
+            b = -np.diff(np.log(np.abs(hv[four]))) / np.diff(D[e[j:j + 4]])
+            tails = terms[j] * np.exp(L[v] - L[e[j]] - b[:, None] * (D[v] - D[e[j]]))
+            residual = max(np.ptp(tails.sum(axis=1)), abs(tails[0, 0]))
+        if residual < best[2]:  # False for a NaN
+            best = (float(tails[0].sum() - terms[:j].sum()),
+                    2.0 * float(tails[0, ::2].sum() - terms[:j][idx[:j] % 2 == 0].sum()),
+                    float(residual))
+    return best
 
 
 def load_samples(path):

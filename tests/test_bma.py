@@ -184,6 +184,10 @@ class TestEnsembleValidation:
         with pytest.raises(ValidationError):
             ModelEnsemble(members, [0.5, 0.6])
 
+    def test_a_member_whose_loss_is_not_a_spec_is_refused_when_built(self):
+        with pytest.raises(ValidationError, match="loss must be a LossSpec, got 'SEL'"):
+            EnsembleMember("a", GaussianPosterior(0, 1), "SEL")
+
     def test_model_posterior_given_as_is_kept(self):
         mp = DiscretePosterior([0.25, 0.75], labels=["x", "y"])
         ens = ModelEnsemble(gaussian_pair().members, mp)

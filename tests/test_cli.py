@@ -114,7 +114,7 @@ functional: {name: indicator_above, kappa: 0.5}
                              ids=["sel", "mtc1"])
     def test_indicator_functional_cut_at_its_jump(self, runner, tmp_path, loss, want):
         # Pr(Y > kappa) = 0.318...; the start E g(Y) is cut at kappa, where
-        # an uncut rule handed over to QUADPACK, which gave up (exit 3)
+        # an uncut rule once handed over to a QUADPACK fallback, which gave up (exit 3)
         scenario = write(tmp_path, "s.yaml", f"""
 posterior: {{kind: gamma, shape: 13.390230504285748, rate: 3.924224014410591}}
 loss: {loss}
@@ -541,6 +541,27 @@ design:
         assert outputs[0] == outputs[1]
 
 
+    def test_a_concave_loss_on_a_u_shaped_beta_prior(self, runner, tmp_path):
+        # at n = 0 each replicate decides on Beta(0.2, 0.2) itself, where every
+        # EPL of MTC(0.3) is singular at both ends of the support
+        scenario = write(tmp_path, "s.yaml", """
+loss: {family: MTC, params: {rho: 0.3}}
+design:
+  template: beta-bernoulli
+  params: {a: 0.2, b: 0.2}
+  tau: 1.0
+  cost: {c0: 0.0, per_unit: 0.01}
+  n_grid: [0, 1, 2]
+  n_mc: 3
+""")
+        result = runner.invoke(main, ["design-n", "--scenario", scenario,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        rows = read_csv(tmp_path / "out", "design_n.csv").splitlines()
+        assert [r.split(",")[0] for r in rows] == ["n", "0", "1", "2"]
+        assert np.all(np.isfinite([float(r.split(",")[2]) for r in rows[1:]]))
+
+
 class TestVoi:
     def test_conjugate_exact_value(self, runner, tmp_path):
         scenario = write(tmp_path, "s.yaml", """
@@ -843,7 +864,7 @@ loss: {family: LNX, params: {psi: -2.0}}
         assert "numeric failure" in result.stdout + result.stderr
 
     def test_overflowing_loss_exits_3_without_a_warning(self, tmp_path):
-        # E exp((a - Y)^2) - 1 diverges on N(0, 1): QUADPACK's integrand
+        # E exp((a - Y)^2) - 1 diverges on N(0, 1): the rule's integrand
         # overflows, and numpy must not warn on the way to the NumericError
         scenario = write(tmp_path, "s.yaml", """
 posterior: {kind: gaussian, mean: 0, sd: 1}

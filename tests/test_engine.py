@@ -251,8 +251,8 @@ class TestFunctionalJump:
     @pytest.fixture(autouse=True)
     def no_fallback(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("QUADPACK fallback reached")
-        monkeypatch.setattr(posteriors, "_quadpack_expect", refuse)
+            raise AssertionError("the rule's first pass did not certify its sum")
+        monkeypatch.setattr(posteriors, "_refine", refuse)
 
     def g(self, y):
         return (np.asarray(y, dtype=float) > self.KAPPA).astype(float)
@@ -393,6 +393,20 @@ class TestCompiledSpec:
             np.testing.assert_array_equal(twin(self.GRID_A, self.GRID_Y),
                                           spec(self.GRID_A, self.GRID_Y))
         assert compose(spec) is spec
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=SPECS)
+    def test_equal_specs_hash_equal(self, spec):
+        twin = copy.deepcopy(spec)
+        assert hash(twin) == hash(spec)
+        assert {spec: "value"}[twin] == "value"
+
+    def test_nested_weighted_and_ptl_specs_key_a_dict(self):
+        ptl = LossSpec.potential(CustomPotentialDensity(lambda u: 1.0 / (1.0 + np.asarray(u) ** 2)))
+        specs = [LossSpec.sel(), ptl, _positive_weighted(LossSpec.gam(1.0, 2.0)),
+                 LossSpec.sum_of(LossSpec.qtl(0.3), LossSpec.product_of(LossSpec.mtc(1.5), ptl))]
+        table = {spec: i for i, spec in enumerate(specs)}
+        assert [table[copy.deepcopy(spec)] for spec in specs] == [0, 1, 2, 3]
 
     def test_equality_and_repr_read_only_the_declared_fields(self):
         declared = ["family", "params", "compose", "components"]

@@ -73,8 +73,8 @@ def test_checker_allows_own_and_public_names():
     assert private_reach_ins(source, "bma") == []
 
 
-def scipy_special_imports(source):
-    """(line, module) of every import of ``scipy.special`` or a name from it."""
+def scipy_imports(source, package="scipy.special"):
+    """(line, module) of every import of ``package`` or a name from it."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -84,7 +84,7 @@ def scipy_special_imports(source):
         else:
             continue
         found.extend((node.lineno, n) for n in names
-                     if n == "scipy.special" or n.startswith("scipy.special."))
+                     if n == package or n.startswith(package + "."))
     return found
 
 
@@ -92,7 +92,7 @@ def scipy_special_imports(source):
 def test_only_the_lazy_module_imports_scipy_special(module):
     # importing scipy.special costs more than the rest of the package, and only
     # some decisions need it; ``_special`` imports it on first use
-    found = scipy_special_imports((PKG_DIR / f"{module}.py").read_text())
+    found = scipy_imports((PKG_DIR / f"{module}.py").read_text())
     assert bool(found) == (module == "_special"), found
 
 
@@ -104,12 +104,30 @@ def test_only_the_lazy_module_imports_scipy_special(module):
     "def f():\n    from scipy.special._ufuncs import ndtr\n",
 ])
 def test_scipy_special_checker_flags_imports(source):
-    assert scipy_special_imports(source)
+    assert scipy_imports(source)
 
 
 def test_scipy_special_checker_allows_other_imports():
-    assert scipy_special_imports("import scipy\nfrom scipy import integrate\n"
-                                 "from . import _special\n") == []
+    assert scipy_imports("import scipy\nfrom scipy import integrate\n"
+                         "from . import _special\n") == []
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PKG_DIR.glob("*.py")))
+@pytest.mark.parametrize("package", ["scipy.integrate", "scipy.optimize"])
+def test_no_module_imports_scipy_integrate_or_optimize(module, package):
+    # the tanh-sinh rule in posteriors is the one integrator, and the search
+    # in engine the one minimiser; a cold import of scipy.optimize cost 0.47 s
+    assert scipy_imports((PKG_DIR / f"{module}.py").read_text(), package) == []
+
+
+@pytest.mark.parametrize("source, package", [
+    ("from scipy import integrate\n", "scipy.integrate"),
+    ("def f():\n    from scipy.integrate import quad\n", "scipy.integrate"),
+    ("import scipy.optimize as so\n", "scipy.optimize"),
+    ("from scipy.optimize import brentq\n", "scipy.optimize"),
+])
+def test_scipy_checker_flags_each_package(source, package):
+    assert scipy_imports(source, package)
 
 
 # posteriors answers "is Y > 0 almost surely?" (``lower``, ``almost_surely_positive``)

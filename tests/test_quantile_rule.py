@@ -1,17 +1,21 @@
-"""The tanh-sinh rule behind parametric ``expect`` against scipy.integrate.quad.
+"""The tanh-sinh rule behind parametric ``expect`` against independent oracles.
 
 ``posteriors._quad_expect`` integrates h(F^-1(u)) over (0, 1) with a fixed
-tanh-sinh rule and hands over to ``posteriors._quadpack_expect`` when it
-cannot certify its sum.  The oracle here calls ``scipy.integrate.quad`` on
-h(y) p(y) directly, with the density written out below, split at the
-action and at the 1e-10 tail quantiles.  Fallbacks are counted by wrapping
-``_quadpack_expect``.
+tanh-sinh rule and, when its first pass cannot certify the sum, refines
+itself in ``posteriors._refine``: a finer step and cuts, a shorter reach
+where h raises or is not finite, and a power law at a singular end.  The
+refinement answers or raises; nothing else integrates.  The oracles are
+``scipy.integrate.quad`` on h(y) p(y) directly, with the density written
+out below, split at the action and at the 1e-10 tail quantiles, closed
+forms, and 50-digit moments (``_oracle_mp``).  Refinements are counted by
+wrapping ``_refine``; the tests keep the "fallback" names they had when a
+QUADPACK fallback stood there.
 """
 
 import math
-import re
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -19,10 +23,11 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import expit, gammaincinv, ndtri
 
+import _oracle_mp as mp
 from _search import searched
 from bayesdecide import (BetaPosterior, GammaPosterior, GaussianPosterior,
                          GeneralizedGaussian, LossSpec as L, NumericError, Weight, compose,
-                         optimize, optimize_functional)
+                         epl, optimize, optimize_functional)
 from bayesdecide import posteriors
 
 REL = 1e-9
@@ -60,11 +65,11 @@ class _FellBack(Exception):
 
 
 def _rule(post, h, breakpoints=()):
-    """The rule's own sum, or None where it hands over to QUADPACK."""
+    """The first pass's sum, or None where it hands over to ``_refine``."""
     def refuse(*args):
         raise _FellBack
 
-    with mock.patch.object(posteriors, "_quadpack_expect", refuse):
+    with mock.patch.object(posteriors, "_refine", refuse):
         try:
             return posteriors._quad_expect(post, h, breakpoints)
         except _FellBack:
@@ -73,14 +78,15 @@ def _rule(post, h, breakpoints=()):
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """The list of arguments of every call to the QUADPACK fallback."""
-    calls, fallback = [], posteriors._quadpack_expect
+    """The list of arguments of every call to ``_refine``, the rule's
+    fallback once its first pass cannot certify the sum."""
+    calls, fallback = [], posteriors._refine
 
     def counted(*args):
         calls.append(args)
         return fallback(*args)
 
-    monkeypatch.setattr(posteriors, "_quadpack_expect", counted)
+    monkeypatch.setattr(posteriors, "_refine", counted)
     return calls
 
 
@@ -94,7 +100,7 @@ def _check_against_quad(spec, post, t):
     h = lambda y: lossfn(a, y)
     want = _oracle(post, h, (a,))
     got = _rule(post, h, (a,))
-    if got is None:  # rare: the answer is the fallback's
+    if got is None:  # rare: the answer is the refinement's
         got = posteriors._quad_expect(post, h, (a,))
     _assert_close(got, want)
 
@@ -150,16 +156,14 @@ def test_gamma_grid_matches_quad(spec, shape, rate, t):
 
 @given(shape=st.floats(1.02, 2.5), rate=st.floats(0.05, 10.0))
 @settings(max_examples=60, deadline=None)
+# the first pass fails here and the end's power law y^-1 ~ u^(-1/shape) answers
+@example(shape=1.02, rate=7.576822738050073)
 def test_inverse_mean_on_gamma_matches_closed_form(shape, rate):
     # y^(shape - 2) is unbounded at 0 for shape < 2
     post = GammaPosterior(shape, rate)
-    want = rate / (shape - 1.0)
-    got = _rule(post, lambda y: 1.0 / y)
     if shape >= 1.1:
-        assert got is not None
-    if got is None:
-        got = post.expect(lambda y: 1.0 / y)
-    _assert_close(got, want)
+        assert _rule(post, lambda y: 1.0 / y) is not None
+    _assert_close(post.expect(lambda y: 1.0 / y), rate / (shape - 1.0))
 
 
 @pytest.mark.parametrize("spec, post", [
@@ -249,7 +253,7 @@ def test_indicator_functional_is_a_two_point_decision(fallbacks, post, t, loss):
 
 
 # ---------------------------------------------------------------------------
-# each way the rule hands over to QUADPACK
+# each way the first pass hands over to the refinement, and what that answers
 
 
 def test_unlisted_interior_kink_fails_the_nested_difference(fallbacks):
@@ -295,29 +299,33 @@ def test_divergent_integral_raises_from_the_fallback(fallbacks, lam):
     # PWD(lam) with lam >= shape: y phi_lam(a / y) grows like y^(1 - lam) at 0,
     # so E Y^-lam diverges on Gamma(2, 1); the rule refuses the sum
     post, lossfn = GammaPosterior(2.0, 1.0), compose(L.pwd(lam))
-    with pytest.raises(NumericError, match=r"quadrature of h on \[0.0, 2.0\] failed: "
-                                           r".*\(error estimate"):
+    with pytest.raises(NumericError, match=r"the tanh-sinh rule cannot certify E h\(Y\) "
+                                           r"on GammaPosterior\(shape=2.0, rate=1.0\): "):
         post.expect(lambda y: lossfn(2.0, y), breakpoints=(2.0,))
     assert len(fallbacks) == 1
 
 
 def test_scalar_only_h_falls_back(fallbacks):
-    got = GaussianPosterior(0.0, 1.0).expect(math.exp)
+    # h must take a float array: one written for scalars raises its own error
+    with pytest.raises(TypeError):
+        GaussianPosterior(0.0, 1.0).expect(math.exp)
     assert len(fallbacks) == 1
-    _assert_close(got, math.exp(0.5))
 
 
 @pytest.mark.parametrize("a, b", [(1, 2), (2, 3), (0.5, 0.5), (30, 1.2), (5, 0.7), (0.7, 5),
                                   (200, 300)])
 def test_the_fallback_keeps_a_betas_upper_mass(a, b):
-    # a piece from the 1 - 1e-10 quantile to inf never samples the mass below 1
-    got = posteriors._quadpack_expect(BetaPosterior(a, b), lambda y: 1.0)
-    assert abs(got - 1.0) <= 1e-12, got
+    # nodes whose y rounds to 1.0 keep their mass in the refinement too,
+    # since h is the same at the next y below, so none of it goes missing
+    post = BetaPosterior(a, b)
+    for got in (post.expect(lambda y: 1.0), posteriors._refine(post, lambda y: 1.0, ())):
+        assert abs(got - 1.0) <= 1e-12, got
 
 
 def test_a_beta_weight_the_rule_refuses_keeps_its_digits(fallbacks):
     # Weight.__call__ refuses y^2 where it underflows to 0 at the rule's
-    # nodes near 0, so QUADPACK answers E Y^2 = a (a + 1) / ((a + b)(a + b + 1))
+    # nodes near 0, so the refinement shortens its reach, and answers
+    # E Y^2 = a (a + 1) / ((a + b)(a + b + 1))
     got = BetaPosterior(1, 2).expect(Weight.power(2.0))
     assert len(fallbacks) == 1
     assert abs(got - 1.0 / 6.0) <= 1e-12 / 6.0, got
@@ -326,21 +334,59 @@ def test_a_beta_weight_the_rule_refuses_keeps_its_digits(fallbacks):
 @pytest.mark.parametrize("a", [664.8, 670.0])
 def test_h_raising_at_an_extreme_node_keeps_quadpack_answer(fallbacks, a):
     # LINEX refuses psi (a - y) > EXP_LIMIT, which the rule's lowest node
-    # (about 35 sd below the mean) reaches first
-    post, lossfn = GaussianPosterior(0.0, 1.0), compose(L.sum_of(L.qtl(0.3), L.linex(1.0)))
-    h = lambda y: lossfn(a, y)
+    # (about 35 sd below the mean) reaches first; the refinement shortens
+    # its reach and answers what the closed forms of the sum's parts give
+    post, spec = GaussianPosterior(0.0, 1.0), L.sum_of(L.qtl(0.3), L.linex(1.0))
+    h = lambda y: spec(a, y)
     assert _rule(post, h, (a,)) is None
-    try:
-        want = posteriors._quadpack_expect(post, h, (a,))
-    except NumericError as exc:
-        want = exc
     fallbacks.clear()
-    if isinstance(want, NumericError):
-        with pytest.raises(NumericError, match=re.escape(str(want))):
-            post.expect(h, breakpoints=(a,))
-    else:
-        _assert_close(post.expect(h, breakpoints=(a,)), want)
+    _assert_close(post.expect(h, breakpoints=(a,)), epl(spec, post, a))
     assert len(fallbacks) == 1
+
+
+@pytest.mark.parametrize("a, b", [(0.2, 0.2), (0.5, 0.5), (0.3, 2.0), (2.0, 0.3), (0.7, 0.9)])
+@pytest.mark.parametrize("rho", [0.3, 1.5])
+def test_mtc_at_either_end_of_a_beta_with_a_shape_below_one(a, b, rho):
+    # E|0 - Y|^rho = E Y^rho, and E|1 - Y|^rho is E Y^rho on Beta(b, a): by 1
+    # the nodes' y round to 1.0 and the refinement continues the end past them
+    post, spec = BetaPosterior(a, b), L.mtc(rho)
+    _assert_close(post.expect(lambda y: spec(0.0, y), breakpoints=(0.0,)),
+                  float(mp.beta_moment(a, b, rho)))
+    _assert_close(post.expect(lambda y: spec(1.0, y), breakpoints=(1.0,)),
+                  float(mp.beta_moment(b, a, rho)))
+
+
+def test_a_concave_loss_on_a_u_shaped_beta(fallbacks):
+    # MTC(0.3) on Beta(0.2, 0.2): each EPL's integrand is singular at both
+    # ends, where the first pass leaves mass.  The oracle is mpmath at 30
+    # digits after y = s^5 below 1/2 and 1 - y = s^5 above, which take
+    # y^-0.8 dy and (1 - y)^-0.8 dy to 5 ds, split where |a - y| kinks
+    post, spec = BetaPosterior(0.2, 0.2), L.mtc(0.3)
+    decision = optimize(spec, post)
+    assert len(fallbacks) > 0
+    a = decision.action
+    with mpmath.workdps(30):
+        m, half = mpmath.mpf(a), mpmath.mpf(0.5) ** 0.2
+        f = lambda y: (abs(m - y) ** mpmath.mpf(0.3) * 5 * (1 - y if y < 0.5 else y) ** -0.8
+                       / mpmath.beta(0.2, 0.2))
+        cuts = lambda c: [0] + ([c ** 0.2] if 0 < c < 0.5 else []) + [half]
+        want = (mpmath.quad(lambda s: f(s ** 5), cuts(m))
+                + mpmath.quad(lambda s: f(1 - s ** 5), cuts(1 - m)))
+    _assert_close(decision.epl, float(want))
+    for b in (a - 1e-3, a + 1e-3):
+        assert epl(spec, post, b) > decision.epl
+
+
+def test_a_kink_no_breakpoint_names(fallbacks):
+    # g = min(y, 0.5) kinks at 0.5, which no cut names: the 0.7-quantile of
+    # g(Y) is min(Phi^-1(0.7), 0.5) = 0.5
+    post, spec = GaussianPosterior(0.0, 1.0), L.qtl(0.7)
+    g = lambda y: np.minimum(y, 0.5)
+    decision = optimize_functional(spec, post, g)
+    assert len(fallbacks) > 0
+    a = decision.action
+    assert a == pytest.approx(0.5, rel=1e-7)
+    _assert_close(decision.epl, _oracle(post, lambda y: spec(a, g(y)), (a, 0.5)))
 
 
 def test_a_linex_sum_needs_no_fallback(fallbacks):
@@ -360,7 +406,8 @@ def test_a_linex_sum_needs_no_fallback(fallbacks):
 def test_a_linex_product_reaches_the_fallback(fallbacks):
     # a product has no closed-form EPL, so the whole loss is integrated; the
     # rule's lowest nodes trip the LINEX overflow guard at the search's
-    # actions, and QUADPACK answers those EPLs
+    # actions, and the refinement answers those EPLs on a shorter reach,
+    # with the step in t refined over the integrand's peak 20 sd below 0
     post = GaussianPosterior(0.0, 20.0)
     spec = L.product_of(L.mtc(1.5), L.linex(1.0))
     decision = optimize(spec, post)
@@ -373,7 +420,7 @@ def test_a_linex_product_reaches_the_fallback(fallbacks):
 
 def test_a_sum_of_closed_forms_needs_no_quadrature(fallbacks):
     # each part of QTL(0.3) + LINEX(1) has a closed-form EPL, so the sum's
-    # EPL is theirs: no rule, and so no fallback, at any of the search's actions
+    # EPL is theirs: no rule, and so no refinement, at any of the search's actions
     post = GaussianPosterior(0.0, 20.0)
     decision = optimize(L.sum_of(L.qtl(0.3), L.linex(1.0)), post)
     assert len(fallbacks) == 0

@@ -5,7 +5,9 @@ Each example writes one fixture, with one or two fields replaced by
 generated values (or deleted), next to small generated draws files.  The
 documented exit codes are 0, 2 (malformed scenario) and 3 (numeric
 failure): a mutation must never escape as a traceback.  Unmutated, every
-fixture runs without the QUADPACK fallback.
+fixture runs on the first pass of the tanh-sinh rule: no expectation
+reaches its refinement, ``posteriors._refine`` (the test keeps the name it
+had when that refinement was a QUADPACK fallback).
 """
 
 import copy
@@ -108,13 +110,13 @@ def test_every_fixture_is_listed():
 
 @pytest.mark.parametrize("name", sorted(VERBS))
 def test_fixture_runs_without_quadpack(workdir, monkeypatch, name):
-    calls, fallback = [], posteriors._quadpack_expect
+    calls, fallback = [], posteriors._refine
 
     def counted(*args):
         calls.append(args)
         return fallback(*args)
 
-    monkeypatch.setattr(posteriors, "_quadpack_expect", counted)
+    monkeypatch.setattr(posteriors, "_refine", counted)
     result = _invoke(workdir, name, DOCS[name])
     assert result.exit_code == 0, result.output
     assert calls == []

@@ -39,8 +39,8 @@ def _check_row(post, weight, a):
 
     The oracle calls the weight's bare function: ``Weight.__call__`` refuses
     a weight that underflows to 0, as y^2 does at a Beta's nodes near 0 and
-    e^{cy} at a Gamma's far nodes, and the QUADPACK fallback that would
-    then answer is the less accurate one."""
+    e^{cy} at a Gamma's far nodes, which would hand the oracle's sum to
+    the rule's refinement on a shorter reach."""
     log_z, tilted = post.tilt(weight.kind, weight.param)
     assert type(tilted) is type(post)
     _assert_close(math.exp(log_z), post.expect(weight.fn))
