@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -481,7 +481,9 @@ def _closed_form(loss, post):
 
 
 def optimize(loss, post):
-    """Minimize E(L(a, Y) | z) over actions a: a closed form, else the search."""
+    """Minimize E(L(a, Y) | z) over actions a: a closed form, else the search,
+    or, with a lower EPL, a finite end of a parametric support (Brent only
+    narrows towards a cusp there); the path's bracket then reaches that end."""
     loss = compose(loss)
     _check_domain(loss, post)
     hit = _closed_form(loss, post)
@@ -491,20 +493,21 @@ def optimize(loss, post):
                                SolverPath("closed_form", name))
     action, value, path = minimize(lambda a: epl(loss, post, a), post.quantile(0.5),
                                    loss.positive_domain, unimodal_epl(loss, post))
+    ends = () if isinstance(post, SamplePosterior) else (post.lower, post.upper)
+    for end in filter(math.isfinite, ends):
+        try:  # 0 for a loss on y > 0 is a ValidationError
+            end_value = epl(loss, post, end)
+        except (NumericError, ValidationError):
+            continue
+        if end_value < value:
+            action, value = end, end_value
+            path = replace(path, bracket=(min(*path.bracket, end), max(*path.bracket, end)))
     return OptimalDecision(float(action), value, path)
 
 
-# the quadrature's outermost nodes lie up to 2.3 support widths beyond a
-# Gaussian's support(), up to 26.5 above a Gamma's (never below 0) and either
-# side of a Beta's, past which a Beta shape < 1 puts only mass below 1e-170
-_NODE_REACH = 27.0
-# the evenly spaced part of optimize_functional's grid over support()
-_UNIT_GRID = np.linspace(0.0, 1.0, 257)
-
-
 def _crossings(g, y, gy, a):
-    """Each point where g - a changes sign between neighbours of the grid y
-    (``gy`` = g(y)), refined by 50 halvings of its cell."""
+    """The bracket (lo, hi) of each point where g - a changes sign between
+    neighbours of the grid y (``gy`` = g(y)), after 50 halvings of its cell."""
     above = gy > a
     cuts = []
     for i in np.flatnonzero(above[:-1] != above[1:]):
@@ -516,20 +519,22 @@ def _crossings(g, y, gy, a):
                     lo = mid
                 else:
                     hi = mid
-        cuts.append(0.5 * (lo + hi))
+        cuts.append((lo, hi))
     return cuts
 
 
 def _jumps(g, y, gy):
-    """The jumps of g on the grid y (``gy`` = g(y)): each cell of its evenly
-    spaced part whose change exceeds that of its two neighbours together
-    (twice its one neighbour's at an end), cut where g crosses the middle
-    of the cell's two values."""
-    step = np.abs(np.diff(gy[1:-1]))
+    """The jumps of g on the grid y (``gy`` = g(y)): in each cell whose change
+    exceeds that of its two neighbours together (twice its one neighbour's at
+    an end), where g crosses the middle of its two values, if g changes by half
+    as much across that crossing's bracket (a steep log y by 0 does not)."""
+    step = np.abs(np.diff(gy))
     side = np.concatenate(([step[1]], step, [step[-2]]))
     cuts = []
-    for i in np.flatnonzero(step > side[:-2] + side[2:]) + 1:
-        cuts += _crossings(g, y[i:i + 2], gy[i:i + 2], 0.5 * (gy[i] + gy[i + 1]))
+    for i in np.flatnonzero(step > side[:-2] + side[2:]):
+        for lo, hi in _crossings(g, y[i:i + 2], gy[i:i + 2], 0.5 * (gy[i] + gy[i + 1])):
+            if np.ptp(np.asarray(g(np.array([lo, hi])), dtype=float)) >= 0.5 * step[i]:
+                cuts.append(0.5 * (lo + hi))
     return cuts
 
 
@@ -537,16 +542,16 @@ def optimize_functional(loss, post, g):
     """Minimize E(L(a, g(Y)) | z): the optimal decision about g(Y).
 
     ``g`` maps a float array of y values to g(y) elementwise.  On a
-    parametric posterior, g is evaluated once on a fixed grid over
-    ``post.support()``, widened to the quadrature's outermost nodes.  Where
-    the grid shows no jump of g, and g finite and strictly monotone at every
-    grid point, QTL(q) and MTC(1) take the quantile of g(Y): g(F^-1(q)), or
-    g(F^-1(1 - q)) for a decreasing g, with one EPL cut at that quantile
-    (path ``pushforward_quantile``).  Otherwise every ``post.expect`` (the
-    start E g(Y), which is SEL's answer, and each EPL) is cut at the jumps
-    of g the grid shows (``_jumps``), and each EPL but SEL's also where g(y)
-    = a: at each sign change of g - a on the grid, refined by bisection.
-    The search is Brent's, as for every loss on a parametric posterior.
+    parametric posterior, g is evaluated once on 257 evenly spaced points
+    of ``post.support()``.  Where they show no jump of g, g finite and
+    strictly monotone, and F^-1(q) within their span, QTL(q) and MTC(1) take the
+    quantile of g(Y): g(F^-1(q)), or g(F^-1(1 - q)) for a decreasing g,
+    with one EPL cut there (path ``pushforward_quantile``).  Otherwise every
+    ``post.expect`` (the start E g(Y), which is SEL's answer, and each EPL)
+    is cut at the jumps of g the grid shows (``_jumps``), and each EPL but
+    SEL's also where g(y) = a: at each sign change of g - a on the grid,
+    refined by bisection; beyond ``support()`` both are left to the rule's
+    refinement.  The search is Brent's, as on every parametric posterior.
     """
     loss = compose(loss)
     if isinstance(post, SamplePosterior):
@@ -554,12 +559,7 @@ def optimize_functional(loss, post, g):
         pushed = SamplePosterior(gv, post.weights)
         return optimize(loss, pushed)
     h = lambda a: lambda y: loss(a, np.asarray(g(y), dtype=float))
-    lo, hi = post.support()
-    reach = _NODE_REACH * (hi - lo)
-    y = np.empty(_UNIT_GRID.size + 2)
-    y[0] = max(post.lower, lo - reach)
-    y[1:-1] = lo + (hi - lo) * _UNIT_GRID
-    y[-1] = hi + reach
+    y = np.linspace(*post.support(), 257)
     with np.errstate(all="ignore"):
         gy = np.asarray(g(y), dtype=float)
         jumps = _jumps(g, y, gy)
@@ -567,18 +567,19 @@ def optimize_functional(loss, post, g):
     if key in ("QTL", "MTC1") and not jumps:
         rise = np.diff(gy)
         if np.all(np.isfinite(gy)) and (np.all(rise > 0) or np.all(rise < 0)):
-            # a quantile commutes with a monotone map
             q = loss.params["q"] if key == "QTL" else 0.5
             y_q = post.quantile(q if rise[0] > 0 else 1.0 - q)
-            a = float(np.asarray(g(np.array([y_q])), dtype=float)[0])
-            return OptimalDecision(a, post.expect(h(a), breakpoints=(y_q,)),
-                                   SolverPath("closed_form", "pushforward_quantile"))
+            if y[0] <= y_q <= y[-1]:  # a quantile commutes with a map monotone there
+                a = float(np.asarray(g(np.array([y_q])), dtype=float)[0])
+                return OptimalDecision(a, post.expect(h(a), breakpoints=(y_q,)),
+                                       SolverPath("closed_form", "pushforward_quantile"))
     x0 = post.expect(lambda y: np.asarray(g(y), dtype=float), breakpoints=jumps)
     if key == "SEL":
         # squared error has no kink at g(y) = a: its one EPL needs no more cuts
         return OptimalDecision(float(x0), post.expect(h(x0), breakpoints=jumps),
                                SolverPath("closed_form", "pushforward_mean"))
-    f = lambda a: post.expect(h(a), breakpoints=_crossings(g, y, gy, a) + jumps)
+    f = lambda a: post.expect(h(a), breakpoints=[0.5 * (lo + hi) for lo, hi
+                                                 in _crossings(g, y, gy, a)] + jumps)
     action, value, path = minimize(f, x0, loss.positive_domain)
     return OptimalDecision(float(action), value, path)
 

@@ -1,3 +1,4 @@
+import math
 import os
 import shutil
 import subprocess
@@ -86,7 +87,9 @@ functional: {name: square}
          "{name: affine, slope: 2, intercept: -1}", -0.5),
         ("{kind: gamma, shape: 3, rate: 2}", "{family: QTL, params: {q: 0.3}}",
          "{name: affine, slope: -1}", -1.8077838329329956),
-    ], ids=["exp-median", "affine-median", "affine-decreasing-quantile"])
+        ("{kind: gaussian, mean: 0, sd: 3}", "{family: QTL, params: {q: 0.7}}",
+         "{name: exp}", math.exp(3.0 * 0.5244005127080407)),
+    ], ids=["exp-median", "affine-median", "affine-decreasing-quantile", "exp-wide-quantile"])
     def test_functional_quantile_is_g_of_the_quantile(self, runner, tmp_path, posterior,
                                                        loss, functional, want):
         # the median of g(Y) is g(median of Y) for a monotone g; a decreasing g
@@ -95,6 +98,7 @@ functional: {name: square}
                                              f"functional: {functional}\n")
         result = runner.invoke(main, ["predict", "--scenario", scenario])
         assert result.exit_code == 0, result.output
+        assert "closed_form(pushforward_quantile)" in result.output
         action = float(result.output.splitlines()[0].split()[1])
         assert abs(action - want) <= 1e-7
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 import _oracle_mp as mp
 from _search import searched
@@ -332,3 +333,9 @@ def test_an_increasing_g_agrees_with_brent():
 def test_a_non_monotone_g_still_searches(g):
     d = optimize_functional(L.qtl(0.7), GaussianPosterior(0.0, 1.0), g)
     assert d.method.kind == "numeric"
+
+
+def test_the_square_of_a_standard_gaussian_is_chi_squared():
+    # Y^2 is chi^2_1, whose 0.7-quantile is Phi^-1(0.85)^2
+    d = optimize_functional(L.qtl(0.7), GaussianPosterior(0.0, 1.0), np.square)
+    assert _rel(d.action, float(ndtri(0.85)) ** 2) <= 1e-7

@@ -233,6 +233,10 @@ class TestValidation:
             with pytest.raises(ValidationError, match=message):
                 build()
 
+    def test_log_moment_of_draws_needs_every_draw_above_zero(self):
+        with pytest.raises(ValidationError, match="log y needs draws > 0"):
+            SamplePosterior([-1.0, 2.0]).log_moment(0.5)
+
     def test_sample_posterior_immutable(self):
         post = SamplePosterior([1.0, 2.0])
         with pytest.raises(AttributeError, match="immutable"):

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import expit, gammaincinv, ndtri
+from scipy.special import expit, gammaincinv, logit, ndtri
 
 import _oracle_mp as mp
 from _search import searched
@@ -201,19 +201,35 @@ def _affine(slope, intercept):
 _SLOPE = st.floats(0.2, 5.0) | st.floats(-5.0, -0.2)
 _GAUSS = st.builds(GaussianPosterior, st.floats(-2.0, 2.0), st.floats(0.1, 1.5))
 _GAMMA = st.builds(GammaPosterior, st.floats(1.5, 30.0), st.floats(0.2, 10.0))
+_BETA = st.builds(BetaPosterior, st.floats(0.5, 20.0), st.floats(0.5, 20.0))
+# a Gaussian whose support() (6.4 sd each side of the mean) keeps clear of 0,
+# where y^2 is monotone
+_OFF_ZERO = st.builds(lambda sd, k: GaussianPosterior(k * sd, sd), st.floats(0.05, 1.5),
+                      st.floats(6.5, 40.0) | st.floats(-40.0, -6.5))
 _CASES = st.one_of(
-    st.tuples(_GAUSS, st.just(np.exp), st.just(True)),
+    st.tuples(st.builds(GaussianPosterior, st.floats(-2.0, 2.0), st.floats(0.1, 4.0)),
+              st.just(np.exp), st.just(True)),
     st.tuples(_GAUSS | _GAMMA, _SLOPE, st.floats(-5.0, 5.0)).map(
         lambda c: (c[0], _affine(c[1], c[2]), c[1] > 0)),
     st.tuples(_GAMMA, st.just(np.square), st.just(True)),
+    _OFF_ZERO.map(lambda post: (post, np.square, post.mean > 0)),
+    # steep by 0 but continuous: no cell of the grid is a jump
+    st.tuples(_GAMMA | _BETA, st.sampled_from([np.sqrt, np.log]), st.just(True)),
 )
 
 
 @given(case=_CASES, q=st.floats(0.05, 0.95), median=st.booleans())
-# the bracket tries a = -7.55, whose kink at y = 2.776 lies just above the
-# support's upper end (2.772) but among the rule's nodes
 @example(case=(GammaPosterior(2.0, 9.5), _affine(-2.0, -2.0), False), q=0.0625, median=False)
-@settings(max_examples=60, deadline=None,
+# g finite and monotone on support() only, or steep by 0
+@example(case=(GaussianPosterior(0.0, 2.5), np.exp, True), q=0.7, median=False)
+@example(case=(GaussianPosterior(0.0, 3.0), np.exp, True), q=0.7, median=False)
+@example(case=(GaussianPosterior(-2.9, 0.16), np.square, False), q=0.7, median=False)
+@example(case=(GammaPosterior(3.0, 1.0), np.sqrt, True), q=0.7, median=False)
+@example(case=(GammaPosterior(3.0, 1.0), np.log, True), q=0.7, median=False)
+@example(case=(BetaPosterior(2.0, 3.0), np.sqrt, True), q=0.7, median=False)
+@example(case=(BetaPosterior(2.0, 3.0), np.log, True), q=0.7, median=False)
+@example(case=(BetaPosterior(2.0, 3.0), np.sin, True), q=0.7, median=False)
+@settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_functional_quantile_is_g_of_the_quantile(fallbacks, case, q, median):
     post, g, increasing = case
@@ -221,8 +237,35 @@ def test_functional_quantile_is_g_of_the_quantile(fallbacks, case, q, median):
     spec, q = (L.mtc(1), 0.5) if median else (L.qtl(q), q)
     want = float(g(np.array([post.quantile(q if increasing else 1.0 - q)]))[0])
     decision = optimize_functional(spec, post, g)
+    assert decision.method.name == "pushforward_quantile"
     assert fallbacks == []
     assert abs(decision.action - want) <= 1e-6 * max(abs(want), 1.0), (decision.action, want)
+
+
+def test_a_quantile_outside_the_support_is_searched():
+    # y^2 is monotone on support() of N(6.5, 1), [0.14, 12.86], but the 1e-12
+    # quantile -0.53 lies below it: its square 0.28 is far above the 1e-12
+    # quantile of Y^2 (3.5e-6), since Pr(Y^2 <= 0.28) is 1.2e-9
+    spec, post = L.qtl(1e-12), GaussianPosterior(6.5, 1.0)
+    decision = optimize_functional(spec, post, np.square)
+    assert decision.method.name == "brent"
+    off = np.square(post.quantile(1e-12))
+    assert decision.epl < 0.5 * post.expect(lambda y: spec(off, np.square(y)))
+
+
+def test_logit_of_a_beta_takes_the_quantile():
+    # logit y is finite and increasing on support(); the rule's outermost
+    # nodes round onto 1.0, where it is inf, so the one EPL is refined
+    spec, post = L.qtl(0.7), BetaPosterior(2.0, 3.0)
+    y_q = post.quantile(0.7)
+    decision = optimize_functional(spec, post, logit)
+    assert decision.method.name == "pushforward_quantile"
+    assert decision.action == logit(y_q)
+    a = decision.action
+    integrand = lambda y: spec(a, float(logit(y))) * 12.0 * y * (1.0 - y) ** 2  # Beta(2, 3)
+    want = sum(integrate.quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-11)[0]
+               for lo, hi in ((0.0, y_q), (y_q, 1.0)))
+    _assert_close(decision.epl, want)
 
 
 @given(post=_GAUSS | _GAMMA, t=st.floats(0.02, 0.98),
@@ -375,6 +418,25 @@ def test_a_concave_loss_on_a_u_shaped_beta(fallbacks):
     _assert_close(decision.epl, float(want))
     for b in (a - 1e-3, a + 1e-3):
         assert epl(spec, post, b) > decision.epl
+
+
+@pytest.mark.parametrize("a, b", [(0.05, 0.1), (0.2, 0.2), (0.3, 0.8)])
+def test_a_search_on_a_beta_tries_the_ends_of_its_support(a, b):
+    # a shape below 1 piles the mass up at 0, where the EPL of MTC(0.3) has a
+    # cusp that Brent only narrows towards; there EPL(0) = E Y^0.3
+    post = BetaPosterior(a, b)
+    decision = optimize(L.mtc(0.3), post)
+    assert decision.action == 0.0
+    lo, hi = decision.method.bracket
+    assert lo <= decision.action <= hi
+    assert decision.epl == pytest.approx(math.exp(post.log_moment(0.3)), rel=1e-12)
+
+
+def test_an_oscillation_the_rule_cannot_resolve_raises():
+    # E cos(200 Y) on N(0, 1) is e^-20000; h never raises, so when the nested
+    # difference stays open the refinement must raise, not return a number
+    with pytest.raises(NumericError, match="the nested difference"):
+        GaussianPosterior(0.0, 1.0).expect(lambda y: np.cos(200.0 * y))
 
 
 def test_a_kink_no_breakpoint_names(fallbacks):
